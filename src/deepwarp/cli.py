@@ -109,7 +109,11 @@ class RunConfig:
             raise ConfigError(f"configuration key '{key}' is not a number: {raw!r}")
 
     def getint(self, key, default=None) -> int:
-        return int(round(self.getfloat(key, default)))
+        value = self.getfloat(key, default)
+        if not value.is_integer():
+            raise ConfigError(f"configuration key '{key}' is not an integer: "
+                              f"{self.values.get(key)!r}")
+        return int(value)
 
     def getbool(self, key, default=False) -> bool:
         raw = self.values.get(key)

@@ -19,7 +19,13 @@ Sign conventions, used consistently across the package:
   anchored and the equation of motion reads M a + C v + K u = f_ext.
 
 All element-level calls are pure functions; batched internals back both the
-single-element API and the global assembly.
+single-element API and the global assembly. The 3x3 determinant and inverse
+transpose come from cofactors (``det_and_inverse_transpose``), not from
+``np.linalg``. The 12x12 element tangents of the linear, StVK and neo-Hookean
+models are built directly from their closed-form dP(F; dF) contracted with
+the corner gradients (Sifakis & Barbic, *FEM Simulation of 3D Deformable
+Solids*, SIGGRAPH 2012 course); only the corotational model differentiates
+through the polar rotation along twelve basis directions.
 """
 
 from __future__ import annotations
@@ -116,11 +122,6 @@ class MeshPrecomp:
         grads[:, 0] = -self.inv_rest_edges.sum(axis=1)
         self.corner_grads = grads
         m = len(dm)
-        basis = np.zeros((m, 12, 3, 3))
-        for c in range(4):
-            for k in range(3):
-                basis[:, 3 * c + k, k, :] = grads[:, c, :]
-        self.stiffness_basis = basis
         dof = (mesh.tets[:, :, None] * 3 + np.arange(3)).reshape(m, 12)
         self._rows = np.repeat(dof, 12, axis=1).ravel()
         self._cols = np.tile(dof, (1, 12)).ravel()
@@ -168,6 +169,25 @@ def displacement_gradient(precomp: ElementPrecomp, deformed_positions: np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# closed-form 3x3 determinant and inverse
+# ---------------------------------------------------------------------------
+
+def det_and_inverse_transpose(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det F and F^-T = cof(F) / det F for a stack of 3x3 matrices (..., 3, 3).
+
+    Entries where det F = 0 come back non-finite without a warning; callers
+    that need an invertible F check the determinant first.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(F, (-2, -1), (0, 1))
+    cof = np.array([[e * i - f * h, f * g - d * i, d * h - e * g],
+                    [h * c - i * b, i * a - g * c, g * b - h * a],
+                    [b * f - c * e, c * d - a * f, a * e - b * d]])
+    J = a * cof[0, 0] + b * cof[0, 1] + c * cof[0, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return J, np.ascontiguousarray(np.moveaxis(cof / J, (0, 1), (-2, -1)))
+
+
+# ---------------------------------------------------------------------------
 # polar decomposition
 # ---------------------------------------------------------------------------
 
@@ -184,13 +204,13 @@ def polar_decompose_batch(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     construction (proper rotation, sign pushed into S) handles det(F) <= 0.
     """
     F = np.asarray(F, dtype=np.float64)
-    dets = np.linalg.det(F)
+    dets, _ = det_and_inverse_transpose(F)
     R = np.empty_like(F)
     good = dets > 1e-12
     if np.any(good):
         Rg = F[good].copy()
         for _ in range(60):
-            Rg_next = 0.5 * (Rg + np.linalg.inv(np.swapaxes(Rg, 1, 2)))
+            Rg_next = 0.5 * (Rg + det_and_inverse_transpose(Rg)[1])
             delta = np.abs(Rg_next - Rg).max()
             Rg = Rg_next
             if delta < 1e-10:
@@ -217,15 +237,21 @@ def polar_decompose_batch(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _EYE = np.eye(3)
 
 
-def _check_uninverted(params: MaterialParams, F: np.ndarray) -> np.ndarray | None:
-    if params.model is not MaterialModel.NEO_HOOKEAN:
-        return None
-    J = np.linalg.det(F)
+def _neo_hookean_invariants(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(det F, F^-T) of a batch; raises InvertedElementError where det F <= 0."""
+    J, B = det_and_inverse_transpose(F)
     if np.any(J <= 0.0):
         bad = int(np.argmax(J <= 0.0))
         raise InvertedElementError(
             f"neo-hookean element {bad} inverted (det F = {J.flat[bad]:.3e})")
-    return J
+    return J, B
+
+
+def _stvk_stress_factor(F: np.ndarray, mu: float, lam: float) -> np.ndarray:
+    """T = 2 mu E + lam tr(E) I with E = (F F^T - I)/2, so that P = T F."""
+    E = 0.5 * (F @ np.swapaxes(F, 1, 2) - _EYE)
+    tr = np.trace(E, axis1=1, axis2=2)
+    return 2.0 * mu * E + lam * tr[:, None, None] * _EYE
 
 
 def energy_density_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
@@ -242,7 +268,7 @@ def energy_density_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
         tr = np.trace(E, axis1=1, axis2=2)
         return mu * np.einsum("nij,nij->n", E, E) + 0.5 * lam * tr * tr
     if model is MaterialModel.NEO_HOOKEAN:
-        J = _check_uninverted(params, F)
+        J, _ = _neo_hookean_invariants(F)
         i1 = np.einsum("nij,nij->n", F, F)
         logj = np.log(J)
         return 0.5 * mu * (i1 - 3.0) - mu * logj + 0.5 * lam * logj * logj
@@ -263,13 +289,9 @@ def piola_stress_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
         tr = np.trace(G, axis1=1, axis2=2)
         return mu * (G + np.swapaxes(G, 1, 2)) + lam * tr[:, None, None] * _EYE
     if model is MaterialModel.STVK:
-        E = 0.5 * (F @ np.swapaxes(F, 1, 2) - _EYE)
-        tr = np.trace(E, axis1=1, axis2=2)
-        T = 2.0 * mu * E + lam * tr[:, None, None] * _EYE
-        return T @ F
+        return _stvk_stress_factor(F, mu, lam) @ F
     if model is MaterialModel.NEO_HOOKEAN:
-        J = _check_uninverted(params, F)
-        B = np.swapaxes(np.linalg.inv(F), 1, 2)
+        J, B = _neo_hookean_invariants(F)
         logj = np.log(J)[:, None, None]
         return mu * (F - B) + lam * logj * B
     if model is MaterialModel.COROTATIONAL:
@@ -281,51 +303,36 @@ def piola_stress_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown material model {model}")
 
 
-def _dpiola_tensor_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
-    """dP/dF as an (m, 3, 3, 3, 3) tensor for the models with a closed form."""
-    m = len(F)
-    mu, lam = params.lame()
-    model = params.model
-    eye = _EYE
-    if model is MaterialModel.LINEAR:
-        A = (mu * (np.einsum("pr,qs->pqrs", eye, eye) + np.einsum("ps,qr->pqrs", eye, eye))
-             + lam * np.einsum("pq,rs->pqrs", eye, eye))
-        return np.broadcast_to(A, (m, 3, 3, 3, 3))
-    if model is MaterialModel.STVK:
-        E = 0.5 * (F @ np.swapaxes(F, 1, 2) - eye)
-        tr = np.trace(E, axis1=1, axis2=2)
-        T = 2.0 * mu * E + lam * tr[:, None, None] * eye
-        FtF = np.swapaxes(F, 1, 2) @ F
-        A = (mu * np.einsum("pr,nsq->npqrs", eye, FtF)
-             + mu * np.einsum("nps,nrq->npqrs", F, F)
-             + lam * np.einsum("nrs,npq->npqrs", F, F)
-             + np.einsum("npr,qs->npqrs", T, eye))
-        return A
-    if model is MaterialModel.NEO_HOOKEAN:
-        J = _check_uninverted(params, F)
-        B = np.swapaxes(np.linalg.inv(F), 1, 2)
-        logj = np.log(J)
-        A = (mu * np.einsum("pr,qs->pqrs", eye, eye)[None]
-             + (mu - lam * logj)[:, None, None, None, None]
-             * np.einsum("nps,nrq->npqrs", B, B)
-             + lam * np.einsum("npq,nrs->npqrs", B, B))
-        return A
-    raise ValueError(f"no closed-form stress derivative for {model}")
-
-
 def piola_stress_differential_batch(params: MaterialParams, F: np.ndarray,
                                     dF: np.ndarray) -> np.ndarray:
     """dP(F; dF) for batched F (m,3,3) against batched directions (m,k,3,3).
 
-    The corotational model differentiates through the polar rotation exactly,
-    so element stiffnesses match finite-differenced forces for all models.
+    The linear, StVK and neo-Hookean models use their closed forms. The
+    corotational model differentiates through the polar rotation exactly, so
+    element stiffnesses match finite-differenced forces for all models.
     """
     F = np.asarray(F, dtype=np.float64)
     dF = np.asarray(dF, dtype=np.float64)
-    if params.model is not MaterialModel.COROTATIONAL:
-        A = _dpiola_tensor_batch(params, F)
-        return np.einsum("npqrs,nkrs->nkpq", A, dF)
     mu, lam = params.lame()
+    model = params.model
+    dFt = np.swapaxes(dF, 2, 3)
+    if model is MaterialModel.LINEAR:
+        tr = np.trace(dF, axis1=2, axis2=3)
+        return mu * (dF + dFt) + lam * tr[..., None, None] * _EYE
+    if model is MaterialModel.STVK:
+        Fk = F[:, None]
+        FdFt = Fk @ dFt
+        trdE = np.einsum("npq,nkpq->nk", F, dF)
+        dT = mu * (FdFt + np.swapaxes(FdFt, 2, 3)) + lam * trdE[..., None, None] * _EYE
+        return dT @ Fk + _stvk_stress_factor(F, mu, lam)[:, None] @ dF
+    if model is MaterialModel.NEO_HOOKEAN:
+        J, B = _neo_hookean_invariants(F)
+        Bk = B[:, None]
+        BdF = np.einsum("npq,nkpq->nk", B, dF)
+        return (mu * dF + (mu - lam * np.log(J))[:, None, None, None] * (Bk @ dFt @ Bk)
+                + lam * BdF[..., None, None] * Bk)
+    if model is not MaterialModel.COROTATIONAL:
+        raise ValueError(f"unknown material model {model}")
     R, S = polar_decompose_batch(F)
     D = S - _EYE
     trD = np.trace(D, axis1=1, axis2=2)
@@ -386,15 +393,58 @@ def element_tangent_stiffness(params: MaterialParams, precomp: ElementPrecomp,
 
 def _element_stiffness_batch(params: MaterialParams, F: np.ndarray,
                              corner_grads: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-    """Batched 12x12 stiffness blocks, DOF order (corner, component)."""
+    """Batched 12x12 stiffness blocks, DOF order (corner, component).
+
+    Moving corner b along e_r changes F by e_r g_b^T, so
+    K[(a,p),(b,r)] = V dP(F; e_r g_b^T)_pq g_a,q. With h_a = H g_a the linear,
+    StVK and neo-Hookean blocks all read
+
+        V [s_ab d_pr + c h_b,p h_a,r + lam h_a,p h_b,r + T_pr (g_a . g_b)]
+
+    with (H, s_ab, c, T) = (I, mu g_a.g_b, mu, 0) for linear,
+    (F, mu h_a.h_b, mu, 2 mu E + lam tr(E) I) for StVK and
+    (F^-T, mu g_a.g_b, mu - lam log J, 0) for neo-Hookean. The corotational
+    model contracts its differential along the twelve basis directions.
+    """
     m = len(F)
-    basis = np.zeros((m, 12, 3, 3))
-    for c in range(4):
-        for k in range(3):
-            basis[:, 3 * c + k, k, :] = corner_grads[:, c, :]
-    dP = piola_stress_differential_batch(params, F, basis)
-    K = volumes[:, None, None, None] * np.einsum("nkpq,ncq->nkcp", dP, corner_grads)
-    return K.reshape(m, 12, 12).transpose(0, 2, 1)
+    mu, lam = params.lame()
+    model = params.model
+    g = corner_grads
+    if model is MaterialModel.COROTATIONAL:
+        basis = np.zeros((m, 12, 3, 3))
+        for a in range(4):
+            for r in range(3):
+                basis[:, 3 * a + r, r, :] = g[:, a, :]
+        dP = piola_stress_differential_batch(params, F, basis)
+        K = np.einsum("nkpq,ncq->ncpk", dP, g) * volumes[:, None, None, None]
+        return K.reshape(m, 12, 12)
+    gg = g @ np.swapaxes(g, 1, 2)
+    T = None
+    if model is MaterialModel.LINEAR:
+        h, s, c = g, mu * gg, mu
+    elif model is MaterialModel.STVK:
+        h = g @ np.swapaxes(F, 1, 2)
+        s, c = mu * (h @ np.swapaxes(h, 1, 2)), mu
+        T = _stvk_stress_factor(F, mu, lam)
+    elif model is MaterialModel.NEO_HOOKEAN:
+        J, B = _neo_hookean_invariants(F)
+        h = g @ np.swapaxes(B, 1, 2)
+        s, c = mu * gg, mu - lam * np.log(J)
+    else:
+        raise ValueError(f"unknown material model {model}")
+    # Blocks are built as K[a,p,b,r,n], element axis last: every elementwise
+    # pass then runs over long contiguous rows instead of 3-wide ones.
+    hT = np.ascontiguousarray(h.transpose(1, 2, 0))
+    O = hT[:, :, None, None] * hT                           # h_a,p h_b,r
+    K = O * (lam * volumes)
+    K += O.transpose(2, 1, 0, 3, 4) * (c * volumes)         # h_b,p h_a,r
+    diag = (s * volumes[:, None, None]).transpose(1, 2, 0)
+    for p in range(3):
+        K[:, p, :, p] += diag
+    if T is not None:
+        ggv = (gg * volumes[:, None, None]).transpose(1, 2, 0)
+        K += ggv[:, None, :, None] * T.transpose(1, 2, 0)[None, :, None]
+    return np.ascontiguousarray(K.reshape(144, m).T).reshape(m, 12, 12)
 
 
 def total_elastic_energy(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
@@ -415,11 +465,6 @@ def _batched_gradients(mesh: TetMesh, pre: MeshPrecomp, u: np.ndarray) -> np.nda
 # global assembly
 # ---------------------------------------------------------------------------
 
-def _anchor_dofs(mesh: TetMesh) -> np.ndarray:
-    anchors = mesh.anchor_array()
-    return (anchors[:, None] * 3 + np.arange(3)).ravel()
-
-
 def assemble_force(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
                    pre: MeshPrecomp | None = None, anchored: bool = True) -> np.ndarray:
     """Global restoring force vector (3n,), scatter-added from elements.
@@ -430,10 +475,9 @@ def assemble_force(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
     F = _batched_gradients(mesh, pre, u)
     P = piola_stress_batch(params, F)
     forces = -pre.volumes[:, None, None] * (pre.corner_grads @ np.swapaxes(P, 1, 2))
-    out = np.zeros(3 * mesh.n_nodes)
-    np.add.at(out, (mesh.tets[:, :, None] * 3 + np.arange(3)).ravel(), forces.ravel())
+    out = np.bincount(pre._force_dofs, weights=forces.ravel(), minlength=pre._n_dof)
     if anchored:
-        out[_anchor_dofs(mesh)] = 0.0
+        out[pre._anchor_dofs] = 0.0
     return out
 
 
@@ -443,10 +487,7 @@ def assemble_stiffness(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
     eliminated to the identity when ``anchored``."""
     pre = pre or MeshPrecomp(mesh)
     F = _batched_gradients(mesh, pre, u)
-    dP = piola_stress_differential_batch(params, F, pre.stiffness_basis)
-    Ke = np.einsum("nkpq,ncq->ncpk", dP, pre.corner_grads) \
-        * pre.volumes[:, None, None, None]
-    vals = Ke.reshape(-1)     # row-major over (row=(corner,comp), col=basis)
+    vals = _element_stiffness_batch(params, F, pre.corner_grads, pre.volumes).reshape(-1)
     use_anchor = anchored and len(pre._anchor_dofs) > 0
     if use_anchor:
         vals = np.concatenate([np.where(pre._interior_entry, vals, 0.0),

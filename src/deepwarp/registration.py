@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .dynamics import ConvergenceError
+from .dynamics import ConvergenceError, factorize_spd
 from .material import (InvertedElementError, MaterialParams, MeshPrecomp,
                        assemble_force, assemble_stiffness)
 from .mesh import TetMesh, node_adjacency
@@ -242,7 +241,7 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
         if rnorm <= tol:
             return RegistrationResult(u=u, residual=rnorm, converged=True,
                                       iterations=it, tangent=J)
-        delta = spla.splu(J.tocsc()).solve(-r)
+        delta = factorize_spd(J).solve(-r)
         delta[dofs] = 0.0
         phi0 = 0.5 * rnorm * rnorm
         dphi0 = float(r @ (J @ delta))    # equals -|r|^2 up to solver error

@@ -18,16 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dynamics import (ConvergenceError, IntegrationScheme, LinearSystem,
                        RayleighDamping, SimState, build_linear_system,
-                       build_nonlinear_system, step_linear_implicit,
+                       build_nonlinear_system, factorize_spd, step_linear_implicit,
                        step_newmark_nonlinear)
 from .features import (ForceField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
-from .material import MaterialParams
+from .material import InvertedElementError, MaterialParams
 from .mesh import TetMesh, node_adjacency
 from .net import MlpNetwork, forward_batch
 from .registration import (gradient_operator, rotations_from_vectors,
@@ -255,10 +254,10 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
     free = np.ones(3 * mesh.n_nodes, dtype=bool)
     free[(mesh.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = False
     E = grad_op[:, free]
-    A = (E.T @ E).tocsc()
+    A = E.T @ E
     b = E.T @ Ghat.reshape(-1)
     try:
-        sol = spla.splu(A).solve(b)
+        sol = factorize_spd(A).solve(b)
     except RuntimeError as exc:
         raise ValueError(f"rotation-strain fit is singular (insufficient anchors): {exc}")
     u = np.zeros(3 * mesh.n_nodes)
@@ -315,8 +314,8 @@ def compare_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFie
     """Run ground truth plus the requested methods on one force script.
 
     Emits per-step relative L2 errors against the nonlinear reference and the
-    tracked node's trajectory per method. Ground-truth divergence yields a
-    partial report flagged ``completed=False``.
+    tracked node's trajectory per method. A ground truth that diverges or
+    inverts an element yields a partial report flagged ``completed=False``.
     """
     if "deepwarp" in methods and net is None:
         raise ValueError("deepwarp method requires a trained network")
@@ -334,7 +333,7 @@ def compare_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFie
             state = step_newmark_nonlinear(nsys, state, f_ext, dt)
             gt.append(state.u.copy())
             gt_states.append(state)
-    except ConvergenceError as exc:
+    except (ConvergenceError, InvertedElementError) as exc:
         report.completed = False
         report.note = f"ground truth diverged after {len(gt)} steps: {exc}"
     n_ok = len(gt)

@@ -46,6 +46,15 @@ class TestConfig:
         b.write_text(f"include = {a}\n")
         assert main(["info", "--config", str(a)]) == 1
 
+    def test_non_integer_count_rejected(self, tmp_path, mesh_files, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("ramp_poses = 2.7\n")
+        code = main(["gen-data", "--config", str(cfgfile), "--out",
+                     str(tmp_path / "d.dwtp")] + mesh_flags(mesh_files))
+        assert code == 1
+        assert "ramp_poses" in capsys.readouterr().err
+        assert not (tmp_path / "d.dwtp").exists()
+
     def test_flags_override_file(self, tmp_path, mesh_files, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("youngs = 1\n")

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from deepwarp.dynamics import prefactorize
+from deepwarp.dynamics import (RayleighDamping, build_nonlinear_system, factorize_spd,
+                               prefactorize)
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
                                assemble_force, assemble_stiffness,
-                               deformation_gradient, element_internal_force,
-                               element_precomp, element_tangent_stiffness,
-                               energy_density, piola_stress, polar_decompose,
-                               total_elastic_energy)
+                               deformation_gradient, det_and_inverse_transpose,
+                               element_internal_force, element_precomp,
+                               element_tangent_stiffness, energy_density,
+                               piola_stress, piola_stress_differential_batch,
+                               polar_decompose, total_elastic_energy)
 from deepwarp.mesh import TetMesh
 from deepwarp.registration import rotation_from_vector
 
@@ -28,6 +31,67 @@ def fd_stress(params, F, h=1e-6):
             Fm[i, j] -= h
             P[i, j] = (energy_density(params, Fp) - energy_density(params, Fm)) / (2 * h)
     return P
+
+
+def element_gradients(mesh, u):
+    """Per-element F and rest precomputation, one element at a time."""
+    x = mesh.nodes + u.reshape(-1, 3)
+    pres = [element_precomp(mesh.nodes[tet]) for tet in mesh.tets]
+    F = np.array([deformation_gradient(pre, x[tet]) for pre, tet in zip(pres, mesh.tets)])
+    return F, pres
+
+
+def min_det(mesh, u):
+    return np.linalg.det(element_gradients(mesh, u)[0]).min()
+
+
+def material_state(mesh, name):
+    """Rest, a rotated and strained state (min det F = 0.5), or a rotated,
+    nearly inverted one (min det F = 0.05)."""
+    if name == "rest":
+        return np.zeros(3 * mesh.n_nodes)
+    R = rotation_from_vector(np.array([0.0, 0.2, 0.7]))
+    base = (mesh.nodes @ R.T - mesh.nodes).ravel()
+    direction = np.random.default_rng(21).standard_normal(3 * mesh.n_nodes)
+    target = 0.5 if name == "deformed" else 0.05
+    lo, hi = 0.0, 1.0
+    while min_det(mesh, base + hi * direction) > target:
+        hi *= 2.0
+    for _ in range(50):        # bisect for min det F = target
+        mid = 0.5 * (lo + hi)
+        if min_det(mesh, base + mid * direction) > target:
+            lo = mid
+        else:
+            hi = mid
+    return base + lo * direction
+
+
+def tensor_stiffness(params, mesh, u):
+    """Reference global K from the full (m,3,3,3,3) dP/dF tensor, contracted
+    with the corner gradients and scattered element by element."""
+    F, pres = element_gradients(mesh, u)
+    units = np.eye(9).reshape(9, 3, 3)
+    dP = piola_stress_differential_batch(params, F, np.broadcast_to(units, (len(F), 9, 3, 3)))
+    A = dP.reshape(len(F), 3, 3, 3, 3).transpose(0, 3, 4, 1, 2)     # A[n,p,q,r,s]
+    K = np.zeros((3 * mesh.n_nodes, 3 * mesh.n_nodes))
+    for n, (pre, tet) in enumerate(zip(pres, mesh.tets)):
+        g = pre.corner_grads
+        Ke = pre.volume * np.einsum("pqrs,aq,bs->apbr", A[n], g, g).reshape(12, 12)
+        dofs = (tet[:, None] * 3 + np.arange(3)).ravel()
+        K[np.ix_(dofs, dofs)] += Ke
+    return K
+
+
+def fd_global_stiffness(params, mesh, u, h=1e-6):
+    """Reference global K from central differences of the assembled force."""
+    K = np.zeros((len(u), len(u)))
+    for j in range(len(u)):
+        up, um = u.copy(), u.copy()
+        up[j] += h
+        um[j] -= h
+        K[:, j] = -(assemble_force(mesh, params, up, anchored=False)
+                    - assemble_force(mesh, params, um, anchored=False)) / (2 * h)
+    return K
 
 
 def fd_element_stiffness(params, pre, x, h=1e-6):
@@ -244,6 +308,57 @@ class TestElementStiffness:
             assert np.abs(K - K.T).max() < 1e-8 * np.abs(K).max()
 
 
+class TestDirectTangent:
+    """The closed-form element tangents against two reference paths."""
+
+    @pytest.mark.parametrize("state", ["rest", "deformed", "near_inverted"])
+    @pytest.mark.parametrize("model", list(MaterialModel))
+    def test_matches_tensor_contraction_and_fd(self, small_beam, model, state):
+        params = MaterialParams(model, 100.0, 0.35)
+        u = material_state(small_beam, state)
+        if state != "rest":
+            target = 0.5 if state == "deformed" else 0.05
+            assert min_det(small_beam, u) == pytest.approx(target, rel=1e-6)
+        K = assemble_stiffness(small_beam, params, u, anchored=False).toarray()
+        Kt = tensor_stiffness(params, small_beam, u)
+        Kfd = fd_global_stiffness(params, small_beam, u)
+        scale = np.abs(Kt).max()
+        assert np.abs(K - Kt).max() < 1e-12 * scale
+        assert np.abs(K - Kfd).max() < 1e-8 * scale
+
+
+class TestClosedForm3x3:
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(17)
+        F = np.eye(3) + 0.3 * rng.standard_normal((500, 3, 3))
+        F = F[np.linalg.cond(F) < 20.0]
+        J, B = det_and_inverse_transpose(F)
+        Bref = np.swapaxes(np.linalg.inv(F), 1, 2)
+        np.testing.assert_allclose(J, np.linalg.det(F), rtol=1e-12)
+        err = np.abs(B - Bref).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.abs(Bref).max(axis=(1, 2)))
+
+    def test_identity_and_batch_shape(self):
+        J, B = det_and_inverse_transpose(np.broadcast_to(np.eye(3), (2, 5, 3, 3)))
+        assert J.shape == (2, 5) and B.shape == (2, 5, 3, 3)
+        assert np.all(J == 1.0) and np.all(B == np.eye(3))
+
+
+class TestFactorizeSpd:
+    def test_matches_default_splu(self, bending_beam, neo_hookean):
+        u = material_state(bending_beam, "deformed")
+        tangent = assemble_stiffness(bending_beam, neo_hookean, u)
+        nsys = build_nonlinear_system(bending_beam, neo_hookean, RayleighDamping(0.5, 0.01))
+        dt = 1.0 / 60.0
+        newmark = nsys.M / (0.25 * dt * dt) + nsys.C * (0.5 / (0.25 * dt)) + tangent
+        rng = np.random.default_rng(23)
+        for A in (tangent, newmark):
+            b = rng.standard_normal(A.shape[0])
+            x = factorize_spd(A).solve(b)
+            ref = spla.splu(A.tocsc()).solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 class TestAssembly:
     def test_zero_displacement_zero_force(self, bending_beam, all_materials):
         u = np.zeros(3 * bending_beam.n_nodes)
@@ -285,6 +400,20 @@ class TestAssembly:
             u[3 * n_idx:3 * n_idx + 3] = 1.9 * (centroid - bending_beam.nodes[n_idx])
         with pytest.raises(InvertedElementError, match="element"):
             assemble_force(bending_beam, params, u)
+
+    @pytest.mark.parametrize("det", [0.0, -1.0])
+    def test_force_and_tangent_reject_inverted(self, unit_tet, det):
+        params = MaterialParams(MaterialModel.NEO_HOOKEAN, 1.0, 0.3)
+        pre = element_precomp(unit_tet.nodes)
+        x = unit_tet.nodes.copy()
+        x[3, 2] = det                  # moves the apex: det F = det
+        for element_fn in (element_internal_force, element_tangent_stiffness):
+            with pytest.raises(InvertedElementError):
+                element_fn(params, pre, x)
+        u = (x - unit_tet.nodes).ravel()
+        for assemble in (assemble_force, assemble_stiffness):
+            with pytest.raises(InvertedElementError):
+                assemble(unit_tet, params, u)
 
     def test_total_energy_matches_element_sum(self, bending_beam, neo_hookean):
         rng = np.random.default_rng(10)

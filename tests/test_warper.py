@@ -197,6 +197,18 @@ class TestCompareMethods:
         assert {s.method for s in report.summaries} == \
             {"linear", "mw", "rsw", "groundtruth"}
 
+    def test_inverting_ground_truth_gives_partial_report(self, small_beam, neo_hookean):
+        # this load drives Newton trial states of the neo-Hookean ground truth
+        # through inverted elements; the line search rejects them until it
+        # gives up at step 4
+        field = ForceField.directional([0, -1, 0], 1e3)
+        report = compare_methods(small_beam, neo_hookean, field, net=None,
+                                 steps=6, dt=0.2, methods=("linear",))
+        assert not report.completed
+        assert "diverged after 3 steps" in report.note
+        assert len(report.rows) == 3
+        assert len(report.trajectories["groundtruth"]) == 3
+
     def test_deepwarp_requires_net(self, bending_beam, neo_hookean):
         field = ForceField.directional([0, -1, 0], 0.2)
         with pytest.raises(ValueError, match="network"):
