@@ -9,6 +9,13 @@ ordering on these symmetric stiffness-like matrices. Prefactorizations are
 counted through a module-level event counter so tests (and the runtime
 contract) can assert that a whole simulation run performs exactly one
 factorization.
+
+Newton solves (registration and the Newmark ground truth) go through a
+``TangentSolver``: it keeps the most recent factor and solves each new
+tangent by conjugate gradients preconditioned with that lagged factor,
+refactorizing only when CG stalls or meets non-positive curvature. CG runs to
+a 1e-10 relative residual, so Newton iterates match the direct solves to that
+tolerance and iteration counts are unchanged.
 """
 
 from __future__ import annotations
@@ -97,6 +104,74 @@ def factorize_spd(A) -> spla.SuperLU:
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                      options=dict(SymmetricMode=True))
+
+
+# Lagged-factor CG: relative residual target and iteration cap before the
+# solver gives up and refactorizes.
+PCG_RTOL = 1e-10
+PCG_MAX_ITER = 20
+
+
+class TangentSolver:
+    """Solves J x = b for a sequence of slowly changing symmetric tangents.
+
+    The most recent ``factorize_spd`` factor preconditions CG on each new J.
+    The solve stops at a true residual |J x - b| <= PCG_RTOL |b|. It gives up
+    after PCG_MAX_ITER iterations or at the first non-positive curvature
+    (r.z <= 0 or p.Jp <= 0: a tangent or its pivoted factor may be
+    indefinite); then, as on the first call, J itself is factorized, kept,
+    and solved directly. Counts solves, factorizations, CG iterations and
+    fallbacks.
+    """
+
+    def __init__(self):
+        self._lu = None
+        self.solves = 0
+        self.factorizations = 0
+        self.pcg_iterations = 0
+        self.fallbacks = 0
+
+    def solve(self, J, b: np.ndarray) -> np.ndarray:
+        self.solves += 1
+        if self._lu is not None:
+            x = self._pcg(J, b)
+            if x is not None:
+                return x
+            self.fallbacks += 1
+        self._lu = factorize_spd(J)
+        self.factorizations += 1
+        return self._lu.solve(b)
+
+    def _pcg(self, J, b: np.ndarray) -> np.ndarray | None:
+        tol = PCG_RTOL * np.linalg.norm(b)
+        x = np.zeros_like(b)
+        r = b.copy()
+        if np.linalg.norm(r) <= tol:
+            return x
+        z = self._lu.solve(r)
+        rz = float(r @ z)
+        p = z
+        for _ in range(PCG_MAX_ITER):
+            if not rz > 0.0:
+                return None
+            Jp = J @ p
+            pJp = float(p @ Jp)
+            if not pJp > 0.0:
+                return None
+            alpha = rz / pJp
+            x += alpha * p
+            r -= alpha * Jp
+            self.pcg_iterations += 1
+            if np.linalg.norm(r) <= tol:
+                # the recurred residual drifts from the true one; confirm
+                r = b - J @ x
+                if np.linalg.norm(r) <= tol:
+                    return x
+            z = self._lu.solve(r)
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        return None
 
 
 def anchor_dof_indices(anchors: np.ndarray) -> np.ndarray:
@@ -423,6 +498,9 @@ class NonlinearSystem:
     anchor_dofs: np.ndarray
     newton_tol: float = 1e-6
     max_newton: int = 30
+    # one lagged factor across all steps: the mass term dominates the Newmark
+    # matrix, so the last factor preconditions the next tangents well
+    solver: TangentSolver = field(default_factory=TangentSolver, repr=False)
 
 
 def build_nonlinear_system(mesh: TetMesh, params: MaterialParams,
@@ -453,7 +531,9 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
     """One Newmark (gamma=1/2, beta=1/4) step with an inner Newton loop.
 
     Converges the dynamic residual to 1e-6 * |f_ext| (absolute 1e-10 when the
-    load vanishes); raises ConvergenceError on Newton failure. A trial state
+    load vanishes); raises ConvergenceError on Newton failure. Newton steps
+    are solved through ``system.solver``, whose factor carries over from the
+    previous iterations and steps. A trial state
     that inverts an element is rejected by the line search like any other
     trial that fails the Armijo test.
     """
@@ -489,7 +569,7 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
             return SimState(u=u, v=v, a=a, t=state.t + dt)
         K = assemble_stiffness(system.mesh, system.params, u, system.pre, anchored=True)
         J = system.M / (b * dt * dt) + system.C * (g / (b * dt)) + K
-        delta = factorize_spd(J).solve(-r)
+        delta = system.solver.solve(J, -r)
         delta[dofs] = 0.0
         # Armijo backtracking on phi(s) = 0.5|r|^2; phi'(0) = -2 phi(0)
         s = 1.0

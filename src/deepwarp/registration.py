@@ -4,7 +4,10 @@ Per-node kinematics: a least-squares displacement gradient G over the
 adjacent nodes, its rotation vector w = axial((G - G^T)/2), and the local
 rotation R = exp([w]x). Registration finds the nonlinear displacement whose
 internal force matches the per-node-rotated linear internal force, chaining
-warm starts along a quasi-static loading path.
+warm starts along a quasi-static loading path. The Newton steps of a whole
+path share one ``TangentSolver``, so the factor of one pose's tangent
+preconditions the next poses' solves instead of each iteration
+refactorizing.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import ConvergenceError, factorize_spd
+from .dynamics import ConvergenceError, TangentSolver
 from .material import (InvertedElementError, MaterialParams, MeshPrecomp,
                        assemble_force, assemble_stiffness)
 from .mesh import TetMesh, node_adjacency
@@ -204,15 +207,19 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
                        pre: MeshPrecomp | None = None,
                        K_linear: sp.csr_matrix | None = None,
                        J_init: sp.csr_matrix | None = None,
-                       rel_tol: float = 1e-6, max_iter: int = 50) -> RegistrationResult:
+                       rel_tol: float = 1e-6, max_iter: int = 50,
+                       solver: TangentSolver | None = None) -> RegistrationResult:
     """Solve f_int(u) = R K u_lin for the nonlinear displacement u.
 
     Newton iterations on the residual with a Wolfe line search on the squared
     residual; anchored DOFs are pinned at zero. ``J_init`` may supply the
-    tangent stiffness at ``u_init`` (exact when chaining warm starts). On
-    iteration exhaustion the best iterate is returned flagged non-converged.
+    tangent stiffness at ``u_init`` (exact when chaining warm starts).
+    ``solver`` carries a lagged factor between calls; without one, the first
+    iteration factorizes. On iteration exhaustion the best iterate is
+    returned flagged non-converged.
     """
     pre = pre or MeshPrecomp(mesh)
+    solver = solver if solver is not None else TangentSolver()
     dofs = (mesh.anchor_array()[:, None] * 3 + np.arange(3)).ravel()
     if K_linear is None:
         K_linear = assemble_stiffness(mesh, params.as_linear(),
@@ -241,7 +248,7 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
         if rnorm <= tol:
             return RegistrationResult(u=u, residual=rnorm, converged=True,
                                       iterations=it, tangent=J)
-        delta = factorize_spd(J).solve(-r)
+        delta = solver.solve(J, -r)
         delta[dofs] = 0.0
         phi0 = 0.5 * rnorm * rnorm
         dphi0 = float(r @ (J @ delta))    # equals -|r|^2 up to solver error
@@ -295,8 +302,9 @@ def register_sequence(mesh: TetMesh, params: MaterialParams,
                       rel_tol: float = 1e-6) -> SequenceRegistration:
     """Register a loading path, warm-starting each pose from the previous one.
 
-    Aborts on the first non-converged pose, returning the prior pairs plus a
-    diagnostic instead of emitting unconverged data.
+    One ``TangentSolver`` serves the whole path. Aborts on the first
+    non-converged pose, returning the prior pairs plus a diagnostic instead
+    of emitting unconverged data.
     """
     pre = pre or MeshPrecomp(mesh)
     grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
@@ -305,10 +313,11 @@ def register_sequence(mesh: TetMesh, params: MaterialParams,
     pairs: list[RegisteredPair] = []
     u_prev = None
     J_prev = None
+    solver = TangentSolver()
     for k, u_lin in enumerate(u_lin_sequence):
         res = register_nonlinear(mesh, params, u_lin, u_init=u_prev,
                                  grad_op=grad_op, pre=pre, K_linear=K_linear,
-                                 J_init=J_prev, rel_tol=rel_tol)
+                                 J_init=J_prev, rel_tol=rel_tol, solver=solver)
         if not res.converged:
             return SequenceRegistration(
                 pairs=pairs, completed=False,

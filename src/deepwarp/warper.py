@@ -20,9 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import (ConvergenceError, IntegrationScheme, LinearSystem,
-                       RayleighDamping, SimState, build_linear_system,
-                       build_nonlinear_system, factorize_spd, step_linear_implicit,
-                       step_newmark_nonlinear)
+                       RayleighDamping, SimState, anchor_dof_indices,
+                       build_linear_system, build_nonlinear_system, factorize_spd,
+                       step_linear_implicit, step_newmark_nonlinear)
 from .features import (ForceField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
@@ -80,7 +80,9 @@ class WarpContext:
     def correct(self, u_lin: np.ndarray):
         """O(n) learned correction of a linear displacement.
 
-        Returns (u_corrected flat (3n,), w (n,3)).
+        Nodes whose features fall outside the trained range are counted in
+        ``extrapolation_events``; the first such step of a context raises one
+        ``ExtrapolationWarning``. Returns (u_corrected flat (3n,), w (n,3)).
         """
         w = rotation_vectors_from_displacement(self.grad_op, u_lin)
         U = u_lin.reshape(-1, 3)
@@ -89,11 +91,13 @@ class WarpContext:
         Z = self.net.scaler.transform(X)
         over = np.abs(Z).max(axis=1) > self.extrapolation_zmax
         if np.any(over):
-            self.extrapolation_events += int(np.count_nonzero(over))
-            if self.warn_on_extrapolation:
+            # warn once per context; extrapolation_events keeps the full count
+            if self.warn_on_extrapolation and self.extrapolation_events == 0:
                 warnings.warn(
                     f"{int(np.count_nonzero(over))} node feature(s) outside the "
-                    "trained range; extrapolating", ExtrapolationWarning)
+                    "trained range; extrapolating (warned once per context, "
+                    "counted in extrapolation_events)", ExtrapolationWarning)
+            self.extrapolation_events += int(np.count_nonzero(over))
         Y = forward_batch(self.net.weights, Z, self.net.spec.activation)
         Y = Y - self.rest_offset
         delta = np.einsum("npq,np->nq", Q, Y)      # Q^T y per node
@@ -232,17 +236,53 @@ def mw_warp(mesh: TetMesh, u_lin: np.ndarray,
     return out.ravel()
 
 
+@dataclass
+class _RswFit:
+    """Factorized normal matrix E^T E of the anchored least-squares fit."""
+
+    grad_op: sp.csr_matrix
+    anchors: np.ndarray
+    free: np.ndarray
+    Et: sp.csr_matrix
+    lu: object
+
+
+_rsw_fit: _RswFit | None = None
+
+
+def _rsw_normal_fit(grad_op: sp.csr_matrix, anchors: np.ndarray) -> _RswFit:
+    """The cached fit when ``grad_op`` is the same object and the anchor set
+    is unchanged; otherwise a fresh factorization, which replaces the cache."""
+    global _rsw_fit
+    fit = _rsw_fit
+    if fit is not None and fit.grad_op is grad_op and np.array_equal(fit.anchors, anchors):
+        return fit
+    free = np.ones(grad_op.shape[1], dtype=bool)
+    free[anchor_dof_indices(anchors)] = False
+    E = grad_op[:, free]
+    try:
+        lu = factorize_spd(E.T @ E)
+    except RuntimeError as exc:
+        raise ValueError(f"rotation-strain fit is singular (insufficient anchors): {exc}")
+    _rsw_fit = _RswFit(grad_op=grad_op, anchors=anchors, free=free, Et=E.T.tocsr(), lu=lu)
+    return _rsw_fit
+
+
 def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
              grad_op: sp.csr_matrix | None = None) -> np.ndarray:
     """Rotation-strain warping via an anchored global least-squares fit.
 
     Per node the target gradient is exp([w]x)(S + I) - I; the displacement
     reconstructing those gradients is the minimizer of
-    sum_i |G_i(u) - Ghat_i|^2 with anchored nodes pinned at zero.
+    sum_i |G_i(u) - Ghat_i|^2 with anchored nodes pinned at zero. The normal
+    matrix depends only on the operator and the anchors, so its factor is
+    cached and reused while the same ``grad_op`` object and anchor set are
+    passed (an operator must not be modified in place between calls).
     """
     if not mesh.anchors:
         raise ValueError("rotation-strain warp requires anchors")
     grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
+    fit = _rsw_normal_fit(grad_op, mesh.anchor_array())
     G = (grad_op @ u_lin).reshape(-1, 3, 3)
     S = 0.5 * (G + np.swapaxes(G, 1, 2))
     w = 0.5 * np.stack([G[:, 2, 1] - G[:, 1, 2],
@@ -251,17 +291,8 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
     R = rotations_from_vectors(w)
     Ghat = R @ (S + np.eye(3)) - np.eye(3)
 
-    free = np.ones(3 * mesh.n_nodes, dtype=bool)
-    free[(mesh.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = False
-    E = grad_op[:, free]
-    A = E.T @ E
-    b = E.T @ Ghat.reshape(-1)
-    try:
-        sol = factorize_spd(A).solve(b)
-    except RuntimeError as exc:
-        raise ValueError(f"rotation-strain fit is singular (insufficient anchors): {exc}")
     u = np.zeros(3 * mesh.n_nodes)
-    u[free] = sol
+    u[fit.free] = fit.lu.solve(fit.Et @ Ghat.reshape(-1))
     return u
 
 

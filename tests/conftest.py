@@ -69,3 +69,18 @@ def quick_net(normalized_beam, neo_hookean):
     res = train(MlpSpec((7, 16, 16, 3)), tr.features, tr.targets,
                 va.features, va.targets, AdamConfig(epochs=3, seed=0))
     return res.best_network
+
+
+@pytest.fixture(scope="session")
+def factorize_every_solve():
+    """Reference path for the lagged-factor Newton solves: a fresh direct
+    factorization for every solve."""
+    from deepwarp.dynamics import TangentSolver, factorize_spd
+
+    class FactorizeEverySolve(TangentSolver):
+        def solve(self, J, b):
+            self.solves += 1
+            self.factorizations += 1
+            return factorize_spd(J).solve(b)
+
+    return FactorizeEverySolve

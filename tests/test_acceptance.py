@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The end-to-end criteria
 share one session-scoped pipeline (dataset generation, 10-epoch training and
-held-out pose evaluation), which takes several minutes of CPU time.
+held-out pose evaluation), which takes several minutes of CPU time; they are
+marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import itertools
@@ -192,6 +193,7 @@ def test_criterion_02_rotation_behavior():
              f"nonlinear |energy| <= {worst_nl:.1e}, linear energy >= {min_linear:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_03_alignment_invariance(pipeline):
     rng = np.random.default_rng(102)
     worst = 0.0
@@ -375,6 +377,7 @@ def test_criterion_06_network_training_integrity():
              f"first-step delta {delta:.6f}; deterministic {deterministic}")
 
 
+@pytest.mark.slow
 def test_criterion_07_end_to_end_deepwarp(pipeline):
     history = pipeline["history"]
     poses = pipeline["poses"]
@@ -392,6 +395,7 @@ def test_criterion_07_end_to_end_deepwarp(pipeline):
              f"beats MW and RSW on all {len(poses)} held-out poses: {wins}")
 
 
+@pytest.mark.slow
 def test_criterion_08_trajectory_frequency(pipeline):
     params, net = pipeline["params"], pipeline["net"]
     # a coarser beam than the training model exercises tessellation transfer
@@ -429,6 +433,7 @@ def test_criterion_08_trajectory_frequency(pipeline):
     _verdict(8, "trajectory-frequency", ok, "; ".join(detail) + " < 15%")
 
 
+@pytest.mark.slow
 def test_criterion_09_runtime_contract(pipeline):
     params, net = pipeline["params"], pipeline["net"]
     mesh = normalize_to_unit_sphere(beam(6, 3, 3, lengths=(2.0, 0.8, 0.8)))
@@ -460,6 +465,7 @@ def test_criterion_09_runtime_contract(pipeline):
              f"correction time x{ratio:.2f} for x{node_ratio:.2f} nodes < 2.5")
 
 
+@pytest.mark.slow
 def test_criterion_10_substructuring(pipeline):
     params, net = pipeline["params"], pipeline["net"]
     mesh = normalize_to_unit_sphere(beam(6, 2, 2, lengths=(2.0, 0.8, 0.8)))

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from deepwarp import dynamics
 from deepwarp.dynamics import (ConvergenceError, IntegrationScheme,
                                NotPositiveDefiniteError,
-                               RayleighDamping, SimState, apply_anchors,
+                               RayleighDamping, SimState, TangentSolver, apply_anchors,
                                build_linear_system, build_nonlinear_system,
-                               factorization_event_count, internal_force,
+                               factorization_event_count, factorize_spd, internal_force,
                                prefactorize, quasistatic_linear_sequence,
                                reset_factorization_event_count,
                                step_linear_implicit, step_newmark_nonlinear)
@@ -229,3 +230,92 @@ class TestNewmarkNonlinear:
         K = assemble_stiffness(bending_beam, neo_hookean.as_linear(),
                                np.zeros_like(u))
         assert np.linalg.norm(f - K @ u) < 0.05 * np.linalg.norm(K @ u)
+
+
+class TestTangentSolver:
+    """The lagged-factor CG solve against a direct solve of the same tangent."""
+
+    @pytest.fixture(scope="class")
+    def tangents(self, bending_beam, neo_hookean):
+        # the rest tangent and the tangent of a visibly bent beam (largest
+        # displacement about a tenth of the beam length; CG takes 16 steps)
+        K0 = assemble_stiffness(bending_beam, neo_hookean, np.zeros(3 * bending_beam.n_nodes),
+                                anchored=True)
+        f = force_vector(bending_beam, ForceField.directional([0, -1, 0.3], 0.1))
+        f[(bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0.0
+        u = factorize_spd(K0).solve(f)
+        J = assemble_stiffness(bending_beam, neo_hookean, u, anchored=True)
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal(len(f))
+        b[(bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0.0
+        return K0, J, b
+
+    def test_first_solve_factorizes(self, tangents):
+        K0, _, b = tangents
+        solver = TangentSolver()
+        x = solver.solve(K0, b)
+        assert (solver.factorizations, solver.pcg_iterations, solver.fallbacks) == (1, 0, 0)
+        assert np.array_equal(x, factorize_spd(K0).solve(b))
+
+    def test_lagged_factor_matches_direct_solve(self, tangents):
+        K0, J, b = tangents
+        solver = TangentSolver()
+        solver.solve(K0, b)
+        x = solver.solve(J, b)
+        assert solver.factorizations == 1 and solver.fallbacks == 0
+        assert solver.pcg_iterations > 1
+        assert np.linalg.norm(J @ x - b) <= dynamics.PCG_RTOL * np.linalg.norm(b)
+        direct = factorize_spd(J).solve(b)
+        assert np.allclose(x, direct, rtol=1e-9, atol=1e-9 * np.abs(direct).max())
+
+    def test_indefinite_tangent_falls_back(self, tangents):
+        K0, _, b = tangents
+        solver = TangentSolver()
+        solver.solve(K0, b)
+        x = solver.solve(-K0, b)
+        assert (solver.factorizations, solver.fallbacks) == (2, 1)
+        assert np.array_equal(x, factorize_spd(-K0).solve(b))
+
+    def test_iteration_cap_falls_back(self, tangents, monkeypatch):
+        K0, J, b = tangents
+        monkeypatch.setattr(dynamics, "PCG_MAX_ITER", 1)
+        solver = TangentSolver()
+        solver.solve(K0, b)
+        x = solver.solve(J, b)
+        assert (solver.factorizations, solver.pcg_iterations, solver.fallbacks) == (2, 1, 1)
+        assert np.array_equal(x, factorize_spd(J).solve(b))
+        # the fallback keeps the new factor: the same tangent now solves by CG
+        solver.solve(J, 2.0 * b)
+        assert solver.factorizations == 2
+
+    def test_zero_rhs(self, tangents):
+        K0, J, b = tangents
+        solver = TangentSolver()
+        solver.solve(K0, b)
+        assert np.array_equal(solver.solve(J, np.zeros_like(b)), np.zeros_like(b))
+        assert solver.factorizations == 1
+
+    def test_newmark_matches_factorize_every_solve(self, bending_beam, neo_hookean,
+                                                   factorize_every_solve):
+        f = force_vector(bending_beam, ForceField.directional([0, -1, 0.2], 0.8))
+
+        def run(solver):
+            system = build_nonlinear_system(bending_beam, neo_hookean)
+            if solver is not None:
+                system.solver = solver
+            state = SimState.rest(bending_beam.n_nodes)
+            traj, newton = [], []
+            for _ in range(30):
+                before = system.solver.solves
+                state = step_newmark_nonlinear(system, state, f, 1 / 60)
+                traj.append(state.u)
+                newton.append(system.solver.solves - before)
+            return np.array(traj), newton, system.solver
+
+        ref, ref_newton, ref_solver = run(factorize_every_solve())
+        out, newton, solver = run(None)
+        assert isinstance(solver, TangentSolver)
+        assert newton == ref_newton
+        assert ref_solver.factorizations == sum(ref_newton) > 30
+        assert solver.factorizations <= 3
+        assert np.abs(out - ref).max() <= 1e-9 * np.abs(ref).max()

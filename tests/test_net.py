@@ -261,6 +261,55 @@ class TestSerialization:
         with pytest.raises(NetworkFormatError, match="truncated"):
             load_network(io.BytesIO(raw))
 
+    class Pipe:
+        """A stream that can only be read, like a pipe: no seek, no size."""
+
+        def __init__(self, data):
+            self._buf = io.BytesIO(data)
+
+        def read(self, n):
+            return self._buf.read(n)
+
+        def seekable(self):
+            return False
+
+    @staticmethod
+    def _load_small(raw, kind, tmp_path):
+        """load_network must reject ``raw`` without allocating more than 1 MB."""
+        import tracemalloc
+        path = tmp_path / "hostile.dwnn"
+        path.write_bytes(raw)
+        with open(path, "rb") as f:
+            stream = {"bytes": io.BytesIO(raw), "pipe": TestSerialization.Pipe(raw),
+                      "file": f}[kind]
+            tracemalloc.start()
+            try:
+                with pytest.raises(NetworkFormatError, match="truncated"):
+                    load_network(stream)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind", ["bytes", "pipe", "file"])
+    def test_huge_layer_shape_rejected(self, kind, tmp_path):
+        import struct
+        raw = b"DWNN" + struct.pack("<II", 1, 1) + struct.pack("<II", 2**32 - 1, 2**32 - 1)
+        self._load_small(raw + b"\x00" * 64, kind, tmp_path)
+
+    @pytest.mark.parametrize("kind", ["bytes", "pipe", "file"])
+    def test_huge_name_length_rejected(self, kind, tmp_path):
+        import struct
+        net = self.trained_net()
+        buf = io.BytesIO()
+        save_network(buf, net)
+        raw = bytearray(buf.getvalue())
+        names = list(net.spec.feature_order) + [net.spec.activation.value]
+        first = len(raw) - sum(4 + len(n.encode()) for n in names)
+        assert struct.unpack_from("<I", raw, first)[0] == len(names[0])
+        struct.pack_into("<I", raw, first, 2**32 - 1)
+        self._load_small(bytes(raw), kind, tmp_path)
+
     def test_reordered_feature_metadata_rejected(self):
         net = self.trained_net()
         buf = io.BytesIO()

@@ -205,6 +205,40 @@ class TestRegister:
             r[dofs] = 0.0
             assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(target) + 1e-10
 
+    def test_sequence_matches_factorize_every_solve(self, bending_beam, neo_hookean,
+                                                    factorize_every_solve, monkeypatch):
+        from deepwarp import registration
+        f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
+        seq = quasistatic_linear_sequence(bending_beam, neo_hookean.as_linear(),
+                                          f, n_steps=6)
+        original = registration.register_nonlinear
+
+        def run(solver_class):
+            iterations, solvers = [], []
+
+            def recording(*args, **kwargs):
+                solvers.append(kwargs["solver"])
+                res = original(*args, **kwargs)
+                iterations.append(res.iterations)
+                return res
+
+            monkeypatch.setattr(registration, "TangentSolver", solver_class)
+            monkeypatch.setattr(registration, "register_nonlinear", recording)
+            reg = register_sequence(bending_beam, neo_hookean, seq.displacements)
+            monkeypatch.undo()
+            assert reg.completed
+            assert all(s is solvers[0] for s in solvers)   # one solver per chain
+            return reg, iterations, solvers[0]
+
+        ref, ref_iters, ref_solver = run(factorize_every_solve)
+        reg, iters, solver = run(registration.TangentSolver)
+        assert iters == ref_iters
+        assert ref_solver.factorizations == sum(ref_iters)
+        assert solver.factorizations < ref_solver.factorizations
+        assert solver.solves == ref_solver.solves
+        for a, b in zip(reg.pairs, ref.pairs):
+            assert np.linalg.norm(a.u - b.u) <= 1e-8 * np.linalg.norm(b.u)
+
     def test_rank_deficient_neighborhood_error(self):
         # all nodes coplanar around node 0 is impossible in a valid tet mesh,
         # so exercise the guard through the helper directly

@@ -93,6 +93,47 @@ class TestRotationStrainWarp:
         out = rsw_warp(bending_beam, u, grad_op)
         assert np.linalg.norm(out - u) <= 1e-2 * np.linalg.norm(u)
 
+    def test_cached_fit_matches_fresh_fit(self, bending_beam, monkeypatch):
+        from deepwarp import warper
+        fits = []
+        factorize = warper.factorize_spd
+        monkeypatch.setattr(warper, "factorize_spd",
+                            lambda A: fits.append(A.shape) or factorize(A))
+        monkeypatch.setattr(warper, "_rsw_fit", None)
+        grad_op = gradient_operator(bending_beam)
+        rng = np.random.default_rng(4)
+        us = 0.05 * rng.standard_normal((3, 3 * bending_beam.n_nodes))
+        cached = [rsw_warp(bending_beam, u, grad_op) for u in us]
+        assert len(fits) == 1
+        for u, out in zip(us, cached):
+            monkeypatch.setattr(warper, "_rsw_fit", None)
+            fresh = rsw_warp(bending_beam, u, grad_op)
+            assert np.linalg.norm(out - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        assert len(fits) == 4
+
+    def test_cached_fit_refits_on_new_operator_or_anchors(self, bending_beam, monkeypatch):
+        from deepwarp import warper
+        fits = []
+        factorize = warper.factorize_spd
+        monkeypatch.setattr(warper, "factorize_spd",
+                            lambda A: fits.append(A.shape) or factorize(A))
+        monkeypatch.setattr(warper, "_rsw_fit", None)
+        grad_op = gradient_operator(bending_beam)
+        u = 0.05 * np.random.default_rng(5).standard_normal(3 * bending_beam.n_nodes)
+        rsw_warp(bending_beam, u, grad_op)
+        rsw_warp(bending_beam, u, grad_op)
+        assert len(fits) == 1
+        # one more anchored node: the same operator, a smaller free set
+        extra = bending_beam.with_anchors(bending_beam.anchors | {bending_beam.n_nodes - 1})
+        out = rsw_warp(extra, u, grad_op)
+        assert len(fits) == 2 and fits[-1][0] == fits[0][0] - 3
+        assert np.abs(out.reshape(-1, 3)[extra.anchor_array()]).max() == 0.0
+        rsw_warp(extra, u, gradient_operator(extra))   # an equal operator, not the same
+        assert len(fits) == 3
+        monkeypatch.setattr(warper, "_rsw_fit", None)
+        assert np.linalg.norm(out - rsw_warp(extra, u, grad_op)) \
+            <= 1e-12 * np.linalg.norm(out)
+
     def test_requires_anchors(self):
         mesh = beam(2, 1, 1, anchor="none")
         with pytest.raises(ValueError, match="anchor"):
@@ -145,6 +186,25 @@ class TestDeepwarpStep:
             u, _ = ctx.correct(huge)
         assert np.all(np.isfinite(u))
         assert ctx.extrapolation_events > 0
+
+    def test_extrapolation_warns_once_per_context(self, normalized_beam, neo_hookean,
+                                                  quick_net):
+        import warnings
+        from deepwarp.warper import ExtrapolationWarning
+        field = ForceField.directional([0, -1, 0], 0.3)
+        ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
+                                 dt=1 / 60)
+        huge = 50.0 * np.ones(3 * normalized_beam.n_nodes)
+        huge[(normalized_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ctx.correct(huge)
+            per_call = ctx.extrapolation_events
+            for _ in range(9):
+                ctx.correct(huge)
+        assert per_call > 0
+        assert sum(issubclass(w.category, ExtrapolationWarning) for w in caught) == 1
+        assert ctx.extrapolation_events == 10 * per_call
 
     def test_dt_mismatch_rejected(self, normalized_beam, neo_hookean, quick_net):
         field = ForceField.directional([0, -1, 0], 0.3)
