@@ -16,7 +16,6 @@ Network file format (little-endian):
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -296,35 +295,24 @@ def train(spec: MlpSpec, train_X: np.ndarray, train_Y: np.ndarray,
 # serialization
 # ---------------------------------------------------------------------------
 
-# Largest single read from a stream whose length is unknown.
-_READ_CHUNK = 1 << 20
+# Largest single read; a declared size is never trusted for an allocation.
+_READ_CHUNK = 1 << 16
 
 
 def _read_exact(stream, n: int) -> bytes:
     """Read exactly ``n`` bytes of a declared size without trusting it.
 
-    On a seekable stream the size is checked against the bytes left before
-    anything is read; other streams are read in bounded chunks. Either way a
-    hostile header cannot make the reader allocate more than the data that
-    is really there.
+    The stream is read in bounded chunks, so a hostile header cannot make the
+    reader allocate more than the data that is really there.
     """
-    if stream.seekable():
-        pos = stream.tell()
-        left = stream.seek(0, io.SEEK_END) - pos
-        stream.seek(pos)
-        if n > left:
-            raise NetworkFormatError(
-                f"truncated network stream (header declares {n} bytes, {left} left)")
-        data = stream.read(n)
-    else:
-        parts, got = [], 0
-        while got < n:
-            part = stream.read(min(n - got, _READ_CHUNK))
-            if not part:
-                break
-            parts.append(part)
-            got += len(part)
-        data = b"".join(parts)
+    parts, got = [], 0
+    while got < n:
+        part = stream.read(min(n - got, _READ_CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        got += len(part)
+    data = b"".join(parts)
     if len(data) != n:
         raise NetworkFormatError(f"truncated network stream (wanted {n} bytes, got {len(data)})")
     return data

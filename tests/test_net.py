@@ -270,9 +270,6 @@ class TestSerialization:
         def read(self, n):
             return self._buf.read(n)
 
-        def seekable(self):
-            return False
-
     @staticmethod
     def _load_small(raw, kind, tmp_path):
         """load_network must reject ``raw`` without allocating more than 1 MB."""
