@@ -2,12 +2,15 @@
 quasi-static linear sequences for training-pose generation, and the nonlinear
 Newmark reference integrator.
 
-Every sparse factorization in the package goes through ``factorize_spd``:
-SuperLU in symmetric mode with a symmetric minimum-degree ordering, which
-gives smaller factors and faster back-substitution than the default column
-ordering on these symmetric stiffness-like matrices. Prefactorizations are
-counted through a module-level event counter so tests (and the runtime
-contract) can assert that a whole simulation run performs exactly one
+Every sparse factorization in the package is a ``BandedCholesky``: a banded
+Cholesky factor on a reverse Cuthill-McKee ordering (LAPACK ``pbtrf`` and
+``pbtrs``), which stores one triangle and back-substitutes faster than a
+sparse LU on these symmetric stiffness-like matrices. ``factorize_spd`` falls
+back to a symmetric-mode SuperLU LU only for a matrix whose Cholesky breaks
+down, an indefinite Newton tangent. Prefactorizations of constant system
+matrices build the Cholesky directly, which proves them positive definite,
+and are counted through a module-level event counter so tests (and the
+runtime contract) can assert that a whole simulation run performs exactly one
 factorization.
 
 Newton solves (registration and the Newmark ground truth) go through a
@@ -20,13 +23,14 @@ tolerance and iteration counts are unchanged.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .material import InvertedElementError, MaterialModel, MaterialParams, MeshPrecomp, \
     assemble_force, assemble_stiffness
@@ -94,16 +98,66 @@ class SimState:
         return cls(u=z.copy(), v=z.copy(), a=z.copy(), t=0.0)
 
 
-def factorize_spd(A) -> spla.SuperLU:
-    """Sparse LU factor of a symmetric matrix, for K-like and Newmark systems.
+class BandedCholesky:
+    """Cholesky factor of a sparse SPD matrix, stored as a band.
+
+    Reverse Cuthill-McKee on the symmetric pattern orders A to a narrow
+    profile; the lower band of the permuted matrix is factorized by LAPACK
+    ``pbtrf`` and solved by ``pbtrs``. Only one triangle is stored, and
+    back-substitution walks contiguous band columns. Raises
+    ``np.linalg.LinAlgError`` when A is not positive definite.
+    """
+
+    def __init__(self, A):
+        A = sp.csr_matrix(A, dtype=np.float64, copy=True)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        n = A.shape[0]
+        perm = reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        coo = A.tocoo()
+        row, col = rank[coo.row], rank[coo.col]
+        lower = row >= col
+        row, col = row[lower], col[lower]
+        band = np.zeros((int((row - col).max(initial=0)) + 1, n))
+        band[row - col, col] = coo.data[lower]
+        self.perm = perm
+        self.band = cholesky_banded(band, overwrite_ab=True, lower=True,
+                                    check_finite=False)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=np.float64)
+        x = np.empty_like(b)
+        x[self.perm] = cho_solve_banded((self.band, True), b[self.perm],
+                                        overwrite_b=True, check_finite=False)
+        return x
+
+
+def _superlu_factor(A) -> spla.SuperLU:
+    """Sparse LU of a symmetric matrix that is not positive definite.
 
     SuperLU runs in symmetric mode on the MMD ordering of A^T + A. The small
-    nonzero pivot threshold keeps diagonal pivots on SPD matrices but still
-    lets SuperLU pivot off the diagonal when a neo-Hookean tangent turns
-    indefinite far from rest. Raises RuntimeError on an exactly singular A.
+    nonzero pivot threshold keeps diagonal pivots where it can but still lets
+    SuperLU pivot off the diagonal on an indefinite neo-Hookean tangent far
+    from rest. Raises RuntimeError on an exactly singular A.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                      options=dict(SymmetricMode=True))
+
+
+def factorize_spd(A) -> BandedCholesky | spla.SuperLU:
+    """Factor of a symmetric K-like, Newmark or normal matrix; ``.solve(b)``.
+
+    A positive definite A (every constant system matrix and, in practice,
+    every Newton tangent) gets a ``BandedCholesky``. Only when its Cholesky
+    breaks down does A go to a symmetric-mode SuperLU LU, which also handles
+    indefinite tangents and raises RuntimeError on an exactly singular A.
+    """
+    try:
+        return BandedCholesky(A)
+    except np.linalg.LinAlgError:
+        return _superlu_factor(A)
 
 
 # Lagged-factor CG: relative residual target and iteration cap before the
@@ -125,7 +179,7 @@ class TangentSolver:
     """
 
     def __init__(self):
-        self._lu = None
+        self._factor = None
         self.solves = 0
         self.factorizations = 0
         self.pcg_iterations = 0
@@ -133,14 +187,14 @@ class TangentSolver:
 
     def solve(self, J, b: np.ndarray) -> np.ndarray:
         self.solves += 1
-        if self._lu is not None:
+        if self._factor is not None:
             x = self._pcg(J, b)
             if x is not None:
                 return x
             self.fallbacks += 1
-        self._lu = factorize_spd(J)
+        self._factor = factorize_spd(J)
         self.factorizations += 1
-        return self._lu.solve(b)
+        return self._factor.solve(b)
 
     def _pcg(self, J, b: np.ndarray) -> np.ndarray | None:
         tol = PCG_RTOL * np.linalg.norm(b)
@@ -148,7 +202,7 @@ class TangentSolver:
         r = b.copy()
         if np.linalg.norm(r) <= tol:
             return x
-        z = self._lu.solve(r)
+        z = self._factor.solve(r)
         rz = float(r @ z)
         p = z
         for _ in range(PCG_MAX_ITER):
@@ -167,7 +221,7 @@ class TangentSolver:
                 r = b - J @ x
                 if np.linalg.norm(r) <= tol:
                     return x
-            z = self._lu.solve(r)
+            z = self._factor.solve(r)
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -206,6 +260,9 @@ def apply_anchors(matrix, anchors: np.ndarray):
 class Prefactorization:
     """Opaque handle to a factorized SPD system matrix.
 
+    The matrix must be symmetric with a positive diagonal, and its banded
+    Cholesky factorization must succeed, which holds exactly when it is
+    positive definite; a few random solves then check the residual.
     ``solve`` performs back-substitution only; no further factorization
     events occur after construction.
     """
@@ -222,12 +279,11 @@ class Prefactorization:
         if A.diagonal().min() <= 0.0:
             raise NotPositiveDefiniteError("system matrix has a non-positive diagonal entry")
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", spla.MatrixRankWarning)
-                self._lu = factorize_spd(A)
-        except (RuntimeError, spla.MatrixRankWarning) as exc:
+            self._factor = BandedCholesky(A)
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
-                f"factorization failed (singular or indefinite matrix): {exc}") from None
+                f"Cholesky factorization failed (matrix is not positive definite): {exc}"
+            ) from None
         _factorization_events += 1
         self.factorization_count = 1
         self.n = n
@@ -237,7 +293,7 @@ class Prefactorization:
         rng = np.random.default_rng(0)
         for _ in range(rng_probe):
             b = rng.standard_normal(n)
-            x = self._lu.solve(b)
+            x = self._factor.solve(b)
             if not np.all(np.isfinite(x)):
                 raise NotPositiveDefiniteError("factorization produced non-finite solve")
             if np.linalg.norm(A @ x - b) > 1e-8 * np.linalg.norm(b):
@@ -246,7 +302,7 @@ class Prefactorization:
                 raise NotPositiveDefiniteError("system matrix is not positive definite")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(b)
+        return self._factor.solve(b)
 
 
 def prefactorize(K, M=None, C=None, dt: float = 0.0,
@@ -358,13 +414,13 @@ def smallest_mode_frequency(K, M, anchor_dofs: np.ndarray | None = None,
         idx = np.nonzero(keep)[0]
         K = K.tocsr()[idx][:, idx]
         M = M.tocsr()[idx][:, idx]
-    lu = factorize_spd(K)
+    factor = factorize_spd(K)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(K.shape[0])
     x /= np.linalg.norm(x)
     lam = 1.0
     for _ in range(n_iter):
-        y = lu.solve(M @ x)
+        y = factor.solve(M @ x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             break

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 class MeshError(Exception):
@@ -202,15 +204,22 @@ def normalize_to_unit_sphere(mesh: TetMesh) -> TetMesh:
 
 
 def node_adjacency(mesh: TetMesh) -> list[np.ndarray]:
-    """Per-node neighbor lists: j is adjacent to i iff they share a tet."""
-    neighbor_sets: list[set[int]] = [set() for _ in range(mesh.n_nodes)]
-    for tet in mesh.tets:
-        for a in tet:
-            s = neighbor_sets[a]
-            for b in tet:
-                if b != a:
-                    s.add(int(b))
-    return [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
+    """Per-node neighbor lists: j is adjacent to i iff they share a tet.
+
+    One sparse product of the node-tet incidence matrix with its transpose
+    gives the shared-tet pattern; each list is sorted, int64, without i.
+    """
+    n, m = mesh.n_nodes, mesh.n_tets
+    incidence = sp.csr_matrix((np.ones(4 * m, dtype=np.int32),
+                               (mesh.tets.ravel(), np.repeat(np.arange(m), 4))),
+                              shape=(n, m))
+    shared = (incidence @ incidence.T).tocsr()
+    shared.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(shared.indptr))
+    off_diagonal = shared.indices != rows
+    neighbors = shared.indices[off_diagonal].astype(np.int64)
+    ends = np.cumsum(np.bincount(rows[off_diagonal], minlength=n))
+    return np.split(neighbors, ends[:-1])
 
 
 def lumped_mass(mesh: TetMesh, density: float) -> np.ndarray:
@@ -242,21 +251,12 @@ def select_pseudo_anchor(mesh: TetMesh) -> int:
 
 def connected_components(n_nodes: int, adjacency: list[np.ndarray]) -> int:
     """Number of connected components of the node adjacency graph."""
-    seen = np.zeros(n_nodes, dtype=bool)
-    n_comp = 0
-    for start in range(n_nodes):
-        if seen[start]:
-            continue
-        n_comp += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            for j in adjacency[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-    return n_comp
+    counts = np.fromiter((len(a) for a in adjacency), dtype=np.int64)
+    indices = np.concatenate([np.zeros(0, dtype=np.int64), *adjacency])
+    graph = sp.csr_matrix((np.ones(len(indices)), indices,
+                           np.concatenate([[0], np.cumsum(counts)])),
+                          shape=(n_nodes, n_nodes))
+    return int(csgraph.connected_components(graph, directed=False)[0])
 
 
 @dataclass(frozen=True)

@@ -355,9 +355,14 @@ def load_network(stream) -> MlpNetwork:
     names = []
     for _ in range(n_names + 1):   # feature names plus the activation tag
         (ln,) = struct.unpack("<I", _read_exact(stream, 4))
-        names.append(_read_exact(stream, ln).decode("utf-8"))
+        try:
+            names.append(_read_exact(stream, ln).decode("utf-8"))
+        except UnicodeDecodeError:
+            raise NetworkFormatError("feature name is not valid UTF-8") from None
     feature_order, act_tag = tuple(names[:-1]), names[-1]
 
+    if not weights:
+        raise NetworkFormatError("network file declares no layers")
     sizes = [weights[0].shape[1]] + [W.shape[0] for W in weights]
     for i in range(1, len(weights)):
         if weights[i].shape[1] != weights[i - 1].shape[0]:

@@ -244,7 +244,7 @@ class _RswFit:
     anchors: np.ndarray
     free: np.ndarray
     Et: sp.csr_matrix
-    lu: object
+    factor: object
 
 
 _rsw_fit: _RswFit | None = None
@@ -261,10 +261,11 @@ def _rsw_normal_fit(grad_op: sp.csr_matrix, anchors: np.ndarray) -> _RswFit:
     free[anchor_dof_indices(anchors)] = False
     E = grad_op[:, free]
     try:
-        lu = factorize_spd(E.T @ E)
+        factor = factorize_spd(E.T @ E)
     except RuntimeError as exc:
         raise ValueError(f"rotation-strain fit is singular (insufficient anchors): {exc}")
-    _rsw_fit = _RswFit(grad_op=grad_op, anchors=anchors, free=free, Et=E.T.tocsr(), lu=lu)
+    _rsw_fit = _RswFit(grad_op=grad_op, anchors=anchors, free=free, Et=E.T.tocsr(),
+                       factor=factor)
     return _rsw_fit
 
 
@@ -292,7 +293,7 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
     Ghat = R @ (S + np.eye(3)) - np.eye(3)
 
     u = np.zeros(3 * mesh.n_nodes)
-    u[fit.free] = fit.lu.solve(fit.Et @ Ghat.reshape(-1))
+    u[fit.free] = fit.factor.solve(fit.Et @ Ghat.reshape(-1))
     return u
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from deepwarp import dynamics
-from deepwarp.dynamics import (ConvergenceError, IntegrationScheme,
+from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme,
                                NotPositiveDefiniteError,
                                RayleighDamping, SimState, TangentSolver, apply_anchors,
                                build_linear_system, build_nonlinear_system,
@@ -13,7 +14,7 @@ from deepwarp.dynamics import (ConvergenceError, IntegrationScheme,
                                step_linear_implicit, step_newmark_nonlinear)
 from deepwarp.material import (MaterialModel, MaterialParams, assemble_stiffness,
                                total_elastic_energy, MeshPrecomp)
-from deepwarp.mesh import lumped_mass
+from deepwarp.mesh import TetMesh, lumped_mass
 from deepwarp.features import ForceField, force_vector
 from deepwarp.meshgen import beam
 
@@ -78,6 +79,13 @@ class TestPrefactorize:
         A = sp.diags([1.0, -1.0, 1.0, 1.0]).tocsr()
         with pytest.raises(NotPositiveDefiniteError):
             prefactorize(A)
+
+    def test_indefinite_matrix_with_positive_diagonal_rejected(self):
+        # eigenvalue -1 on (e0 - e1); random solve probes can miss it
+        A = sp.eye(100, format="lil")
+        A[0, 1] = A[1, 0] = 2.0
+        with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
+            prefactorize(A.tocsr())
 
     def test_asymmetric_matrix_rejected(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
@@ -319,3 +327,49 @@ class TestTangentSolver:
         assert ref_solver.factorizations == sum(ref_newton) > 30
         assert solver.factorizations <= 3
         assert np.abs(out - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def shuffled_readme_beam(seed: int):
+    """The README beam with its node numbering randomly permuted."""
+    mesh = beam(16, 5, 5, lengths=(2.0, 0.8, 0.8))
+    perm = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    new_index = np.argsort(perm)
+    return TetMesh(nodes=mesh.nodes[perm], tets=new_index[mesh.tets],
+                   anchors=frozenset(int(new_index[a]) for a in mesh.anchors))
+
+
+class TestBandedCholesky:
+    """factorize_spd's banded Cholesky against a default SuperLU solve."""
+
+    @staticmethod
+    def assert_matches_splu(A, factor, seed):
+        b = np.random.default_rng(seed).standard_normal(A.shape[0])
+        ref = spla.splu(A.tocsc()).solve(b)
+        assert np.linalg.norm(factor.solve(b) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_shuffled_newmark_matrix(self):
+        mesh = shuffled_readme_beam(seed=5)
+        dt = 1 / 60
+        system = build_linear_system(mesh, LINEAR, dt, IntegrationScheme.NEWMARK,
+                                     RayleighDamping(0.5, 0.01))
+        A = (system.M + 0.5 * dt * system.C + 0.25 * dt * dt * system.K).tocsr()
+        factor = factorize_spd(A)
+        assert isinstance(factor, BandedCholesky)
+        self.assert_matches_splu(A, factor, seed=1)
+        self.assert_matches_splu(A, system.prefact, seed=2)
+        # RCM recovers a band from the shuffled numbering
+        lu = dynamics._superlu_factor(A)
+        assert factor.band.size <= lu.L.nnz + lu.U.nnz
+
+    def test_bent_neo_hookean_tangent(self, bending_beam, neo_hookean):
+        K0 = assemble_stiffness(bending_beam, neo_hookean, np.zeros(3 * bending_beam.n_nodes),
+                                anchored=True)
+        f = force_vector(bending_beam, ForceField.directional([0, -1, 0.3], 0.1))
+        f[(bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0.0
+        J = assemble_stiffness(bending_beam, neo_hookean, factorize_spd(K0).solve(f),
+                               anchored=True)
+        factor = factorize_spd(J)
+        assert isinstance(factor, BandedCholesky)
+        self.assert_matches_splu(J, factor, seed=3)
+        # a matrix whose Cholesky breaks down goes to SuperLU
+        assert isinstance(factorize_spd(-K0), spla.SuperLU)

@@ -136,6 +136,68 @@ class TestAdjacency:
                                     node_adjacency(bending_beam)) == 1
 
 
+def loop_adjacency(mesh):
+    """Reference path: per-node neighbor sets filled tet by tet."""
+    neighbor_sets = [set() for _ in range(mesh.n_nodes)]
+    for tet in mesh.tets:
+        for a in tet:
+            neighbor_sets[a].update(int(b) for b in tet if b != a)
+    return [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
+
+
+def loop_components(n_nodes, adjacency):
+    """Reference path: depth-first search from every unseen node."""
+    seen = np.zeros(n_nodes, dtype=bool)
+    n_comp = 0
+    for start in range(n_nodes):
+        if seen[start]:
+            continue
+        n_comp += 1
+        stack = [start]
+        seen[start] = True
+        while stack:
+            for j in adjacency[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(int(j))
+    return n_comp
+
+
+def shuffled_nodes(mesh, seed):
+    perm = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    new_index = np.argsort(perm)
+    return TetMesh(nodes=mesh.nodes[perm], tets=new_index[mesh.tets])
+
+
+def two_pieces():
+    """Two disjoint beams in one mesh, numbered in shuffled order."""
+    a, b = beam(3, 1, 1), beam(2, 2, 1)
+    mesh = TetMesh(nodes=np.vstack([a.nodes, b.nodes + 5.0]),
+                   tets=np.vstack([a.tets, b.tets + a.n_nodes]))
+    return shuffled_nodes(mesh, 4)
+
+
+class TestAdjacencyMatchesLoops:
+    """The sparse incidence product and csgraph against the loop versions."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: beam(6, 3, 3, lengths=(2.0, 1.0, 1.0)),
+        lambda: t_shape(arm=2, thickness=1)[0],
+        lambda: shuffled_nodes(beam(5, 3, 2), seed=11),
+        two_pieces,
+    ], ids=["beam", "t_shape", "shuffled", "two_pieces"])
+    def test_same_lists_and_components(self, make):
+        mesh = make()
+        adj, ref = node_adjacency(mesh), loop_adjacency(mesh)
+        assert len(adj) == len(ref) == mesh.n_nodes
+        for got, want in zip(adj, ref):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        n_comp = connected_components(mesh.n_nodes, adj)
+        assert n_comp == loop_components(mesh.n_nodes, ref)
+        assert n_comp == (2 if make is two_pieces else 1)
+
+
 class TestLumpedMass:
     def test_unit_tet_density_six(self, unit_tet):
         masses = lumped_mass(unit_tet, 6.0)
