@@ -292,7 +292,11 @@ def write_dataset(stream, records: RecordSet) -> None:
 
 
 def iter_dataset(stream, batch_size: int = 65536):
-    """Stream (features, targets) batches without loading the whole file."""
+    """Stream (features, targets) batches without loading the whole file.
+
+    The stream must end after the declared records; bytes after them raise
+    ``DatasetFormatError`` once the last batch has been read.
+    """
     head = stream.read(4)
     if head != MAGIC:
         raise DatasetFormatError("bad magic: not a dataset file")
@@ -315,6 +319,9 @@ def iter_dataset(stream, batch_size: int = 65536):
             raise DatasetFormatError("dataset payload contains non-finite values")
         yield rows[:, :7].copy(), rows[:, 7:].copy()
         remaining -= take
+    if stream.read(1):
+        raise DatasetFormatError(
+            f"trailing bytes after the {count} declared records")
 
 
 def read_dataset(stream) -> RecordSet:

@@ -11,8 +11,10 @@ Three rest-shape context features sort the per-node training pairs:
 
 The kinematic pair (u_lin_i, w_i) is compressed to three rotation-invariant
 scalars by a canonicalizing rotation Q that sends u_lin to +y and the
-y-orthogonal part of w onto -x. The full 7-feature order is frozen in
-``FEATURE_ORDER`` and serialized with trained networks.
+y-orthogonal part of w onto -x. ``align_batch`` writes the rows of every Q
+directly (y = u/|u|, x = -w_perp/|w_perp|, z = x cross y) and falls back to
+a Rodrigues rotation onto +y only where w_perp vanishes. The full 7-feature
+order is frozen in ``FEATURE_ORDER`` and serialized with trained networks.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from .material import skew
 from .mesh import TetMesh, lumped_mass, node_adjacency
 
 FEATURE_ORDER = ("u_mag", "w_mag", "uw_angle", "geodesic", "potential",
@@ -269,13 +272,7 @@ def _rotation_to_y_batch(U: np.ndarray) -> np.ndarray:
     v = np.cross(a, y)
     s2 = np.einsum("ni,ni->n", v, v)
     c = a @ y
-    Vx = np.zeros((len(a), 3, 3))
-    Vx[:, 0, 1] = -v[:, 2]
-    Vx[:, 0, 2] = v[:, 1]
-    Vx[:, 1, 0] = v[:, 2]
-    Vx[:, 1, 2] = -v[:, 0]
-    Vx[:, 2, 0] = -v[:, 1]
-    Vx[:, 2, 1] = v[:, 0]
+    Vx = skew(v)
     coef = np.where(s2 > 0.0, (1.0 - c) / np.where(s2 > 0.0, s2, 1.0), 0.0)
     R = np.eye(3) + Vx + coef[:, None, None] * (Vx @ Vx)
     if np.any(flip):
@@ -288,32 +285,44 @@ def align_batch(U: np.ndarray, W: np.ndarray):
     """Canonicalize per-node kinematic pairs.
 
     Returns (u_mag, w_mag, angle, Q) with Q @ u = (0, |u|, 0) and Q @ w in
-    the xy-plane with non-positive x. Zero vectors fall back to the identity
-    conventions, keeping the map total and deterministic.
+    the xy-plane with non-positive x. The rows of Q are y = u/|u| (+y where
+    |u| <= _EPS), x = -w_perp/|w_perp| for the part w_perp of w orthogonal to
+    y, and z = x cross y; where |w_perp| <= _EPS, Q is the rotation of
+    ``_rotation_to_y_batch``. The map is total and deterministic. Q is a
+    view of a component-major (3, 3, n) array.
     """
     U = np.asarray(U, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
-    u_mag = np.linalg.norm(U, axis=1)
-    w_mag = np.linalg.norm(W, axis=1)
-    cross = np.linalg.norm(np.cross(U, W), axis=1)
-    dot = np.einsum("ni,ni->n", U, W)
-    angle = np.arctan2(cross, dot)
-    angle[(u_mag < _EPS) | (w_mag < _EPS)] = 0.0
-
-    Q1 = _rotation_to_y_batch(U)
-    w1 = np.einsum("npq,nq->np", Q1, W)
-    h = np.hypot(w1[:, 0], w1[:, 2])
-    psi = np.where(h > _EPS, np.arctan2(w1[:, 2], w1[:, 0]) + np.pi, 0.0)
-    cp, sp_ = np.cos(psi), np.sin(psi)
-    Q2 = np.zeros((len(U), 3, 3))
-    Q2[:, 0, 0] = cp
-    Q2[:, 0, 2] = sp_
-    Q2[:, 1, 1] = 1.0
-    Q2[:, 2, 0] = -sp_
-    Q2[:, 2, 2] = cp
+    ux, uy, uz = U.T
+    wx, wy, wz = W.T
+    u_mag = np.sqrt(ux * ux + uy * uy + uz * uz)
+    w_mag = np.sqrt(wx * wx + wy * wy + wz * wz)
+    still = u_mag <= _EPS
+    with np.errstate(divide="ignore"):
+        r = 1.0 / u_mag
+    r[still] = 0.0
+    Q = np.empty((3, 3, len(U)))
+    x, y, z = Q
+    np.multiply(U.T, r, out=y)
+    y[1, still] = 1.0
+    w_par = wx * y[0] + wy * y[1] + wz * y[2]
+    p = W.T - w_par * y
+    # a second projection keeps x orthogonal to y to round-off even when w
+    # is nearly parallel to u
+    p -= (p[0] * y[0] + p[1] * y[1] + p[2] * y[2]) * y
+    h = np.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
+    angle = np.arctan2(h, w_par)
+    angle[still | (w_mag < _EPS)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(p, -1.0 / h, out=x)
+    z[0] = x[1] * y[2] - x[2] * y[1]
+    z[1] = x[2] * y[0] - x[0] * y[2]
+    z[2] = x[0] * y[1] - x[1] * y[0]
+    Q = Q.transpose(2, 0, 1)
     degenerate = h <= _EPS
-    Q2[degenerate] = np.eye(3)
-    return u_mag, w_mag, angle, Q2 @ Q1
+    if np.any(degenerate):
+        Q[degenerate] = _rotation_to_y_batch(U[degenerate])
+    return u_mag, w_mag, angle, Q
 
 
 def align_kinematics(u_lin: np.ndarray, w: np.ndarray) -> AlignedKinematics:

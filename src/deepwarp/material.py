@@ -169,7 +169,7 @@ def displacement_gradient(precomp: ElementPrecomp, deformed_positions: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# closed-form 3x3 determinant and inverse
+# closed-form 3x3 determinant, inverse and cross-product matrix
 # ---------------------------------------------------------------------------
 
 def det_and_inverse_transpose(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +185,44 @@ def det_and_inverse_transpose(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     J = a * cof[0, 0] + b * cof[0, 1] + c * cof[0, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         return J, np.ascontiguousarray(np.moveaxis(cof / J, (0, 1), (-2, -1)))
+
+
+def skew(w: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [w]x with [w]x v = w x v, batched over the
+    leading axes: (..., 3) -> (..., 3, 3)."""
+    w = np.asarray(w, dtype=np.float64)
+    K = np.zeros(w.shape[:-1] + (3, 3))
+    K[..., 0, 1] = -w[..., 2]
+    K[..., 0, 2] = w[..., 1]
+    K[..., 1, 0] = w[..., 2]
+    K[..., 1, 2] = -w[..., 0]
+    K[..., 2, 0] = -w[..., 1]
+    K[..., 2, 1] = w[..., 0]
+    return K
+
+
+def skew_quadratic(w: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """I + c1 [w]x + c2 [w]x^2 per row, (n, 3) with (n,) coefficients ->
+    (n, 3, 3), written entry by entry through [w]x^2 = w w^T - |w|^2 I.
+
+    The result is a view of a component-major (3, 3, n) array, so each entry
+    is one contiguous column.
+    """
+    x, y, z = np.asarray(w, dtype=np.float64).T
+    xx, yy, zz = x * x, y * y, z * z
+    a, b, c = c1 * x, c1 * y, c1 * z
+    xy, xz, yz = c2 * x * y, c2 * x * z, c2 * y * z
+    out = np.empty((3, 3, len(x)))
+    out[0, 0] = 1.0 - c2 * (yy + zz)
+    out[1, 1] = 1.0 - c2 * (xx + zz)
+    out[2, 2] = 1.0 - c2 * (xx + yy)
+    out[0, 1] = xy - c
+    out[1, 0] = xy + c
+    out[0, 2] = xz + b
+    out[2, 0] = xz - b
+    out[1, 2] = yz - a
+    out[2, 1] = yz + a
+    return out.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +378,13 @@ def piola_stress_differential_batch(params: MaterialParams, F: np.ndarray,
     # rotation differential: (tr(S) I - S) w = axial(R^T dF - dF^T R)
     L = np.trace(S, axis1=1, axis2=2)[:, None, None] * _EYE - S
     RtdF = np.einsum("nqp,nkqs->nkps", R, dF)           # R^T dF per direction
-    skew = RtdF - np.swapaxes(RtdF, 2, 3)
-    rhs = np.stack([skew[..., 2, 1], skew[..., 0, 2], skew[..., 1, 0]], axis=-1)
+    asym = RtdF - np.swapaxes(RtdF, 2, 3)
+    rhs = np.stack([asym[..., 2, 1], asym[..., 0, 2], asym[..., 1, 0]], axis=-1)
     try:
         Linv = np.linalg.inv(L)
     except np.linalg.LinAlgError:
         Linv = np.linalg.pinv(L)
-    w = np.einsum("nab,nkb->nka", Linv, rhs)
-    W = np.zeros(w.shape[:-1] + (3, 3))
-    W[..., 0, 1] = -w[..., 2]
-    W[..., 0, 2] = w[..., 1]
-    W[..., 1, 0] = w[..., 2]
-    W[..., 1, 2] = -w[..., 0]
-    W[..., 2, 0] = -w[..., 1]
-    W[..., 2, 1] = w[..., 0]
+    W = skew(np.einsum("nab,nkb->nka", Linv, rhs))
     dS = RtdF - np.einsum("nkab,nbc->nkac", W, S)
     trdS = np.trace(dS, axis1=2, axis2=3)
     dT = 2.0 * mu * dS + lam * trdS[..., None, None] * _EYE

@@ -2,12 +2,17 @@
 
 Per-node kinematics: a least-squares displacement gradient G over the
 adjacent nodes, its rotation vector w = axial((G - G^T)/2), and the local
-rotation R = exp([w]x). Registration finds the nonlinear displacement whose
-internal force matches the per-node-rotated linear internal force, chaining
-warm starts along a quasi-static loading path. The Newton steps of a whole
-path share one ``TangentSolver``, so the factor of one pose's tangent
-preconditions the next poses' solves instead of each iteration
-refactorizing.
+rotation R = exp([w]x). ``gradient_operator`` stacks every G in one sparse
+operator, built from all per-node moment matrices as one batch;
+``rotation_operator`` keeps only its skew rows, so a runtime reads every w
+with one smaller sparse product, and ``rotations_from_vectors`` writes each
+R entry by entry from Rodrigues' formula.
+
+Registration finds the nonlinear displacement whose internal force matches
+the per-node-rotated linear internal force, chaining warm starts along a
+quasi-static loading path. The Newton steps of a whole path share one
+``TangentSolver``, so the factor of one pose's tangent preconditions the
+next poses' solves instead of each iteration refactorizing.
 """
 
 from __future__ import annotations
@@ -19,11 +24,16 @@ import scipy.sparse as sp
 
 from .dynamics import ConvergenceError, TangentSolver
 from .material import (InvertedElementError, MaterialParams, MeshPrecomp,
-                       assemble_force, assemble_stiffness)
+                       assemble_force, assemble_stiffness, skew_quadratic)
 from .mesh import TetMesh, node_adjacency
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+
+# axial((G - G^T)/2) from vec(G) (row-major)
+_AXIAL = 0.5 * np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                         [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                         [0, -1, 0, 1, 0, 0, 0, 0, 0]])
 
 
 class RankDeficientNeighborhoodError(Exception):
@@ -65,13 +75,7 @@ def local_displacement_gradient(mesh: TetMesh, u: np.ndarray, i: int,
 
 def rotation_vector(G: np.ndarray) -> np.ndarray:
     """Axial vector of the skew part (G - G^T)/2."""
-    return 0.5 * np.array([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
-
-
-def skew_matrix(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
+    return _AXIAL @ np.asarray(G, dtype=np.float64).reshape(9)
 
 
 def rotation_from_vector(w: np.ndarray) -> np.ndarray:
@@ -80,51 +84,73 @@ def rotation_from_vector(w: np.ndarray) -> np.ndarray:
 
 
 def rotations_from_vectors(W: np.ndarray) -> np.ndarray:
-    """Batched Rodrigues map, (n, 3) -> (n, 3, 3)."""
+    """Batched Rodrigues map, (n, 3) -> (n, 3, 3).
+
+    R = I + sin(t)/t [w]x + (1 - cos t)/t^2 [w]x^2 with t = |w|; the second
+    coefficient is evaluated as 2 sin^2(t/2)/t^2, which does not cancel.
+    """
     W = np.asarray(W, dtype=np.float64)
-    theta = np.linalg.norm(W, axis=1)
+    x, y, z = W.T
+    t2 = x * x + y * y + z * z
+    theta = np.sqrt(t2)
     small = theta < 1e-6
-    t2 = theta * theta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c1 = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-        c2 = np.where(small, 0.5 - t2 / 24.0,
-                      (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-    K = np.zeros((len(W), 3, 3))
-    K[:, 0, 1] = -W[:, 2]
-    K[:, 0, 2] = W[:, 1]
-    K[:, 1, 0] = W[:, 2]
-    K[:, 1, 2] = -W[:, 0]
-    K[:, 2, 0] = -W[:, 1]
-    K[:, 2, 1] = W[:, 0]
-    return np.eye(3) + c1[:, None, None] * K + c2[:, None, None] * (K @ K)
+    t = np.where(small, 1.0, theta)
+    half = np.sin(0.5 * t)
+    c1 = np.sin(t) / t
+    c2 = 2.0 * half * half / (t * t)
+    if np.any(small):
+        c1[small] = 1.0 - t2[small] / 6.0
+        c2[small] = 0.5 - t2[small] / 24.0
+    return skew_quadratic(W, c1, c2)
 
 
 def gradient_operator(mesh: TetMesh,
                       adjacency: list[np.ndarray] | None = None) -> sp.csr_matrix:
     """Sparse (9n x 3n) operator stacking vec(G_i) row-major for every node.
 
-    The same linear map serves feature extraction, the runtime warp and the
-    rotation-strain reconstruction.
+    Node i's weights are w_j = M_i^-1 (x_j - x_i) over its neighbors j, with
+    the moment matrix M_i = sum_j (x_j - x_i)(x_j - x_i)^T; all moment
+    matrices are summed, checked and inverted as one batch. The same linear
+    map serves feature extraction, the runtime warp and the rotation-strain
+    reconstruction.
     """
     adjacency = adjacency if adjacency is not None else node_adjacency(mesh)
-    rows, cols, vals = [], [], []
-    for i, nbr in enumerate(adjacency):
-        if len(nbr) < 3:
-            raise RankDeficientNeighborhoodError(f"node {i}: fewer than 3 neighbors")
-        w = _neighbor_weights(mesh.nodes, nbr, i)        # (m, 3)
-        wsum = w.sum(axis=0)
-        for p in range(3):
-            for q in range(3):
-                row = 9 * i + 3 * p + q
-                for jn, j in enumerate(nbr):
-                    rows.append(row)
-                    cols.append(3 * int(j) + p)
-                    vals.append(w[jn, q])
-                rows.append(row)
-                cols.append(3 * i + p)
-                vals.append(-wsum[q])
     n = mesh.n_nodes
-    return sp.coo_matrix((vals, (rows, cols)), shape=(9 * n, 3 * n)).tocsr()
+    counts = np.array([len(nbr) for nbr in adjacency], dtype=np.int64)
+    owner = np.repeat(np.arange(n), counts)
+    nbr = np.concatenate(adjacency).astype(np.int64)
+    d = mesh.nodes[nbr] - mesh.nodes[owner]                 # (e, 3)
+    M = np.zeros((n, 3, 3))
+    np.add.at(M, owner, d[:, :, None] * d[:, None, :])
+    eig = np.linalg.eigvalsh(M)
+    few = counts < 3
+    bad = np.flatnonzero(few | (eig[:, 0] <= 1e-10 * np.maximum(eig[:, -1], 1e-300)))
+    if len(bad):
+        i = int(bad[0])
+        raise RankDeficientNeighborhoodError(
+            f"node {i}: fewer than 3 neighbors" if few[i] else
+            f"node {i}: neighborhood is rank-deficient (coplanar neighbors)")
+    w = np.einsum("er,erq->eq", d, np.linalg.inv(M)[owner])   # rows are w_j
+    wsum = np.zeros((n, 3))
+    np.add.at(wsum, owner, w)
+    # entry (row 9i + 3p + q, column 3j + p) is w_j[q]; column 3i + p holds
+    # -sum_j w_j[q]
+    pq = np.arange(9)
+    p, q = pq // 3, pq % 3
+    nodes = np.arange(n)[:, None]
+    rows = np.concatenate([(9 * owner[:, None] + pq).ravel(), (9 * nodes + pq).ravel()])
+    cols = np.concatenate([(3 * nbr[:, None] + p).ravel(), (3 * nodes + p).ravel()])
+    vals = np.concatenate([w[:, q].ravel(), -wsum[:, q].ravel()])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(9 * n, 3 * n))
+
+
+def rotation_operator(grad_op: sp.csr_matrix) -> sp.csr_matrix:
+    """Sparse (3n x 3n) operator from a displacement to the stacked per-node
+    rotation vectors: the skew rows of ``grad_op``, with two thirds of its
+    entries."""
+    n = grad_op.shape[0] // 9
+    return (sp.kron(sp.identity(n, format="csr"), sp.csr_matrix(_AXIAL), format="csr")
+            @ grad_op).tocsr()
 
 
 def displacement_gradients(grad_op: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
@@ -134,10 +160,15 @@ def displacement_gradients(grad_op: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
 
 def rotation_vectors_from_displacement(grad_op: sp.csr_matrix,
                                        u: np.ndarray) -> np.ndarray:
-    G = displacement_gradients(grad_op, u)
-    return 0.5 * np.stack([G[:, 2, 1] - G[:, 1, 2],
-                           G[:, 0, 2] - G[:, 2, 0],
-                           G[:, 1, 0] - G[:, 0, 1]], axis=1)
+    """Per-node rotation vectors (n, 3) of a displacement.
+
+    ``grad_op`` is either a ``gradient_operator`` (9n x 3n), whose gradients
+    give w = axial((G - G^T)/2), or the square ``rotation_operator`` built
+    from one, which gives w directly.
+    """
+    if grad_op.shape[0] == grad_op.shape[1]:
+        return (grad_op @ u).reshape(-1, 3)
+    return (grad_op @ u).reshape(-1, 9) @ _AXIAL.T
 
 
 class BlockRotations:

@@ -7,7 +7,10 @@ rotation of the previous step, (2) one back-substitution advances the linear
 state, (3) every node's (u_lin, w) pair is canonicalized, fed through the
 network, and the output (minus the rest-state calibration offset) is rotated
 back and added to the linear displacement. No factorization happens during
-stepping.
+stepping. Around the back-substitution everything is O(n): w comes from one
+sparse product with the precomputed rotation operator, the canonical frames
+and the next step's rotations are written entry by entry in closed form.
+Modal warping uses the closed-form averaged rotation.
 """
 
 from __future__ import annotations
@@ -26,16 +29,11 @@ from .dynamics import (ConvergenceError, IntegrationScheme, LinearSystem,
 from .features import (ForceField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
-from .material import InvertedElementError, MaterialParams
+from .material import InvertedElementError, MaterialParams, skew_quadratic
 from .mesh import TetMesh, node_adjacency
 from .net import MlpNetwork, forward_batch
-from .registration import (gradient_operator, rotations_from_vectors,
-                           rotation_vectors_from_displacement)
-
-# Composite Simpson intervals for the modal-warp average-rotation integral.
-# 32 intervals cannot reach the 1e-10 oracle tolerance at |w| = pi, so the
-# fixed rule uses 512 (error ~ |w|^4 / (180 * 512^4)).
-MW_SIMPSON_INTERVALS = 512
+from .registration import (gradient_operator, rotation_operator,
+                           rotation_vectors_from_displacement, rotations_from_vectors)
 
 
 class ExtrapolationWarning(UserWarning):
@@ -51,7 +49,7 @@ class WarpContext:
     net: MlpNetwork
     static: StaticFeatureSet
     field_descr: ForceField
-    grad_op: sp.csr_matrix
+    rot_op: sp.csr_matrix              # (3n, 3n) displacement -> rotation vectors
     poisson: float
     rest_offset: np.ndarray            # (n, 3) network output at rest features
     rotation_cache: np.ndarray         # (n, 3, 3)
@@ -84,24 +82,25 @@ class WarpContext:
         ``extrapolation_events``; the first such step of a context raises one
         ``ExtrapolationWarning``. Returns (u_corrected flat (3n,), w (n,3)).
         """
-        w = rotation_vectors_from_displacement(self.grad_op, u_lin)
+        w = rotation_vectors_from_displacement(self.rot_op, u_lin)
         U = u_lin.reshape(-1, 3)
         u_mag, w_mag, angle, Q = align_batch(U, w)
-        X = assemble_features_batch(u_mag, w_mag, angle, self.static, self.poisson)
-        Z = self.net.scaler.transform(X)
-        over = np.abs(Z).max(axis=1) > self.extrapolation_zmax
-        if np.any(over):
+        Z = self.net.scaler.transform(
+            assemble_features_batch(u_mag, w_mag, angle, self.static, self.poisson))
+        far = np.abs(Z) > self.extrapolation_zmax
+        if far.any():
+            over = int(np.count_nonzero(far.any(axis=1)))
             # warn once per context; extrapolation_events keeps the full count
             if self.warn_on_extrapolation and self.extrapolation_events == 0:
                 warnings.warn(
-                    f"{int(np.count_nonzero(over))} node feature(s) outside the "
-                    "trained range; extrapolating (warned once per context, "
-                    "counted in extrapolation_events)", ExtrapolationWarning)
-            self.extrapolation_events += int(np.count_nonzero(over))
+                    f"{over} node feature(s) outside the trained range; "
+                    "extrapolating (warned once per context, counted in "
+                    "extrapolation_events)", ExtrapolationWarning)
+            self.extrapolation_events += over
         Y = forward_batch(self.net.weights, Z, self.net.spec.activation)
-        Y = Y - self.rest_offset
-        delta = np.einsum("npq,np->nq", Q, Y)      # Q^T y per node
-        u = U + np.where(self.free_mask[:, None], delta, 0.0)
+        y0, y1, y2 = (Y - self.rest_offset).T
+        Qt = Q.transpose(1, 2, 0)              # Qt[p, q] = Q[:, p, q]
+        u = U + (Qt[0] * y0 + Qt[1] * y1 + Qt[2] * y2).T     # U + Q^T y per node
         u[~self.free_mask] = 0.0
         return u.ravel(), w
 
@@ -118,7 +117,8 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
                        scheme: IntegrationScheme = IntegrationScheme.NEWMARK,
                        damping: RayleighDamping = RayleighDamping(),
                        density: float = 1000.0) -> WarpContext:
-    """Assemble the linear system once and precompute all per-node statics."""
+    """Assemble the linear system once and precompute all per-node statics,
+    including the rotation operator that reads w from a displacement."""
     adjacency = node_adjacency(mesh)
     system = build_linear_system(mesh, params.as_linear(), dt, scheme, damping, density)
     grad_op = gradient_operator(mesh, adjacency)
@@ -129,7 +129,7 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
     if mesh.anchors:
         free[mesh.anchor_array()] = False
     ctx = WarpContext(mesh=mesh, system=system, net=net, static=static,
-                      field_descr=field_descr, grad_op=grad_op,
+                      field_descr=field_descr, rot_op=rotation_operator(grad_op),
                       poisson=params.poisson, rest_offset=rest_offset,
                       rotation_cache=np.broadcast_to(np.eye(3),
                                                      (mesh.n_nodes, 3, 3)).copy(),
@@ -145,12 +145,13 @@ def deepwarp_step(ctx: WarpContext, state: SimState, f_ext: np.ndarray,
     """
     if dt is not None and abs(dt - ctx.dt) > 1e-15:
         raise ValueError(f"step dt {dt} does not match the prefactorized dt {ctx.dt}")
-    f = np.einsum("nqp,nq->np", ctx.rotation_cache, f_ext.reshape(-1, 3)).ravel()
+    Rt = ctx.rotation_cache.transpose(1, 2, 0)          # Rt[q, p] = R[:, q, p]
+    fx, fy, fz = f_ext.reshape(-1, 3).T
+    f = (Rt[0] * fx + Rt[1] * fy + Rt[2] * fz).T.ravel()   # R^T f per node
     new_state = step_linear_implicit(ctx.system, state, f)
     u, w = ctx.correct(new_state.u)
-    R = rotations_from_vectors(w)
-    R[~ctx.free_mask] = np.eye(3)
-    ctx.rotation_cache = R
+    w[~ctx.free_mask] = 0.0                    # anchors keep the identity
+    ctx.rotation_cache = rotations_from_vectors(w)
     return new_state, u
 
 
@@ -170,42 +171,33 @@ def run_deepwarp(ctx: WarpContext, steps: int, f_ext: np.ndarray | None = None):
 # geometric warping baselines
 # ---------------------------------------------------------------------------
 
-def _simpson_weights(n_intervals: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_intervals % 2:
-        raise ValueError("composite Simpson needs an even interval count")
-    s = np.linspace(0.0, 1.0, n_intervals + 1)
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (1.0 / n_intervals) / 3.0
-    return s, w
+def mw_average_rotations(W: np.ndarray) -> np.ndarray:
+    """Averaged rotations int_0^1 exp(s [w]x) ds, batched (n, 3) -> (n, 3, 3).
 
-
-def mw_average_rotation(w: np.ndarray,
-                        n_intervals: int = MW_SIMPSON_INTERVALS) -> np.ndarray:
-    """Average rotation int_0^1 exp(s [w]x) ds by fixed Simpson quadrature.
-
-    The integrand is I + sin(s t)/t [w]x + (1 - cos(s t))/t^2 [w]x^2 for
-    t = |w|, so the quadrature acts on the two scalar coefficient functions.
+    With t = |w| the integral is I + c1 [w/t]x + c2 [w/t]x^2 for
+    c1 = (1 - cos t)/t = 2 sin^2(t/2)/t and c2 = 1 - sin(t)/t (Choi & Ko,
+    TVCG 2005); a short series replaces both below t = 1e-3, where c2
+    cancels.
     """
-    w = np.asarray(w, dtype=np.float64)
-    t = float(np.linalg.norm(w))
-    s, wt = _simpson_weights(n_intervals)
-    if t < 1e-12:
-        K = _skew(w)
-        c1 = float(wt @ s)                  # -> 1/2 as t -> 0
-        c2 = float(wt @ (0.5 * s * s))      # -> 1/6
-        return np.eye(3) + c1 * K + c2 * (K @ K)
-    K = _skew(w / t)
-    c1 = float(wt @ np.sin(s * t))
-    c2 = float(wt @ (1.0 - np.cos(s * t)))
-    return np.eye(3) + c1 * K + c2 * (K @ K)
+    W = np.asarray(W, dtype=np.float64)
+    x, y, z = W.T
+    t2 = x * x + y * y + z * z
+    t = np.sqrt(t2)
+    small = t < 1e-3
+    t = np.where(small, 1.0, t)
+    half = np.sin(0.5 * t)
+    a1 = 2.0 * half * half / (t * t)            # c1 / t
+    a2 = (1.0 - np.sin(t) / t) / (t * t)        # c2 / t^2
+    if np.any(small):
+        s2 = t2[small]
+        a1[small] = 0.5 - s2 / 24.0 + s2 * s2 / 720.0
+        a2[small] = 1.0 / 6.0 - s2 / 120.0 + s2 * s2 / 5040.0
+    return skew_quadratic(W, a1, a2)
 
 
-def _skew(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
+def mw_average_rotation(w: np.ndarray) -> np.ndarray:
+    """Averaged rotation int_0^1 exp(s [w]x) ds of one rotation vector."""
+    return mw_average_rotations(np.asarray(w, dtype=np.float64)[None])[0]
 
 
 def mw_warp(mesh: TetMesh, u_lin: np.ndarray,
@@ -213,24 +205,7 @@ def mw_warp(mesh: TetMesh, u_lin: np.ndarray,
     """Modal warping: per node, apply the averaged-rotation transform to u_lin."""
     grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
     w = rotation_vectors_from_displacement(grad_op, u_lin)
-    U = u_lin.reshape(-1, 3)
-    t = np.linalg.norm(w, axis=1)
-    s, wt = _simpson_weights(MW_SIMPSON_INTERVALS)
-    small = t < 1e-12
-    t_safe = np.where(small, 1.0, t)
-    axis = np.where(small[:, None], w, w / t_safe[:, None])
-    st = s[None, :] * t_safe[:, None]
-    c1 = np.where(small, float(wt @ s), np.sin(st) @ wt)
-    c2 = np.where(small, float(wt @ (0.5 * s * s)), (1.0 - np.cos(st)) @ wt)
-    K = np.zeros((len(U), 3, 3))
-    K[:, 0, 1] = -axis[:, 2]
-    K[:, 0, 2] = axis[:, 1]
-    K[:, 1, 0] = axis[:, 2]
-    K[:, 1, 2] = -axis[:, 0]
-    K[:, 2, 0] = -axis[:, 1]
-    K[:, 2, 1] = axis[:, 0]
-    W = np.eye(3) + c1[:, None, None] * K + c2[:, None, None] * (K @ K)
-    out = np.einsum("npq,nq->np", W, U)
+    out = np.einsum("npq,nq->np", mw_average_rotations(w), u_lin.reshape(-1, 3))
     if mesh.anchors:
         out[mesh.anchor_array()] = 0.0
     return out.ravel()

@@ -211,6 +211,18 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="truncated"):
             read_dataset(io.BytesIO(buf.getvalue()[:-9]))
 
+    def test_trailing_bytes_detected(self):
+        records = self.make_records(12)
+        buf = io.BytesIO()
+        write_dataset(buf, records)
+        raw = bytearray(buf.getvalue())
+        assert raw[8] == 12                # low byte of the u64 record count
+        raw[8] = 4
+        with pytest.raises(DatasetFormatError, match="trailing"):
+            read_dataset(io.BytesIO(bytes(raw)))
+        with pytest.raises(DatasetFormatError, match="trailing"):
+            read_dataset(io.BytesIO(buf.getvalue() + b"\x00"))
+
     def test_nan_payload_rejected_on_write(self):
         records = self.make_records(4)
         records.targets[1, 2] = np.nan

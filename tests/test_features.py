@@ -11,6 +11,8 @@ from deepwarp.mesh import TetMesh
 from deepwarp.meshgen import beam
 from deepwarp.registration import rotation_from_vector
 
+import reference_paths
+
 
 def brute_force_geodesics(nodes, adjacency, anchors):
     """Exhaustive simple-path enumeration oracle for shortest anchor paths."""
@@ -256,6 +258,65 @@ class TestAlignment:
             u, w, v = rng.standard_normal((3, 3))
             a = align_kinematics(u, w)
             assert np.abs(unalign(a.Q @ v, a.Q) - v).max() < 1e-12
+
+
+def unit_perpendicular(a, rng):
+    """Unit vectors orthogonal to the unit rows of ``a``."""
+    p = np.cross(a, rng.standard_normal(a.shape))
+    return p / np.linalg.norm(p, axis=1)[:, None]
+
+
+class TestAlignMatchesTwoStage:
+    """The closed-form rows of Q against the two-stage Rodrigues reference."""
+
+    @staticmethod
+    def assert_matches(U, W):
+        got = align_batch(U, W)
+        want = reference_paths.align_batch(U, W)
+        for name, a, b in zip(("u_mag", "w_mag", "angle", "Q"), got, want):
+            assert np.abs(a - b).max() <= 1e-12, name
+
+    def test_random(self):
+        rng = np.random.default_rng(11)
+        U = rng.standard_normal((2000, 3)) * rng.uniform(1e-4, 3.0, (2000, 1))
+        W = rng.standard_normal((2000, 3)) * rng.uniform(1e-4, 3.0, (2000, 1))
+        self.assert_matches(U, W)
+
+    def test_degenerate_rows(self):
+        rng = np.random.default_rng(12)
+        r = rng.standard_normal((8, 3))
+        a = r / np.linalg.norm(r, axis=1)[:, None]
+        perp = unit_perpendicular(a, rng)
+        below_y = np.array([[1e-3, -1.0, 2e-3], [0.0, -2.0, 0.0], [-1e-2, -0.5, 0.0]])
+        rows = [
+            (np.zeros((8, 3)), r),                          # u = 0
+            (r, np.zeros((8, 3))),                          # w = 0
+            (np.zeros((8, 3)), np.zeros((8, 3))),
+            (np.zeros((8, 3)), r * [0.0, 1.0, 0.0]),        # u = 0, w along +-y
+            (r, 0.7 * r), (r, -2.0 * r),                    # w parallel to u
+            (below_y, rng.standard_normal((3, 3))),         # flip branch of the fallback
+            (below_y, 0.3 * below_y),
+        ]
+        # |w_perp| on both sides of _EPS, with w_par of the same size
+        for scale in (0.5e-12, 2e-12, 1e-11):
+            rows.append((a, scale * (0.5 * a + perp)))
+        U = np.vstack([u for u, _ in rows])
+        W = np.vstack([w for _, w in rows])
+        self.assert_matches(U, W)
+
+    def test_nearly_parallel_frame_orthonormal(self):
+        # |w_perp| / |w| = 1e-9: the direction of w_perp is round-off heavy,
+        # yet Q must stay a rotation that sends u to +y
+        rng = np.random.default_rng(13)
+        r = rng.standard_normal((200, 3))
+        a = r / np.linalg.norm(r, axis=1)[:, None]
+        U = 2.0 * a
+        W = a + 1e-9 * unit_perpendicular(a, rng)
+        _, _, _, Q = align_batch(U, W)
+        assert np.abs(Q @ np.swapaxes(Q, 1, 2) - np.eye(3)).max() < 1e-12
+        assert np.abs(np.linalg.det(Q) - 1.0).max() < 1e-12
+        qu = np.einsum("npq,nq->np", Q, U)
+        assert np.abs(qu - [0.0, 2.0, 0.0]).max() < 1e-12
 
 
 class TestAssembleFeature:

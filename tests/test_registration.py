@@ -4,14 +4,20 @@ import pytest
 from deepwarp.dynamics import quasistatic_linear_sequence
 from deepwarp.features import ForceField, force_vector
 from deepwarp.material import MaterialModel, MaterialParams, assemble_force, \
-    assemble_stiffness
+    assemble_stiffness, skew
 from deepwarp.mesh import node_adjacency
+from deepwarp.meshgen import beam, t_shape
 from deepwarp.registration import (BlockRotations, RankDeficientNeighborhoodError,
                                    build_rotation_blockdiag, gradient_operator,
                                    local_displacement_gradient, register_nonlinear,
                                    register_sequence, rotation_from_vector,
-                                   rotation_vector,
-                                   rotations_from_vectors, skew_matrix)
+                                   rotation_operator, rotation_vector,
+                                   rotation_vectors_from_displacement,
+                                   rotations_from_vectors)
+from scipy.linalg import expm
+
+import reference_paths
+from test_mesh import shuffled_nodes
 
 
 class TestLocalGradient:
@@ -47,6 +53,57 @@ class TestLocalGradient:
             assert np.abs(G_all[i] - G).max() < 1e-12
 
 
+class TestGradientOperatorMatchesLoop:
+    """The batched moment-matrix build against the per-node loop."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: beam(6, 3, 3, lengths=(2.0, 1.0, 1.0)),
+        lambda: t_shape(arm=2, thickness=1)[0],
+        lambda: shuffled_nodes(beam(5, 3, 2), seed=3),
+    ], ids=["beam", "t_shape", "shuffled"])
+    def test_same_operator(self, make):
+        mesh = make()
+        adj = node_adjacency(mesh)
+        op, ref = gradient_operator(mesh, adj), reference_paths.gradient_operator(mesh, adj)
+        assert op.shape == ref.shape and op.nnz == ref.nnz
+        assert abs(op - ref).max() < 1e-12 * abs(ref).max()
+
+    def test_rank_deficiency_names_first_node(self, bending_beam):
+        adj = node_adjacency(bending_beam)
+        few = list(adj)
+        few[5] = adj[5][:2]
+        coplanar = list(adj)
+        # four other nodes of the z = min face: coplanar neighbors
+        x = bending_beam.nodes
+        on_face = np.flatnonzero(np.isclose(x[:, 2], x[:, 2].min()))
+        i = int(on_face[0])
+        coplanar[i] = on_face[on_face != i][:4]
+        coplanar[9] = adj[9][:1]
+        for bad, node in ((few, 5), (coplanar, min(i, 9))):
+            with pytest.raises(RankDeficientNeighborhoodError) as got:
+                gradient_operator(bending_beam, bad)
+            with pytest.raises(RankDeficientNeighborhoodError) as want:
+                reference_paths.gradient_operator(bending_beam, bad)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(f"node {node}:")
+
+
+class TestRotationOperator:
+    def test_skew_part_of_gradients(self, bending_beam):
+        op = gradient_operator(bending_beam)
+        rot = rotation_operator(op)
+        n = bending_beam.n_nodes
+        assert rot.shape == (3 * n, 3 * n)
+        assert rot.nnz <= 2 * op.nnz // 3
+        rng = np.random.default_rng(6)
+        for u in rng.standard_normal((5, 3 * n)):
+            want = reference_paths.rotation_vectors(op, u)
+            assert np.abs(rotation_vectors_from_displacement(rot, u) - want).max() \
+                < 1e-12 * np.abs(want).max()
+            assert np.abs(rotation_vectors_from_displacement(op, u) - want).max() \
+                < 1e-12 * np.abs(want).max()
+
+
 class TestRotationVector:
     def test_symmetric_gradient_zero(self):
         S = np.array([[1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 0.5]])
@@ -54,7 +111,7 @@ class TestRotationVector:
 
     def test_skew_round_trip(self):
         w = np.array([0.0, 0.0, 0.7])
-        assert np.allclose(rotation_vector(skew_matrix(w)), w)
+        assert np.allclose(rotation_vector(skew(w)), w)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(2)
@@ -62,7 +119,7 @@ class TestRotationVector:
             G = rng.standard_normal((3, 3))
             w = rotation_vector(G)
             sym = 0.5 * (G + G.T)
-            assert np.abs(skew_matrix(w) + sym - G).max() < 1e-12
+            assert np.abs(skew(w) + sym - G).max() < 1e-12
 
 
 class TestRodrigues:
@@ -91,9 +148,14 @@ class TestRodrigues:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
         W = rng.standard_normal((16, 3))
+        # angles across the series branch and up to pi and beyond
+        axes = rng.standard_normal((6, 3))
+        thetas = np.array([0.0, 1e-8, 1e-3, 1.0, np.pi, 3.0])
+        W = np.vstack([W, axes / np.linalg.norm(axes, axis=1)[:, None] * thetas[:, None]])
         batch = rotations_from_vectors(W)
         for i in range(len(W)):
             assert np.abs(batch[i] - rotation_from_vector(W[i])).max() < 1e-14
+            assert np.abs(batch[i] - expm(skew(W[i]))).max() < 1e-12
 
 
 class TestBlockRotations:

@@ -13,6 +13,18 @@ from deepwarp.warper import (build_warp_context, compare_methods, deepwarp_step,
                              dominant_frequency, mw_average_rotation, mw_warp,
                              rsw_warp, run_deepwarp)
 
+import reference_paths
+
+
+def simpson_average_rotation(w, n_intervals=2000):
+    """Composite Simpson quadrature of int_0^1 exp(s [w]x) ds."""
+    s = np.linspace(0.0, 1.0, n_intervals + 1)
+    wt = np.ones_like(s)
+    wt[1:-1:2] = 4.0
+    wt[2:-1:2] = 2.0
+    wt *= (1.0 / n_intervals) / 3.0
+    return np.einsum("k,kpq->pq", wt, reference_paths.rotations_from_vectors(s[:, None] * w))
+
 
 class TestModalWarp:
     def test_zero_rotation_identity(self):
@@ -33,6 +45,23 @@ class TestModalWarp:
         ref = np.eye(3) + float(wt @ np.sin(s * t)) * K \
             + float(wt @ (1 - np.cos(s * t))) * (K @ K)
         assert np.abs(W - ref).max() < 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 1e-8, 5e-4, 1e-3, 2e-3, 0.5, 3.0])
+    def test_closed_form_matches_quadrature(self, t):
+        # both sides of the series threshold (1e-3) and large angles
+        axis = np.array([0.48, -0.6, 0.64])
+        w = t * axis
+        assert np.abs(mw_average_rotation(w) - simpson_average_rotation(w)).max() < 1e-12
+
+    def test_warp_matches_per_node_average_rotation(self, bending_beam):
+        grad_op = gradient_operator(bending_beam)
+        u = (0.1 * np.random.default_rng(2).standard_normal(
+            (bending_beam.n_nodes, 3))).ravel()
+        u.reshape(-1, 3)[bending_beam.anchor_array()] = 0.0
+        w = rotation_vectors_from_displacement(grad_op, u)
+        want = np.array([mw_average_rotation(wi) @ ui for wi, ui in zip(w, u.reshape(-1, 3))])
+        want[bending_beam.anchor_array()] = 0.0
+        assert np.abs(mw_warp(bending_beam, u, grad_op) - want.ravel()).max() < 1e-14
 
     def test_contraction(self):
         rng = np.random.default_rng(0)
@@ -152,14 +181,24 @@ class TestDeepwarpStep:
 
     def test_no_factorization_during_steps(self, normalized_beam, neo_hookean,
                                             quick_net):
+        # and exactly one back-substitution per step
         field = ForceField.directional([0, -1, 0], 0.3)
         ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
                                  dt=1 / 60)
         f = force_vector(normalized_beam, field)
+        solve = ctx.system.prefact.solve
+        calls = []
+
+        def counted(b):
+            calls.append(1)
+            return solve(b)
+
+        ctx.system.prefact.solve = counted
         state = ctx.reset()
         reset_factorization_event_count()
-        for _ in range(20):
+        for k in range(100):
             state, u = deepwarp_step(ctx, state, f)
+            assert len(calls) == k + 1
         assert factorization_event_count() == 0
 
     def test_anchored_nodes_zero(self, normalized_beam, neo_hookean, quick_net):
@@ -172,6 +211,39 @@ class TestDeepwarpStep:
         for _ in range(10):
             state, u = deepwarp_step(ctx, state, f)
             assert np.abs(u[dofs]).max() == 0.0
+
+    def test_trajectory_matches_reference_step(self, normalized_beam, neo_hookean,
+                                               quick_net):
+        # the closed-form kernels against the two-stage canonicalization and
+        # the K @ K Rodrigues map, over 300 steps of a load that sends some
+        # features out of the trained range. ``same_w`` reads w through the
+        # context's rotation operator, ``old_w`` through the skew part of the
+        # gradient operator. In the first steps from rest some nodes hold w
+        # at round-off level (about 1e-12), where any reordering of the sum
+        # turns their canonical azimuth, so ``old_w`` matches the corrected
+        # output only from step 10; the linear state matches throughout.
+        field = ForceField.directional([0.3, -1, 0.1], 1.5)
+        ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
+                                 dt=1 / 60)
+        ctx.warn_on_extrapolation = False
+        grad_op = gradient_operator(normalized_beam)
+        same_w = reference_paths.ReferenceStepper(
+            ctx, lambda u: rotation_vectors_from_displacement(ctx.rot_op, u))
+        old_w = reference_paths.ReferenceStepper(
+            ctx, lambda u: reference_paths.rotation_vectors(grad_op, u))
+        f = force_vector(normalized_beam, field)
+        state = ctx.reset()
+        ref_states = {same_w: state, old_w: state}
+        for k in range(300):
+            state, u = deepwarp_step(ctx, state, f)
+            for ref in (same_w, old_w):
+                ref_states[ref], ref_u = ref.step(ref_states[ref], f)
+                ref_lin = ref_states[ref].u
+                assert np.linalg.norm(state.u - ref_lin) <= 1e-10 * np.linalg.norm(ref_lin)
+                if ref is same_w or k >= 10:
+                    assert np.linalg.norm(u - ref_u) <= 1e-10 * np.linalg.norm(ref_u)
+        assert ctx.extrapolation_events == same_w.extrapolation_events \
+            == old_w.extrapolation_events > 0
 
     def test_out_of_range_features_warn_not_fail(self, normalized_beam,
                                                  neo_hookean, quick_net):
