@@ -2,6 +2,12 @@
 quasi-static linear sequences for training-pose generation, and the nonlinear
 Newmark reference integrator.
 
+Dirichlet anchors are eliminated at the solver boundary. Every system holds
+and factorizes its matrices restricted to the free DOFs (K_ff, M_ff, C_ff;
+``MeshPrecomp.free_block`` gathers K_ff from an assembled stiffness). Loads
+and states are gathered to the free DOFs before a solve and the results are
+scattered into zeros, so public (3n,) states hold exact zeros at anchors.
+
 Every sparse factorization in the package is a ``BandedCholesky``: a banded
 Cholesky factor on a reverse Cuthill-McKee ordering (LAPACK ``pbtrf`` and
 ``pbtrs``), which stores one triangle and back-substitutes faster than a
@@ -34,7 +40,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .material import InvertedElementError, MaterialModel, MaterialParams, MeshPrecomp, \
     assemble_force, assemble_stiffness
-from .mesh import TetMesh, lumped_mass
+from .mesh import FreeDofs, TetMesh, lumped_mass
 
 
 class NotPositiveDefiniteError(Exception):
@@ -113,7 +119,8 @@ class BandedCholesky:
         A.sum_duplicates()
         A.eliminate_zeros()
         n = A.shape[0]
-        perm = reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.int64)
+        perm = reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.int64) if n \
+            else np.zeros(0, dtype=np.int64)
         rank = np.empty(n, dtype=np.int64)
         rank[perm] = np.arange(n)
         coo = A.tocoo()
@@ -228,35 +235,6 @@ class TangentSolver:
         return None
 
 
-def anchor_dof_indices(anchors: np.ndarray) -> np.ndarray:
-    anchors = np.asarray(anchors, dtype=np.int64)
-    return (anchors[:, None] * 3 + np.arange(3)).ravel()
-
-
-def apply_anchors(matrix, anchors: np.ndarray):
-    """Eliminate anchored rows/columns: zero them and set a unit diagonal.
-
-    Accepts a scipy sparse matrix or a dense array; returns the same kind.
-    """
-    anchors = np.asarray(anchors, dtype=np.int64)
-    if anchors.size == 0:
-        return matrix
-    dofs = anchor_dof_indices(anchors)
-    if sp.issparse(matrix):
-        n = matrix.shape[0]
-        keep = np.ones(n)
-        keep[dofs] = 0.0
-        D = sp.diags(keep)
-        out = D @ matrix @ D
-        unit = sp.coo_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=matrix.shape)
-        return (out + unit).tocsc()
-    out = np.array(matrix, dtype=np.float64, copy=True)
-    out[dofs, :] = 0.0
-    out[:, dofs] = 0.0
-    out[dofs, dofs] = 1.0
-    return out
-
-
 class Prefactorization:
     """Opaque handle to a factorized SPD system matrix.
 
@@ -271,12 +249,10 @@ class Prefactorization:
                  rng_probe: int = 3):
         global _factorization_events
         A = matrix.tocsc() if sp.issparse(matrix) else sp.csc_matrix(matrix)
-        n = A.shape[0]
-        asym = abs(A - A.T)
-        scale = max(abs(A).max(), 1e-300)
-        if asym.max() > 1e-8 * scale:
+        n = A.shape[0]    # 0 when every DOF is anchored: an empty system is valid
+        if n and abs(A - A.T).max() > 1e-8 * max(abs(A).max(), 1e-300):
             raise NotPositiveDefiniteError("system matrix is not symmetric")
-        if A.diagonal().min() <= 0.0:
+        if n and A.diagonal().min() <= 0.0:
             raise NotPositiveDefiniteError("system matrix has a non-positive diagonal entry")
         try:
             self._factor = BandedCholesky(A)
@@ -291,7 +267,7 @@ class Prefactorization:
         self.scheme = scheme
         # probe: solve must reproduce A x = b, and x^T A x must stay positive
         rng = np.random.default_rng(0)
-        for _ in range(rng_probe):
+        for _ in range(rng_probe if n else 0):
             b = rng.standard_normal(n)
             x = self._factor.solve(b)
             if not np.all(np.isfinite(x)):
@@ -330,90 +306,79 @@ def prefactorize(K, M=None, C=None, dt: float = 0.0,
 
 @dataclass
 class LinearSystem:
-    """Constant-coefficient implicit system for the linear material."""
+    """Constant-coefficient implicit system for the linear material, on the
+    free DOFs: ``K``, ``M`` and ``C`` are K_ff, M_ff and C_ff."""
 
     mesh: TetMesh
     K: sp.csr_matrix
-    M: sp.dia_matrix
+    M: sp.csr_matrix
     C: sp.csr_matrix
     dt: float
     scheme: IntegrationScheme
     damping: RayleighDamping
     prefact: Prefactorization
-    anchor_dofs: np.ndarray = field(repr=False, default=None)
+    free: FreeDofs = field(repr=False)
 
     @property
     def n_dof(self) -> int:
-        return self.K.shape[0]
+        return self.free.n_dof
+
+
+def _free_matrices(mesh: TetMesh, params: MaterialParams, density: float):
+    """(pre, K_ff, M_ff): the rest stiffness and the lumped mass on the free
+    DOFs of ``pre.free``."""
+    if not mesh.anchors:
+        raise NotPositiveDefiniteError(
+            "mesh has no anchors; the stiffness has a floating null space")
+    pre = MeshPrecomp(mesh)
+    K = pre.free_block(assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), pre))
+    masses = pre.free.gather(np.repeat(lumped_mass(mesh, density), 3))
+    return pre, K, sp.diags(masses).tocsr()
 
 
 def build_linear_system(mesh: TetMesh, params: MaterialParams, dt: float,
                         scheme: IntegrationScheme = IntegrationScheme.NEWMARK,
                         damping: RayleighDamping = RayleighDamping(),
                         density: float = 1000.0) -> LinearSystem:
-    """Assemble, anchor and prefactorize the linear-elasticity system."""
+    """Assemble and prefactorize the linear-elasticity system on the free DOFs."""
     if params.model is not MaterialModel.LINEAR:
         params = params.as_linear()
-    if not mesh.anchors:
-        raise NotPositiveDefiniteError(
-            "mesh has no anchors; the stiffness has a floating null space")
-    anchors = mesh.anchor_array()
-    dofs = anchor_dof_indices(anchors)
-    K = assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), anchored=True)
-    masses = np.repeat(lumped_mass(mesh, density), 3)
-    M = sp.diags(masses).tocsr()
+    pre, K, M = _free_matrices(mesh, params, density)
     C = (damping.alpha * M + damping.beta * K).tocsr()
-    M = apply_anchors(M, anchors)
-    C = apply_anchors(C, anchors)
-    # Unit diagonals from the three eliminations stack up on anchored DOFs;
-    # that only rescales the (decoupled) anchor equations, which stay zero.
     prefact = prefactorize(K, M, C, dt, scheme)
     return LinearSystem(mesh=mesh, K=K, M=M, C=C, dt=dt, scheme=scheme,
-                        damping=damping, prefact=prefact, anchor_dofs=dofs)
+                        damping=damping, prefact=prefact, free=pre.free)
 
 
 def step_linear_implicit(system: LinearSystem, state: SimState,
                          f_ext: np.ndarray) -> SimState:
-    """One implicit step with a single back-substitution (no factorization)."""
+    """One implicit step with a single back-substitution (no factorization).
+
+    The state and the load are gathered to the free DOFs; the new state is
+    scattered back, so anchored DOFs stay exactly zero.
+    """
     if len(f_ext) != system.n_dof:
         raise ValueError(f"force vector has {len(f_ext)} entries, expected {system.n_dof}")
-    f = np.array(f_ext, dtype=np.float64, copy=True)
-    f[system.anchor_dofs] = 0.0
+    free = system.free
+    f, u, v, a = (free.gather(x) for x in (f_ext, state.u, state.v, state.a))
     dt = system.dt
-    u, v, a = state.u, state.v, state.a
     if system.scheme is IntegrationScheme.BACKWARD_EULER:
-        rhs = system.M @ v + dt * (f - system.K @ u)
-        rhs[system.anchor_dofs] = 0.0
-        v_new = system.prefact.solve(rhs)
+        v_new = system.prefact.solve(system.M @ v + dt * (f - system.K @ u))
         u_new = u + dt * v_new
         a_new = (v_new - v) / dt
     else:
         g, b = NEWMARK_GAMMA, NEWMARK_BETA
         u_pred = u + dt * v + dt * dt * (0.5 - b) * a
         v_pred = v + dt * (1.0 - g) * a
-        rhs = f - system.C @ v_pred - system.K @ u_pred
-        rhs[system.anchor_dofs] = 0.0
-        a_new = system.prefact.solve(rhs)
+        a_new = system.prefact.solve(f - system.C @ v_pred - system.K @ u_pred)
         u_new = u_pred + b * dt * dt * a_new
         v_new = v_pred + g * dt * a_new
-    for vec in (u_new, v_new, a_new):
-        vec[system.anchor_dofs] = 0.0
-    return SimState(u=u_new, v=v_new, a=a_new, t=state.t + dt)
+    return SimState(u=free.scatter(u_new), v=free.scatter(v_new), a=free.scatter(a_new),
+                    t=state.t + dt)
 
 
-def smallest_mode_frequency(K, M, anchor_dofs: np.ndarray | None = None,
-                            n_iter: int = 60, seed: int = 0) -> float:
-    """Estimate sqrt(lambda_min) of K x = lambda M x by inverse power iteration.
-
-    Anchored DOFs (unit-diagonal placeholder rows) are excluded so the
-    estimate reflects the free structural modes.
-    """
-    if anchor_dofs is not None and len(anchor_dofs):
-        keep = np.ones(K.shape[0], dtype=bool)
-        keep[anchor_dofs] = False
-        idx = np.nonzero(keep)[0]
-        K = K.tocsr()[idx][:, idx]
-        M = M.tocsr()[idx][:, idx]
+def smallest_mode_frequency(K, M, n_iter: int = 60, seed: int = 0) -> float:
+    """Estimate sqrt(lambda_min) of K x = lambda M x by inverse power iteration."""
     factor = factorize_spd(K)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(K.shape[0])
@@ -431,14 +396,10 @@ def smallest_mode_frequency(K, M, anchor_dofs: np.ndarray | None = None,
 
 @dataclass
 class QuasistaticSequence:
-    """Damped quasi-static linear loading path.
-
-    ``displacements[k]`` is the k-th emitted linear displacement; its lagging
-    internal force is ``internal_forces[k] = K @ displacements[k]``.
-    """
+    """Damped quasi-static linear loading path; ``displacements[k]`` is the
+    k-th emitted linear displacement."""
 
     displacements: list[np.ndarray]
-    internal_forces: list[np.ndarray]
     target: np.ndarray
     monotone: bool
     steps_run: int
@@ -455,16 +416,12 @@ class QuasistaticDriver:
     def __init__(self, mesh: TetMesh, params: MaterialParams,
                  damping: RayleighDamping | None = None, density: float = 1000.0):
         params = params.as_linear()
-        if not mesh.anchors:
-            raise NotPositiveDefiniteError("quasi-static sequence requires anchors")
+        pre, K, M = _free_matrices(mesh, params, density)
         self.mesh = mesh
-        self.anchor_dofs = anchor_dof_indices(mesh.anchor_array())
-        self.K = assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes),
-                                    anchored=True)
+        self.free = pre.free
         self.masses = np.repeat(lumped_mass(mesh, density), 3)
-        M = apply_anchors(sp.diags(self.masses).tocsr(), mesh.anchor_array())
-        self.static = prefactorize(self.K)
-        omega = smallest_mode_frequency(self.K, M, self.anchor_dofs)
+        self.static = prefactorize(K)
+        omega = smallest_mode_frequency(K, M)
         if omega <= 0.0:
             raise NotPositiveDefiniteError("anchored system has a zero-frequency mode")
         if damping is None:
@@ -481,16 +438,11 @@ class QuasistaticDriver:
             max_steps: int = 2000, accel_bound: float = 0.05) -> QuasistaticSequence:
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        dofs = self.anchor_dofs
-        f = np.array(f_ext, dtype=np.float64, copy=True)
-        f[dofs] = 0.0
-        target = self.static.solve(f)
-        target[dofs] = 0.0
+        f = self.free.gather(f_ext)
+        target = self.free.scatter(self.static.solve(f))
         target_norm = np.linalg.norm(target)
         if target_norm == 0.0:
-            zero = np.zeros_like(f)
-            return QuasistaticSequence(displacements=[zero.copy()],
-                                       internal_forces=[zero.copy()],
+            return QuasistaticSequence(displacements=[np.zeros_like(target)],
                                        target=target, monotone=True, steps_run=1)
         state = SimState.rest(self.mesh.n_nodes)
         path: list[np.ndarray] = []
@@ -498,9 +450,8 @@ class QuasistaticDriver:
         converged = False
         for _ in range(max_steps):
             prev_v = state.v
-            state = step_linear_implicit(self.system, state, f)
+            state = step_linear_implicit(self.system, state, f_ext)
             accel = self.masses * (state.v - prev_v) / self.dt
-            accel[dofs] = 0.0
             if np.linalg.norm(accel) > accel_bound * f_norm:
                 raise ConvergenceError(
                     "quasi-static assumption violated: acceleration exceeds bound",
@@ -519,10 +470,8 @@ class QuasistaticDriver:
         displacements = [path[i] for i in keep]
         norms = [np.linalg.norm(u) for u in displacements]
         monotone = all(norms[i + 1] >= norms[i] - 1e-10 for i in range(len(norms) - 1))
-        forces = [self.K @ u for u in displacements]
-        return QuasistaticSequence(displacements=displacements, internal_forces=forces,
-                                   target=target, monotone=monotone,
-                                   steps_run=len(path))
+        return QuasistaticSequence(displacements=displacements, target=target,
+                                   monotone=monotone, steps_run=len(path))
 
 
 def quasistatic_linear_sequence(mesh: TetMesh, params: MaterialParams,
@@ -544,14 +493,14 @@ def quasistatic_linear_sequence(mesh: TetMesh, params: MaterialParams,
 
 @dataclass
 class NonlinearSystem:
-    """Assembled context for the nonlinear reference integrator."""
+    """Assembled context for the nonlinear reference integrator; ``M`` and
+    ``C`` are M_ff and C_ff on the free DOFs ``pre.free``."""
 
     mesh: TetMesh
     params: MaterialParams
     pre: MeshPrecomp
-    M: sp.dia_matrix
+    M: sp.csr_matrix
     C: sp.csr_matrix
-    anchor_dofs: np.ndarray
     newton_tol: float = 1e-6
     max_newton: int = 30
     # one lagged factor across all steps: the mass term dominates the Newmark
@@ -563,41 +512,30 @@ def build_nonlinear_system(mesh: TetMesh, params: MaterialParams,
                            damping: RayleighDamping = RayleighDamping(),
                            density: float = 1000.0) -> NonlinearSystem:
     """Ground-truth Newmark context; Rayleigh damping uses the rest-state K."""
-    if not mesh.anchors:
-        raise NotPositiveDefiniteError("nonlinear system requires anchors")
-    anchors = mesh.anchor_array()
-    pre = MeshPrecomp(mesh)
-    K0 = assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), pre, anchored=True)
-    masses = np.repeat(lumped_mass(mesh, density), 3)
-    M = sp.diags(masses).tocsr()
+    pre, K0, M = _free_matrices(mesh, params, density)
     C = (damping.alpha * M + damping.beta * K0).tocsr()
-    M = apply_anchors(M, anchors)
-    C = apply_anchors(C, anchors)
-    return NonlinearSystem(mesh=mesh, params=params, pre=pre, M=M, C=C,
-                           anchor_dofs=anchor_dof_indices(anchors))
+    return NonlinearSystem(mesh=mesh, params=params, pre=pre, M=M, C=C)
 
 
 def internal_force(system: NonlinearSystem, u: np.ndarray) -> np.ndarray:
-    """Nonlinear internal force f_int(u) = dE/du (anchored rows zeroed)."""
-    return -assemble_force(system.mesh, system.params, u, system.pre, anchored=True)
+    """Nonlinear internal force f_int(u) = dE/du, (3n,)."""
+    return -assemble_force(system.mesh, system.params, u, system.pre)
 
 
 def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
                            f_ext: np.ndarray, dt: float) -> SimState:
     """One Newmark (gamma=1/2, beta=1/4) step with an inner Newton loop.
 
-    Converges the dynamic residual to 1e-6 * |f_ext| (absolute 1e-10 when the
-    load vanishes); raises ConvergenceError on Newton failure. Newton steps
-    are solved through ``system.solver``, whose factor carries over from the
-    previous iterations and steps. A trial state
+    Converges the dynamic residual on the free DOFs to 1e-6 * |f_ext|
+    (absolute 1e-10 when the load vanishes); raises ConvergenceError on
+    Newton failure. Newton steps are solved through ``system.solver``, whose
+    factor carries over from the previous iterations and steps. A trial state
     that inverts an element is rejected by the line search like any other
     trial that fails the Armijo test.
     """
     g, b = NEWMARK_GAMMA, NEWMARK_BETA
-    dofs = system.anchor_dofs
-    f = np.array(f_ext, dtype=np.float64, copy=True)
-    f[dofs] = 0.0
-    u0, v0, a0 = state.u, state.v, state.a
+    free = system.pre.free
+    f, u0, v0, a0 = (free.gather(x) for x in (f_ext, state.u, state.v, state.a))
     u_pred = u0 + dt * v0 + dt * dt * (0.5 - b) * a0
     v_pred = v0 + dt * (1.0 - g) * a0
 
@@ -608,25 +546,22 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
 
     def residual(u):
         v, a = kinematics(u)
-        r = system.M @ a + system.C @ v + internal_force(system, u) - f
-        r[dofs] = 0.0
-        return r
+        f_int = free.gather(internal_force(system, free.scatter(u)))
+        return system.M @ a + system.C @ v + f_int - f
 
     tol = max(system.newton_tol * np.linalg.norm(f), 1e-10)
-    u = u0.copy()
-    u[dofs] = 0.0
+    u = u0
     r = residual(u)
     for _ in range(system.max_newton):
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             v, a = kinematics(u)
-            for vec in (u, v, a):
-                vec[dofs] = 0.0
-            return SimState(u=u, v=v, a=a, t=state.t + dt)
-        K = assemble_stiffness(system.mesh, system.params, u, system.pre, anchored=True)
+            return SimState(u=free.scatter(u), v=free.scatter(v), a=free.scatter(a),
+                            t=state.t + dt)
+        K = system.pre.free_block(assemble_stiffness(system.mesh, system.params,
+                                                     free.scatter(u), system.pre))
         J = system.M / (b * dt * dt) + system.C * (g / (b * dt)) + K
         delta = system.solver.solve(J, -r)
-        delta[dofs] = 0.0
         # Armijo backtracking on phi(s) = 0.5|r|^2; phi'(0) = -2 phi(0)
         s = 1.0
         phi0 = 0.5 * rnorm * rnorm

@@ -19,12 +19,13 @@ order is frozen in ``FEATURE_ORDER`` and serialized with trained networks.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .material import skew
 from .mesh import TetMesh, lumped_mass, node_adjacency
@@ -139,36 +140,39 @@ class GeodesicField:
 
 def geodesic_all(mesh: TetMesh,
                  adjacency: list[np.ndarray] | None = None) -> GeodesicField:
-    """Multi-source Dijkstra from all anchors with Euclidean edge weights."""
+    """Multi-source Dijkstra from all anchors with Euclidean edge weights.
+
+    A node equally near several anchors takes the anchor of its first
+    shortest-path predecessor in (distance, index) order, as a heap-ordered
+    multi-source search that visits anchors in ascending order would.
+    """
     if not mesh.anchors:
         raise FeatureError("geodesic feature requires at least one anchor")
     adjacency = adjacency if adjacency is not None else node_adjacency(mesh)
     n = mesh.n_nodes
-    dist = np.full(n, np.inf)
-    source = np.full(n, -1, dtype=np.int64)
-    heap = []
-    for a in sorted(mesh.anchors):
-        dist[a] = 0.0
-        source[a] = a
-        heapq.heappush(heap, (0.0, a, a))
-    done = np.zeros(n, dtype=bool)
-    pos = mesh.nodes
-    while heap:
-        d, i, src = heapq.heappop(heap)
-        if done[i]:
-            continue
-        done[i] = True
-        for j in adjacency[i]:
-            if done[j]:
-                continue
-            nd = d + float(np.linalg.norm(pos[j] - pos[i]))
-            if nd < dist[j]:
-                dist[j] = nd
-                source[j] = src
-                heapq.heappush(heap, (nd, int(j), src))
+    owner = np.repeat(np.arange(n), [len(nbr) for nbr in adjacency])
+    nbr = np.concatenate(adjacency).astype(np.int64)
+    d = mesh.nodes[nbr] - mesh.nodes[owner]
+    # each edge length rounded as np.linalg.norm(d_k) rounds it (norm(axis=1)
+    # can differ in the last bit), so that ties between equal paths are exact
+    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    graph = sp.csr_matrix((length, (owner, nbr)), shape=(n, n))
+    dist = dijkstra(graph, directed=False, indices=mesh.anchor_array(), min_only=True)
     if not np.all(np.isfinite(dist)):
         bad = int(np.argmax(~np.isfinite(dist)))
         raise FeatureError(f"node {bad} is unreachable from every anchor")
+    by_rank = np.lexsort((np.arange(n), dist))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    tight = (dist[owner] + length == dist[nbr]) & (rank[owner] < rank[nbr])
+    first = np.full(n, n)
+    np.minimum.at(first, nbr[tight], rank[owner[tight]])
+    source = np.where(first < n, by_rank[np.minimum(first, n - 1)], np.arange(n))
+    while True:                  # follow the predecessors to their anchors
+        up = source[source]
+        if np.array_equal(up, source):
+            break
+        source = up
     dmax = dist.max()
     g = dist / dmax if dmax > 0.0 else np.zeros(n)
     return GeodesicField(g=g, nearest_anchor=source, distance=dist)

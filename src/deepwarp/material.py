@@ -15,8 +15,12 @@ Sign conventions, used consistently across the package:
 * ``element_internal_force`` returns the restoring elastic force, i.e. the
   negative gradient of the element energy w.r.t. corner positions.
 * ``element_tangent_stiffness`` returns K = -d(force)/d(u), the energy
-  Hessian, so the assembled linear-model K is positive definite once
-  anchored and the equation of motion reads M a + C v + K u = f_ext.
+  Hessian. ``assemble_force`` returns all 3n entries of the global force.
+  ``assemble_stiffness`` returns the Hessian with the anchored rows and
+  columns replaced by the identity; its free block K_ff
+  (``MeshPrecomp.free_block``) is what every solver factorizes. For the
+  linear model K_ff is positive definite and the equation of motion on the
+  free DOFs reads M_ff a + C_ff v + K_ff u = f_ext.
 
 All element-level calls are pure functions; batched internals back both the
 single-element API and the global assembly. The 3x3 determinant and inverse
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,8 +110,10 @@ def element_precomp(rest_positions: np.ndarray) -> ElementPrecomp:
 class MeshPrecomp:
     """Batched rest-shape precomputation for every tet of a mesh.
 
-    Also caches the scatter indices and anchor masks used by the global
-    assembly, which dominate the cost of repeated stiffness builds.
+    Also caches the scatter indices of the global assembly, which dominate
+    the cost of repeated stiffness builds, and the mesh's free DOFs
+    (``free``) with the index that restricts an assembled stiffness to them
+    (``free_block``).
     """
 
     def __init__(self, mesh: TetMesh):
@@ -127,33 +134,41 @@ class MeshPrecomp:
         self._cols = np.tile(dof, (1, 12)).ravel()
         self._force_dofs = dof.ravel()
         self._n_dof = 3 * mesh.n_nodes
-        anchor_dofs = (mesh.anchor_array()[:, None] * 3 + np.arange(3)).ravel()
-        self._anchor_dofs = anchor_dofs
-        anchored = np.zeros(self._n_dof, dtype=bool)
-        anchored[anchor_dofs] = True
-        self._interior_entry = ~(anchored[self._rows] | anchored[self._cols])
-        self._csr_cache: dict = {}
+        self.free = mesh.free_dofs()
 
-    def _csr_pattern(self, anchored: bool):
+    @cached_property
+    def _csr_pattern(self):
         """Fixed sparsity pattern plus the entry->slot scatter map."""
-        hit = self._csr_cache.get(anchored)
-        if hit is not None:
-            return hit
         n = self._n_dof
-        if anchored and len(self._anchor_dofs):
-            rows = np.concatenate([self._rows, self._anchor_dofs])
-            cols = np.concatenate([self._cols, self._anchor_dofs])
-        else:
-            rows, cols = self._rows, self._cols
-        proto = sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+        proto = sp.coo_matrix((np.ones(len(self._rows)), (self._rows, self._cols)),
                               shape=(n, n)).tocsr()
         proto.sort_indices()
-        keys_csr = (np.repeat(np.arange(n), np.diff(proto.indptr)).astype(np.int64) * n
-                    + proto.indices)
-        slots = np.searchsorted(keys_csr, rows.astype(np.int64) * n + cols)
-        hit = (proto.indptr, proto.indices, slots, len(keys_csr))
-        self._csr_cache[anchored] = hit
-        return hit
+        row = np.repeat(np.arange(n), np.diff(proto.indptr))
+        keys_csr = row.astype(np.int64) * n + proto.indices
+        slots = np.searchsorted(keys_csr, self._rows.astype(np.int64) * n + self._cols)
+        return proto.indptr, proto.indices, slots, len(keys_csr), row
+
+    @cached_property
+    def _free_pattern(self):
+        """The slots of the free-free entries in the CSR order of K_ff, with
+        its index arrays, and the other slots with their values in the
+        eliminated matrix (1 on the diagonal, 0 elsewhere)."""
+        indptr, indices, _, _, row = self._csr_pattern
+        pos = np.full(self._n_dof, -1, dtype=np.int64)
+        pos[self.free.index] = np.arange(len(self.free.index))
+        free_entry = (pos[row] >= 0) & (pos[indices] >= 0)
+        keep, fixed = np.flatnonzero(free_entry), np.flatnonzero(~free_entry)
+        counts = np.bincount(pos[row[keep]], minlength=len(self.free.index))
+        return (keep, pos[indices[keep]], np.concatenate([[0], np.cumsum(counts)]),
+                fixed, (row[fixed] == indices[fixed]).astype(np.float64))
+
+    def free_block(self, K: sp.csr_matrix) -> sp.csr_matrix:
+        """K_ff: the free rows and columns of a stiffness that
+        ``assemble_stiffness`` built with this precomputation, by one gather
+        of its data."""
+        keep, indices, indptr, _, _ = self._free_pattern
+        nf = len(self.free.index)
+        return sp.csr_matrix((K.data[keep], indices, indptr), shape=(nf, nf))
 
 
 def deformation_gradient(precomp: ElementPrecomp, deformed_positions: np.ndarray) -> np.ndarray:
@@ -497,33 +512,31 @@ def _batched_gradients(mesh: TetMesh, pre: MeshPrecomp, u: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 def assemble_force(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
-                   pre: MeshPrecomp | None = None, anchored: bool = True) -> np.ndarray:
-    """Global restoring force vector (3n,), scatter-added from elements.
-
-    With ``anchored`` the entries of Dirichlet-fixed DOFs are zeroed.
-    """
+                   pre: MeshPrecomp | None = None) -> np.ndarray:
+    """Global restoring force vector (3n,), scatter-added from elements."""
     pre = pre or MeshPrecomp(mesh)
     F = _batched_gradients(mesh, pre, u)
     P = piola_stress_batch(params, F)
     forces = -pre.volumes[:, None, None] * (pre.corner_grads @ np.swapaxes(P, 1, 2))
-    out = np.bincount(pre._force_dofs, weights=forces.ravel(), minlength=pre._n_dof)
-    if anchored:
-        out[pre._anchor_dofs] = 0.0
-    return out
+    return np.bincount(pre._force_dofs, weights=forces.ravel(), minlength=pre._n_dof)
 
 
 def assemble_stiffness(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
-                       pre: MeshPrecomp | None = None, anchored: bool = True) -> sp.csr_matrix:
-    """Global sparse stiffness K = -d(force)/d(u); anchored rows/cols are
-    eliminated to the identity when ``anchored``."""
+                       pre: MeshPrecomp | None = None) -> sp.csr_matrix:
+    """Global sparse stiffness of the anchored problem, (3n, 3n).
+
+    The free rows and columns hold K = -d(force)/d(u) (``free_block``
+    gathers them as K_ff); the rows and columns of anchored DOFs are those
+    of the identity, so the matrix is nonsingular once the mesh is anchored
+    and a solve with it leaves anchored DOFs at their right-hand side. On a
+    mesh without anchors it is the full energy Hessian.
+    """
     pre = pre or MeshPrecomp(mesh)
     F = _batched_gradients(mesh, pre, u)
     vals = _element_stiffness_batch(params, F, pre.corner_grads, pre.volumes).reshape(-1)
-    use_anchor = anchored and len(pre._anchor_dofs) > 0
-    if use_anchor:
-        vals = np.concatenate([np.where(pre._interior_entry, vals, 0.0),
-                               np.ones(len(pre._anchor_dofs))])
-    indptr, indices, slots, nnz = pre._csr_pattern(use_anchor)
+    indptr, indices, slots, nnz, _ = pre._csr_pattern
     data = np.bincount(slots, weights=vals, minlength=nnz)
+    _, _, _, fixed, identity = pre._free_pattern
+    data[fixed] = identity
     return sp.csr_matrix((data, indices, indptr),
                          shape=(pre._n_dof, pre._n_dof))

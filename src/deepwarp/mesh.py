@@ -83,8 +83,35 @@ class TetMesh:
         """Sorted anchor indices as an int array."""
         return np.array(sorted(self.anchors), dtype=np.int64)
 
+    def free_dofs(self) -> "FreeDofs":
+        """The DOFs of the unanchored nodes in a flat (3n,) vector."""
+        free = np.ones((self.n_nodes, 3), dtype=bool)
+        free[self.anchor_array()] = False
+        return FreeDofs(index=np.flatnonzero(free), n_dof=free.size)
+
     def with_anchors(self, anchors) -> "TetMesh":
         return replace(self, anchors=frozenset(int(a) for a in anchors))
+
+
+@dataclass(frozen=True)
+class FreeDofs:
+    """Sorted free-DOF indices of a flat (3n,) vector.
+
+    Solvers work on the free DOFs only: ``gather`` restricts a (3n,) vector
+    to them, ``scatter`` writes a free-DOF vector into zeros, so anchored
+    DOFs come back exactly zero.
+    """
+
+    index: np.ndarray
+    n_dof: int
+
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        return v[self.index]
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n_dof)
+        out[self.index] = x
+        return out
 
 
 def signed_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:

@@ -202,7 +202,7 @@ class RegistrationResult:
     residual: float
     converged: bool
     iterations: int
-    tangent: object = None     # stiffness at u, reusable for a warm-started chain
+    tangent: object = None     # free-DOF tangent K_ff at u, reusable for a warm-started chain
 
 
 def _wolfe_search(phi, dphi, phi0: float, dphi0: float,
@@ -242,49 +242,47 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
                        solver: TangentSolver | None = None) -> RegistrationResult:
     """Solve f_int(u) = R K u_lin for the nonlinear displacement u.
 
-    Newton iterations on the residual with a Wolfe line search on the squared
-    residual; anchored DOFs are pinned at zero. ``J_init`` may supply the
-    tangent stiffness at ``u_init`` (exact when chaining warm starts).
-    ``solver`` carries a lagged factor between calls; without one, the first
-    iteration factorizes. On iteration exhaustion the best iterate is
-    returned flagged non-converged.
+    Newton iterations on the free DOFs of ``pre.free`` (anchored DOFs stay
+    at zero) with a Wolfe line search on the squared residual. ``K_linear``
+    is the (3n x 3n) rest stiffness of the linear model; ``J_init`` may
+    supply the free-DOF tangent K_ff at ``u_init`` (exact when chaining warm
+    starts). ``solver`` carries a lagged factor between calls; without one,
+    the first iteration factorizes. On iteration exhaustion the best iterate
+    is returned flagged non-converged.
     """
     pre = pre or MeshPrecomp(mesh)
+    free = pre.free
     solver = solver if solver is not None else TangentSolver()
-    dofs = (mesh.anchor_array()[:, None] * 3 + np.arange(3)).ravel()
     if K_linear is None:
         K_linear = assemble_stiffness(mesh, params.as_linear(),
-                                      np.zeros(3 * mesh.n_nodes), pre, anchored=True)
+                                      np.zeros(3 * mesh.n_nodes), pre)
     if rotations is None:
         rotations = build_rotation_blockdiag(mesh, u_lin, grad_op)
-    target = rotations.apply(K_linear @ u_lin)
-    target[dofs] = 0.0
+    target = free.gather(rotations.apply(K_linear @ u_lin))
     tol = max(rel_tol * np.linalg.norm(target), 1e-10)
 
     def residual(u):
-        r = -assemble_force(mesh, params, u, pre, anchored=True) - target
-        r[dofs] = 0.0
-        return r
+        return -free.gather(assemble_force(mesh, params, free.scatter(u), pre)) - target
 
-    u = np.zeros_like(u_lin) if u_init is None else np.array(u_init, copy=True)
-    u[dofs] = 0.0
+    def tangent(u):
+        return pre.free_block(assemble_stiffness(mesh, params, free.scatter(u), pre))
+
+    u = np.zeros(len(target)) if u_init is None else free.gather(u_init)
     r = residual(u)
-    J = J_init if J_init is not None else \
-        assemble_stiffness(mesh, params, u, pre, anchored=True)
+    J = J_init if J_init is not None else tangent(u)
     best_u, best_r = u.copy(), float(np.linalg.norm(r))
     for it in range(max_iter):
         rnorm = float(np.linalg.norm(r))
         if rnorm < best_r:
             best_u, best_r = u.copy(), rnorm
         if rnorm <= tol:
-            return RegistrationResult(u=u, residual=rnorm, converged=True,
+            return RegistrationResult(u=free.scatter(u), residual=rnorm, converged=True,
                                       iterations=it, tangent=J)
         delta = solver.solve(J, -r)
-        delta[dofs] = 0.0
         phi0 = 0.5 * rnorm * rnorm
         dphi0 = float(r @ (J @ delta))    # equals -|r|^2 up to solver error
         if not np.isfinite(dphi0) or dphi0 >= 0.0:
-            return RegistrationResult(u=best_u, residual=best_r,
+            return RegistrationResult(u=free.scatter(best_u), residual=best_r,
                                       converged=False, iterations=it + 1)
 
         def phi(s):
@@ -299,17 +297,16 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
         def dphi(payload):
             # the tangent is only assembled once Armijo has accepted the trial
             if payload[2] is None:
-                payload[2] = assemble_stiffness(mesh, params, payload[0], pre,
-                                                anchored=True)
+                payload[2] = tangent(payload[0])
             return float(payload[1] @ (payload[2] @ delta))
 
         try:
             _, (u, r, J) = _wolfe_search(phi, dphi, phi0, dphi0)
         except ConvergenceError:
             rn = float(np.linalg.norm(r))
-            return RegistrationResult(u=best_u, residual=min(best_r, rn),
+            return RegistrationResult(u=free.scatter(best_u), residual=min(best_r, rn),
                                       converged=False, iterations=it + 1)
-    return RegistrationResult(u=best_u, residual=best_r, converged=False,
+    return RegistrationResult(u=free.scatter(best_u), residual=best_r, converged=False,
                               iterations=max_iter)
 
 
@@ -340,7 +337,7 @@ def register_sequence(mesh: TetMesh, params: MaterialParams,
     pre = pre or MeshPrecomp(mesh)
     grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
     K_linear = assemble_stiffness(mesh, params.as_linear(),
-                                  np.zeros(3 * mesh.n_nodes), pre, anchored=True)
+                                  np.zeros(3 * mesh.n_nodes), pre)
     pairs: list[RegisteredPair] = []
     u_prev = None
     J_prev = None

@@ -23,16 +23,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import (ConvergenceError, IntegrationScheme, LinearSystem,
-                       RayleighDamping, SimState, anchor_dof_indices,
-                       build_linear_system, build_nonlinear_system, factorize_spd,
-                       step_linear_implicit, step_newmark_nonlinear)
+                       RayleighDamping, SimState, build_linear_system,
+                       build_nonlinear_system, factorize_spd, step_linear_implicit,
+                       step_newmark_nonlinear)
 from .features import (ForceField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
 from .material import InvertedElementError, MaterialParams, skew_quadratic
-from .mesh import TetMesh, node_adjacency
+from .mesh import FreeDofs, TetMesh, node_adjacency
 from .net import MlpNetwork, forward_batch
-from .registration import (gradient_operator, rotation_operator,
+from .registration import (_AXIAL, gradient_operator, rotation_operator,
                            rotation_vectors_from_displacement, rotations_from_vectors)
 
 
@@ -216,8 +216,8 @@ class _RswFit:
     """Factorized normal matrix E^T E of the anchored least-squares fit."""
 
     grad_op: sp.csr_matrix
-    anchors: np.ndarray
-    free: np.ndarray
+    anchors: frozenset
+    free: FreeDofs
     Et: sp.csr_matrix
     factor: object
 
@@ -225,21 +225,20 @@ class _RswFit:
 _rsw_fit: _RswFit | None = None
 
 
-def _rsw_normal_fit(grad_op: sp.csr_matrix, anchors: np.ndarray) -> _RswFit:
+def _rsw_normal_fit(grad_op: sp.csr_matrix, mesh: TetMesh) -> _RswFit:
     """The cached fit when ``grad_op`` is the same object and the anchor set
     is unchanged; otherwise a fresh factorization, which replaces the cache."""
     global _rsw_fit
     fit = _rsw_fit
-    if fit is not None and fit.grad_op is grad_op and np.array_equal(fit.anchors, anchors):
+    if fit is not None and fit.grad_op is grad_op and fit.anchors == mesh.anchors:
         return fit
-    free = np.ones(grad_op.shape[1], dtype=bool)
-    free[anchor_dof_indices(anchors)] = False
-    E = grad_op[:, free]
+    free = mesh.free_dofs()
+    E = grad_op[:, free.index]
     try:
         factor = factorize_spd(E.T @ E)
     except RuntimeError as exc:
         raise ValueError(f"rotation-strain fit is singular (insufficient anchors): {exc}")
-    _rsw_fit = _RswFit(grad_op=grad_op, anchors=anchors, free=free, Et=E.T.tocsr(),
+    _rsw_fit = _RswFit(grad_op=grad_op, anchors=mesh.anchors, free=free, Et=E.T.tocsr(),
                        factor=factor)
     return _rsw_fit
 
@@ -258,18 +257,13 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
     if not mesh.anchors:
         raise ValueError("rotation-strain warp requires anchors")
     grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
-    fit = _rsw_normal_fit(grad_op, mesh.anchor_array())
-    G = (grad_op @ u_lin).reshape(-1, 3, 3)
+    fit = _rsw_normal_fit(grad_op, mesh)
+    vecG = grad_op @ u_lin
+    G = vecG.reshape(-1, 3, 3)
     S = 0.5 * (G + np.swapaxes(G, 1, 2))
-    w = 0.5 * np.stack([G[:, 2, 1] - G[:, 1, 2],
-                        G[:, 0, 2] - G[:, 2, 0],
-                        G[:, 1, 0] - G[:, 0, 1]], axis=1)
-    R = rotations_from_vectors(w)
+    R = rotations_from_vectors(vecG.reshape(-1, 9) @ _AXIAL.T)
     Ghat = R @ (S + np.eye(3)) - np.eye(3)
-
-    u = np.zeros(3 * mesh.n_nodes)
-    u[fit.free] = fit.factor.solve(fit.Et @ Ghat.reshape(-1))
-    return u
+    return fit.free.scatter(fit.factor.solve(fit.Et @ Ghat.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------

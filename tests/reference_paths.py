@@ -1,19 +1,30 @@
-"""Reference paths for the closed-form runtime kernels.
+"""Reference paths for the fast kernels and the free-DOF solvers.
 
 These are the earlier constructions, copied here so that tests
 can compare the fast kernels against them: the two-stage canonicalization
 (a Rodrigues rotation onto +y, then an azimuthal turn about y), the Rodrigues
 map through a ``K @ K`` stack product, the per-node gradient-operator loop,
-and a whole ``deepwarp_step`` built from them.
+a whole ``deepwarp_step`` built from them, the heapq multi-source Dijkstra
+and the unit-diagonal elimination of the anchors in the linear, Newmark and
+registration solvers.
 """
+
+import heapq
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from deepwarp.dynamics import step_linear_implicit
-from deepwarp.features import _EPS, assemble_features_batch
+from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, ConvergenceError,
+                               IntegrationScheme, RayleighDamping, SimState, TangentSolver,
+                               prefactorize, step_linear_implicit)
+from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_features_batch
+from deepwarp.material import (InvertedElementError, MeshPrecomp, assemble_force,
+                               assemble_stiffness)
+from deepwarp.mesh import lumped_mass
 from deepwarp.net import forward_batch
-from deepwarp.registration import RankDeficientNeighborhoodError, _neighbor_weights
+from deepwarp.registration import (RankDeficientNeighborhoodError, _neighbor_weights,
+                                   _wolfe_search, build_rotation_blockdiag)
 
 _FLIP_X = np.diag([1.0, -1.0, -1.0])
 
@@ -148,3 +159,225 @@ class ReferenceStepper:
         R[~free] = np.eye(3)
         self.rotations = R
         return new_state, u.ravel()
+
+
+def geodesic_all(mesh, adjacency):
+    """Multi-source Dijkstra from all anchors as a heapq loop: anchors enter
+    in ascending order, and a node keeps the first source that reaches it
+    at its final distance."""
+    if not mesh.anchors:
+        raise FeatureError("geodesic feature requires at least one anchor")
+    n = mesh.n_nodes
+    dist = np.full(n, np.inf)
+    source = np.full(n, -1, dtype=np.int64)
+    heap = []
+    for a in sorted(mesh.anchors):
+        dist[a] = 0.0
+        source[a] = a
+        heapq.heappush(heap, (0.0, a, a))
+    done = np.zeros(n, dtype=bool)
+    pos = mesh.nodes
+    while heap:
+        d, i, src = heapq.heappop(heap)
+        if done[i]:
+            continue
+        done[i] = True
+        for j in adjacency[i]:
+            if done[j]:
+                continue
+            nd = d + float(np.linalg.norm(pos[j] - pos[i]))
+            if nd < dist[j]:
+                dist[j] = nd
+                source[j] = src
+                heapq.heappush(heap, (nd, int(j), src))
+    if not np.all(np.isfinite(dist)):
+        bad = int(np.argmax(~np.isfinite(dist)))
+        raise FeatureError(f"node {bad} is unreachable from every anchor")
+    dmax = dist.max()
+    g = dist / dmax if dmax > 0.0 else np.zeros(n)
+    return GeodesicField(g=g, nearest_anchor=source, distance=dist)
+
+
+# ---------------------------------------------------------------------------
+# unit-diagonal elimination of the anchors
+#
+# The earlier solver convention: every matrix stays 3n x 3n with the anchored
+# rows and columns replaced by those of the identity, and every vector is
+# zeroed at the anchored DOFs before and after each solve. The solvers now
+# work on the free DOFs only; these copies are what they are compared with.
+# ---------------------------------------------------------------------------
+
+def anchor_dofs(mesh):
+    return (mesh.anchor_array()[:, None] * 3 + np.arange(3)).ravel()
+
+
+def apply_anchors(matrix, dofs):
+    """Zero the rows and columns of ``dofs`` and set a unit diagonal there."""
+    keep = np.ones(matrix.shape[0])
+    keep[dofs] = 0.0
+    D = sp.diags(keep)
+    unit = sp.coo_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=matrix.shape)
+    return (D @ matrix @ D + unit).tocsc()
+
+
+def anchored_force(mesh, params, u, pre):
+    f = assemble_force(mesh, params, u, pre)
+    f[anchor_dofs(mesh)] = 0.0
+    return f
+
+
+def unit_diagonal_linear_system(mesh, params, dt, scheme=IntegrationScheme.NEWMARK,
+                        damping=RayleighDamping(), density=1000.0):
+    """3n x 3n K, M and C with unit diagonals on anchored DOFs (they stack up
+    in the system matrix, which only rescales the decoupled anchor rows)."""
+    params = params.as_linear()
+    K = assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes))
+    M = sp.diags(np.repeat(lumped_mass(mesh, density), 3)).tocsr()
+    C = (damping.alpha * M + damping.beta * K).tocsr()
+    dofs = anchor_dofs(mesh)
+    M, C = apply_anchors(M, dofs), apply_anchors(C, dofs)
+    return SimpleNamespace(K=K, M=M, C=C, dt=dt, scheme=scheme, dofs=dofs,
+                           prefact=prefactorize(K, M, C, dt, scheme))
+
+
+def unit_diagonal_linear_step(system, state, f_ext):
+    f = np.array(f_ext, dtype=np.float64, copy=True)
+    f[system.dofs] = 0.0
+    dt = system.dt
+    u, v, a = state.u, state.v, state.a
+    if system.scheme is IntegrationScheme.BACKWARD_EULER:
+        rhs = system.M @ v + dt * (f - system.K @ u)
+        rhs[system.dofs] = 0.0
+        v_new = system.prefact.solve(rhs)
+        u_new = u + dt * v_new
+        a_new = (v_new - v) / dt
+    else:
+        g, b = NEWMARK_GAMMA, NEWMARK_BETA
+        u_pred = u + dt * v + dt * dt * (0.5 - b) * a
+        v_pred = v + dt * (1.0 - g) * a
+        rhs = f - system.C @ v_pred - system.K @ u_pred
+        rhs[system.dofs] = 0.0
+        a_new = system.prefact.solve(rhs)
+        u_new = u_pred + b * dt * dt * a_new
+        v_new = v_pred + g * dt * a_new
+    for vec in (u_new, v_new, a_new):
+        vec[system.dofs] = 0.0
+    return SimState(u=u_new, v=v_new, a=a_new, t=state.t + dt)
+
+
+def unit_diagonal_nonlinear_system(mesh, params, damping=RayleighDamping(), density=1000.0):
+    pre = MeshPrecomp(mesh)
+    K0 = assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), pre)
+    M = sp.diags(np.repeat(lumped_mass(mesh, density), 3)).tocsr()
+    C = (damping.alpha * M + damping.beta * K0).tocsr()
+    dofs = anchor_dofs(mesh)
+    return SimpleNamespace(mesh=mesh, params=params, pre=pre, dofs=dofs,
+                           M=apply_anchors(M, dofs), C=apply_anchors(C, dofs),
+                           newton_tol=1e-6, max_newton=30, solver=TangentSolver())
+
+
+def unit_diagonal_newmark_step(system, state, f_ext, dt):
+    """Newmark step with Armijo backtracking on 0.5|r|^2, as in ``dynamics``."""
+    g, b = NEWMARK_GAMMA, NEWMARK_BETA
+    dofs = system.dofs
+    f = np.array(f_ext, dtype=np.float64, copy=True)
+    f[dofs] = 0.0
+    u0, v0, a0 = state.u, state.v, state.a
+    u_pred = u0 + dt * v0 + dt * dt * (0.5 - b) * a0
+    v_pred = v0 + dt * (1.0 - g) * a0
+
+    def kinematics(u):
+        a = (u - u_pred) / (b * dt * dt)
+        return v_pred + g * dt * a, a
+
+    def residual(u):
+        v, a = kinematics(u)
+        r = (system.M @ a + system.C @ v
+             - anchored_force(system.mesh, system.params, u, system.pre) - f)
+        r[dofs] = 0.0
+        return r
+
+    tol = max(system.newton_tol * np.linalg.norm(f), 1e-10)
+    u = u0.copy()
+    u[dofs] = 0.0
+    r = residual(u)
+    for _ in range(system.max_newton):
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:
+            v, a = kinematics(u)
+            for vec in (u, v, a):
+                vec[dofs] = 0.0
+            return SimState(u=u, v=v, a=a, t=state.t + dt)
+        K = assemble_stiffness(system.mesh, system.params, u, system.pre)
+        J = system.M / (b * dt * dt) + system.C * (g / (b * dt)) + K
+        delta = system.solver.solve(J, -r)
+        delta[dofs] = 0.0
+        s, phi0 = 1.0, 0.5 * rnorm * rnorm
+        while True:
+            if s < 1e-12:
+                raise ConvergenceError("Newmark inner Newton line search failed")
+            u_try = u + s * delta
+            try:
+                r_try = residual(u_try)
+            except InvertedElementError:
+                s *= 0.5
+                continue
+            if 0.5 * float(r_try @ r_try) <= phi0 * (1.0 - 2e-4 * s):
+                u, r = u_try, r_try
+                break
+            s *= 0.5
+    raise ConvergenceError("Newmark inner Newton did not converge")
+
+
+def unit_diagonal_register(mesh, params, u_lin, u_init, grad_op, pre, K_linear, J_init,
+                           solver, rel_tol=1e-6, max_iter=50):
+    """Newton registration with the Wolfe search of ``registration``."""
+    dofs = anchor_dofs(mesh)
+    target = build_rotation_blockdiag(mesh, u_lin, grad_op).apply(K_linear @ u_lin)
+    target[dofs] = 0.0
+    tol = max(rel_tol * np.linalg.norm(target), 1e-10)
+
+    def residual(u):
+        r = -anchored_force(mesh, params, u, pre) - target
+        r[dofs] = 0.0
+        return r
+
+    u = np.zeros_like(u_lin) if u_init is None else np.array(u_init, copy=True)
+    u[dofs] = 0.0
+    r = residual(u)
+    J = J_init if J_init is not None else assemble_stiffness(mesh, params, u, pre)
+    for it in range(max_iter):
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol:
+            return u, it, J
+        delta = solver.solve(J, -r)
+        delta[dofs] = 0.0
+        dphi0 = float(r @ (J @ delta))
+
+        def phi(s):
+            u_try = u + s * delta
+            try:
+                r_try = residual(u_try)
+            except InvertedElementError:
+                return np.inf, None
+            return 0.5 * float(r_try @ r_try), [u_try, r_try, None]
+
+        def dphi(payload):
+            if payload[2] is None:
+                payload[2] = assemble_stiffness(mesh, params, payload[0], pre)
+            return float(payload[1] @ (payload[2] @ delta))
+
+        _, (u, r, J) = _wolfe_search(phi, dphi, 0.5 * rnorm * rnorm, dphi0)
+    raise ConvergenceError("registration did not converge")
+
+
+def unit_diagonal_register_sequence(mesh, params, u_lin_sequence, grad_op):
+    """Warm-started registration of a loading path: (u, iterations) per pose."""
+    pre = MeshPrecomp(mesh)
+    K_linear = assemble_stiffness(mesh, params.as_linear(), np.zeros(3 * mesh.n_nodes), pre)
+    solver, u, J, out = TangentSolver(), None, None, []
+    for u_lin in u_lin_sequence:
+        u, iterations, J = unit_diagonal_register(mesh, params, u_lin, u, grad_op, pre,
+                                                  K_linear, J, solver)
+        out.append((u, iterations))
+    return out

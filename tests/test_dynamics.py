@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from deepwarp import dynamics
 from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme,
                                NotPositiveDefiniteError,
-                               RayleighDamping, SimState, TangentSolver, apply_anchors,
+                               RayleighDamping, SimState, TangentSolver,
                                build_linear_system, build_nonlinear_system,
                                factorization_event_count, factorize_spd, internal_force,
                                prefactorize, quasistatic_linear_sequence,
@@ -18,38 +18,44 @@ from deepwarp.mesh import TetMesh, lumped_mass
 from deepwarp.features import ForceField, force_vector
 from deepwarp.meshgen import beam
 
+import reference_paths
 
 LINEAR = MaterialParams(MaterialModel.LINEAR, 1e4, 0.3)
 
 
-class TestApplyAnchors:
-    def test_no_anchors_unchanged(self):
-        A = sp.random(12, 12, density=0.4, random_state=0).tocsr()
-        out = apply_anchors(A, np.array([], dtype=int))
-        assert (abs(A - out)).max() == 0 if sp.issparse(out) else np.allclose(A, out)
+class TestFreeDofs:
+    def test_no_anchors_identity(self):
+        free = beam(2, 1, 1, anchor="none").free_dofs()
+        v = np.random.default_rng(0).standard_normal(free.n_dof)
+        assert np.array_equal(free.index, np.arange(free.n_dof))
+        assert np.array_equal(free.gather(v), v)
+        assert np.array_equal(free.scatter(v), v)
 
-    def test_all_anchored_identity(self):
-        A = sp.random(9, 9, density=0.5, random_state=1).tocsr()
-        out = apply_anchors(A, np.array([0, 1, 2]))
-        assert abs(out - sp.eye(9)).max() < 1e-15
+    def test_all_anchored_empty(self, unit_tet):
+        free = unit_tet.with_anchors(range(4)).free_dofs()
+        assert free.index.size == 0 and free.n_dof == 12
+        assert free.gather(np.ones(12)).size == 0
+        assert np.array_equal(free.scatter(np.zeros(0)), np.zeros(12))
 
-    def test_two_node_spring_hand_elimination(self):
-        # per-component two-node spring, node 0 anchored: u1 = f/k
-        k = 7.0
-        K = np.kron(np.array([[k, -k], [-k, k]]), np.eye(3))
-        Kc = apply_anchors(sp.csr_matrix(K), np.array([0]))
-        f = np.array([0.0, 0, 0, 2.0, -1.0, 0.5])
-        pf = prefactorize(Kc.tocsr())
-        u = pf.solve(f)
-        assert np.allclose(u[:3], 0.0)
-        assert np.allclose(u[3:], f[3:] / k)
+    def test_unit_tet_hand_elimination(self, unit_tet):
+        # nodes 0-2 anchored: node 3 alone is free, u_free = K_ff^-1 f_free
+        mesh = unit_tet.with_anchors({0, 1, 2})
+        pre = MeshPrecomp(mesh)
+        assert np.array_equal(pre.free.index, [9, 10, 11])
+        K = assemble_stiffness(mesh, LINEAR, np.zeros(12), pre)
+        K_ff = pre.free_block(K)
+        assert np.array_equal(K_ff.toarray(), K.toarray()[9:, 9:])
+        f = np.arange(1.0, 13.0)
+        u = pre.free.scatter(prefactorize(K_ff).solve(pre.free.gather(f)))
+        assert np.array_equal(u[:9], np.zeros(9))
+        assert np.allclose(u[9:], np.linalg.solve(K.toarray()[9:, 9:], f[9:]),
+                           rtol=1e-12, atol=0.0)
 
 
 class TestPrefactorize:
     def test_anchorless_static_stiffness_rejected(self):
         mesh = beam(2, 1, 1, anchor="none")
-        K = assemble_stiffness(mesh, LINEAR, np.zeros(3 * mesh.n_nodes),
-                               anchored=False)
+        K = assemble_stiffness(mesh, LINEAR, np.zeros(3 * mesh.n_nodes))
         with pytest.raises(NotPositiveDefiniteError):
             prefactorize(K)
 
@@ -70,7 +76,7 @@ class TestPrefactorize:
         dt = system.dt
         A = (system.M + dt * system.C + dt * dt * system.K).toarray()
         rng = np.random.default_rng(0)
-        b = rng.standard_normal(12)
+        b = rng.standard_normal(system.K.shape[0])
         x = system.prefact.solve(b)
         x_dense = np.linalg.solve(A, b)
         assert np.linalg.norm(x - x_dense) < 1e-9 * np.linalg.norm(x_dense)
@@ -110,9 +116,7 @@ class TestLinearStepping:
         state = SimState.rest(bending_beam.n_nodes)
         for _ in range(2000):
             state = step_linear_implicit(system, state, f)
-        f0 = f.copy()
-        f0[system.anchor_dofs] = 0.0
-        static = prefactorize(system.K).solve(f0)
+        static = system.free.scatter(prefactorize(system.K).solve(system.free.gather(f)))
         assert np.linalg.norm(state.u - static) < 1e-6 * np.linalg.norm(static)
 
     def test_one_factorization_per_run(self, bending_beam):
@@ -131,8 +135,9 @@ class TestLinearStepping:
         state = SimState.rest(bending_beam.n_nodes)
         for _ in range(10):
             state = step_linear_implicit(system, state, f)
-            assert np.abs(state.u[system.anchor_dofs]).max() == 0.0
-            assert np.abs(state.v[system.anchor_dofs]).max() == 0.0
+            anchored = bending_beam.anchor_array()
+            assert np.abs(state.u.reshape(-1, 3)[anchored]).max() == 0.0
+            assert np.abs(state.v.reshape(-1, 3)[anchored]).max() == 0.0
 
     def test_dimension_mismatch(self, bending_beam):
         system = build_linear_system(bending_beam, LINEAR, 1 / 60)
@@ -163,16 +168,14 @@ class TestQuasistatic:
     def test_internal_force_pairing(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
         seq = quasistatic_linear_sequence(bending_beam, LINEAR, f, n_steps=6)
-        K = assemble_stiffness(bending_beam, LINEAR,
-                               np.zeros(3 * bending_beam.n_nodes))
-        for u, fi in zip(seq.displacements, seq.internal_forces):
-            assert np.allclose(fi, K @ u, atol=1e-12)
+        pre = MeshPrecomp(bending_beam)
+        K = pre.free_block(assemble_stiffness(bending_beam, LINEAR,
+                                              np.zeros(3 * bending_beam.n_nodes), pre))
+        forces = [K @ pre.free.gather(u) for u in seq.displacements]
         # internal force lags the applied load until equilibrium
-        f0 = f.copy()
-        f0[(bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0.0
+        f0 = pre.free.gather(f)
         mid = len(seq.displacements) // 2
-        assert np.linalg.norm(seq.internal_forces[mid] - f0) > \
-            10 * np.linalg.norm(seq.internal_forces[-1] - f0)
+        assert np.linalg.norm(forces[mid] - f0) > 10 * np.linalg.norm(forces[-1] - f0)
 
     def test_nonconvergence_reports_residual(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
@@ -213,7 +216,7 @@ class TestNewmarkNonlinear:
         state = SimState.rest(4)
         rng = np.random.default_rng(0)
         v0 = 0.02 * rng.standard_normal(12)
-        v0[system.anchor_dofs] = 0.0
+        v0[:3] = 0.0    # node 0 is anchored
         state.v = v0
         masses = np.repeat(lumped_mass(unit_tet, 1.0), 3)
         pre = MeshPrecomp(unit_tet)
@@ -233,11 +236,23 @@ class TestNewmarkNonlinear:
         system = build_nonlinear_system(bending_beam, neo_hookean)
         rng = np.random.default_rng(1)
         u = 0.005 * rng.standard_normal(3 * bending_beam.n_nodes)
-        u[system.anchor_dofs] = 0.0
-        f = internal_force(system, u)
-        K = assemble_stiffness(bending_beam, neo_hookean.as_linear(),
-                               np.zeros_like(u))
-        assert np.linalg.norm(f - K @ u) < 0.05 * np.linalg.norm(K @ u)
+        free = system.pre.free
+        u = free.scatter(free.gather(u))
+        f = free.gather(internal_force(system, u))
+        Ku = free.gather(assemble_stiffness(bending_beam, neo_hookean.as_linear(),
+                                            np.zeros_like(u)) @ u)
+        assert np.linalg.norm(f - Ku) < 0.05 * np.linalg.norm(Ku)
+
+
+def bent_tangents(mesh, params):
+    """The free-DOF rest tangent K0, the tangent J of a visibly bent beam
+    and a random right-hand side."""
+    pre = MeshPrecomp(mesh)
+    K0 = pre.free_block(assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), pre))
+    f = pre.free.gather(force_vector(mesh, ForceField.directional([0, -1, 0.3], 0.1)))
+    u = pre.free.scatter(factorize_spd(K0).solve(f))
+    J = pre.free_block(assemble_stiffness(mesh, params, u, pre))
+    return K0, J, np.random.default_rng(3).standard_normal(len(f))
 
 
 class TestTangentSolver:
@@ -247,16 +262,7 @@ class TestTangentSolver:
     def tangents(self, bending_beam, neo_hookean):
         # the rest tangent and the tangent of a visibly bent beam (largest
         # displacement about a tenth of the beam length; CG takes 16 steps)
-        K0 = assemble_stiffness(bending_beam, neo_hookean, np.zeros(3 * bending_beam.n_nodes),
-                                anchored=True)
-        f = force_vector(bending_beam, ForceField.directional([0, -1, 0.3], 0.1))
-        f[(bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0.0
-        u = factorize_spd(K0).solve(f)
-        J = assemble_stiffness(bending_beam, neo_hookean, u, anchored=True)
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal(len(f))
-        b[(bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0.0
-        return K0, J, b
+        return bent_tangents(bending_beam, neo_hookean)
 
     def test_first_solve_factorizes(self, tangents):
         K0, _, b = tangents
@@ -362,14 +368,43 @@ class TestBandedCholesky:
         assert factor.band.size <= lu.L.nnz + lu.U.nnz
 
     def test_bent_neo_hookean_tangent(self, bending_beam, neo_hookean):
-        K0 = assemble_stiffness(bending_beam, neo_hookean, np.zeros(3 * bending_beam.n_nodes),
-                                anchored=True)
-        f = force_vector(bending_beam, ForceField.directional([0, -1, 0.3], 0.1))
-        f[(bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()] = 0.0
-        J = assemble_stiffness(bending_beam, neo_hookean, factorize_spd(K0).solve(f),
-                               anchored=True)
+        K0, J, _ = bent_tangents(bending_beam, neo_hookean)
         factor = factorize_spd(J)
         assert isinstance(factor, BandedCholesky)
         self.assert_matches_splu(J, factor, seed=3)
         # a matrix whose Cholesky breaks down goes to SuperLU
         assert isinstance(factorize_spd(-K0), spla.SuperLU)
+
+
+class TestFreeDofsMatchUnitDiagonal:
+    """The free-DOF solvers against the unit-diagonal elimination they replaced."""
+
+    @pytest.mark.parametrize("scheme", list(IntegrationScheme))
+    def test_linear_300_steps(self, bending_beam, scheme):
+        damping = RayleighDamping(0.2, 0.001)
+        f = force_vector(bending_beam, ForceField.directional([0.3, -1, 0.2], 0.5))
+        system = build_linear_system(bending_beam, LINEAR, 1 / 60, scheme, damping)
+        ref = reference_paths.unit_diagonal_linear_system(bending_beam, LINEAR, 1 / 60,
+                                                          scheme, damping)
+        state = ref_state = SimState.rest(bending_beam.n_nodes)
+        for _ in range(300):
+            state = step_linear_implicit(system, state, f)
+            ref_state = reference_paths.unit_diagonal_linear_step(ref, ref_state, f)
+            for got, want in ((state.u, ref_state.u), (state.v, ref_state.v)):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_nonlinear_newmark_30_steps(self, bending_beam, neo_hookean):
+        damping = RayleighDamping(0.5, 0.01)
+        f = force_vector(bending_beam, ForceField.directional([0, -1, 0.2], 4.0))
+        system = build_nonlinear_system(bending_beam, neo_hookean, damping)
+        ref = reference_paths.unit_diagonal_nonlinear_system(bending_beam, neo_hookean,
+                                                             damping)
+        state = ref_state = SimState.rest(bending_beam.n_nodes)
+        for _ in range(30):
+            before, ref_before = system.solver.solves, ref.solver.solves
+            state = step_newmark_nonlinear(system, state, f, 1 / 60)
+            ref_state = reference_paths.unit_diagonal_newmark_step(ref, ref_state, f, 1 / 60)
+            assert system.solver.solves - before == ref.solver.solves - ref_before > 0
+            assert np.abs(state.u - ref_state.u).max() <= 1e-9 * np.abs(ref_state.u).max()
+        # the beam is visibly bent: the tip moved by a tenth of the beam length
+        assert np.abs(state.u).max() > 0.2

@@ -7,11 +7,12 @@ from deepwarp.features import (FEATURE_ORDER, FeatureError, ForceField,
                                digression, digression_all, force_vector,
                                geodesic_all, potential_all, static_features,
                                unalign)
-from deepwarp.mesh import TetMesh
-from deepwarp.meshgen import beam
+from deepwarp.mesh import TetMesh, node_adjacency
+from deepwarp.meshgen import beam, t_shape
 from deepwarp.registration import rotation_from_vector
 
 import reference_paths
+from test_dynamics import shuffled_readme_beam
 
 
 def brute_force_geodesics(nodes, adjacency, anchors):
@@ -34,6 +35,12 @@ def brute_force_geodesics(nodes, adjacency, anchors):
     for a in anchors:
         visit(a, 0.0, {a}, a)
     return best, source
+
+
+def t_shape_anchored_on_top():
+    mesh = t_shape(arm=2, thickness=1)[0]
+    top = mesh.nodes[:, 1].max()
+    return mesh.with_anchors(np.flatnonzero(mesh.nodes[:, 1] == top))
 
 
 def random_graph_mesh(rng, n_nodes):
@@ -133,6 +140,25 @@ class TestGeodesic:
                        anchors=frozenset({0}))
         with pytest.raises(FeatureError, match="node 2"):
             geodesic_all(mesh, adjacency)
+
+    @pytest.mark.parametrize("make", [
+        lambda: beam(6, 3, 3, lengths=(2.0, 1.0, 1.0)),
+        lambda: t_shape_anchored_on_top(),
+        lambda: shuffled_readme_beam(seed=5),
+        # scattered anchors: many nodes lie equally far from two of them
+        lambda: beam(6, 3, 3).with_anchors(range(0, 112, 7)),
+        # nodes 0 and 3 are equally far from anchors 1 and 2 along one edge
+        lambda: TetMesh(nodes=np.vstack([np.zeros(3), np.eye(3)]),
+                        tets=np.array([[0, 1, 2, 3]]), anchors=frozenset({1, 2})),
+    ], ids=["beam", "t_shape", "shuffled", "ties", "tet_ties"])
+    def test_matches_heap_loop(self, make):
+        mesh = make()
+        adjacency = node_adjacency(mesh)
+        got = geodesic_all(mesh, adjacency)
+        want = reference_paths.geodesic_all(mesh, adjacency)
+        assert np.array_equal(got.distance, want.distance)
+        assert np.array_equal(got.g, want.g)
+        assert np.array_equal(got.nearest_anchor, want.nearest_anchor)
 
     def test_all_anchors_all_zero(self, unit_tet):
         mesh = unit_tet.with_anchors(range(4))

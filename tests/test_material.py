@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from deepwarp.dynamics import (RayleighDamping, build_nonlinear_system, factorize_spd,
                                prefactorize)
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
-                               assemble_force, assemble_stiffness,
+                               MeshPrecomp, assemble_force, assemble_stiffness,
                                deformation_gradient, det_and_inverse_transpose,
                                element_internal_force, element_precomp,
                                element_tangent_stiffness, energy_density,
@@ -89,8 +89,8 @@ def fd_global_stiffness(params, mesh, u, h=1e-6):
         up, um = u.copy(), u.copy()
         up[j] += h
         um[j] -= h
-        K[:, j] = -(assemble_force(mesh, params, up, anchored=False)
-                    - assemble_force(mesh, params, um, anchored=False)) / (2 * h)
+        K[:, j] = -(assemble_force(mesh, params, up)
+                    - assemble_force(mesh, params, um)) / (2 * h)
     return K
 
 
@@ -319,7 +319,8 @@ class TestDirectTangent:
         if state != "rest":
             target = 0.5 if state == "deformed" else 0.05
             assert min_det(small_beam, u) == pytest.approx(target, rel=1e-6)
-        K = assemble_stiffness(small_beam, params, u, anchored=False).toarray()
+        # without anchors the assembled stiffness is the full energy Hessian
+        K = assemble_stiffness(small_beam.with_anchors(()), params, u).toarray()
         Kt = tensor_stiffness(params, small_beam, u)
         Kfd = fd_global_stiffness(params, small_beam, u)
         scale = np.abs(Kt).max()
@@ -347,8 +348,8 @@ class TestClosedForm3x3:
 class TestFactorizeSpd:
     def test_matches_default_splu(self, bending_beam, neo_hookean):
         u = material_state(bending_beam, "deformed")
-        tangent = assemble_stiffness(bending_beam, neo_hookean, u)
         nsys = build_nonlinear_system(bending_beam, neo_hookean, RayleighDamping(0.5, 0.01))
+        tangent = nsys.pre.free_block(assemble_stiffness(bending_beam, neo_hookean, u, nsys.pre))
         dt = 1.0 / 60.0
         newmark = nsys.M / (0.25 * dt * dt) + nsys.C * (0.5 / (0.25 * dt)) + tangent
         rng = np.random.default_rng(23)
@@ -368,9 +369,11 @@ class TestAssembly:
 
     def test_anchored_linear_stiffness_spd(self, bending_beam):
         params = MaterialParams(MaterialModel.LINEAR, 1e4, 0.3)
+        pre = MeshPrecomp(bending_beam)
         K = assemble_stiffness(bending_beam, params,
-                               np.zeros(3 * bending_beam.n_nodes))
+                               np.zeros(3 * bending_beam.n_nodes), pre)
         prefactorize(K)     # raises if not positive definite
+        prefactorize(pre.free_block(K))
 
     def test_two_tet_force_matches_hand_assembly(self, all_materials):
         nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -380,7 +383,7 @@ class TestAssembly:
         rng = np.random.default_rng(9)
         u = 0.05 * rng.standard_normal(3 * mesh.n_nodes)
         for params in all_materials:
-            f = assemble_force(mesh, params, u, anchored=False)
+            f = assemble_force(mesh, params, u)
             expected = np.zeros_like(f)
             x = nodes + u.reshape(-1, 3)
             for tet in tets:

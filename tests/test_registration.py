@@ -301,6 +301,30 @@ class TestRegister:
         for a, b in zip(reg.pairs, ref.pairs):
             assert np.linalg.norm(a.u - b.u) <= 1e-8 * np.linalg.norm(b.u)
 
+    def test_sequence_matches_unit_diagonal(self, bending_beam, neo_hookean, monkeypatch):
+        # the free-DOF Newton loop against the unit-diagonal elimination
+        from deepwarp import registration
+        f = force_vector(bending_beam, ForceField.directional([0, -1, 0.2], 0.4))
+        seq = quasistatic_linear_sequence(bending_beam, neo_hookean.as_linear(),
+                                          f, n_steps=6)
+        iterations = []
+        original = registration.register_nonlinear
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(registration, "register_nonlinear", recording)
+        reg = register_sequence(bending_beam, neo_hookean, seq.displacements)
+        ref = reference_paths.unit_diagonal_register_sequence(
+            bending_beam, neo_hookean, seq.displacements, gradient_operator(bending_beam))
+        assert reg.completed
+        assert iterations == [it for _, it in ref]
+        assert sum(iterations) > len(iterations)
+        for pair, (u, _) in zip(reg.pairs, ref):
+            assert np.linalg.norm(pair.u - u) <= 1e-8 * np.linalg.norm(u)
+
     def test_rank_deficient_neighborhood_error(self):
         # all nodes coplanar around node 0 is impossible in a valid tet mesh,
         # so exercise the guard through the helper directly

@@ -163,6 +163,19 @@ class TestRotationStrainWarp:
         assert np.linalg.norm(out - rsw_warp(extra, u, grad_op)) \
             <= 1e-12 * np.linalg.norm(out)
 
+    def test_reads_w_through_the_axial_map(self, bending_beam, monkeypatch):
+        # the axial map's 0.5 factors are exact: w is bit-identical to the
+        # explicit 0.5 (G_rq - G_qr) of the skew part
+        from deepwarp import warper
+        seen = []
+        rodrigues = warper.rotations_from_vectors
+        monkeypatch.setattr(warper, "rotations_from_vectors",
+                            lambda w: seen.append(w) or rodrigues(w))
+        grad_op = gradient_operator(bending_beam)
+        u = 0.05 * np.random.default_rng(6).standard_normal(3 * bending_beam.n_nodes)
+        rsw_warp(bending_beam, u, grad_op)
+        assert np.array_equal(seen[0], reference_paths.rotation_vectors(grad_op, u))
+
     def test_requires_anchors(self):
         mesh = beam(2, 1, 1, anchor="none")
         with pytest.raises(ValueError, match="anchor"):
@@ -244,6 +257,34 @@ class TestDeepwarpStep:
                     assert np.linalg.norm(u - ref_u) <= 1e-10 * np.linalg.norm(ref_u)
         assert ctx.extrapolation_events == same_w.extrapolation_events \
             == old_w.extrapolation_events > 0
+
+    def test_matches_unit_diagonal_solve(self, normalized_beam, neo_hookean, quick_net,
+                                         monkeypatch):
+        # the same context stepped with the unit-diagonal linear solve it
+        # replaced: the corrected output agrees from the first step on
+        from deepwarp import warper
+        field = ForceField.directional([0.3, -1, 0.1], 1.5)
+        ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
+                                 dt=1 / 60)
+        ref_ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
+                                     dt=1 / 60)
+        ctx.warn_on_extrapolation = ref_ctx.warn_on_extrapolation = False
+        ref_system = reference_paths.unit_diagonal_linear_system(
+            normalized_beam, neo_hookean, 1 / 60)
+        free_step = warper.step_linear_implicit
+
+        def step(system, state, f):
+            if system is ref_ctx.system:
+                return reference_paths.unit_diagonal_linear_step(ref_system, state, f)
+            return free_step(system, state, f)
+
+        monkeypatch.setattr(warper, "step_linear_implicit", step)
+        f = force_vector(normalized_beam, field)
+        state, ref_state = ctx.reset(), ref_ctx.reset()
+        for _ in range(300):
+            state, u = deepwarp_step(ctx, state, f)
+            ref_state, ref_u = deepwarp_step(ref_ctx, ref_state, f)
+            assert np.linalg.norm(u - ref_u) <= 1e-10 * np.linalg.norm(ref_u)
 
     def test_out_of_range_features_warn_not_fail(self, normalized_beam,
                                                  neo_hookean, quick_net):
