@@ -25,11 +25,22 @@ Sign conventions, used consistently across the package:
 All element-level calls are pure functions; batched internals back both the
 single-element API and the global assembly. The 3x3 determinant and inverse
 transpose come from cofactors (``det_and_inverse_transpose``), not from
-``np.linalg``. The 12x12 element tangents of the linear, StVK and neo-Hookean
-models are built directly from their closed-form dP(F; dF) contracted with
-the corner gradients (Sifakis & Barbic, *FEM Simulation of 3D Deformable
-Solids*, SIGGRAPH 2012 course); only the corotational model differentiates
-through the polar rotation along twelve basis directions.
+``np.linalg``.
+
+The global assembly runs on two sparse structures that ``MeshPrecomp``
+builds once per mesh (Sifakis & Barbic, *FEM Simulation of 3D Deformable
+Solids*, SIGGRAPH 2012 course):
+
+* the element-gradient operator D, with vec(F - I) = D u for all elements
+  at once: F is one sparse product, the force f = -D^T vec(V P) another, and
+  ``total_elastic_energy`` sums V Psi(F) over the same F;
+* the stiffness pattern, derived from the node pairs of each tet. One
+  batched kernel writes the 78 upper-triangle entries of every 12x12
+  element block; they are summed into the upper slots (row <= column) of
+  the pattern and mirrored by one gather, so K is exactly symmetric. The
+  linear, StVK and neo-Hookean entries come from their closed-form dP(F; dF)
+  contracted with the corner gradients; only the corotational model
+  differentiates through the polar rotation along twelve basis directions.
 """
 
 from __future__ import annotations
@@ -96,64 +107,140 @@ class ElementPrecomp:
 
 def element_precomp(rest_positions: np.ndarray) -> ElementPrecomp:
     rest = np.asarray(rest_positions, dtype=np.float64)
-    dm = (rest[1:] - rest[0]).T
-    vol = np.linalg.det(dm) / 6.0
+    det, inv_t = det_and_inverse_transpose((rest[1:] - rest[0]).T)
+    vol = float(det) / 6.0
     if vol <= 0.0:
         raise ValueError(f"element has non-positive rest volume {vol}")
-    dm_inv = np.linalg.inv(dm)
     grads = np.empty((4, 3))
-    grads[1:] = dm_inv
-    grads[0] = -dm_inv.sum(axis=0)
-    return ElementPrecomp(inv_rest_edges=dm_inv, volume=vol, corner_grads=grads)
+    grads[1:] = inv_t.T
+    grads[0] = -inv_t.sum(axis=1)
+    return ElementPrecomp(inv_rest_edges=inv_t.T, volume=vol, corner_grads=grads)
+
+
+# The 78 upper-triangle entries (I <= J) of a 12x12 element block in DOF
+# order (corner, component): the nine entries of each corner pair a < b,
+# then the six upper ones of each diagonal block a = b. Entry k couples
+# component _ENTRY_P[k] of corner _CORNER_PAIRS[_ENTRY_PAIR[k], 0] with
+# component _ENTRY_R[k] of corner _CORNER_PAIRS[_ENTRY_PAIR[k], 1].
+_CORNER_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                          (0, 0), (1, 1), (2, 2), (3, 3)])
+_UPPER3_P, _UPPER3_R = np.triu_indices(3)
+_ENTRY_PAIR = np.concatenate([np.repeat(np.arange(6), 9), np.repeat(np.arange(6, 10), 6)])
+_ENTRY_P = np.concatenate([np.tile(np.repeat(np.arange(3), 3), 6), np.tile(_UPPER3_P, 4)])
+_ENTRY_R = np.concatenate([np.tile(np.tile(np.arange(3), 3), 6), np.tile(_UPPER3_R, 4)])
+_UPPER_ROW = 3 * _CORNER_PAIRS[_ENTRY_PAIR, 0] + _ENTRY_P
+_UPPER_COL = 3 * _CORNER_PAIRS[_ENTRY_PAIR, 1] + _ENTRY_R
 
 
 class MeshPrecomp:
-    """Batched rest-shape precomputation for every tet of a mesh.
+    """Rest-shape precomputation for every tet of a mesh, and the two sparse
+    structures of the global assembly.
 
-    Also caches the scatter indices of the global assembly, which dominate
-    the cost of repeated stiffness builds, and the mesh's free DOFs
-    (``free``) with the index that restricts an assembled stiffness to them
-    (``free_block``).
+    ``volumes`` holds the rest volumes and ``corner_grads`` the constant
+    shape-function gradients g_a, (4, 3, m) with the element axis last.
+    ``grad`` is the element-gradient operator D (9m x 3n, four entries per
+    row): vec(F - I) = D u, stored component-major as (3, 3, m), and the
+    force is f = -D^T vec(V P). The stiffness pattern comes from the node
+    pairs of each tet, with the slot of every element entry in it
+    (``_csr_pattern``). ``free`` holds the mesh's free DOFs, and
+    ``free_block`` restricts an assembled stiffness to them.
     """
 
     def __init__(self, mesh: TetMesh):
+        self._tets = mesh.tets
+        self._n_nodes = mesh.n_nodes
+        m, n = len(mesh.tets), mesh.n_nodes
         rest = mesh.nodes[mesh.tets]                       # (m, 4, 3)
-        dm = np.swapaxes(rest[:, 1:] - rest[:, :1], 1, 2)  # (m, 3, 3) edge columns
-        self.volumes = np.linalg.det(dm) / 6.0
+        det, inv_t = det_and_inverse_transpose(
+            np.swapaxes(rest[:, 1:] - rest[:, :1], 1, 2))  # edge columns
+        self.volumes = det / 6.0
         if np.any(self.volumes <= 0.0):
             bad = int(np.argmax(self.volumes <= 0.0))
             raise ValueError(f"element {bad} has non-positive rest volume")
-        self.inv_rest_edges = np.linalg.inv(dm)            # (m, 3, 3)
-        grads = np.empty((len(dm), 4, 3))
-        grads[:, 1:] = self.inv_rest_edges
-        grads[:, 0] = -self.inv_rest_edges.sum(axis=1)
-        self.corner_grads = grads
-        m = len(dm)
-        dof = (mesh.tets[:, :, None] * 3 + np.arange(3)).reshape(m, 12)
-        self._rows = np.repeat(dof, 12, axis=1).ravel()
-        self._cols = np.tile(dof, (1, 12)).ravel()
-        self._force_dofs = dof.ravel()
-        self._n_dof = 3 * mesh.n_nodes
+        g = np.empty((4, 3, m))
+        g[1:] = inv_t.transpose(2, 1, 0)                   # rows of the inverse
+        g[0] = -g[1:].sum(axis=0)
+        self.corner_grads = g
+        self._gram = _gram(g, self.volumes)
+        # row (3i + j) m + e of D holds g_a,j at column 3 tet[e, a] + i
+        cols = 3 * mesh.tets[None, None] + np.arange(3)[:, None, None, None]
+        vals = np.broadcast_to(g.transpose(1, 2, 0)[None], (3, 3, m, 4))
+        self.grad = sp.csr_matrix(
+            (vals.ravel(), np.broadcast_to(cols, (3, 3, m, 4)).ravel(),
+             np.arange(0, 36 * m + 1, 4)), shape=(9 * m, 3 * n))
+        self._grad_t = self.grad.T.tocsr()
+        self._n_dof = 3 * n
         self.free = mesh.free_dofs()
+
+    def _gradients(self, u: np.ndarray) -> np.ndarray:
+        """Deformation gradients at displacement u, component-major (3, 3, m)."""
+        F = (self.grad @ u).reshape(3, 3, -1)
+        for i in range(3):
+            F[i, i] += 1.0
+        return F
 
     @cached_property
     def _csr_pattern(self):
-        """Fixed sparsity pattern plus the entry->slot scatter map."""
-        n = self._n_dof
-        proto = sp.coo_matrix((np.ones(len(self._rows)), (self._rows, self._cols)),
-                              shape=(n, n)).tocsr()
-        proto.sort_indices()
-        row = np.repeat(np.arange(n), np.diff(proto.indptr))
-        keys_csr = row.astype(np.int64) * n + proto.indices
-        slots = np.searchsorted(keys_csr, self._rows.astype(np.int64) * n + self._cols)
-        return proto.indptr, proto.indices, slots, len(keys_csr), row
+        """The stiffness pattern from the node pairs of each tet.
+
+        Node i's neighbours j (itself included), sorted, give the columns
+        3j..3j+2 of its rows 3i..3i+2: the entry (3i+p, 3j+r) sits at slot
+        9 start_i + 3 p deg_i + 3 q + r, with j the q-th of the deg_i
+        neighbours. Returns indptr, indices, the row of every slot, the
+        slot of each upper-triangle element entry ((78, m) flattened, always
+        an upper slot: row <= column) and the gather that fills every slot
+        from its upper twin.
+        """
+        n = self._n_nodes
+        na = self._tets[:, _CORNER_PAIRS[:, 0]].astype(np.int64)   # (m, 10)
+        nb = self._tets[:, _CORNER_PAIRS[:, 1]].astype(np.int64)
+        keys, pair = np.unique(np.minimum(na, nb) * n + np.maximum(na, nb),
+                               return_inverse=True)
+        lo, hi = np.divmod(keys, n)
+        off = np.flatnonzero(lo != hi)
+        # the node entries: the upper pairs, then the lower twins of the
+        # off-diagonal ones, each with its upper twin; then sorted by row
+        rows = np.concatenate([lo, hi[off]])
+        order = np.argsort(rows * n + np.concatenate([hi, lo[off]]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        twin = rank[np.concatenate([np.arange(len(lo)), off])][order]
+        lower = order >= len(lo)
+        rows, cols = rows[order], np.concatenate([hi, lo[off]])[order]
+        deg = np.bincount(rows, minlength=n)
+        start = np.concatenate([[0], np.cumsum(deg)])
+        base = 9 * start[rows] + 3 * (np.arange(len(rows)) - start[rows])
+        stride = 3 * deg[rows]
+
+        p, r = np.arange(3)[:, None, None], np.arange(3)[None, :, None]
+        slot = base + p * stride + r                       # (3, 3, entries)
+        indptr = np.append(9 * start[:-1, None] + 3 * deg[:, None] * np.arange(3), 9 * start[-1])
+        indices = np.empty(9 * len(rows), dtype=np.int64)
+        indices[slot] = 3 * cols + r
+        row = np.empty_like(indices)
+        row[slot] = 3 * rows + p
+        # a lower entry's twin slot swaps p and r, and so does that of a
+        # below-diagonal entry of a diagonal node block
+        swap = lower | ((rows == cols) & (p > r))
+        mirror = np.empty_like(indices)
+        mirror[slot] = base[twin] + np.where(swap, r * stride[twin] + p, p * stride[twin] + r)
+
+        # per element node pair: its upper entry's slot base and the steps of
+        # the entry's row and column components
+        t = rank[pair.reshape(na.shape).T]                 # (10, m)
+        swap = (na > nb).T
+        step_p = np.where(swap, 1, stride[t])[_ENTRY_PAIR]
+        step_r = np.where(swap, stride[t], 1)[_ENTRY_PAIR]
+        upper = base[t][_ENTRY_PAIR] + _ENTRY_P[:, None] * step_p + _ENTRY_R[:, None] * step_r
+        index = np.int32 if len(indices) < 2**31 else np.int64
+        return indptr.astype(index), indices.astype(index), row, upper.ravel(), mirror
 
     @cached_property
     def _free_pattern(self):
         """The slots of the free-free entries in the CSR order of K_ff, with
         its index arrays, and the other slots with their values in the
         eliminated matrix (1 on the diagonal, 0 elsewhere)."""
-        indptr, indices, _, _, row = self._csr_pattern
+        _, indices, row, _, _ = self._csr_pattern
         pos = np.full(self._n_dof, -1, dtype=np.int64)
         pos[self.free.index] = np.arange(len(self.free.index))
         free_entry = (pos[row] >= 0) & (pos[indices] >= 0)
@@ -193,13 +280,20 @@ def det_and_inverse_transpose(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Entries where det F = 0 come back non-finite without a warning; callers
     that need an invertible F check the determinant first.
     """
-    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(F, (-2, -1), (0, 1))
+    J, B = _det_and_inverse_transpose_cm(np.moveaxis(F, (-2, -1), (0, 1)))
+    return J, np.ascontiguousarray(np.moveaxis(B, (0, 1), (-2, -1)))
+
+
+def _det_and_inverse_transpose_cm(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``det_and_inverse_transpose`` of a component-major (3, 3, ...) stack,
+    returning F^-T in the same layout."""
+    (a, b, c), (d, e, f), (g, h, i) = F
     cof = np.array([[e * i - f * h, f * g - d * i, d * h - e * g],
                     [h * c - i * b, i * a - g * c, g * b - h * a],
                     [b * f - c * e, c * d - a * f, a * e - b * d]])
     J = a * cof[0, 0] + b * cof[0, 1] + c * cof[0, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return J, np.ascontiguousarray(np.moveaxis(cof / J, (0, 1), (-2, -1)))
+        return J, cof / J
 
 
 def skew(w: np.ndarray) -> np.ndarray:
@@ -293,11 +387,15 @@ _EYE = np.eye(3)
 def _neo_hookean_invariants(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(det F, F^-T) of a batch; raises InvertedElementError where det F <= 0."""
     J, B = det_and_inverse_transpose(F)
+    _check_uninverted(J)
+    return J, B
+
+
+def _check_uninverted(J: np.ndarray) -> None:
     if np.any(J <= 0.0):
         bad = int(np.argmax(J <= 0.0))
         raise InvertedElementError(
             f"neo-hookean element {bad} inverted (det F = {J.flat[bad]:.3e})")
-    return J, B
 
 
 def _stvk_stress_factor(F: np.ndarray, mu: float, lam: float) -> np.ndarray:
@@ -344,9 +442,11 @@ def piola_stress_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
     if model is MaterialModel.STVK:
         return _stvk_stress_factor(F, mu, lam) @ F
     if model is MaterialModel.NEO_HOOKEAN:
-        J, B = _neo_hookean_invariants(F)
-        logj = np.log(J)[:, None, None]
-        return mu * (F - B) + lam * logj * B
+        # componentwise on (3, 3, m), where the assembly's F is contiguous
+        Fc = np.moveaxis(F, (1, 2), (0, 1))
+        J, B = _det_and_inverse_transpose_cm(Fc)
+        _check_uninverted(J)
+        return np.moveaxis(mu * Fc + (lam * np.log(J) - mu) * B, (0, 1), (1, 2))
     if model is MaterialModel.COROTATIONAL:
         R, S = polar_decompose_batch(F)
         D = S - _EYE
@@ -433,13 +533,30 @@ def element_tangent_stiffness(params: MaterialParams, precomp: ElementPrecomp,
                               deformed_positions: np.ndarray) -> np.ndarray:
     """12x12 element stiffness K = -d(force)/d(u) (energy Hessian), symmetric."""
     F = deformation_gradient(precomp, deformed_positions)
-    return _element_stiffness_batch(params, F[None], precomp.corner_grads[None],
-                                    np.array([precomp.volume]))[0]
+    g, volume = precomp.corner_grads[:, :, None], np.array([precomp.volume])
+    upper = _stiffness_upper(params, F[:, :, None], g, volume, _gram(g, volume))[:, 0]
+    K = np.empty((12, 12))
+    K[_UPPER_ROW, _UPPER_COL] = upper
+    K[_UPPER_COL, _UPPER_ROW] = upper
+    return K
 
 
-def _element_stiffness_batch(params: MaterialParams, F: np.ndarray,
-                             corner_grads: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-    """Batched 12x12 stiffness blocks, DOF order (corner, component).
+def _times(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """h_a = H g_a for every corner, (3, 3, m) with (4, 3, m) -> (4, 3, m)."""
+    return H[:, 0] * g[:, None, 0] + H[:, 1] * g[:, None, 1] + H[:, 2] * g[:, None, 2]
+
+
+def _gram(g: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """V g_a . g_b for the corner pairs of ``_CORNER_PAIRS``, (10, m)."""
+    return volumes * (g[_CORNER_PAIRS[:, 0]] * g[_CORNER_PAIRS[:, 1]]).sum(axis=1)
+
+
+def _stiffness_upper(params: MaterialParams, F: np.ndarray, g: np.ndarray,
+                     volumes: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The 78 upper-triangle entries (``_UPPER_ROW``, ``_UPPER_COL``) of every
+    12x12 element stiffness, (78, m) with the element axis last, from
+    component-major gradients F (3, 3, m), corner gradients g (4, 3, m) and
+    their rest-state ``_gram``.
 
     Moving corner b along e_r changes F by e_r g_b^T, so
     K[(a,p),(b,r)] = V dP(F; e_r g_b^T)_pq g_a,q. With h_a = H g_a the linear,
@@ -452,59 +569,52 @@ def _element_stiffness_batch(params: MaterialParams, F: np.ndarray,
     (F^-T, mu g_a.g_b, mu - lam log J, 0) for neo-Hookean. The corotational
     model contracts its differential along the twelve basis directions.
     """
-    m = len(F)
+    m = F.shape[-1]
     mu, lam = params.lame()
     model = params.model
-    g = corner_grads
     if model is MaterialModel.COROTATIONAL:
         basis = np.zeros((m, 12, 3, 3))
         for a in range(4):
             for r in range(3):
-                basis[:, 3 * a + r, r, :] = g[:, a, :]
-        dP = piola_stress_differential_batch(params, F, basis)
-        K = np.einsum("nkpq,ncq->ncpk", dP, g) * volumes[:, None, None, None]
-        return K.reshape(m, 12, 12)
-    gg = g @ np.swapaxes(g, 1, 2)
+                basis[:, 3 * a + r, r, :] = g[a].T
+        dP = piola_stress_differential_batch(params, F.transpose(2, 0, 1), basis)
+        K = np.einsum("nkpq,aqn->apkn", dP, g).reshape(12, 12, m)
+        return K[_UPPER_ROW, _UPPER_COL] * volumes
     T = None
     if model is MaterialModel.LINEAR:
-        h, s, c = g, mu * gg, mu
+        h, c = g, mu
     elif model is MaterialModel.STVK:
-        h = g @ np.swapaxes(F, 1, 2)
-        s, c = mu * (h @ np.swapaxes(h, 1, 2)), mu
-        T = _stvk_stress_factor(F, mu, lam)
+        h, c = _times(F, g), mu
+        T = _stvk_stress_factor(F.transpose(2, 0, 1), mu, lam).transpose(1, 2, 0)
     elif model is MaterialModel.NEO_HOOKEAN:
-        J, B = _neo_hookean_invariants(F)
-        h = g @ np.swapaxes(B, 1, 2)
-        s, c = mu * gg, mu - lam * np.log(J)
+        J, B = _det_and_inverse_transpose_cm(F)
+        _check_uninverted(J)
+        h, c = _times(B, g), mu - lam * np.log(J)
     else:
         raise ValueError(f"unknown material model {model}")
-    # Blocks are built as K[a,p,b,r,n], element axis last: every elementwise
-    # pass then runs over long contiguous rows instead of 3-wide ones.
-    hT = np.ascontiguousarray(h.transpose(1, 2, 0))
-    O = hT[:, :, None, None] * hT                           # h_a,p h_b,r
-    K = O * (lam * volumes)
-    K += O.transpose(2, 1, 0, 3, 4) * (c * volumes)         # h_b,p h_a,r
-    diag = (s * volumes[:, None, None]).transpose(1, 2, 0)
+    a, b = _CORNER_PAIRS[:6].T
+    sv = mu * (_gram(h, volumes) if model is MaterialModel.STVK else gram)
+    lh, ch = (lam * volumes) * h, (c * volumes) * h
+    K = np.empty((78, m))
+    off = K[:54].reshape(6, 3, 3, m)                      # corner pairs a < b
+    np.multiply(lh[a, :, None], h[b, None], out=off)
+    off += ch[b, :, None] * h[a, None]
+    diag = K[54:].reshape(4, 6, m)                        # diagonal blocks, p <= r
+    np.multiply((lh + ch)[:, _UPPER3_P], h[:, _UPPER3_R], out=diag)
     for p in range(3):
-        K[:, p, :, p] += diag
+        off[:, p, p] += sv[:6]
+    diag[:, _UPPER3_P == _UPPER3_R] += sv[6:, None]
     if T is not None:
-        ggv = (gg * volumes[:, None, None]).transpose(1, 2, 0)
-        K += ggv[:, None, :, None] * T.transpose(1, 2, 0)[None, :, None]
-    return np.ascontiguousarray(K.reshape(144, m).T).reshape(m, 12, 12)
+        off += gram[:6, None, None] * T
+        diag += gram[6:, None] * T[_UPPER3_P, _UPPER3_R]
+    return K
 
 
 def total_elastic_energy(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
                          pre: MeshPrecomp | None = None) -> float:
     pre = pre or MeshPrecomp(mesh)
-    F = _batched_gradients(mesh, pre, u)
+    F = pre._gradients(u).transpose(2, 0, 1)
     return float(np.dot(pre.volumes, energy_density_batch(params, F)))
-
-
-def _batched_gradients(mesh: TetMesh, pre: MeshPrecomp, u: np.ndarray) -> np.ndarray:
-    x = mesh.nodes + u.reshape(-1, 3)
-    corners = x[mesh.tets]
-    ds = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
-    return ds @ pre.inv_rest_edges
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +623,10 @@ def _batched_gradients(mesh: TetMesh, pre: MeshPrecomp, u: np.ndarray) -> np.nda
 
 def assemble_force(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
                    pre: MeshPrecomp | None = None) -> np.ndarray:
-    """Global restoring force vector (3n,), scatter-added from elements."""
+    """Global restoring force vector (3n,): f = -D^T vec(V P)."""
     pre = pre or MeshPrecomp(mesh)
-    F = _batched_gradients(mesh, pre, u)
-    P = piola_stress_batch(params, F)
-    forces = -pre.volumes[:, None, None] * (pre.corner_grads @ np.swapaxes(P, 1, 2))
-    return np.bincount(pre._force_dofs, weights=forces.ravel(), minlength=pre._n_dof)
+    P = piola_stress_batch(params, pre._gradients(u).transpose(2, 0, 1))
+    return pre._grad_t @ (P.transpose(1, 2, 0) * -pre.volumes).ravel()
 
 
 def assemble_stiffness(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
@@ -529,14 +637,15 @@ def assemble_stiffness(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
     gathers them as K_ff); the rows and columns of anchored DOFs are those
     of the identity, so the matrix is nonsingular once the mesh is anchored
     and a solve with it leaves anchored DOFs at their right-hand side. On a
-    mesh without anchors it is the full energy Hessian.
+    mesh without anchors it is the full energy Hessian. The element entries
+    are summed into the upper slots only and mirrored, so K is exactly
+    symmetric.
     """
     pre = pre or MeshPrecomp(mesh)
-    F = _batched_gradients(mesh, pre, u)
-    vals = _element_stiffness_batch(params, F, pre.corner_grads, pre.volumes).reshape(-1)
-    indptr, indices, slots, nnz, _ = pre._csr_pattern
-    data = np.bincount(slots, weights=vals, minlength=nnz)
+    vals = _stiffness_upper(params, pre._gradients(u), pre.corner_grads, pre.volumes,
+                            pre._gram)
+    indptr, indices, _, upper, mirror = pre._csr_pattern
+    data = np.bincount(upper, weights=vals.ravel(), minlength=len(indices))[mirror]
     _, _, _, fixed, identity = pre._free_pattern
     data[fixed] = identity
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(pre._n_dof, pre._n_dof))
+    return sp.csr_matrix((data, indices, indptr), shape=(pre._n_dof, pre._n_dof))

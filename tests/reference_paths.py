@@ -4,9 +4,10 @@ These are the earlier constructions, copied here so that tests
 can compare the fast kernels against them: the two-stage canonicalization
 (a Rodrigues rotation onto +y, then an azimuthal turn about y), the Rodrigues
 map through a ``K @ K`` stack product, the per-node gradient-operator loop,
-a whole ``deepwarp_step`` built from them, the heapq multi-source Dijkstra
-and the unit-diagonal elimination of the anchors in the linear, Newmark and
-registration solvers.
+a whole ``deepwarp_step`` built from them, the heapq multi-source Dijkstra,
+the unit-diagonal elimination of the anchors in the linear, Newmark and
+registration solvers, and the stiffness assembly from whole 12x12 element
+blocks.
 """
 
 import heapq
@@ -19,8 +20,9 @@ from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, ConvergenceError,
                                IntegrationScheme, RayleighDamping, SimState, TangentSolver,
                                prefactorize, step_linear_implicit)
 from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_features_batch
-from deepwarp.material import (InvertedElementError, MeshPrecomp, assemble_force,
-                               assemble_stiffness)
+from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
+                               assemble_force, assemble_stiffness, det_and_inverse_transpose,
+                               piola_stress_differential_batch)
 from deepwarp.mesh import lumped_mass
 from deepwarp.net import forward_batch
 from deepwarp.registration import (RankDeficientNeighborhoodError, _neighbor_weights,
@@ -381,3 +383,77 @@ def unit_diagonal_register_sequence(mesh, params, u_lin_sequence, grad_op):
                                                   K_linear, J, solver)
         out.append((u, iterations))
     return out
+
+
+# ---------------------------------------------------------------------------
+# 144-entry stiffness assembly
+#
+# The earlier global stiffness: every element writes its whole 12x12 block,
+# built from per-element (m, 3, 3) gradients, and a sorted COO pattern maps
+# each of the 144 m entries to its CSR slot. The assembly now writes the 78
+# upper-triangle entries of each block and mirrors them.
+# ---------------------------------------------------------------------------
+
+def element_stiffness_blocks(params, F, corner_grads, volumes):
+    """Batched 12x12 element stiffnesses, DOF order (corner, component), from
+    (m, 3, 3) gradients and (m, 4, 3) corner gradients."""
+    m = len(F)
+    mu, lam = params.lame()
+    model = params.model
+    g = corner_grads
+    if model is MaterialModel.COROTATIONAL:
+        basis = np.zeros((m, 12, 3, 3))
+        for a in range(4):
+            for r in range(3):
+                basis[:, 3 * a + r, r, :] = g[:, a, :]
+        dP = piola_stress_differential_batch(params, F, basis)
+        K = np.einsum("nkpq,ncq->ncpk", dP, g) * volumes[:, None, None, None]
+        return K.reshape(m, 12, 12)
+    gg = g @ np.swapaxes(g, 1, 2)
+    T = None
+    if model is MaterialModel.LINEAR:
+        h, s, c = g, mu * gg, mu
+    elif model is MaterialModel.STVK:
+        h = g @ np.swapaxes(F, 1, 2)
+        s, c = mu * (h @ np.swapaxes(h, 1, 2)), mu
+        E = 0.5 * (F @ np.swapaxes(F, 1, 2) - np.eye(3))
+        T = 2.0 * mu * E + lam * np.trace(E, axis1=1, axis2=2)[:, None, None] * np.eye(3)
+    else:
+        J, B = det_and_inverse_transpose(F)
+        if np.any(J <= 0.0):
+            raise InvertedElementError("inverted element")
+        h = g @ np.swapaxes(B, 1, 2)
+        s, c = mu * gg, mu - lam * np.log(J)
+    hT = np.ascontiguousarray(h.transpose(1, 2, 0))
+    O = hT[:, :, None, None] * hT
+    K = O * (lam * volumes)
+    K += O.transpose(2, 1, 0, 3, 4) * (c * volumes)
+    diag = (s * volumes[:, None, None]).transpose(1, 2, 0)
+    for p in range(3):
+        K[:, p, :, p] += diag
+    if T is not None:
+        ggv = (gg * volumes[:, None, None]).transpose(1, 2, 0)
+        K += ggv[:, None, :, None] * T.transpose(1, 2, 0)[None, :, None]
+    return np.ascontiguousarray(K.reshape(144, m).T).reshape(m, 12, 12)
+
+
+def assemble_stiffness_144(mesh, params, u):
+    """Global stiffness from whole element blocks scattered through a COO
+    matrix, with identity rows and columns at anchored DOFs."""
+    m = len(mesh.tets)
+    rest = mesh.nodes[mesh.tets]
+    dm_inv = np.linalg.inv(np.swapaxes(rest[:, 1:] - rest[:, :1], 1, 2))
+    volumes = np.linalg.det(np.swapaxes(rest[:, 1:] - rest[:, :1], 1, 2)) / 6.0
+    g = np.empty((m, 4, 3))
+    g[:, 1:] = dm_inv
+    g[:, 0] = -dm_inv.sum(axis=1)
+    corners = (mesh.nodes + u.reshape(-1, 3))[mesh.tets]
+    F = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2) @ dm_inv
+    vals = element_stiffness_blocks(params, F, g, volumes).reshape(-1)
+    dof = (mesh.tets[:, :, None] * 3 + np.arange(3)).reshape(m, 12)
+    rows = np.repeat(dof, 12, axis=1).ravel()
+    cols = np.tile(dof, (1, 12)).ravel()
+    n = 3 * mesh.n_nodes
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    K.sum_duplicates()
+    return apply_anchors(K, anchor_dofs(mesh)).tocsr()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+import reference_paths
 
 from deepwarp.dynamics import (RayleighDamping, build_nonlinear_system, factorize_spd,
                                prefactorize)
@@ -13,6 +16,8 @@ from deepwarp.material import (InvertedElementError, MaterialModel, MaterialPara
                                polar_decompose, total_elastic_energy)
 from deepwarp.mesh import TetMesh
 from deepwarp.registration import rotation_from_vector
+
+STATES = ["rest", "deformed", "near_inverted"]
 
 
 def random_rotation(rng, min_angle=0.0):
@@ -105,6 +110,42 @@ def fd_element_stiffness(params, pre, x, h=1e-6):
                   - element_internal_force(params, pre, xm)) / (2 * h)
             K[:, 3 * c + k] = -df.ravel()
     return K
+
+
+def shuffled_numbering(mesh, seed):
+    """The mesh with its nodes renumbered at random (anchors follow) and the
+    first three corners of every other tet turned cyclically, an even
+    permutation, so that local and global corner order disagree."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    new_index = np.argsort(perm)
+    tets = new_index[mesh.tets]
+    tets[::2, :3] = tets[::2][:, [1, 2, 0]]
+    return TetMesh(nodes=mesh.nodes[perm], tets=tets,
+                   anchors=frozenset(int(new_index[a]) for a in mesh.anchors))
+
+
+@pytest.fixture(scope="module")
+def shuffled_beam(small_beam):
+    return shuffled_numbering(small_beam, 31)
+
+
+@pytest.fixture(scope="module")
+def shuffled_bending_beam(bending_beam):
+    return shuffled_numbering(bending_beam, 32)
+
+
+@pytest.fixture(scope="module")
+def mesh_state(request):
+    """(mesh, material_state(mesh, state)) by fixture name, each state
+    computed once per module."""
+    cache = {}
+
+    def get(mesh_name, state):
+        if (mesh_name, state) not in cache:
+            mesh = request.getfixturevalue(mesh_name)
+            cache[mesh_name, state] = mesh, material_state(mesh, state)
+        return cache[mesh_name, state]
+    return get
 
 
 class TestParams:
@@ -311,21 +352,78 @@ class TestElementStiffness:
 class TestDirectTangent:
     """The closed-form element tangents against two reference paths."""
 
-    @pytest.mark.parametrize("state", ["rest", "deformed", "near_inverted"])
+    @pytest.mark.parametrize("state", STATES)
     @pytest.mark.parametrize("model", list(MaterialModel))
     def test_matches_tensor_contraction_and_fd(self, small_beam, model, state):
+        self.check(small_beam, model, state)
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("model", list(MaterialModel))
+    def test_shuffled_node_numbering(self, shuffled_beam, model, state):
+        """Element corners out of global order take the mirrored slots."""
+        self.check(shuffled_beam, model, state)
+
+    @staticmethod
+    def check(mesh, model, state):
         params = MaterialParams(model, 100.0, 0.35)
-        u = material_state(small_beam, state)
+        u = material_state(mesh, state)
         if state != "rest":
             target = 0.5 if state == "deformed" else 0.05
-            assert min_det(small_beam, u) == pytest.approx(target, rel=1e-6)
+            assert min_det(mesh, u) == pytest.approx(target, rel=1e-6)
         # without anchors the assembled stiffness is the full energy Hessian
-        K = assemble_stiffness(small_beam.with_anchors(()), params, u).toarray()
-        Kt = tensor_stiffness(params, small_beam, u)
-        Kfd = fd_global_stiffness(params, small_beam, u)
+        K = assemble_stiffness(mesh.with_anchors(()), params, u).toarray()
+        Kt = tensor_stiffness(params, mesh, u)
+        Kfd = fd_global_stiffness(params, mesh, u)
         scale = np.abs(Kt).max()
         assert np.abs(K - Kt).max() < 1e-12 * scale
         assert np.abs(K - Kfd).max() < 1e-8 * scale
+
+
+class TestAssemblyKernels:
+    """The gradient-operator force and the upper-triangle stiffness against
+    per-element loops, energy differences and the 144-entry assembly."""
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("model", list(MaterialModel))
+    @pytest.mark.parametrize("mesh_name", ["small_beam", "shuffled_beam"])
+    def test_force_matches_element_loop_and_energy_gradient(self, mesh_state, mesh_name,
+                                                            model, state):
+        mesh, u = mesh_state(mesh_name, state)
+        params = MaterialParams(model, 100.0, 0.35)
+        f = assemble_force(mesh, params, u)
+        x = mesh.nodes + u.reshape(-1, 3)
+        loop = np.zeros((mesh.n_nodes, 3))
+        for tet in mesh.tets:
+            np.add.at(loop, tet, element_internal_force(params, element_precomp(mesh.nodes[tet]),
+                                                        x[tet]))
+        # forces vanish at rest: measure them against E times a face area
+        scale = max(np.abs(loop).max(),
+                    params.youngs * np.cbrt(MeshPrecomp(mesh).volumes.max()) ** 2)
+        assert np.abs(f - loop.ravel()).max() <= 1e-12 * scale
+        h = 1e-6
+        grad = np.array([total_elastic_energy(mesh, params, u + h * e)
+                         - total_elastic_energy(mesh, params, u - h * e)
+                         for e in np.eye(len(u))]) / (2 * h)
+        assert np.abs(f + grad).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("model", list(MaterialModel))
+    @pytest.mark.parametrize("mesh_name", ["bending_beam", "shuffled_bending_beam"])
+    def test_stiffness_matches_144_entry_path(self, mesh_state, mesh_name, model, state):
+        mesh, u = mesh_state(mesh_name, state)
+        params = MaterialParams(model, 100.0, 0.35)
+        K = assemble_stiffness(mesh, params, u)
+        ref = reference_paths.assemble_stiffness_144(mesh, params, u)
+        assert (K - K.T).nnz == 0
+        assert abs(K - ref).max() <= 1e-12 * abs(ref).max()
+        # the pattern holds exactly the DOF pairs that share an element
+        dof = (mesh.tets[:, :, None] * 3 + np.arange(3)).reshape(-1, 12)
+        pairs = sp.coo_matrix((np.ones(dof.size * 12), (np.repeat(dof, 12, axis=1).ravel(),
+                                                        np.tile(dof, (1, 12)).ravel())),
+                              shape=K.shape).tocsr()
+        pairs.sum_duplicates()
+        assert np.array_equal(K.indptr, pairs.indptr)
+        assert np.array_equal(K.indices, pairs.indices)
 
 
 class TestClosedForm3x3:
