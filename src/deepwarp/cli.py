@@ -5,6 +5,8 @@ Configuration is a flat ``key = value`` text file with ``include = path``
 support; command-line flags override file values, and the effective
 configuration is echoed as ``#`` comment lines into every output artifact.
 Output files are written under a ``.partial`` suffix and renamed on success.
+Each subcommand's flags are declared once, in ``build_parser``, which hands
+the list to ``RunConfig.from_args``.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
 """
@@ -77,11 +79,13 @@ class RunConfig:
         self.values = dict(values)
 
     @classmethod
-    def from_args(cls, args: argparse.Namespace, flag_keys: list[str]) -> "RunConfig":
+    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
+        """File values overridden by the subcommand's flags, which
+        ``build_parser`` records in ``args.flag_keys``."""
         values: dict[str, str] = {}
         if getattr(args, "config", None):
             values.update(parse_config_file(args.config))
-        for key in flag_keys:
+        for key in args.flag_keys:
             flag = getattr(args, key.replace("-", "_"), None)
             if flag is not None:
                 values[key] = str(flag)
@@ -212,7 +216,7 @@ def _print(args, *message):
 # ---------------------------------------------------------------------------
 
 def cmd_info(args) -> int:
-    cfg = RunConfig.from_args(args, ["nodes", "elements", "anchors"])
+    cfg = RunConfig.from_args(args)
     print(f"deepwarp {__version__}")
     if cfg.get("nodes"):
         mesh = _load_mesh(cfg)
@@ -223,9 +227,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = RunConfig.from_args(args, ["nodes", "elements", "anchors", "field",
-                                     "field_direction", "field_magnitude",
-                                     "field_axis_point", "field_axis_dir", "out"])
+    cfg = RunConfig.from_args(args)
     mesh = _load_mesh(cfg)
     if not mesh.anchors:
         raise ConfigError("features require at least one anchor")
@@ -243,10 +245,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = RunConfig.from_args(args, [
-        "nodes", "elements", "anchors", "material", "youngs", "poisson",
-        "density", "out", "ramp_start", "ramp_factor", "ramp_poses", "ramp_cap",
-        "n_alpha", "n_beta", "include_circular"])
+    cfg = RunConfig.from_args(args)
     t0 = time.time()
     mesh = _load_mesh(cfg, normalize=True)
     if not mesh.anchors:
@@ -299,9 +298,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.from_args(args, ["dataset", "out", "layers", "epochs", "batch",
-                                     "lr", "val_fraction", "test_fraction",
-                                     "loss_csv", "activation"])
+    cfg = RunConfig.from_args(args)
     records = read_dataset_file(cfg.require("dataset"))
     hidden = [int(v) for v in str(cfg.get("layers", "16,16")).replace(",", " ").split()]
     from .net import Activation
@@ -340,11 +337,7 @@ METHODS = ("linear", "mw", "rsw", "deepwarp", "groundtruth")
 
 
 def cmd_simulate(args) -> int:
-    cfg = RunConfig.from_args(args, [
-        "nodes", "elements", "anchors", "material", "youngs", "poisson", "density",
-        "method", "net", "steps", "dt", "track", "out", "scheme",
-        "damping_alpha", "damping_beta", "field", "field_direction",
-        "field_magnitude", "field_axis_point", "field_axis_dir"])
+    cfg = RunConfig.from_args(args)
     method = cfg.get("method", "deepwarp").strip().lower()
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -409,11 +402,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = RunConfig.from_args(args, [
-        "nodes", "elements", "anchors", "material", "youngs", "poisson", "density",
-        "methods", "net", "steps", "dt", "track", "out", "scheme",
-        "damping_alpha", "damping_beta", "field", "field_direction",
-        "field_magnitude", "field_axis_point", "field_axis_dir"])
+    cfg = RunConfig.from_args(args)
     methods = tuple(str(cfg.get("methods", "linear,mw,rsw,deepwarp"))
                     .replace(",", " ").split())
     for m in methods:
@@ -421,6 +410,8 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown comparison method {m!r}")
     net = load_network_file(cfg.require("net")) if "deepwarp" in methods else None
     mesh = _load_mesh(cfg)
+    if not mesh.anchors:
+        raise ConfigError("comparison requires anchors")
     params = _material(cfg)
     field = _field(cfg)
     track = [int(v) for v in str(cfg.get("track", "")).replace(",", " ").split()] \
@@ -450,8 +441,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_partition_graph(args) -> int:
-    cfg = RunConfig.from_args(args, ["nodes", "elements", "anchors", "partition",
-                                     "nodes2", "elements2", "partition2", "out"])
+    cfg = RunConfig.from_args(args)
     mesh = _load_mesh(cfg)
     with open(cfg.require("partition")) as f:
         part = load_partition(f, mesh)
@@ -490,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true")
         for flag in flags:
             p.add_argument(f"--{flag.replace('_', '-')}")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, flag_keys=flags)
         return p
 
     add("info", cmd_info, ["nodes", "elements", "anchors"])
@@ -516,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
          "field_magnitude", "field_axis_point", "field_axis_dir"])
     add("partition-graph", cmd_partition_graph,
         ["nodes", "elements", "anchors", "partition", "nodes2", "elements2",
-         "partition2", "out"])
+         "partition2"])
     return parser
 
 

@@ -40,16 +40,6 @@ class DatasetFormatError(Exception):
     """Dataset stream rejected (magic, version, truncation, NaN payload)."""
 
 
-@dataclass(frozen=True)
-class TrainingRecord:
-    """One node-pose instance."""
-
-    features: np.ndarray
-    target: np.ndarray
-    pose_id: int
-    node_id: int
-
-
 class RecordSet:
     """Columnar container of training records."""
 
@@ -68,12 +58,6 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.features)
-
-    def record(self, i: int) -> TrainingRecord:
-        return TrainingRecord(features=self.features[i].copy(),
-                              target=self.targets[i].copy(),
-                              pose_id=int(self.pose_ids[i]),
-                              node_id=int(self.node_ids[i]))
 
     def subset(self, idx) -> "RecordSet":
         return RecordSet(self.features[idx], self.targets[idx],

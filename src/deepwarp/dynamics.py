@@ -245,8 +245,7 @@ class Prefactorization:
     events occur after construction.
     """
 
-    def __init__(self, matrix, dt: float, scheme: IntegrationScheme | None,
-                 rng_probe: int = 3):
+    def __init__(self, matrix, rng_probe: int = 3):
         global _factorization_events
         A = matrix.tocsc() if sp.issparse(matrix) else sp.csc_matrix(matrix)
         n = A.shape[0]    # 0 when every DOF is anchored: an empty system is valid
@@ -262,9 +261,6 @@ class Prefactorization:
             ) from None
         _factorization_events += 1
         self.factorization_count = 1
-        self.n = n
-        self.dt = dt
-        self.scheme = scheme
         # probe: solve must reproduce A x = b, and x^T A x must stay positive
         rng = np.random.default_rng(0)
         for _ in range(rng_probe if n else 0):
@@ -292,7 +288,7 @@ def prefactorize(K, M=None, C=None, dt: float = 0.0,
     Increments the factorization event counter by exactly one.
     """
     if M is None:
-        return Prefactorization(K, dt=0.0, scheme=None)
+        return Prefactorization(K)
     if C is None:
         C = sp.csr_matrix(K.shape)
     if scheme is IntegrationScheme.BACKWARD_EULER:
@@ -301,7 +297,7 @@ def prefactorize(K, M=None, C=None, dt: float = 0.0,
         A = M + NEWMARK_GAMMA * dt * C + NEWMARK_BETA * dt * dt * K
     else:
         raise ValueError(f"unknown scheme {scheme}")
-    return Prefactorization(A, dt=dt, scheme=scheme)
+    return Prefactorization(A)
 
 
 @dataclass
@@ -377,9 +373,9 @@ def step_linear_implicit(system: LinearSystem, state: SimState,
                     t=state.t + dt)
 
 
-def smallest_mode_frequency(K, M, n_iter: int = 60, seed: int = 0) -> float:
-    """Estimate sqrt(lambda_min) of K x = lambda M x by inverse power iteration."""
-    factor = factorize_spd(K)
+def smallest_mode_frequency(K, M, factor, n_iter: int = 60, seed: int = 0) -> float:
+    """Estimate sqrt(lambda_min) of K x = lambda M x by inverse power iteration;
+    ``factor.solve`` applies K^-1."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(K.shape[0])
     x /= np.linalg.norm(x)
@@ -408,7 +404,8 @@ class QuasistaticSequence:
 class QuasistaticDriver:
     """Reusable overdamped-loading context for one (mesh, density).
 
-    Assembles and factorizes the linear system once; ``run`` then produces a
+    Factorizes K_ff and the backward-Euler system matrix once each (the K_ff
+    factor also serves the slowest-mode estimate); ``run`` then produces a
     quasi-static sequence per force vector, which is what the training ramp
     exercises many times.
     """
@@ -421,7 +418,7 @@ class QuasistaticDriver:
         self.free = pre.free
         self.masses = np.repeat(lumped_mass(mesh, density), 3)
         self.static = prefactorize(K)
-        omega = smallest_mode_frequency(K, M)
+        omega = smallest_mode_frequency(K, M, self.static)
         if omega <= 0.0:
             raise NotPositiveDefiniteError("anchored system has a zero-frequency mode")
         if damping is None:

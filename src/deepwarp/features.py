@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .material import skew
+from .material import skew_quadratic
 from .mesh import TetMesh, lumped_mass, node_adjacency
 
 FEATURE_ORDER = ("u_mag", "w_mag", "uw_angle", "geodesic", "potential",
@@ -120,15 +120,6 @@ def force_vector(mesh: TetMesh, field: ForceField, density: float = 1000.0,
     return f.ravel()
 
 
-def node_force_directions(mesh: TetMesh, field: ForceField) -> np.ndarray:
-    """Unit force direction per node (zero rows where the field vanishes)."""
-    if field.kind is FieldKind.DIRECTIONAL:
-        return np.broadcast_to(field.direction, (mesh.n_nodes, 3)).copy()
-    unit = ForceField.circular(field.axis_point, field.axis_dir, 1.0)
-    f = force_vector(mesh, unit, masses=np.ones(mesh.n_nodes)).reshape(-1, 3)
-    return f
-
-
 @dataclass(frozen=True)
 class GeodesicField:
     """Normalized anchor geodesics plus each node's nearest anchor."""
@@ -199,21 +190,15 @@ def potential_all(mesh: TetMesh, field: ForceField) -> np.ndarray:
 
 def digression(mesh: TetMesh, field: ForceField, i: int,
                geo: GeodesicField) -> float:
-    """Angle between (x_i - nearest anchor) and the force direction.
-
-    Anchors themselves get 0 by convention; circular fields get -1.
-    """
-    if field.kind is FieldKind.CIRCULAR:
-        return -1.0
-    vec = mesh.nodes[i] - mesh.nodes[geo.nearest_anchor[i]]
-    norm = np.linalg.norm(vec)
-    if norm < _EPS:
-        return 0.0
-    c = float(vec @ field.direction) / norm
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    """Node i's entry of ``digression_all``."""
+    return float(digression_all(mesh, field, geo)[i])
 
 
 def digression_all(mesh: TetMesh, field: ForceField, geo: GeodesicField) -> np.ndarray:
+    """Angle between each (x_i - nearest anchor) and the force direction.
+
+    Anchors themselves get 0 by convention; circular fields get -1.
+    """
     if field.kind is FieldKind.CIRCULAR:
         return np.full(mesh.n_nodes, -1.0)
     vec = mesh.nodes - mesh.nodes[geo.nearest_anchor]
@@ -276,9 +261,8 @@ def _rotation_to_y_batch(U: np.ndarray) -> np.ndarray:
     v = np.cross(a, y)
     s2 = np.einsum("ni,ni->n", v, v)
     c = a @ y
-    Vx = skew(v)
     coef = np.where(s2 > 0.0, (1.0 - c) / np.where(s2 > 0.0, s2, 1.0), 0.0)
-    R = np.eye(3) + Vx + coef[:, None, None] * (Vx @ Vx)
+    R = skew_quadratic(v, np.ones(len(v)), coef)
     if np.any(flip):
         R[flip] = R[flip] @ _FLIP_X
     out[act] = R

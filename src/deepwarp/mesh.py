@@ -1,4 +1,5 @@
-"""Tetrahedral mesh representation, I/O, normalization and mass lumping.
+"""Tetrahedral mesh representation, I/O, normalization, mass lumping and
+tet connectivity (node adjacency, tets sharing an edge or a face).
 
 File formats (plain text, ``#`` starts a comment, blank lines ignored):
 
@@ -11,6 +12,7 @@ File formats (plain text, ``#`` starts a comment, blank lines ignored):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import IO, Iterable
 
 import numpy as np
@@ -276,14 +278,24 @@ def select_pseudo_anchor(mesh: TetMesh) -> int:
     return int(np.argmin(dist))
 
 
-def connected_components(n_nodes: int, adjacency: list[np.ndarray]) -> int:
-    """Number of connected components of the node adjacency graph."""
-    counts = np.fromiter((len(a) for a in adjacency), dtype=np.int64)
-    indices = np.concatenate([np.zeros(0, dtype=np.int64), *adjacency])
-    graph = sp.csr_matrix((np.ones(len(indices)), indices,
-                           np.concatenate([[0], np.cumsum(counts)])),
-                          shape=(n_nodes, n_nodes))
-    return int(csgraph.connected_components(graph, directed=False)[0])
+def tet_pairs_sharing(mesh: TetMesh, n_corners: int,
+                      labels: np.ndarray | None = None) -> np.ndarray:
+    """(p, 2) pairs of tets that share an edge (``n_corners`` 2) or a face (3).
+
+    Each simplex is keyed by its sorted corner indices; one lexsort brings
+    equal keys together and neighbours in that order with equal keys are
+    paired, so the tets sharing a simplex form a chain. With ``labels``, the
+    tet's label leads the key and only tets of one label are paired.
+    """
+    local = np.array(list(combinations(range(4), n_corners)))
+    keys = np.sort(mesh.tets[:, local], axis=2).reshape(-1, n_corners)
+    owner = np.repeat(np.arange(mesh.n_tets), len(local))
+    if labels is not None:
+        keys = np.column_stack([labels[owner], keys])
+    order = np.lexsort(keys.T[::-1])
+    keys, owner = keys[order], owner[order]
+    equal = np.all(keys[1:] == keys[:-1], axis=1)
+    return np.column_stack([owner[:-1][equal], owner[1:][equal]])
 
 
 @dataclass(frozen=True)
@@ -318,36 +330,17 @@ class DomainPartition:
         if len(present) != len(expected) or np.any(present != expected):
             missing = sorted(set(expected.tolist()) - set(present.tolist()))
             raise MeshError(f"partition has empty domain id(s): {missing}")
-        # Union tets sharing an edge within the same domain; each domain must
-        # collapse to a single component.
-        parent = list(range(mesh.n_tets))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edge_map: dict[tuple[int, int], int] = {}
-        for t, tet in enumerate(mesh.tets):
-            lab = self.labels[t]
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    key = (int(min(tet[a], tet[b])), int(max(tet[a], tet[b])))
-                    other = edge_map.get(key)
-                    if other is not None and self.labels[other] == lab:
-                        ra, rb = find(t), find(other)
-                        if ra != rb:
-                            parent[ra] = rb
-                    # keep one representative per (edge, label)
-                    if other is None or self.labels[other] != lab:
-                        edge_map[key] = t
-        roots_per_domain: dict[int, set[int]] = {}
-        for t in range(mesh.n_tets):
-            roots_per_domain.setdefault(int(self.labels[t]), set()).add(find(t))
-        for dom, roots in roots_per_domain.items():
-            if len(roots) > 1:
-                raise MeshError(f"domain {dom} is not edge-connected")
+        # tets of one domain that share an edge are joined; components never
+        # span two domains, so each domain must own exactly one
+        pairs = tet_pairs_sharing(mesh, 2, self.labels)
+        graph = sp.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                              shape=(mesh.n_tets, mesh.n_tets))
+        n_comp, component = csgraph.connected_components(graph, directed=False)
+        domain_of = np.empty(n_comp, dtype=np.int64)
+        domain_of[component] = self.labels
+        split = np.flatnonzero(np.bincount(domain_of, minlength=self.n_domains) > 1)
+        if len(split):
+            raise MeshError(f"domain {int(split[0])} is not edge-connected")
 
 
 def load_partition(stream: Iterable[str], mesh: TetMesh) -> DomainPartition:

@@ -6,7 +6,7 @@ rotation R = exp([w]x). ``gradient_operator`` stacks every G in one sparse
 operator, built from all per-node moment matrices as one batch;
 ``rotation_operator`` keeps only its skew rows, so a runtime reads every w
 with one smaller sparse product, and ``rotations_from_vectors`` writes each
-R entry by entry from Rodrigues' formula.
+R entry by entry from Rodrigues' formula; ``rotation_log`` inverts it.
 
 Registration finds the nonlinear displacement whose internal force matches
 the per-node-rotated linear internal force, chaining warm starts along a
@@ -40,15 +40,6 @@ class RankDeficientNeighborhoodError(Exception):
     """A node's neighbors are coplanar; the gradient fit is singular."""
 
 
-@dataclass(frozen=True)
-class LocalKinematics:
-    """Least-squares displacement gradient with its rotation readouts."""
-
-    G: np.ndarray
-    w: np.ndarray
-    R: np.ndarray
-
-
 def _neighbor_weights(rest: np.ndarray, neighbors: np.ndarray, i: int) -> np.ndarray:
     """Per-neighbor weight vectors w_j with G = sum_j (u_j - u_i) outer w_j."""
     d = rest[neighbors] - rest[i]                 # (m, 3)
@@ -76,6 +67,17 @@ def local_displacement_gradient(mesh: TetMesh, u: np.ndarray, i: int,
 def rotation_vector(G: np.ndarray) -> np.ndarray:
     """Axial vector of the skew part (G - G^T)/2."""
     return _AXIAL @ np.asarray(G, dtype=np.float64).reshape(9)
+
+
+def rotation_log(R: np.ndarray) -> np.ndarray:
+    """Inverse of ``rotation_from_vector`` for a rotation angle below pi: the
+    rotation vector of R, which is ``rotation_vector(R)`` scaled by
+    theta / sin(theta)."""
+    theta = float(np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)))
+    axial = rotation_vector(R)
+    if theta < 1e-8:
+        return axial           # sin(theta)/theta ~ 1
+    return axial * (theta / np.sin(theta))
 
 
 def rotation_from_vector(w: np.ndarray) -> np.ndarray:
@@ -153,11 +155,6 @@ def rotation_operator(grad_op: sp.csr_matrix) -> sp.csr_matrix:
             @ grad_op).tocsr()
 
 
-def displacement_gradients(grad_op: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
-    """All per-node gradients as an (n, 3, 3) stack."""
-    return (grad_op @ u).reshape(-1, 3, 3)
-
-
 def rotation_vectors_from_displacement(grad_op: sp.csr_matrix,
                                        u: np.ndarray) -> np.ndarray:
     """Per-node rotation vectors (n, 3) of a displacement.
@@ -180,8 +177,6 @@ class BlockRotations:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return np.einsum("npq,nq->np", self.blocks, vec.reshape(-1, 3)).ravel()
 
-    def apply_transpose(self, vec: np.ndarray) -> np.ndarray:
-        return np.einsum("nqp,nq->np", self.blocks, vec.reshape(-1, 3)).ravel()
 
 
 def build_rotation_blockdiag(mesh: TetMesh, u_lin: np.ndarray,

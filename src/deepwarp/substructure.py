@@ -1,5 +1,6 @@
-"""Domain decomposition: domain graphs, isomorphism queries, interface
-kinematics, and hierarchical per-domain warped simulation.
+"""Domain decomposition: domain graphs (from the tet face pairs of
+``mesh.tet_pairs_sharing``), isomorphism queries, interface kinematics, and
+hierarchical per-domain warped simulation.
 
 Each child domain is simulated in a non-inertial frame rigidly attached to
 its interface patch with the parent: the frame pose is the polar rotation of
@@ -19,8 +20,9 @@ import numpy as np
 from .dynamics import IntegrationScheme, RayleighDamping, SimState
 from .features import ForceField, force_vector
 from .material import MaterialParams, polar_decompose
-from .mesh import DomainPartition, MeshError, TetMesh, lumped_mass
+from .mesh import DomainPartition, MeshError, TetMesh, lumped_mass, tet_pairs_sharing
 from .net import MlpNetwork
+from .registration import rotation_log
 from .warper import WarpContext, build_warp_context, deepwarp_step
 
 
@@ -54,20 +56,10 @@ class DomainGraph:
 def build_domain_graph(mesh: TetMesh, partition: DomainPartition) -> DomainGraph:
     """Vertices are domains; an edge joins two domains sharing an interior face."""
     partition.validate(mesh)
-    faces: dict[tuple[int, int, int], int] = {}
-    edges: set[tuple[int, int]] = set()
-    corner_faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    for t, tet in enumerate(mesh.tets):
-        for f in corner_faces:
-            key = tuple(sorted(int(tet[c]) for c in f))
-            other = faces.pop(key, None)
-            if other is None:
-                faces[key] = t
-            else:
-                la, lb = int(partition.labels[t]), int(partition.labels[other])
-                if la != lb:
-                    edges.add((min(la, lb), max(la, lb)))
-    return DomainGraph(n_vertices=partition.n_domains, edges=frozenset(edges))
+    labels = partition.labels[tet_pairs_sharing(mesh, 3)]
+    edges = labels[labels[:, 0] != labels[:, 1]].tolist()
+    return DomainGraph(n_vertices=partition.n_domains,
+                       edges=frozenset(map(tuple, edges)))
 
 
 def graphs_isomorphic(g1: DomainGraph, g2: DomainGraph):
@@ -196,16 +188,6 @@ def polar_rotation(A: np.ndarray) -> np.ndarray:
         raise ValueError(f"polar rotation requires det(A) > 0, got {np.linalg.det(A):.3e}")
     R, _ = polar_decompose(A)
     return R
-
-
-def rotation_log(R: np.ndarray) -> np.ndarray:
-    """Axial vector of the rotation logarithm (angle below pi)."""
-    c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(c))
-    axial = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < 1e-8:
-        return axial           # sin(theta)/theta ~ 1
-    return axial * (theta / np.sin(theta))
 
 
 def interface_kinematics(R_history: list[np.ndarray],

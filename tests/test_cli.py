@@ -1,8 +1,10 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
+from deepwarp import cli
 from deepwarp.cli import main, parse_config_file
 from deepwarp.dataset import read_dataset_file
 from deepwarp.mesh import write_mesh_files
@@ -55,6 +57,25 @@ class TestConfig:
         assert "ramp_poses" in capsys.readouterr().err
         assert not (tmp_path / "d.dwtp").exists()
 
+    def test_every_flag_reaches_the_config(self, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(cls, *args):
+            raise Captured(from_args(*args).values)
+
+        from_args = cli.RunConfig.from_args
+        monkeypatch.setattr(cli.RunConfig, "from_args", classmethod(capture))
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            keys = [a.dest for a in sub._actions if a.option_strings
+                    and a.dest not in ("help", "config", "seed", "quiet")]
+            argv = [name] + [x for k in keys for x in (f"--{k.replace('_', '-')}", k)]
+            with pytest.raises(Captured) as got:
+                main(argv)
+            assert got.value.args[0] == {k: k for k in keys}, name
+
     def test_flags_override_file(self, tmp_path, mesh_files, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("youngs = 1\n")
@@ -94,9 +115,9 @@ class TestFeaturesCommand:
 
 
 class TestGenData:
-    def run_gen(self, mesh_files, tmp_path, name, seed="0"):
+    def run_gen(self, mesh_files, tmp_path, name, seed="0", extra=()):
         out = tmp_path / name
-        code = main(["gen-data"] + mesh_flags(mesh_files) + [
+        code = main(["gen-data"] + mesh_flags(mesh_files) + list(extra) + [
             "--out", str(out), "--seed", seed, "--n-alpha", "2", "--n-beta", "2",
             "--ramp-start", "0.3", "--ramp-factor", "2.5", "--ramp-poses", "3",
             "--ramp-cap", "1.2", "--youngs", "10000", "--poisson", "0.4",
@@ -110,6 +131,10 @@ class TestGenData:
         assert len(records) > 0
         report = (tmp_path / "d.dwtp.report.txt").read_text()
         assert "poses_emitted" in report and "records" in report
+        self.run_gen(mesh_files, tmp_path, "e.dwtp",
+                     extra=["--report", str(tmp_path / "r.txt")])
+        assert "poses_emitted" in (tmp_path / "r.txt").read_text()
+        assert not (tmp_path / "e.dwtp.report.txt").exists()
 
     def test_deterministic_bytes(self, mesh_files, tmp_path):
         a = self.run_gen(mesh_files, tmp_path, "a.dwtp")
@@ -208,6 +233,16 @@ class TestTrainSimulateCompare:
             assert name in printed
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 1 + 6 * 3
+
+    def test_anchorless_mesh_is_validation_error(self, mesh_files, tmp_path,
+                                                 capsys):
+        unanchored = ["--nodes", mesh_files["node"], "--elements", mesh_files["ele"]]
+        for command, method in (("simulate", "--method"), ("compare", "--methods")):
+            code = main([command] + unanchored + [
+                method, "linear", "--steps", "2", "--out", str(tmp_path / "z.csv"),
+                "--quiet"])
+            assert code == 1, command
+            assert "requires anchors" in capsys.readouterr().err
 
     def test_unknown_method_rejected(self, mesh_files, tmp_path):
         code = main(["compare"] + mesh_flags(mesh_files) + [

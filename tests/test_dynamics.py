@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from deepwarp import dynamics
 from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme,
-                               NotPositiveDefiniteError,
+                               NotPositiveDefiniteError, QuasistaticDriver,
                                RayleighDamping, SimState, TangentSolver,
                                build_linear_system, build_nonlinear_system,
                                factorization_event_count, factorize_spd, internal_force,
@@ -176,6 +176,22 @@ class TestQuasistatic:
         f0 = pre.free.gather(f)
         mid = len(seq.displacements) // 2
         assert np.linalg.norm(forces[mid] - f0) > 10 * np.linalg.norm(forces[-1] - f0)
+
+    def test_two_factorizations_per_driver(self, bending_beam, monkeypatch):
+        built = []
+
+        class CountedCholesky(BandedCholesky):
+            def __init__(self, A):
+                built.append(A.shape)
+                super().__init__(A)
+
+        monkeypatch.setattr(dynamics, "BandedCholesky", CountedCholesky)
+        reset_factorization_event_count()
+        QuasistaticDriver(bending_beam, LINEAR)
+        # K_ff and the backward-Euler matrix; the mode-frequency estimate
+        # reuses the K_ff factor
+        assert len(built) == 2
+        assert factorization_event_count() == 2
 
     def test_nonconvergence_reports_residual(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))

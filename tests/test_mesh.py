@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from deepwarp.mesh import (DomainPartition, MeshError, MeshFormatError, TetMesh,
-                           connected_components, load_mesh, load_partition,
+                           load_mesh, load_partition,
                            lumped_mass, mass_center, node_adjacency,
                            normalize_to_unit_sphere, select_pseudo_anchor,
                            signed_volumes, tet_volumes, write_mesh_files)
@@ -132,8 +134,15 @@ class TestAdjacency:
                 assert j != i
 
     def test_connected(self, bending_beam):
-        assert connected_components(bending_beam.n_nodes,
-                                    node_adjacency(bending_beam)) == 1
+        assert adjacency_components(node_adjacency(bending_beam)) == 1
+
+
+def adjacency_components(adjacency):
+    """Connected components of per-node neighbor lists, through csgraph."""
+    rows = np.repeat(np.arange(len(adjacency)), [len(a) for a in adjacency])
+    graph = sp.csr_matrix((np.ones(len(rows)), (rows, np.concatenate(adjacency))),
+                          shape=(len(adjacency), len(adjacency)))
+    return csgraph.connected_components(graph, directed=False)[0]
 
 
 def loop_adjacency(mesh):
@@ -193,7 +202,7 @@ class TestAdjacencyMatchesLoops:
         for got, want in zip(adj, ref):
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
-        n_comp = connected_components(mesh.n_nodes, adj)
+        n_comp = adjacency_components(adj)
         assert n_comp == loop_components(mesh.n_nodes, ref)
         assert n_comp == (2 if make is two_pieces else 1)
 
@@ -235,6 +244,25 @@ class TestPseudoAnchor:
         assert select_pseudo_anchor(mesh) == 0
 
 
+def loop_edge_connected(mesh, labels):
+    """Reference path: breadth-first search from each domain's first tet over
+    tets of that domain sharing an edge (two corners)."""
+    corners = [set(map(int, tet)) for tet in mesh.tets]
+    for dom in np.unique(labels):
+        members = set(np.flatnonzero(labels == dom).tolist())
+        seen = {min(members)}
+        queue = [min(members)]
+        while queue:
+            t = queue.pop(0)
+            for other in members - seen:
+                if len(corners[t] & corners[other]) >= 2:
+                    seen.add(other)
+                    queue.append(other)
+        if seen != members:
+            return False
+    return True
+
+
 class TestPartition:
     def test_valid_two_domain(self, small_beam):
         part = partition_by_axis(small_beam, 0, [1.0])
@@ -253,6 +281,31 @@ class TestPartition:
         labels = np.where((centroids < 0.4) | (centroids > 1.6), 0, 1)
         with pytest.raises(MeshError, match="not edge-connected"):
             DomainPartition(labels).validate(bending_beam)
+
+    def test_domain_joined_across_a_foreign_tet(self):
+        # tets 0 and 3 share an edge; tets 1 and 2 of the other domain come
+        # between them in tet order
+        mesh = beam(3, 2, 2)
+        assert len(set(mesh.tets[0]) & set(mesh.tets[3])) == 2
+        labels = np.ones(mesh.n_tets, dtype=int)
+        labels[[0, 3]] = 0
+        DomainPartition(labels).validate(mesh)
+
+    def test_edge_connectivity_matches_tet_bfs(self, small_beam):
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for _ in range(60):
+            labels = rng.integers(0, rng.integers(2, 4), small_beam.n_tets)
+            if len(np.unique(labels)) != labels.max() + 1:
+                continue
+            connected = loop_edge_connected(small_beam, labels)
+            verdicts.add(connected)
+            if connected:
+                DomainPartition(labels).validate(small_beam)
+            else:
+                with pytest.raises(MeshError, match="not edge-connected"):
+                    DomainPartition(labels).validate(small_beam)
+        assert verdicts == {True, False}
 
     def test_load_partition_stream(self, small_beam):
         text = io.StringIO("\n".join("0" for _ in range(small_beam.n_tets)))

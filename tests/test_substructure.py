@@ -6,12 +6,11 @@ import pytest
 from deepwarp.features import ForceField
 from deepwarp.mesh import DomainPartition, MeshError, TetMesh
 from deepwarp.meshgen import beam, partition_by_axis, t_shape
-from deepwarp.registration import rotation_from_vector
+from deepwarp.registration import rotation_from_vector, rotation_log
 from deepwarp.substructure import (DomainGraph, InterfacePatch,
                                    build_domain_graph, graphs_isomorphic,
                                    interface_kinematics, interface_transform,
-                                   polar_rotation, rotation_log,
-                                   simulate_substructured)
+                                   polar_rotation, simulate_substructured)
 from deepwarp.warper import build_warp_context, run_deepwarp
 
 
@@ -25,6 +24,11 @@ def brute_force_isomorphic(g1: DomainGraph, g2: DomainGraph) -> bool:
         if mapped == e2:
             return True
     return False
+
+
+def shuffled_nodes(mesh, seed):
+    perm = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    return TetMesh(nodes=mesh.nodes[perm], tets=np.argsort(perm)[mesh.tets])
 
 
 def path_graph(n):
@@ -55,20 +59,23 @@ class TestDomainGraph:
         assert (0, 1) in g.edges and (0, 2) in g.edges
 
     def test_matches_brute_force_face_enumeration(self, bending_beam):
-        part = partition_by_axis(bending_beam, 0, [1.0])
-        g = build_domain_graph(bending_beam, part)
-        # oracle: enumerate every pair of tets sharing a 3-node face
-        edges = set()
-        faces = {}
-        for t, tet in enumerate(bending_beam.tets):
-            for f in itertools.combinations(sorted(map(int, tet)), 3):
-                faces.setdefault(f, []).append(t)
-        for tets in faces.values():
-            if len(tets) == 2:
-                a, b = part.labels[tets[0]], part.labels[tets[1]]
-                if a != b:
-                    edges.add((min(a, b), max(a, b)))
-        assert g.edges == frozenset(edges)
+        shuffled = shuffled_nodes(bending_beam, seed=5)
+        for mesh, part in [(bending_beam, partition_by_axis(bending_beam, 0, [1.0])),
+                           t_shape(),
+                           (shuffled, partition_by_axis(shuffled, 0, [0.5, 1.0, 1.5]))]:
+            g = build_domain_graph(mesh, part)
+            # oracle: enumerate every pair of tets sharing a 3-node face
+            edges = set()
+            faces = {}
+            for t, tet in enumerate(mesh.tets):
+                for f in itertools.combinations(sorted(map(int, tet)), 3):
+                    faces.setdefault(f, []).append(t)
+            for tets in faces.values():
+                if len(tets) == 2:
+                    a, b = part.labels[tets[0]], part.labels[tets[1]]
+                    if a != b:
+                        edges.add((min(a, b), max(a, b)))
+            assert g.edges == frozenset(edges)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
