@@ -17,8 +17,7 @@ from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteE
                        factorization_event_count, prefactorize,
                        quasistatic_linear_sequence, reset_factorization_event_count,
                        step_linear_implicit, step_newmark_nonlinear)
-from .registration import (build_rotation_blockdiag, local_displacement_gradient,
-                           register_nonlinear, register_sequence,
+from .registration import (build_rotation_blockdiag, register_nonlinear, register_sequence,
                            rotation_from_vector, rotation_vector)
 from .features import (FEATURE_ORDER, FieldKind, ForceField, align_kinematics,
                        assemble_feature, digression, geodesic_all, potential_all,

@@ -206,6 +206,14 @@ class _AtomicFile:
         return False
 
 
+def _tracked_nodes(cfg: RunConfig, mesh, default: str) -> list[int]:
+    track = [int(v) for v in str(cfg.get("track", default)).replace(",", " ").split()]
+    for node in track:
+        if not 0 <= node < mesh.n_nodes:
+            raise ConfigError(f"tracked node {node} out of range")
+    return track
+
+
 def _print(args, *message):
     if not getattr(args, "quiet", False):
         print(*message)
@@ -357,10 +365,7 @@ def cmd_simulate(args) -> int:
     steps = cfg.getint("steps", 100)
     damping = _damping(cfg)
     scheme = _scheme(cfg)
-    track = [int(v) for v in str(cfg.get("track", "0")).replace(",", " ").split()]
-    for node in track:
-        if not 0 <= node < mesh.n_nodes:
-            raise ConfigError(f"tracked node {node} out of range")
+    track = _tracked_nodes(cfg, mesh, "0")
 
     f_ext = force_vector(mesh, field, density)
     displacements: list[np.ndarray] = []
@@ -414,8 +419,9 @@ def cmd_compare(args) -> int:
         raise ConfigError("comparison requires anchors")
     params = _material(cfg)
     field = _field(cfg)
-    track = [int(v) for v in str(cfg.get("track", "")).replace(",", " ").split()] \
-        or [None]
+    track = _tracked_nodes(cfg, mesh, "") or [None]
+    if len(track) > 1:
+        raise ConfigError(f"compare tracks one node; got {len(track)}")
     report = compare_methods(mesh, params, field, net,
                              steps=cfg.getint("steps", 50),
                              dt=cfg.getfloat("dt", 1.0 / 50.0),

@@ -143,8 +143,7 @@ class PoseGenerationReport:
 
 
 def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceField],
-                   ramp: RampConfig, density: float = 1000.0,
-                   rel_tol: float = 1e-6) -> PoseGenerationReport:
+                   ramp: RampConfig, density: float = 1000.0) -> PoseGenerationReport:
     """Registered training poses for every field over the magnitude ramp.
 
     Per field the rest pose (magnitude 0) is emitted first; snapshots whose
@@ -173,9 +172,9 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
             report.attempted += 1
             current = f.with_magnitude(magnitude)
             fvec = force_vector(mesh, current, masses=masses)
-            seq = driver.run(fvec, n_steps=ramp.poses_per_magnitude, rel_tol=rel_tol)
+            seq = driver.run(fvec, n_steps=ramp.poses_per_magnitude)
             reg = register_sequence(mesh, params, seq.displacements,
-                                    grad_op=grad_op, pre=pre, rel_tol=rel_tol)
+                                    grad_op=grad_op, pre=pre)
             report.attempted += len(seq.displacements)
             report.dropped_nonconverged += len(seq.displacements) - len(reg.pairs)
             max_lin = [float(np.linalg.norm(p.u_lin.reshape(-1, 3), axis=1).max())
@@ -215,10 +214,10 @@ def extract_records(pose: Pose, static: StaticFeatureSet, poisson: float,
 
 
 def build_dataset(mesh: TetMesh, params: MaterialParams, fields: list[ForceField],
-                  ramp: RampConfig, density: float = 1000.0,
-                  rel_tol: float = 1e-6) -> tuple[RecordSet, PoseGenerationReport]:
+                  ramp: RampConfig, density: float = 1000.0
+                  ) -> tuple[RecordSet, PoseGenerationReport]:
     """End-to-end record generation over fields, magnitudes and nodes."""
-    report = generate_poses(mesh, params, fields, ramp, density, rel_tol)
+    report = generate_poses(mesh, params, fields, ramp, density)
     adjacency = node_adjacency(mesh)
     grad_op = gradient_operator(mesh, adjacency)
     parts = []

@@ -19,9 +19,10 @@ and are counted through a module-level event counter so tests (and the
 runtime contract) can assert that a whole simulation run performs exactly one
 factorization.
 
-Newton solves (registration and the Newmark ground truth) go through a
-``TangentSolver``: it keeps the most recent factor and solves each new
-tangent by conjugate gradients preconditioned with that lagged factor,
+Registration and the Newmark ground truth share one Newton loop,
+``newton_solve``, and pass it only their residual and tangent. Its steps go
+through a ``TangentSolver``: it keeps the most recent factor and solves each
+new tangent by conjugate gradients preconditioned with that lagged factor,
 refactorizing only when CG stalls or meets non-positive curvature. CG runs to
 a 1e-10 relative residual, so Newton iterates match the direct solves to that
 tolerance and iteration counts are unchanged.
@@ -233,6 +234,93 @@ class TangentSolver:
             p = z + (rz_new / rz) * p
             rz = rz_new
         return None
+
+
+# Newton stops at |r| <= max(NEWTON_RTOL |load|, NEWTON_ATOL), within a cap
+# per loop; the weak Wolfe constants (Nocedal & Wright, Numerical
+# Optimization, sec. 3.1), trial cap and step floor of its line search
+NEWTON_RTOL = 1e-6
+NEWTON_ATOL = 1e-10
+NEWMARK_MAX_NEWTON = 30
+REGISTRATION_MAX_NEWTON = 50
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+LINE_SEARCH_TRIALS = 40
+MIN_STEP = 1e-12
+
+
+@dataclass
+class NewtonResult:
+    u: np.ndarray
+    residual: float
+    converged: bool
+    iterations: int
+
+
+def newton_solve(residual, tangent, u0: np.ndarray, tol: float, max_iter: int,
+                 solver: TangentSolver) -> NewtonResult:
+    """Solve residual(u) = 0 to |r| <= ``tol`` by Newton steps, each with a
+    weak Wolfe line search on phi = |r|^2 / 2.
+
+    ``residual(u)`` may raise ``InvertedElementError``; ``tangent(u)``
+    returns the symmetric Jacobian that ``solver`` solves. A tangent is
+    assembled at ``u0`` only when it is not converged, then at the trials the
+    curvature test reads; the accepted one serves the next step. After
+    ``max_iter`` steps, a failed search or a direction that is not a descent
+    direction, the best iterate is returned flagged non-converged.
+    """
+    u, r, J = u0, residual(u0), None
+    best_u, best_r = u, float(np.linalg.norm(r))
+    for it in range(max_iter):
+        rnorm = float(np.linalg.norm(r))
+        if rnorm < best_r:
+            best_u, best_r = u, rnorm
+        if rnorm <= tol:
+            return NewtonResult(u=u, residual=rnorm, converged=True, iterations=it)
+        if J is None:
+            J = tangent(u)
+        delta = solver.solve(J, -r)
+        dphi0 = float(r @ (J @ delta))    # equals -|r|^2 up to solver error
+        trial = None
+        if np.isfinite(dphi0) and dphi0 < 0.0:
+            trial = _line_search(residual, tangent, u, delta, 0.5 * rnorm * rnorm, dphi0,
+                                 tol)
+        if trial is None:
+            return NewtonResult(u=best_u, residual=best_r, converged=False,
+                                iterations=it + 1)
+        u, r, J = trial
+    return NewtonResult(u=best_u, residual=best_r, converged=False, iterations=max_iter)
+
+
+def _line_search(residual, tangent, u, delta, phi0: float, dphi0: float, tol: float):
+    """Weak Wolfe step along ``delta`` by expansion and bisection.
+
+    Returns (u, r, J) at the accepted trial, or None once LINE_SEARCH_TRIALS
+    trials ran or the step fell below MIN_STEP. An inverted trial state fails
+    the sufficient-decrease test like any other. A trial that passes it
+    within ``tol`` is accepted without the curvature test, and J is None.
+    """
+    lo, hi, s = 0.0, np.inf, 1.0
+    for _ in range(LINE_SEARCH_TRIALS):
+        u_try = u + s * delta
+        try:
+            r_try = residual(u_try)
+            decrease = 0.5 * float(r_try @ r_try) <= phi0 + WOLFE_C1 * s * dphi0
+        except InvertedElementError:
+            decrease = False
+        if not decrease:
+            hi = s
+        elif float(np.linalg.norm(r_try)) <= tol:
+            return u_try, r_try, None
+        else:
+            J_try = tangent(u_try)
+            if float(r_try @ (J_try @ delta)) >= WOLFE_C2 * dphi0:
+                return u_try, r_try, J_try
+            lo = s
+        s = 2.0 * s if np.isinf(hi) else 0.5 * (lo + hi)
+        if s < MIN_STEP:
+            break
+    return None
 
 
 class Prefactorization:
@@ -498,8 +586,6 @@ class NonlinearSystem:
     pre: MeshPrecomp
     M: sp.csr_matrix
     C: sp.csr_matrix
-    newton_tol: float = 1e-6
-    max_newton: int = 30
     # one lagged factor across all steps: the mass term dominates the Newmark
     # matrix, so the last factor preconditions the next tangents well
     solver: TangentSolver = field(default_factory=TangentSolver, repr=False)
@@ -521,20 +607,18 @@ def internal_force(system: NonlinearSystem, u: np.ndarray) -> np.ndarray:
 
 def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
                            f_ext: np.ndarray, dt: float) -> SimState:
-    """One Newmark (gamma=1/2, beta=1/4) step with an inner Newton loop.
-
-    Converges the dynamic residual on the free DOFs to 1e-6 * |f_ext|
-    (absolute 1e-10 when the load vanishes); raises ConvergenceError on
-    Newton failure. Newton steps are solved through ``system.solver``, whose
-    factor carries over from the previous iterations and steps. A trial state
-    that inverts an element is rejected by the line search like any other
-    trial that fails the Armijo test.
+    """One Newmark (gamma=1/2, beta=1/4) step; ``newton_solve`` converges the
+    dynamic residual on the free DOFs to NEWTON_RTOL * |f_ext| (NEWTON_ATOL
+    when the load vanishes) through ``system.solver``, whose factor carries
+    over from the previous iterations and steps. Raises ConvergenceError when
+    Newton does not converge.
     """
     g, b = NEWMARK_GAMMA, NEWMARK_BETA
     free = system.pre.free
     f, u0, v0, a0 = (free.gather(x) for x in (f_ext, state.u, state.v, state.a))
     u_pred = u0 + dt * v0 + dt * dt * (0.5 - b) * a0
     v_pred = v0 + dt * (1.0 - g) * a0
+    inertia = system.M / (b * dt * dt) + system.C * (g / (b * dt))
 
     def kinematics(u):
         a = (u - u_pred) / (b * dt * dt)
@@ -546,41 +630,19 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
         f_int = free.gather(internal_force(system, free.scatter(u)))
         return system.M @ a + system.C @ v + f_int - f
 
-    tol = max(system.newton_tol * np.linalg.norm(f), 1e-10)
-    u = u0
-    r = residual(u)
-    for _ in range(system.max_newton):
-        rnorm = np.linalg.norm(r)
-        if rnorm <= tol:
-            v, a = kinematics(u)
-            return SimState(u=free.scatter(u), v=free.scatter(v), a=free.scatter(a),
-                            t=state.t + dt)
-        K = system.pre.free_block(assemble_stiffness(system.mesh, system.params,
-                                                     free.scatter(u), system.pre))
-        J = system.M / (b * dt * dt) + system.C * (g / (b * dt)) + K
-        delta = system.solver.solve(J, -r)
-        # Armijo backtracking on phi(s) = 0.5|r|^2; phi'(0) = -2 phi(0)
-        s = 1.0
-        phi0 = 0.5 * rnorm * rnorm
-        accepted = False
-        while s >= 1e-12:
-            u_try = u + s * delta
-            try:
-                r_try = residual(u_try)
-            except InvertedElementError:
-                s *= 0.5
-                continue
-            if 0.5 * float(r_try @ r_try) <= phi0 * (1.0 - 2e-4 * s):
-                u, r = u_try, r_try
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            raise ConvergenceError("Newmark inner Newton line search failed",
-                                   residual=float(rnorm))
-    raise ConvergenceError(
-        f"Newmark inner Newton did not converge in {system.max_newton} iterations",
-        residual=float(np.linalg.norm(r)))
+    def tangent(u):
+        return inertia + system.pre.free_block(
+            assemble_stiffness(system.mesh, system.params, free.scatter(u), system.pre))
+
+    tol = max(NEWTON_RTOL * np.linalg.norm(f), NEWTON_ATOL)
+    res = newton_solve(residual, tangent, u0, tol, NEWMARK_MAX_NEWTON, system.solver)
+    if not res.converged:
+        raise ConvergenceError(
+            f"Newmark inner Newton did not converge in {res.iterations} iterations",
+            residual=res.residual)
+    v, a = kinematics(res.u)
+    return SimState(u=free.scatter(res.u), v=free.scatter(v), a=free.scatter(a),
+                    t=state.t + dt)
 
 
 def write_trajectory_csv(stream, times, tracked_nodes, displacements,

@@ -10,7 +10,8 @@ R entry by entry from Rodrigues' formula; ``rotation_log`` inverts it.
 
 Registration finds the nonlinear displacement whose internal force matches
 the per-node-rotated linear internal force, chaining warm starts along a
-quasi-static loading path. The Newton steps of a whole path share one
+quasi-static loading path, through ``dynamics.newton_solve``, the Newton
+loop of the Newmark ground truth too. A whole path shares one
 ``TangentSolver``, so the factor of one pose's tangent preconditions the
 next poses' solves instead of each iteration refactorizing.
 """
@@ -22,13 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import ConvergenceError, TangentSolver
-from .material import (InvertedElementError, MaterialParams, MeshPrecomp,
-                       assemble_force, assemble_stiffness, skew_quadratic)
+from .dynamics import (NEWTON_ATOL, NEWTON_RTOL, REGISTRATION_MAX_NEWTON, NewtonResult,
+                       TangentSolver, newton_solve)
+from .material import MaterialParams, MeshPrecomp, assemble_force, assemble_stiffness, \
+    skew_quadratic
 from .mesh import TetMesh, node_adjacency
-
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
 
 # axial((G - G^T)/2) from vec(G) (row-major)
 _AXIAL = 0.5 * np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
@@ -38,30 +37,6 @@ _AXIAL = 0.5 * np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
 
 class RankDeficientNeighborhoodError(Exception):
     """A node's neighbors are coplanar; the gradient fit is singular."""
-
-
-def _neighbor_weights(rest: np.ndarray, neighbors: np.ndarray, i: int) -> np.ndarray:
-    """Per-neighbor weight vectors w_j with G = sum_j (u_j - u_i) outer w_j."""
-    d = rest[neighbors] - rest[i]                 # (m, 3)
-    M = d.T @ d
-    eig = np.linalg.eigvalsh(M)
-    if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
-        raise RankDeficientNeighborhoodError(
-            f"node {i}: neighborhood is rank-deficient (coplanar neighbors)")
-    return d @ np.linalg.inv(M)                   # (m, 3) rows are w_j
-
-
-def local_displacement_gradient(mesh: TetMesh, u: np.ndarray, i: int,
-                                adjacency: list[np.ndarray] | None = None) -> np.ndarray:
-    """G minimizing sum_j |G (x_j - x_i) - (u_j - u_i)|^2 over adjacent nodes."""
-    adjacency = adjacency if adjacency is not None else node_adjacency(mesh)
-    nbr = adjacency[i]
-    if len(nbr) < 3:
-        raise RankDeficientNeighborhoodError(f"node {i}: fewer than 3 neighbors")
-    w = _neighbor_weights(mesh.nodes, nbr, i)
-    x = u.reshape(-1, 3)
-    e = x[nbr] - x[i]
-    return e.T @ w
 
 
 def rotation_vector(G: np.ndarray) -> np.ndarray:
@@ -191,59 +166,21 @@ def build_rotation_blockdiag(mesh: TetMesh, u_lin: np.ndarray,
     return BlockRotations(R)
 
 
-@dataclass
-class RegistrationResult:
-    u: np.ndarray
-    residual: float
-    converged: bool
-    iterations: int
-    tangent: object = None     # free-DOF tangent K_ff at u, reusable for a warm-started chain
-
-
-def _wolfe_search(phi, dphi, phi0: float, dphi0: float,
-                  max_iter: int = 40) -> tuple[float, object]:
-    """Weak Wolfe line search by expansion/bisection.
-
-    ``phi(s)`` returns (value, payload); ``dphi(payload)`` the slope there.
-    Returns the accepted step and its payload, or raises ConvergenceError.
-    """
-    lo, hi = 0.0, np.inf
-    s = 1.0
-    for _ in range(max_iter):
-        val, payload = phi(s)
-        if val > phi0 + WOLFE_C1 * s * dphi0:
-            hi = s
-            s = 0.5 * (lo + hi)
-        else:
-            slope = dphi(payload)
-            if slope < WOLFE_C2 * dphi0:
-                lo = s
-                s = 2.0 * s if np.isinf(hi) else 0.5 * (lo + hi)
-            else:
-                return s, payload
-        if s < 1e-12:
-            break
-    raise ConvergenceError("Wolfe line search failed (step below 1e-12)")
-
-
 def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
                        u_init: np.ndarray | None = None,
                        rotations: BlockRotations | None = None,
                        grad_op: sp.csr_matrix | None = None,
                        pre: MeshPrecomp | None = None,
                        K_linear: sp.csr_matrix | None = None,
-                       J_init: sp.csr_matrix | None = None,
-                       rel_tol: float = 1e-6, max_iter: int = 50,
-                       solver: TangentSolver | None = None) -> RegistrationResult:
+                       solver: TangentSolver | None = None) -> NewtonResult:
     """Solve f_int(u) = R K u_lin for the nonlinear displacement u.
 
-    Newton iterations on the free DOFs of ``pre.free`` (anchored DOFs stay
-    at zero) with a Wolfe line search on the squared residual. ``K_linear``
-    is the (3n x 3n) rest stiffness of the linear model; ``J_init`` may
-    supply the free-DOF tangent K_ff at ``u_init`` (exact when chaining warm
-    starts). ``solver`` carries a lagged factor between calls; without one,
-    the first iteration factorizes. On iteration exhaustion the best iterate
-    is returned flagged non-converged.
+    ``newton_solve`` iterates on the free DOFs of ``pre.free`` (anchored DOFs
+    stay at zero) to NEWTON_RTOL |R K u_lin|, at most REGISTRATION_MAX_NEWTON
+    steps. ``K_linear`` is the (3n x 3n) rest stiffness of the linear model.
+    ``solver`` carries a lagged factor between calls; without one, the first
+    iteration factorizes. The result's u holds all 3n DOFs; a non-converged
+    result holds the best iterate.
     """
     pre = pre or MeshPrecomp(mesh)
     free = pre.free
@@ -254,7 +191,7 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
     if rotations is None:
         rotations = build_rotation_blockdiag(mesh, u_lin, grad_op)
     target = free.gather(rotations.apply(K_linear @ u_lin))
-    tol = max(rel_tol * np.linalg.norm(target), 1e-10)
+    tol = max(NEWTON_RTOL * np.linalg.norm(target), NEWTON_ATOL)
 
     def residual(u):
         return -free.gather(assemble_force(mesh, params, free.scatter(u), pre)) - target
@@ -262,47 +199,10 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
     def tangent(u):
         return pre.free_block(assemble_stiffness(mesh, params, free.scatter(u), pre))
 
-    u = np.zeros(len(target)) if u_init is None else free.gather(u_init)
-    r = residual(u)
-    J = J_init if J_init is not None else tangent(u)
-    best_u, best_r = u.copy(), float(np.linalg.norm(r))
-    for it in range(max_iter):
-        rnorm = float(np.linalg.norm(r))
-        if rnorm < best_r:
-            best_u, best_r = u.copy(), rnorm
-        if rnorm <= tol:
-            return RegistrationResult(u=free.scatter(u), residual=rnorm, converged=True,
-                                      iterations=it, tangent=J)
-        delta = solver.solve(J, -r)
-        phi0 = 0.5 * rnorm * rnorm
-        dphi0 = float(r @ (J @ delta))    # equals -|r|^2 up to solver error
-        if not np.isfinite(dphi0) or dphi0 >= 0.0:
-            return RegistrationResult(u=free.scatter(best_u), residual=best_r,
-                                      converged=False, iterations=it + 1)
-
-        def phi(s):
-            u_try = u + s * delta
-            try:
-                r_try = residual(u_try)
-            except InvertedElementError:
-                # treat inverted trial states as infeasible: reject the step
-                return np.inf, None
-            return 0.5 * float(r_try @ r_try), [u_try, r_try, None]
-
-        def dphi(payload):
-            # the tangent is only assembled once Armijo has accepted the trial
-            if payload[2] is None:
-                payload[2] = tangent(payload[0])
-            return float(payload[1] @ (payload[2] @ delta))
-
-        try:
-            _, (u, r, J) = _wolfe_search(phi, dphi, phi0, dphi0)
-        except ConvergenceError:
-            rn = float(np.linalg.norm(r))
-            return RegistrationResult(u=free.scatter(best_u), residual=min(best_r, rn),
-                                      converged=False, iterations=it + 1)
-    return RegistrationResult(u=free.scatter(best_u), residual=best_r, converged=False,
-                              iterations=max_iter)
+    u0 = np.zeros(len(target)) if u_init is None else free.gather(u_init)
+    res = newton_solve(residual, tangent, u0, tol, REGISTRATION_MAX_NEWTON, solver)
+    res.u = free.scatter(res.u)
+    return res
 
 
 @dataclass
@@ -321,8 +221,7 @@ class SequenceRegistration:
 
 def register_sequence(mesh: TetMesh, params: MaterialParams,
                       u_lin_sequence, grad_op: sp.csr_matrix | None = None,
-                      pre: MeshPrecomp | None = None,
-                      rel_tol: float = 1e-6) -> SequenceRegistration:
+                      pre: MeshPrecomp | None = None) -> SequenceRegistration:
     """Register a loading path, warm-starting each pose from the previous one.
 
     One ``TangentSolver`` serves the whole path. Aborts on the first
@@ -335,12 +234,11 @@ def register_sequence(mesh: TetMesh, params: MaterialParams,
                                   np.zeros(3 * mesh.n_nodes), pre)
     pairs: list[RegisteredPair] = []
     u_prev = None
-    J_prev = None
     solver = TangentSolver()
     for k, u_lin in enumerate(u_lin_sequence):
         res = register_nonlinear(mesh, params, u_lin, u_init=u_prev,
                                  grad_op=grad_op, pre=pre, K_linear=K_linear,
-                                 J_init=J_prev, rel_tol=rel_tol, solver=solver)
+                                 solver=solver)
         if not res.converged:
             return SequenceRegistration(
                 pairs=pairs, completed=False,
@@ -348,5 +246,4 @@ def register_sequence(mesh: TetMesh, params: MaterialParams,
         pairs.append(RegisteredPair(u_lin=np.array(u_lin, copy=True), u=res.u,
                                     residual=res.residual))
         u_prev = res.u
-        J_prev = res.tangent
     return SequenceRegistration(pairs=pairs, completed=True)

@@ -343,8 +343,11 @@ def compare_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFie
     gt_arr = np.array(gt)
     report.trajectories["groundtruth"] = gt_arr
 
-    lin_system = build_linear_system(mesh, params.as_linear(), dt, scheme,
-                                     damping, density)
+    # the baselines step on deepwarp's linear system, so it is factorized once
+    ctx = build_warp_context(mesh, params, net, field_descr, dt, scheme, damping,
+                             density) if "deepwarp" in methods else None
+    lin_system = ctx.system if ctx is not None else build_linear_system(
+        mesh, params.as_linear(), dt, scheme, damping, density)
     lin_state = SimState.rest(mesh.n_nodes)
     lin = []
     for _ in range(n_ok):
@@ -358,9 +361,7 @@ def compare_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFie
         outputs["mw"] = [mw_warp(mesh, u, grad_op) for u in lin]
     if "rsw" in methods:
         outputs["rsw"] = [rsw_warp(mesh, u, grad_op) for u in lin]
-    if "deepwarp" in methods:
-        ctx = build_warp_context(mesh, params, net, field_descr, dt, scheme,
-                                 damping, density)
+    if ctx is not None:
         outputs["deepwarp"] = run_deepwarp(ctx, n_ok, f_ext)
 
     if tracked_node is None:

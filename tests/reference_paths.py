@@ -6,8 +6,10 @@ can compare the fast kernels against them: the two-stage canonicalization
 map through a ``K @ K`` stack product, the per-node gradient-operator loop,
 a whole ``deepwarp_step`` built from them, the heapq multi-source Dijkstra,
 the unit-diagonal elimination of the anchors in the linear, Newmark and
-registration solvers, and the stiffness assembly from whole 12x12 element
-blocks.
+registration solvers with registration's weak Wolfe search, and the
+stiffness assembly from whole 12x12 element blocks. The per-node gradient
+fit ``local_displacement_gradient`` is here too; the package uses only the
+batched ``gradient_operator``.
 """
 
 import heapq
@@ -23,10 +25,9 @@ from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_featur
 from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
                                assemble_force, assemble_stiffness, det_and_inverse_transpose,
                                piola_stress_differential_batch)
-from deepwarp.mesh import lumped_mass
+from deepwarp.mesh import lumped_mass, node_adjacency
 from deepwarp.net import forward_batch
-from deepwarp.registration import (RankDeficientNeighborhoodError, _neighbor_weights,
-                                   _wolfe_search, build_rotation_blockdiag)
+from deepwarp.registration import RankDeficientNeighborhoodError, build_rotation_blockdiag
 
 _FLIP_X = np.diag([1.0, -1.0, -1.0])
 
@@ -100,6 +101,29 @@ def rotations_from_vectors(W):
                       (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
     K = skew_stack(W)
     return np.eye(3) + c1[:, None, None] * K + c2[:, None, None] * (K @ K)
+
+
+def _neighbor_weights(rest, neighbors, i):
+    """Per-neighbor weight vectors w_j with G = sum_j (u_j - u_i) outer w_j."""
+    d = rest[neighbors] - rest[i]                 # (m, 3)
+    M = d.T @ d
+    eig = np.linalg.eigvalsh(M)
+    if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
+        raise RankDeficientNeighborhoodError(
+            f"node {i}: neighborhood is rank-deficient (coplanar neighbors)")
+    return d @ np.linalg.inv(M)                   # (m, 3) rows are w_j
+
+
+def local_displacement_gradient(mesh, u, i, adjacency=None):
+    """G minimizing sum_j |G (x_j - x_i) - (u_j - u_i)|^2 over adjacent nodes."""
+    adjacency = adjacency if adjacency is not None else node_adjacency(mesh)
+    nbr = adjacency[i]
+    if len(nbr) < 3:
+        raise RankDeficientNeighborhoodError(f"node {i}: fewer than 3 neighbors")
+    w = _neighbor_weights(mesh.nodes, nbr, i)
+    x = u.reshape(-1, 3)
+    e = x[nbr] - x[i]
+    return e.T @ w
 
 
 def gradient_operator(mesh, adjacency):
@@ -275,11 +299,12 @@ def unit_diagonal_nonlinear_system(mesh, params, damping=RayleighDamping(), dens
     dofs = anchor_dofs(mesh)
     return SimpleNamespace(mesh=mesh, params=params, pre=pre, dofs=dofs,
                            M=apply_anchors(M, dofs), C=apply_anchors(C, dofs),
-                           newton_tol=1e-6, max_newton=30, solver=TangentSolver())
+                           solver=TangentSolver())
 
 
 def unit_diagonal_newmark_step(system, state, f_ext, dt):
-    """Newmark step with Armijo backtracking on 0.5|r|^2, as in ``dynamics``."""
+    """Newmark step with Armijo backtracking on 0.5|r|^2, the search that
+    ``dynamics`` used before its Newton loop was shared with registration."""
     g, b = NEWMARK_GAMMA, NEWMARK_BETA
     dofs = system.dofs
     f = np.array(f_ext, dtype=np.float64, copy=True)
@@ -299,11 +324,11 @@ def unit_diagonal_newmark_step(system, state, f_ext, dt):
         r[dofs] = 0.0
         return r
 
-    tol = max(system.newton_tol * np.linalg.norm(f), 1e-10)
+    tol = max(1e-6 * np.linalg.norm(f), 1e-10)
     u = u0.copy()
     u[dofs] = 0.0
     r = residual(u)
-    for _ in range(system.max_newton):
+    for _ in range(30):
         rnorm = np.linalg.norm(r)
         if rnorm <= tol:
             v, a = kinematics(u)
@@ -331,13 +356,39 @@ def unit_diagonal_newmark_step(system, state, f_ext, dt):
     raise ConvergenceError("Newmark inner Newton did not converge")
 
 
+def _wolfe_search(phi, dphi, phi0, dphi0, max_iter=40):
+    """Weak Wolfe line search by expansion/bisection (c1 = 1e-4, c2 = 0.9).
+
+    ``phi(s)`` returns (value, payload); ``dphi(payload)`` the slope there.
+    Returns the accepted step and its payload, or raises ConvergenceError.
+    """
+    lo, hi = 0.0, np.inf
+    s = 1.0
+    for _ in range(max_iter):
+        val, payload = phi(s)
+        if val > phi0 + 1e-4 * s * dphi0:
+            hi = s
+            s = 0.5 * (lo + hi)
+        else:
+            slope = dphi(payload)
+            if slope < 0.9 * dphi0:
+                lo = s
+                s = 2.0 * s if np.isinf(hi) else 0.5 * (lo + hi)
+            else:
+                return s, payload
+        if s < 1e-12:
+            break
+    raise ConvergenceError("Wolfe line search failed (step below 1e-12)")
+
+
 def unit_diagonal_register(mesh, params, u_lin, u_init, grad_op, pre, K_linear, J_init,
-                           solver, rel_tol=1e-6, max_iter=50):
-    """Newton registration with the Wolfe search of ``registration``."""
+                           solver):
+    """Newton registration with the weak Wolfe search, carrying the tangent
+    at the converged pose into the next one."""
     dofs = anchor_dofs(mesh)
     target = build_rotation_blockdiag(mesh, u_lin, grad_op).apply(K_linear @ u_lin)
     target[dofs] = 0.0
-    tol = max(rel_tol * np.linalg.norm(target), 1e-10)
+    tol = max(1e-6 * np.linalg.norm(target), 1e-10)
 
     def residual(u):
         r = -anchored_force(mesh, params, u, pre) - target
@@ -348,7 +399,7 @@ def unit_diagonal_register(mesh, params, u_lin, u_init, grad_op, pre, K_linear, 
     u[dofs] = 0.0
     r = residual(u)
     J = J_init if J_init is not None else assemble_stiffness(mesh, params, u, pre)
-    for it in range(max_iter):
+    for it in range(50):
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol:
             return u, it, J

@@ -234,6 +234,26 @@ class TestTrainSimulateCompare:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 1 + 6 * 3
 
+    @pytest.mark.parametrize("track, message", [
+        ("9999", "tracked node 9999 out of range"),
+        ("-1", "tracked node -1 out of range"),
+        ("5,9999", "tracked node 9999 out of range"),
+        ("1,5", "compare tracks one node"),
+    ])
+    def test_compare_track_validated_before_solving(self, mesh_files, tmp_path, track,
+                                                    message, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("compare_methods ran")
+
+        monkeypatch.setattr(cli, "compare_methods", no_solve)
+        out = tmp_path / "t.csv"
+        code = main(["compare"] + mesh_flags(mesh_files) + [
+            "--methods", "linear", "--steps", "2", f"--track={track}",
+            "--out", str(out), "--quiet"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_anchorless_mesh_is_validation_error(self, mesh_files, tmp_path,
                                                  capsys):
         unanchored = ["--nodes", mesh_files["node"], "--elements", mesh_files["ele"]]

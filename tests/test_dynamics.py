@@ -10,10 +10,11 @@ from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationSche
                                build_linear_system, build_nonlinear_system,
                                factorization_event_count, factorize_spd, internal_force,
                                prefactorize, quasistatic_linear_sequence,
-                               reset_factorization_event_count,
+                               newton_solve, reset_factorization_event_count,
                                step_linear_implicit, step_newmark_nonlinear)
-from deepwarp.material import (MaterialModel, MaterialParams, assemble_stiffness,
-                               total_elastic_energy, MeshPrecomp)
+from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
+                               MeshPrecomp, assemble_force, assemble_stiffness,
+                               total_elastic_energy)
 from deepwarp.mesh import TetMesh, lumped_mass
 from deepwarp.features import ForceField, force_vector
 from deepwarp.meshgen import beam
@@ -258,6 +259,91 @@ class TestNewmarkNonlinear:
         Ku = free.gather(assemble_stiffness(bending_beam, neo_hookean.as_linear(),
                                             np.zeros_like(u)) @ u)
         assert np.linalg.norm(f - Ku) < 0.05 * np.linalg.norm(Ku)
+
+
+class TestNewtonSolve:
+    """The Newton loop shared by registration and the Newmark ground truth."""
+
+    @staticmethod
+    def static_problem(mesh, params, magnitude):
+        """Closures of f_int(u) = f on the free DOFs; ``inverted`` collects
+        the states at which the residual raised InvertedElementError."""
+        pre = MeshPrecomp(mesh)
+        free = pre.free
+        f = free.gather(force_vector(mesh, ForceField.directional([0, -1, 0], magnitude)))
+        inverted = []
+
+        def residual(u):
+            try:
+                return -free.gather(assemble_force(mesh, params, free.scatter(u), pre)) - f
+            except InvertedElementError:
+                inverted.append(u)
+                raise
+
+        def tangent(u):
+            return pre.free_block(assemble_stiffness(mesh, params, free.scatter(u), pre))
+
+        u0 = np.zeros(len(free.index))
+        return residual, tangent, u0, 1e-6 * np.linalg.norm(f), inverted
+
+    def test_inverted_trials_rejected_and_solve_converges(self, small_beam, neo_hookean):
+        residual, tangent, u0, tol, inverted = self.static_problem(small_beam, neo_hookean,
+                                                                   20.0)
+        res = newton_solve(residual, tangent, u0, tol, 50, TangentSolver())
+        assert inverted
+        assert res.converged and res.residual <= tol
+        assert np.linalg.norm(residual(res.u)) == res.residual
+
+    def test_stalled_search_returns_best_iterate(self, small_beam, neo_hookean):
+        # at this load the full first Newton step passes both Wolfe tests
+        residual, tangent, u0, tol, _ = self.static_problem(small_beam, neo_hookean, 0.05)
+        states = []
+
+        def feasible_until_first_step(u):
+            # every state after the start and the first trial is "inverted"
+            states.append(u)
+            if len(states) > 2:
+                raise InvertedElementError("inverted element")
+            return residual(u)
+
+        res = newton_solve(feasible_until_first_step, tangent, u0, tol, 50, TangentSolver())
+        assert not res.converged and res.iterations == 2
+        # the start, the accepted step and one full search of rejected trials
+        assert len(states) == 2 + dynamics.LINE_SEARCH_TRIALS
+        assert res.u is states[1]
+        r1 = float(np.linalg.norm(residual(states[1])))
+        assert tol < r1 < np.linalg.norm(residual(u0))
+        assert res.residual == r1
+
+    def test_newmark_one_tangent_per_newton_iteration(self, monkeypatch):
+        # the README beam under an off-axis load with a static max |u| of 0.7
+        mesh = beam(16, 5, 5, lengths=(2.0, 0.8, 0.8))
+        params = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
+        direction = np.array([0.18, 0.71, 0.68])
+        pre = MeshPrecomp(mesh)
+        K = pre.free_block(assemble_stiffness(mesh, params.as_linear(),
+                                              np.zeros(3 * mesh.n_nodes), pre))
+        unit = force_vector(mesh, ForceField.directional(direction, 1.0))
+        peak = np.linalg.norm(pre.free.scatter(factorize_spd(K).solve(
+            pre.free.gather(unit))).reshape(-1, 3), axis=1).max()
+        f = 0.7 / peak * unit
+        assemblies = []
+        original = dynamics.assemble_stiffness
+
+        def counting(*args, **kwargs):
+            assemblies.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "assemble_stiffness", counting)
+        system = build_nonlinear_system(mesh, params)
+        state = SimState.rest(mesh.n_nodes)
+        newton = []
+        for _ in range(30):
+            solves, built = system.solver.solves, len(assemblies)
+            state = step_newmark_nonlinear(system, state, f, 1 / 60)
+            newton.append(system.solver.solves - solves)
+            assert len(assemblies) - built == newton[-1]
+        assert sum(newton) > 30
 
 
 def bent_tangents(mesh, params):

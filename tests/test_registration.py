@@ -9,14 +9,14 @@ from deepwarp.mesh import node_adjacency
 from deepwarp.meshgen import beam, t_shape
 from deepwarp.registration import (BlockRotations, RankDeficientNeighborhoodError,
                                    build_rotation_blockdiag, gradient_operator,
-                                   local_displacement_gradient, register_nonlinear,
-                                   register_sequence, rotation_from_vector,
-                                   rotation_operator, rotation_vector,
+                                   register_nonlinear, register_sequence,
+                                   rotation_from_vector, rotation_operator, rotation_vector,
                                    rotation_vectors_from_displacement,
                                    rotations_from_vectors)
 from scipy.linalg import expm
 
 import reference_paths
+from reference_paths import _neighbor_weights, local_displacement_gradient
 from test_mesh import shuffled_nodes
 
 
@@ -328,7 +328,6 @@ class TestRegister:
     def test_rank_deficient_neighborhood_error(self):
         # all nodes coplanar around node 0 is impossible in a valid tet mesh,
         # so exercise the guard through the helper directly
-        from deepwarp.registration import _neighbor_weights
         rest = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(RankDeficientNeighborhoodError):
             _neighbor_weights(rest, np.array([1, 2, 3]), 0)

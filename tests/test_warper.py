@@ -382,6 +382,17 @@ class TestCompareMethods:
         assert len(report.rows) == 3
         assert len(report.trajectories["groundtruth"]) == 3
 
+    def test_one_factorization_with_deepwarp(self, neo_hookean, quick_net):
+        # the baselines step on deepwarp's linear system instead of their own
+        mesh = beam(4, 2, 2)
+        field = ForceField.directional([0, -1, 0], 0.2)
+        reset_factorization_event_count()
+        for calls in (1, 2):
+            report = compare_methods(mesh, neo_hookean, field, net=quick_net, steps=3,
+                                     dt=1 / 50)
+            assert report.completed
+            assert factorization_event_count() == calls
+
     def test_deepwarp_requires_net(self, bending_beam, neo_hookean):
         field = ForceField.directional([0, -1, 0], 0.2)
         with pytest.raises(ValueError, match="network"):
