@@ -15,8 +15,8 @@ from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteE
                        Prefactorization, RayleighDamping, SimState,
                        build_linear_system, build_nonlinear_system,
                        factorization_event_count, prefactorize,
-                       quasistatic_linear_sequence, reset_factorization_event_count,
-                       step_linear_implicit, step_newmark_nonlinear)
+                       reset_factorization_event_count, step_linear_implicit,
+                       step_newmark_nonlinear)
 from .registration import (build_rotation_blockdiag, register_nonlinear, register_sequence,
                            rotation_from_vector, rotation_vector)
 from .features import (FEATURE_ORDER, FieldKind, ForceField, align_kinematics,
@@ -30,5 +30,5 @@ from .dataset import (RampConfig, RecordSet, build_dataset, extract_records,
 from .warper import (build_warp_context, compare_methods, deepwarp_step, mw_warp,
                      rsw_warp)
 from .substructure import (DomainGraph, build_domain_graph, graphs_isomorphic,
-                           interface_kinematics, interface_transform, polar_rotation,
+                           interface_kinematics, interface_transform,
                            simulate_substructured)

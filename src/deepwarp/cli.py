@@ -25,7 +25,7 @@ from .dataset import (DatasetFormatError, RampConfig, build_dataset,
                       read_dataset_file, sample_directions, split, write_dataset)
 from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteError,
                        RayleighDamping, write_trajectory_csv)
-from .features import ForceField, force_vector, static_features
+from .features import FEATURE_ORDER, N_FEATURES, ForceField, force_vector, static_features
 from .material import InvertedElementError, MaterialModel, MaterialParams
 from .mesh import (MeshError, load_mesh_files, load_partition, normalize_to_unit_sphere,
                    tet_volumes)
@@ -296,8 +296,7 @@ def cmd_gen_data(args) -> int:
         f.write(f"dropped_nonconverged {report.dropped_nonconverged}\n")
         f.write(f"dropped_capped {report.dropped_capped}\n")
         f.write(f"fields {len(fields)}\n")
-        for j, name in enumerate(("u_mag", "w_mag", "uw_angle", "geodesic",
-                                  "potential", "digression", "poisson")):
+        for j, name in enumerate(FEATURE_ORDER):
             f.write(f"feature_{name}_range {feat[:, j].min():.6g} "
                     f"{feat[:, j].max():.6g}\n")
         f.write(f"wall_time_s {time.time() - t0:.1f}\n")
@@ -310,7 +309,7 @@ def cmd_train(args) -> int:
     records = read_dataset_file(cfg.require("dataset"))
     hidden = [int(v) for v in str(cfg.get("layers", "16,16")).replace(",", " ").split()]
     from .net import Activation
-    spec = MlpSpec(tuple([7] + hidden + [3]),
+    spec = MlpSpec(tuple([N_FEATURES] + hidden + [3]),
                    activation=Activation(cfg.get("activation", "tanh")))
     seed = cfg.getint("seed", 0)
     tr, va, te = split(records, cfg.getfloat("val_fraction", 0.01),

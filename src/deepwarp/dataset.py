@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import QuasistaticDriver
-from .features import (ForceField, StaticFeatureSet, align_batch,
+from .features import (N_FEATURES, ForceField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
 from .material import MaterialModel, MaterialParams, MeshPrecomp
@@ -32,7 +32,7 @@ from .registration import gradient_operator, register_sequence, \
 
 MAGIC = b"DWTP"
 FORMAT_VERSION = 1
-RECORD_DOUBLES = 10
+RECORD_DOUBLES = N_FEATURES + 3
 DISPLACEMENT_CAP = 2.0
 
 
@@ -46,7 +46,7 @@ class RecordSet:
     def __init__(self, features: np.ndarray, targets: np.ndarray,
                  pose_ids: np.ndarray | None = None,
                  node_ids: np.ndarray | None = None):
-        self.features = np.asarray(features, dtype=np.float64).reshape(-1, 7)
+        self.features = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
         self.targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
         n = len(self.features)
         if len(self.targets) != n:
@@ -66,7 +66,7 @@ class RecordSet:
     @classmethod
     def concat(cls, parts: list["RecordSet"]) -> "RecordSet":
         if not parts:
-            return cls(np.zeros((0, 7)), np.zeros((0, 3)))
+            return cls(np.zeros((0, N_FEATURES)), np.zeros((0, 3)))
         return cls(np.concatenate([p.features for p in parts]),
                    np.concatenate([p.targets for p in parts]),
                    np.concatenate([p.pose_ids for p in parts]),
@@ -300,7 +300,7 @@ def iter_dataset(stream, batch_size: int = 65536):
         rows = np.frombuffer(data, dtype="<f8").reshape(take, RECORD_DOUBLES)
         if not np.all(np.isfinite(rows)):
             raise DatasetFormatError("dataset payload contains non-finite values")
-        yield rows[:, :7].copy(), rows[:, 7:].copy()
+        yield rows[:, :N_FEATURES].copy(), rows[:, N_FEATURES:].copy()
         remaining -= take
     if stream.read(1):
         raise DatasetFormatError(
@@ -313,7 +313,7 @@ def read_dataset(stream) -> RecordSet:
         feats.append(X)
         targs.append(Y)
     if not feats:
-        return RecordSet(np.zeros((0, 7)), np.zeros((0, 3)))
+        return RecordSet(np.zeros((0, N_FEATURES)), np.zeros((0, 3)))
     return RecordSet(np.concatenate(feats), np.concatenate(targs))
 
 

@@ -521,6 +521,8 @@ class QuasistaticDriver:
 
     def run(self, f_ext: np.ndarray, n_steps: int, rel_tol: float = 1e-6,
             max_steps: int = 2000, accel_bound: float = 0.05) -> QuasistaticSequence:
+        """Overdamped loading from rest toward K^-1 f_ext, subsampled to at
+        most ``n_steps`` snapshots (always keeping the final, converged one)."""
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         f = self.free.gather(f_ext)
@@ -557,23 +559,6 @@ class QuasistaticDriver:
         monotone = all(norms[i + 1] >= norms[i] - 1e-10 for i in range(len(norms) - 1))
         return QuasistaticSequence(displacements=displacements, target=target,
                                    monotone=monotone, steps_run=len(path))
-
-
-def quasistatic_linear_sequence(mesh: TetMesh, params: MaterialParams,
-                                f_ext: np.ndarray, n_steps: int,
-                                damping: RayleighDamping | None = None,
-                                density: float = 1000.0, rel_tol: float = 1e-6,
-                                max_steps: int = 2000,
-                                accel_bound: float = 0.05) -> QuasistaticSequence:
-    """Overdamped loading from rest toward the static solution K^-1 f_ext.
-
-    The mass damping makes acceleration negligible, so intermediate states
-    are quasi-static while their internal force still lags the applied load.
-    The recorded path is subsampled to at most ``n_steps`` snapshots (always
-    keeping the final, converged one).
-    """
-    driver = QuasistaticDriver(mesh, params, damping, density)
-    return driver.run(f_ext, n_steps, rel_tol, max_steps, accel_bound)
 
 
 @dataclass

@@ -265,11 +265,6 @@ def deformation_gradient(precomp: ElementPrecomp, deformed_positions: np.ndarray
     return ds @ precomp.inv_rest_edges
 
 
-def displacement_gradient(precomp: ElementPrecomp, deformed_positions: np.ndarray) -> np.ndarray:
-    """G = F - I."""
-    return deformation_gradient(precomp, deformed_positions) - np.eye(3)
-
-
 # ---------------------------------------------------------------------------
 # closed-form 3x3 determinant, inverse and cross-product matrix
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 ``mesh.tet_pairs_sharing``), isomorphism queries, interface kinematics, and
 hierarchical per-domain warped simulation.
 
-Each child domain is simulated in a non-inertial frame rigidly attached to
-its interface patch with the parent: the frame pose is the polar rotation of
-the patch's best-fit affine map plus the patch centroid. The frame's angular
-velocity/acceleration and linear acceleration produce the standard
+The domain tree is a ``csgraph`` breadth-first order from the root, with
+neighbours visited in increasing id; that order decides which domain owns a
+node shared by several domains. Each child domain is simulated in a
+non-inertial frame rigidly attached to its interface patch with the parent:
+the frame pose is the rotation factor (``material.polar_decompose``) of the
+patch's best-fit affine map plus the patch centroid, and only the last three
+poses are kept, which is all the finite differences read. The frame's
+angular velocity/acceleration and linear acceleration produce the standard
 fictitious forces -m (a + dw/dt x r + w x (w x r) + 2 w x v), applied on top
 of the external field with r the rest offset from the interface centroid and
 v the node velocity in the frame.
@@ -13,15 +17,18 @@ v the node velocity in the frame.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .dynamics import IntegrationScheme, RayleighDamping, SimState
 from .features import ForceField, force_vector
 from .material import MaterialParams, polar_decompose
 from .mesh import DomainPartition, MeshError, TetMesh, lumped_mass, tet_pairs_sharing
-from .net import MlpNetwork
 from .registration import rotation_log
 from .warper import WarpContext, build_warp_context, deepwarp_step
 
@@ -49,9 +56,6 @@ class DomainGraph:
             adj[b].add(a)
         return adj
 
-    def degrees(self) -> list[int]:
-        return [len(s) for s in self.adjacency()]
-
 
 def build_domain_graph(mesh: TetMesh, partition: DomainPartition) -> DomainGraph:
     """Vertices are domains; an edge joins two domains sharing an interior face."""
@@ -71,62 +75,32 @@ def graphs_isomorphic(g1: DomainGraph, g2: DomainGraph):
         raise ValueError("domain graphs above 64 vertices are out of intended scale")
     if g1.n_vertices != g2.n_vertices or len(g1.edges) != len(g2.edges):
         return False, None
-    deg1, deg2 = g1.degrees(), g2.degrees()
+    adj1, adj2 = g1.adjacency(), g2.adjacency()
+    deg1, deg2 = [len(s) for s in adj1], [len(s) for s in adj2]
     if sorted(deg1) != sorted(deg2):
         return False, None
-    adj1, adj2 = g1.adjacency(), g2.adjacency()
     # assign high-degree vertices first to prune early
     order = sorted(range(g1.n_vertices), key=lambda v: -deg1[v])
     mapping: dict[int, int] = {}
-    used = [False] * g2.n_vertices
 
     def extend(pos: int) -> bool:
         if pos == len(order):
             return True
         v = order[pos]
         for w in range(g2.n_vertices):
-            if used[w] or deg1[v] != deg2[w]:
-                continue
-            ok = True
-            for nb in adj1[v]:
-                if nb in mapping and mapping[nb] not in adj2[w]:
-                    ok = False
-                    break
-            if ok:
-                for nb2 in adj2[w]:
-                    inv = [k for k, val in mapping.items() if val == nb2]
-                    if inv and inv[0] not in adj1[v]:
-                        ok = False
-                        break
-            if not ok:
+            # w fits v when it keeps adjacency with every vertex mapped so far
+            if (w in mapping.values() or deg1[v] != deg2[w]
+                    or any((u in adj1[v]) != (x in adj2[w]) for u, x in mapping.items())):
                 continue
             mapping[v] = w
-            used[w] = True
             if extend(pos + 1):
                 return True
             del mapping[v]
-            used[w] = False
         return False
 
     if extend(0):
         return True, dict(mapping)
     return False, None
-
-
-@dataclass(frozen=True)
-class InterfacePatch:
-    """Nodes shared by a parent/child domain pair."""
-
-    parent: int
-    child: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.int64)
-        if len(nodes) < 3:
-            raise MeshError(
-                f"interface {self.parent}->{self.child} has {len(nodes)} nodes; need >= 3")
-        object.__setattr__(self, "nodes", nodes)
 
 
 @dataclass(frozen=True)
@@ -146,7 +120,9 @@ def interface_transform(rest_positions: np.ndarray,
     Returns (A, translation) with deformed ~ A (rest - rest_centroid) +
     deformed_centroid. Planar patches (the common case for flat interfaces)
     are completed along the normal by mapping the rest-plane normal to the
-    deformed-plane normal, which reproduces rigid motions exactly.
+    deformed-plane normal, which reproduces rigid motions exactly and always
+    gives det(A) > 0; a non-planar patch whose map reverses orientation
+    (det(A) <= 0) has no frame rotation and raises MeshError.
     """
     P = np.asarray(rest_positions, dtype=np.float64)
     Q = np.asarray(deformed_positions, dtype=np.float64)
@@ -177,21 +153,15 @@ def interface_transform(rest_positions: np.ndarray,
         if norm < 1e-12:
             raise MeshError("interface patch deformation is degenerate")
         A = A_plane + np.outer(n_def / norm, n_rest)
+    det = np.linalg.det(A)
+    if det <= 0.0:
+        raise MeshError(f"interface patch map reverses orientation (det {det:.3e})")
     translation = Q.mean(axis=0) - A @ P.mean(axis=0)
     return A, translation
 
 
-def polar_rotation(A: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor of A; requires det(A) > 0."""
-    A = np.asarray(A, dtype=np.float64)
-    if np.linalg.det(A) <= 0.0:
-        raise ValueError(f"polar rotation requires det(A) > 0, got {np.linalg.det(A):.3e}")
-    R, _ = polar_decompose(A)
-    return R
-
-
-def interface_kinematics(R_history: list[np.ndarray],
-                         t_history: list[np.ndarray], dt: float) -> InterfaceKinematics:
+def interface_kinematics(R_history: Sequence[np.ndarray], t_history: Sequence[np.ndarray],
+                         dt: float) -> InterfaceKinematics:
     """Kinematics at the newest frame from rotation/translation histories.
 
     The angular velocity is the log of the last rotation increment over dt;
@@ -222,7 +192,6 @@ def interface_kinematics(R_history: list[np.ndarray],
 
 @dataclass
 class _DomainSim:
-    domain: int
     parent: int | None
     submesh: TetMesh
     global_nodes: np.ndarray            # local -> global node index
@@ -230,48 +199,36 @@ class _DomainSim:
     ctx: WarpContext
     state: SimState
     masses: np.ndarray                  # (n_local,)
+    world_positions: np.ndarray
     patch_parent_local: np.ndarray | None = None
     patch_child_local: np.ndarray | None = None
     rest_centroid: np.ndarray | None = None
     rest_offsets: np.ndarray | None = None       # (n_local, 3) from centroid
-    R_history: list = field(default_factory=list)
-    c_history: list = field(default_factory=list)
-    world_positions: np.ndarray | None = None
+    # the last three frame poses: all that interface_kinematics reads
+    R_history: deque = field(default_factory=lambda: deque(maxlen=3))
+    c_history: deque = field(default_factory=lambda: deque(maxlen=3))
 
 
 def _bfs_tree(graph: DomainGraph, root: int):
-    """Parent map of a BFS tree; raises on cycles or disconnection."""
-    adj = graph.adjacency()
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in sorted(adj[v]):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
-            elif parent[v] != w:
-                raise MeshError(
-                    f"domain graph has a cycle through domains {v} and {w}; "
-                    "substructuring requires a tree")
-    if len(order) != graph.n_vertices:
-        missing = sorted(set(range(graph.n_vertices)) - set(order))
+    """Parent map and visiting order of a BFS from root, neighbours in
+    increasing id; raises unless the graph is a tree."""
+    n = graph.n_vertices
+    edges = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2)
+    # both directions stored: csgraph's undirected mode on one triangle would
+    # visit larger neighbours first and change the order
+    arcs = np.concatenate([edges, edges[:, ::-1]])
+    adj = sp.csr_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n))
+    order, pred = breadth_first_order(adj, root, directed=True,
+                                      return_predecessors=True)
+    if len(order) != n:
+        missing = sorted(set(range(n)) - set(order.tolist()))
         raise MeshError(f"domains {missing} unreachable from root {root}")
-    return parent, order
-
-
-def _extract_submesh(mesh: TetMesh, tet_idx: np.ndarray, anchors_global):
-    tets = mesh.tets[tet_idx]
-    global_nodes = np.unique(tets)
-    local_of = -np.ones(mesh.n_nodes, dtype=np.int64)
-    local_of[global_nodes] = np.arange(len(global_nodes))
-    local_tets = local_of[tets]
-    local_anchors = [int(local_of[a]) for a in anchors_global if local_of[a] >= 0]
-    sub = TetMesh(nodes=mesh.nodes[global_nodes], tets=local_tets,
-                  anchors=frozenset(local_anchors))
-    return sub, global_nodes, local_of
+    if len(edges) != n - 1:
+        raise MeshError(f"domain graph has a cycle ({len(edges)} edges over {n} "
+                        "connected domains); substructuring requires a tree")
+    parent = {int(v): int(pred[v]) for v in order[1:]}
+    parent[root] = None
+    return parent, order.tolist()
 
 
 def _field_in_frame(field_descr: ForceField, R: np.ndarray, c_now: np.ndarray,
@@ -312,40 +269,32 @@ def simulate_substructured(mesh: TetMesh, partition: DomainPartition, root: int,
         raise ValueError(f"root domain {root} out of range")
     parent_of, order = _bfs_tree(graph, root)
 
-    def net_for(dom: int) -> MlpNetwork:
-        if isinstance(nets, dict):
-            return nets[dom]
-        return nets
-
-    node_sets = {d: np.unique(mesh.tets[partition.domain_tets(d)]) for d in order}
     sims: dict[int, _DomainSim] = {}
     owners = np.full(mesh.n_nodes, -1, dtype=np.int64)
     for d in order:
         p = parent_of[d]
-        if p is None:
-            anchors_global = sorted(mesh.anchors)
-            patch_global = None
-        else:
-            shared = np.intersect1d(node_sets[d], node_sets[p])
-            patch = InterfacePatch(parent=p, child=d, nodes=shared)
-            patch_global = patch.nodes
-            anchors_global = patch_global.tolist()
-        sub, global_nodes, local_of = _extract_submesh(
-            mesh, partition.domain_tets(d), anchors_global)
-        ctx = build_warp_context(sub, params, net_for(d), field_descr, dt,
-                                 scheme, damping, density)
-        sim = _DomainSim(domain=d, parent=p, submesh=sub, global_nodes=global_nodes,
+        tets = mesh.tets[partition.domain_tets(d)]
+        global_nodes = np.unique(tets)
+        local_of = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        local_of[global_nodes] = np.arange(len(global_nodes))
+        # a child shares at least one face, so >= 3 nodes, with its parent
+        patch = None if p is None else np.intersect1d(global_nodes, sims[p].global_nodes)
+        anchors = local_of[sorted(mesh.anchors) if p is None else patch]
+        sub = TetMesh(nodes=mesh.nodes[global_nodes], tets=local_of[tets],
+                      anchors=anchors[anchors >= 0])
+        ctx = build_warp_context(sub, params, nets[d] if isinstance(nets, dict) else nets,
+                                 field_descr, dt, scheme, damping, density)
+        sim = _DomainSim(parent=p, submesh=sub, global_nodes=global_nodes,
                          local_of=local_of, ctx=ctx, state=SimState.rest(sub.n_nodes),
-                         masses=lumped_mass(sub, density))
+                         masses=lumped_mass(sub, density),
+                         world_positions=sub.nodes.copy())
         if p is not None:
-            sim.patch_parent_local = sims[p].local_of[patch_global]
-            sim.patch_child_local = local_of[patch_global]
-            rest_patch = mesh.nodes[patch_global]
-            sim.rest_centroid = rest_patch.mean(axis=0)
+            sim.patch_parent_local = sims[p].local_of[patch]
+            sim.patch_child_local = local_of[patch]
+            sim.rest_centroid = mesh.nodes[patch].mean(axis=0)
             sim.rest_offsets = sub.nodes - sim.rest_centroid
-            sim.R_history = [np.eye(3)]
-            sim.c_history = [sim.rest_centroid.copy()]
-        sim.world_positions = sub.nodes.copy()
+            sim.R_history.append(np.eye(3))
+            sim.c_history.append(sim.rest_centroid.copy())
         sims[d] = sim
         mask = owners[global_nodes] < 0
         owners[global_nodes[mask]] = d
@@ -363,7 +312,7 @@ def simulate_substructured(mesh: TetMesh, partition: DomainPartition, root: int,
             rest_patch = sim.submesh.nodes[sim.patch_child_local]
             deformed_patch = parent_sim.world_positions[sim.patch_parent_local]
             A, _ = interface_transform(rest_patch, deformed_patch)
-            R = polar_rotation(A)
+            R = polar_decompose(A)[0]
             c_now = deformed_patch.mean(axis=0)
             sim.R_history.append(R)
             sim.c_history.append(c_now)
@@ -377,11 +326,9 @@ def simulate_substructured(mesh: TetMesh, partition: DomainPartition, root: int,
             f_ext = force_vector(sim.submesh, local_field, masses=sim.masses)
             r = sim.rest_offsets
             v = sim.state.v.reshape(-1, 3)
-            fict = -(accel_l[None, :]
-                     + np.cross(np.broadcast_to(omega_dot_l, r.shape), r)
-                     + np.cross(np.broadcast_to(omega_l, r.shape),
-                                np.cross(np.broadcast_to(omega_l, r.shape), r))
-                     + 2.0 * np.cross(np.broadcast_to(omega_l, v.shape), v))
+            fict = -(accel_l[None, :] + np.cross(omega_dot_l, r)
+                     + np.cross(omega_l, np.cross(omega_l, r))
+                     + 2.0 * np.cross(omega_l, v))
             f_ext = f_ext + (sim.masses[:, None] * fict).ravel()
             sim.state, u = deepwarp_step(sim.ctx, sim.state, f_ext)
             local_pos = sim.submesh.nodes + u.reshape(-1, 3)

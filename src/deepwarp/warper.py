@@ -15,7 +15,6 @@ Modal warping uses the closed-form averaged rotation.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -283,7 +282,6 @@ class ComparisonReport:
     rows: list[tuple[str, int, float]] = field(default_factory=list)
     summaries: list[MethodSummary] = field(default_factory=list)
     trajectories: dict[str, np.ndarray] = field(default_factory=dict)
-    times: np.ndarray | None = None
     tracked_node: int = 0
     completed: bool = True
     note: str | None = None
@@ -326,14 +324,12 @@ def compare_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFie
     grad_op = gradient_operator(mesh, adjacency)
 
     nsys = build_nonlinear_system(mesh, params, damping, density)
-    gt_states = []
     state = SimState.rest(mesh.n_nodes)
     gt = []
     try:
         for _ in range(steps):
             state = step_newmark_nonlinear(nsys, state, f_ext, dt)
             gt.append(state.u.copy())
-            gt_states.append(state)
     except (ConvergenceError, InvertedElementError) as exc:
         report.completed = False
         report.note = f"ground truth diverged after {len(gt)} steps: {exc}"
@@ -387,7 +383,6 @@ def compare_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFie
     report.summaries.append(MethodSummary(
         method="groundtruth", mean_rel_l2=0.0, max_rel_l2=0.0,
         dominant_frequency=dominant_frequency(gt_comp, dt)))
-    report.times = dt * np.arange(1, n_ok + 1)
     return report
 
 
@@ -395,13 +390,3 @@ def _dominant_component(traj: np.ndarray, node: int) -> np.ndarray:
     """Trajectory component of a node with the largest variance."""
     sig = traj[:, 3 * node:3 * node + 3]
     return sig[:, int(np.argmax(sig.var(axis=0)))]
-
-
-def time_correction(ctx: WarpContext, u_lin: np.ndarray, repeats: int = 5) -> float:
-    """Median wall time of the O(n) warp correction, for scaling audits."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        ctx.correct(u_lin)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))

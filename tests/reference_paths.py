@@ -9,7 +9,9 @@ the unit-diagonal elimination of the anchors in the linear, Newmark and
 registration solvers with registration's weak Wolfe search, and the
 stiffness assembly from whole 12x12 element blocks. The per-node gradient
 fit ``local_displacement_gradient`` is here too; the package uses only the
-batched ``gradient_operator``.
+batched ``gradient_operator``. So are the queue-loop BFS of the domain tree
+and the isomorphism search with its two neighbour loops, which ``csgraph``
+and one adjacency-consistency test replaced in ``substructure``.
 """
 
 import heapq
@@ -25,7 +27,7 @@ from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_featur
 from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
                                assemble_force, assemble_stiffness, det_and_inverse_transpose,
                                piola_stress_differential_batch)
-from deepwarp.mesh import lumped_mass, node_adjacency
+from deepwarp.mesh import MeshError, lumped_mass, node_adjacency
 from deepwarp.net import forward_batch
 from deepwarp.registration import RankDeficientNeighborhoodError, build_rotation_blockdiag
 
@@ -508,3 +510,82 @@ def assemble_stiffness_144(mesh, params, u):
     K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     K.sum_duplicates()
     return apply_anchors(K, anchor_dofs(mesh)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# domain-tree BFS and graph isomorphism
+#
+# The earlier substructure graph code: a queue loop over sorted neighbour
+# sets, and an isomorphism search that checks each candidate from both sides,
+# finding preimages by a scan of the mapping.
+# ---------------------------------------------------------------------------
+
+def bfs_tree(graph, root):
+    """Parent map of a BFS tree; raises on cycles or disconnection."""
+    adj = graph.adjacency()
+    parent = {root: None}
+    order = [root]
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for w in sorted(adj[v]):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+                queue.append(w)
+            elif parent[v] != w:
+                raise MeshError(
+                    f"domain graph has a cycle through domains {v} and {w}; "
+                    "substructuring requires a tree")
+    if len(order) != graph.n_vertices:
+        missing = sorted(set(range(graph.n_vertices)) - set(order))
+        raise MeshError(f"domains {missing} unreachable from root {root}")
+    return parent, order
+
+
+def graphs_isomorphic(g1, g2):
+    """Exact isomorphism decision by degree-pruned backtracking; returns
+    (True, mapping) with mapping[v1] = v2 on success, else (False, None)."""
+    if g1.n_vertices > 64 or g2.n_vertices > 64:
+        raise ValueError("domain graphs above 64 vertices are out of intended scale")
+    if g1.n_vertices != g2.n_vertices or len(g1.edges) != len(g2.edges):
+        return False, None
+    adj1, adj2 = g1.adjacency(), g2.adjacency()
+    deg1, deg2 = [len(s) for s in adj1], [len(s) for s in adj2]
+    if sorted(deg1) != sorted(deg2):
+        return False, None
+    order = sorted(range(g1.n_vertices), key=lambda v: -deg1[v])
+    mapping = {}
+    used = [False] * g2.n_vertices
+
+    def extend(pos):
+        if pos == len(order):
+            return True
+        v = order[pos]
+        for w in range(g2.n_vertices):
+            if used[w] or deg1[v] != deg2[w]:
+                continue
+            ok = True
+            for nb in adj1[v]:
+                if nb in mapping and mapping[nb] not in adj2[w]:
+                    ok = False
+                    break
+            if ok:
+                for nb2 in adj2[w]:
+                    inv = [k for k, val in mapping.items() if val == nb2]
+                    if inv and inv[0] not in adj1[v]:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            mapping[v] = w
+            used[w] = True
+            if extend(pos + 1):
+                return True
+            del mapping[v]
+            used[w] = False
+        return False
+
+    if extend(0):
+        return True, dict(mapping)
+    return False, None

@@ -32,7 +32,7 @@ from deepwarp.registration import (gradient_operator, register_sequence,
 from deepwarp.substructure import DomainGraph, graphs_isomorphic, \
     simulate_substructured
 from deepwarp.warper import (build_warp_context, deepwarp_step, dominant_frequency,
-                             mw_warp, rsw_warp, run_deepwarp, time_correction)
+                             mw_warp, rsw_warp, run_deepwarp)
 
 DENSITY = 1000.0
 
@@ -440,6 +440,10 @@ def test_criterion_09_runtime_contract(pipeline):
     field = ForceField.directional([0.2, 0.9, 0.2], 2.0)
     reset_factorization_event_count()
     ctx = build_warp_context(mesh, params, net, field, dt=1 / 60, density=DENSITY)
+    # this criterion counts factorizations and times the correction, not the
+    # trained range (its random displacements leave it by design), so neither
+    # context warns about extrapolation, as in the benchmark
+    ctx.warn_on_extrapolation = False
     f = force_vector(mesh, field, DENSITY)
     state = ctx.reset()
     for _ in range(500):
@@ -450,13 +454,23 @@ def test_criterion_09_runtime_contract(pipeline):
     # warp-correction wall time scales sub-quadratically with node count
     mesh2 = normalize_to_unit_sphere(beam(6, 3, 7, lengths=(2.0, 0.8, 0.8)))
     ctx2 = build_warp_context(mesh2, params, net, field, dt=1 / 60, density=DENSITY)
+    ctx2.warn_on_extrapolation = False
     rng = np.random.default_rng(0)
     u1 = 0.05 * rng.standard_normal(3 * mesh.n_nodes)
     u2 = 0.05 * rng.standard_normal(3 * mesh2.n_nodes)
-    ctx.correct(u1)     # warm-up
-    ctx2.correct(u2)
-    t1 = time_correction(ctx, u1, repeats=5)
-    t2 = time_correction(ctx2, u2, repeats=5)
+
+    def correction_time(c, u):
+        """Median wall time of 5 corrections after one warm-up."""
+        c.correct(u)
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            c.correct(u)
+            times.append(time.perf_counter() - t0)
+        return float(np.median(times))
+
+    t1 = correction_time(ctx, u1)
+    t2 = correction_time(ctx2, u2)
     ratio = t2 / t1
     node_ratio = mesh2.n_nodes / mesh.n_nodes
     scaling_ok = ratio < 2.5

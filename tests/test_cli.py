@@ -7,8 +7,12 @@ import pytest
 from deepwarp import cli
 from deepwarp.cli import main, parse_config_file
 from deepwarp.dataset import read_dataset_file
-from deepwarp.mesh import write_mesh_files
+from deepwarp.features import ForceField
+from deepwarp.material import MaterialModel, MaterialParams
+from deepwarp.mesh import load_mesh_files, write_mesh_files
 from deepwarp.meshgen import beam, partition_by_axis, t_shape
+from deepwarp.net import load_network_file
+from deepwarp.warper import compare_methods
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +207,29 @@ class TestTrainSimulateCompare:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "t,node,ux,uy,uz"
         assert len(lines) == 1 + 7 * 3
+
+    @pytest.mark.parametrize("method", ["linear", "mw", "rsw", "deepwarp", "groundtruth"])
+    def test_simulate_rows_match_compare_methods(self, mesh_files, tmp_path, net_file,
+                                                 method):
+        out = tmp_path / f"{method}.csv"
+        net_flags = ["--net", str(net_file)] if method == "deepwarp" else []
+        code = main(["simulate"] + mesh_flags(mesh_files) + net_flags + [
+            "--method", method, "--steps", "6", "--dt", "0.02", "--track", "1,5",
+            "--out", str(out), "--field-direction", "0,-1,0",
+            "--field-magnitude", "0.3", "--youngs", "10000", "--poisson", "0.4",
+            "--quiet"])
+        assert code == 0
+        mesh = load_mesh_files(mesh_files["node"], mesh_files["ele"],
+                               mesh_files["anchor"])
+        report = compare_methods(
+            mesh, MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.4),
+            ForceField.directional([0, -1, 0], 0.3), load_network_file(net_file),
+            6, 0.02, methods=() if method == "groundtruth" else (method,))
+        traj = report.trajectories[method].reshape(6, -1, 3)
+        want = [",".join(f"{x:.10g}" for x in (0.02 * (k + 1), node, *traj[k, node]))
+                for k in range(6) for node in (1, 5)]
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows == ["t,node,ux,uy,uz"] + want
 
     def test_simulate_method_needs_net(self, mesh_files, tmp_path):
         out = tmp_path / "x.csv"

@@ -9,8 +9,7 @@ from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationSche
                                RayleighDamping, SimState, TangentSolver,
                                build_linear_system, build_nonlinear_system,
                                factorization_event_count, factorize_spd, internal_force,
-                               prefactorize, quasistatic_linear_sequence,
-                               newton_solve, reset_factorization_event_count,
+                               prefactorize, newton_solve, reset_factorization_event_count,
                                step_linear_implicit, step_newmark_nonlinear)
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
                                MeshPrecomp, assemble_force, assemble_stiffness,
@@ -149,26 +148,26 @@ class TestLinearStepping:
 
 class TestQuasistatic:
     def test_zero_force_all_zero(self, bending_beam):
-        seq = quasistatic_linear_sequence(
-            bending_beam, LINEAR, np.zeros(3 * bending_beam.n_nodes), n_steps=5)
+        seq = QuasistaticDriver(bending_beam, LINEAR).run(
+            np.zeros(3 * bending_beam.n_nodes), n_steps=5)
         assert all(np.abs(u).max() == 0 for u in seq.displacements)
 
     def test_final_matches_static_solve(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
-        seq = quasistatic_linear_sequence(bending_beam, LINEAR, f, n_steps=10)
+        seq = QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=10)
         err = np.linalg.norm(seq.displacements[-1] - seq.target)
         assert err < 1e-6 * np.linalg.norm(seq.target)
 
     def test_monotone_loading(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0.3, -1, 0.2], 0.4))
-        seq = quasistatic_linear_sequence(bending_beam, LINEAR, f, n_steps=12)
+        seq = QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=12)
         assert seq.monotone
         norms = [np.linalg.norm(u) for u in seq.displacements]
         assert all(b >= a - 1e-10 for a, b in zip(norms, norms[1:]))
 
     def test_internal_force_pairing(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
-        seq = quasistatic_linear_sequence(bending_beam, LINEAR, f, n_steps=6)
+        seq = QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=6)
         pre = MeshPrecomp(bending_beam)
         K = pre.free_block(assemble_stiffness(bending_beam, LINEAR,
                                               np.zeros(3 * bending_beam.n_nodes), pre))
@@ -197,8 +196,7 @@ class TestQuasistatic:
     def test_nonconvergence_reports_residual(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
         with pytest.raises(ConvergenceError) as err:
-            quasistatic_linear_sequence(bending_beam, LINEAR, f, n_steps=5,
-                                        max_steps=3)
+            QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=5, max_steps=3)
         assert err.value.residual is not None
 
 

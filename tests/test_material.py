@@ -544,6 +544,15 @@ class TestPolarDecomposition:
         assert np.abs(Rp - R).max() < 1e-9
         assert np.abs(Sp - S).max() < 1e-9
 
+    def test_orthogonality_always(self):
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            A = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+            if np.linalg.det(A) <= 0:
+                continue
+            R, _ = polar_decompose(A)
+            assert np.abs(R @ R.T - np.eye(3)).max() < 1e-9
+
     def test_negative_det_fallback_proper_rotation(self):
         F = np.diag([-1.5, 1.0, 1.0])
         R, S = polar_decompose(F)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deepwarp.dynamics import quasistatic_linear_sequence
+from deepwarp.dynamics import QuasistaticDriver
 from deepwarp.features import ForceField, force_vector
 from deepwarp.material import MaterialModel, MaterialParams, assemble_force, \
     assemble_stiffness, skew
@@ -205,8 +205,7 @@ class TestRegister:
 
     def test_converged_residual_under_tolerance(self, bending_beam, neo_hookean):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.3))
-        seq = quasistatic_linear_sequence(bending_beam, neo_hookean.as_linear(),
-                                          f, n_steps=6)
+        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=6)
         res = register_nonlinear(bending_beam, neo_hookean, seq.displacements[-1])
         assert res.converged
         # independent audit: recompute the residual from scratch
@@ -225,8 +224,8 @@ class TestRegister:
         f1 = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
         gaps = []
         for scale in (1.0, 0.5, 0.25, 0.125):
-            seq = quasistatic_linear_sequence(bending_beam, params.as_linear(),
-                                              scale * f1, n_steps=10)
+            seq = QuasistaticDriver(bending_beam, params.as_linear()).run(scale * f1,
+                                                                          n_steps=10)
             reg = register_sequence(bending_beam, params, seq.displacements)
             assert reg.completed
             u_lin, u = reg.pairs[-1].u_lin, reg.pairs[-1].u
@@ -237,7 +236,7 @@ class TestRegister:
         # linear material with identity rotations returns u_lin itself
         params = MaterialParams(MaterialModel.LINEAR, 1e4, 0.3)
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.5))
-        seq = quasistatic_linear_sequence(bending_beam, params, f, n_steps=4)
+        seq = QuasistaticDriver(bending_beam, params).run(f, n_steps=4)
         u_lin = seq.displacements[-1]
         identity = BlockRotations(np.broadcast_to(
             np.eye(3), (bending_beam.n_nodes, 3, 3)).copy())
@@ -247,8 +246,7 @@ class TestRegister:
 
     def test_sequence_warm_start_monotone(self, bending_beam, neo_hookean):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.35))
-        seq = quasistatic_linear_sequence(bending_beam, neo_hookean.as_linear(),
-                                          f, n_steps=8)
+        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=8)
         reg = register_sequence(bending_beam, neo_hookean, seq.displacements)
         assert reg.completed
         assert len(reg.pairs) == len(seq.displacements)
@@ -271,8 +269,7 @@ class TestRegister:
                                                     factorize_every_solve, monkeypatch):
         from deepwarp import registration
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
-        seq = quasistatic_linear_sequence(bending_beam, neo_hookean.as_linear(),
-                                          f, n_steps=6)
+        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=6)
         original = registration.register_nonlinear
 
         def run(solver_class):
@@ -305,8 +302,7 @@ class TestRegister:
         # the free-DOF Newton loop against the unit-diagonal elimination
         from deepwarp import registration
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0.2], 0.4))
-        seq = quasistatic_linear_sequence(bending_beam, neo_hookean.as_linear(),
-                                          f, n_steps=6)
+        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=6)
         iterations = []
         original = registration.register_nonlinear
 

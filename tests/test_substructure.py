@@ -7,11 +7,12 @@ from deepwarp.features import ForceField
 from deepwarp.mesh import DomainPartition, MeshError, TetMesh
 from deepwarp.meshgen import beam, partition_by_axis, t_shape
 from deepwarp.registration import rotation_from_vector, rotation_log
-from deepwarp.substructure import (DomainGraph, InterfacePatch,
-                                   build_domain_graph, graphs_isomorphic,
-                                   interface_kinematics, interface_transform,
-                                   polar_rotation, simulate_substructured)
+from deepwarp.substructure import (DomainGraph, _bfs_tree, build_domain_graph,
+                                   graphs_isomorphic, interface_kinematics,
+                                   interface_transform, simulate_substructured)
 from deepwarp.warper import build_warp_context, run_deepwarp
+
+import reference_paths
 
 
 def brute_force_isomorphic(g1: DomainGraph, g2: DomainGraph) -> bool:
@@ -128,6 +129,36 @@ class TestIsomorphism:
                 for a, b in g1.edges))
             assert graphs_isomorphic(g1, relabel)[0]
 
+    def test_same_degrees_not_isomorphic(self):
+        hexagon = DomainGraph(6, frozenset((i, (i + 1) % 6) for i in range(6)))
+        triangles = DomainGraph(6, frozenset({(0, 1), (1, 2), (0, 2),
+                                              (3, 4), (4, 5), (3, 5)}))
+        assert graphs_isomorphic(hexagon, triangles) == (False, None)
+
+    def test_matches_reference_search(self):
+        # same verdict and same witness as the two-sided neighbour loops, on
+        # random pairs, relabelings and degree-preserving edge swaps
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(1, 9))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            g1 = DomainGraph(n, frozenset(p for p in pairs if rng.random() < 0.4))
+            edges = sorted(g1.edges)
+            if trial % 3 == 0:
+                g2 = DomainGraph(n, frozenset(p for p in pairs if rng.random() < 0.4))
+            elif trial % 3 == 1:
+                perm = rng.permutation(n)
+                g2 = DomainGraph(n, frozenset((perm[a], perm[b]) for a, b in edges))
+            else:
+                for _ in range(3 if len(edges) > 1 else 0):
+                    i, j = rng.permutation(len(edges))[:2]
+                    (a, b), (c, d) = edges[i], edges[j]
+                    new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+                    if len({a, b, c, d}) == 4 and not new & set(edges):
+                        edges = sorted(set(edges) - {(a, b), (c, d)} | new)
+                g2 = DomainGraph(n, frozenset(edges))
+            assert graphs_isomorphic(g1, g2) == reference_paths.graphs_isomorphic(g1, g2)
+
     def test_scale_limit(self):
         big = DomainGraph(65, frozenset())
         with pytest.raises(ValueError, match="64"):
@@ -176,33 +207,12 @@ class TestInterfaceTransform:
         with pytest.raises(MeshError, match="rank-deficient"):
             interface_transform(P, P)
 
-    def test_patch_needs_three_nodes(self):
-        with pytest.raises(MeshError, match=">= 3"):
-            InterfacePatch(parent=0, child=1, nodes=np.array([3, 4]))
-
-
-class TestPolarRotation:
-    def test_rotation_passthrough(self):
-        R = rotation_from_vector(np.array([0.2, 0.5, -0.1]))
-        assert np.abs(polar_rotation(R) - R).max() < 1e-9
-
-    def test_rotation_times_stretch(self):
-        R = rotation_from_vector(np.array([-0.6, 0.2, 0.4]))
-        A = R @ np.diag([2.0, 1.0, 1.0])
-        assert np.abs(polar_rotation(A) - R).max() < 1e-9
-
-    def test_orthogonality_always(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            A = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
-            if np.linalg.det(A) <= 0:
-                continue
-            R = polar_rotation(A)
-            assert np.abs(R @ R.T - np.eye(3)).max() < 1e-9
-
-    def test_negative_det_rejected(self):
-        with pytest.raises(ValueError, match="det"):
-            polar_rotation(np.diag([-1.0, 1.0, 1.0]))
+    def test_mirrored_noncoplanar_patch_rejected(self):
+        # a reflection has no frame rotation; planar patches cannot reach
+        # this, since their normal completion keeps det(A) > 0
+        P = np.random.default_rng(5).random((8, 3))
+        with pytest.raises(MeshError, match="orientation"):
+            interface_transform(P, P @ np.diag([-1.0, 1.0, 1.0]))
 
 
 class TestInterfaceKinematics:
@@ -285,17 +295,66 @@ class TestSubstructuredSimulation:
             free = ~np.isin(right_nodes, shared)
             assert np.abs(got[free] - want[free]).max() < 1e-8
 
-    def test_cycle_rejected(self, neo_hookean, quick_net):
-        g_mesh, part = t_shape()
-        # fabricate a cyclic graph by merging arm labels pairwise is not
-        # possible on this mesh, so check the BFS guard directly
-        from deepwarp.substructure import _bfs_tree
+    # child subdomains see features outside the network's trained range
+    @pytest.mark.filterwarnings("ignore::deepwarp.warper.ExtrapolationWarning")
+    def test_three_frame_history_changes_nothing(self, normalized_beam, neo_hookean,
+                                                 quick_net, monkeypatch):
+        # the frame derivatives read the last three poses only, so an
+        # unbounded history gives the same trajectory bit for bit
+        from deepwarp import substructure
+        mesh = normalized_beam
+        part = partition_by_axis(mesh, 0, [-0.3, 0.3])
+        field = ForceField.directional([0.1, -1, 0.2], 0.3)
+        run = lambda: simulate_substructured(mesh, part, 0, neo_hookean, quick_net,
+                                             field, steps=8, dt=1 / 60).displacements
+        bounded = run()
+        monkeypatch.setattr(substructure, "deque", lambda maxlen: [])
+        for a, b in zip(bounded, run()):
+            assert np.array_equal(a, b)
+
+    def test_cycle_rejected(self):
+        # no partition of t_shape() has a cyclic domain graph, so check the
+        # BFS guard directly
         cyclic = DomainGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
         with pytest.raises(MeshError, match="cycle"):
             _bfs_tree(cyclic, 0)
 
     def test_unreachable_domain_rejected(self):
-        from deepwarp.substructure import _bfs_tree
         disconnected = DomainGraph(3, frozenset({(0, 1)}))
         with pytest.raises(MeshError, match="unreachable"):
             _bfs_tree(disconnected, 0)
+
+
+class TestDomainTree:
+    def test_sibling_order_pinned(self):
+        # neighbours are visited in increasing id; csgraph on one stored
+        # triangle of the edges would give [0, 2, 3, 1, 4, 5]
+        g = DomainGraph(6, frozenset({(0, 2), (1, 2), (2, 3), (3, 4), (1, 5)}))
+        parent, order = _bfs_tree(g, 0)
+        assert order == [0, 2, 1, 3, 5, 4]
+        assert parent == {0: None, 2: 0, 1: 2, 3: 2, 5: 1, 4: 3}
+
+    def test_matches_reference_on_random_trees(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            perm = rng.permutation(n)
+            g = DomainGraph(n, frozenset((perm[k], perm[int(rng.integers(0, k))])
+                                         for k in range(1, n)))
+            root = int(rng.integers(0, n))
+            assert _bfs_tree(g, root) == reference_paths.bfs_tree(g, root)
+
+    def test_non_trees_rejected_like_reference(self):
+        # cyclic or disconnected graphs raise on both paths; trees agree
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            g = DomainGraph(n, frozenset(p for p in pairs if rng.random() < 0.35))
+            try:
+                want = reference_paths.bfs_tree(g, 0)
+            except MeshError:
+                with pytest.raises(MeshError):
+                    _bfs_tree(g, 0)
+                continue
+            assert _bfs_tree(g, 0) == want
