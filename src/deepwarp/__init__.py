@@ -27,8 +27,8 @@ from .net import (Activation, AdamConfig, MlpNetwork, MlpSpec, adam_step, backwa
 from .dataset import (RampConfig, RecordSet, build_dataset, extract_records,
                       generate_poses, read_dataset_file, sample_directions, split,
                       write_dataset_file)
-from .warper import (build_warp_context, compare_methods, deepwarp_step, mw_warp,
-                     rsw_warp)
+from .warper import (METHODS, build_warp_context, compare_methods, deepwarp_step,
+                     mw_warp, rsw_warp, simulate_methods)
 from .substructure import (DomainGraph, build_domain_graph, graphs_isomorphic,
                            interface_kinematics, interface_transform,
                            simulate_substructured)

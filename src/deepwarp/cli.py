@@ -25,14 +25,14 @@ from .dataset import (DatasetFormatError, RampConfig, build_dataset,
                       read_dataset_file, sample_directions, split, write_dataset)
 from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteError,
                        RayleighDamping, write_trajectory_csv)
-from .features import FEATURE_ORDER, N_FEATURES, ForceField, force_vector, static_features
+from .features import FEATURE_ORDER, N_FEATURES, ForceField, static_features
 from .material import InvertedElementError, MaterialModel, MaterialParams
 from .mesh import (MeshError, load_mesh_files, load_partition, normalize_to_unit_sphere,
                    tet_volumes)
-from .net import (AdamConfig, MlpSpec, NetworkFormatError, TrainingDivergedError,
-                  load_network_file, train)
+from .net import (Activation, AdamConfig, MlpSpec, NetworkFormatError,
+                  TrainingDivergedError, load_network_file, mse_loss, save_network, train)
 from .substructure import build_domain_graph, graphs_isomorphic
-from .warper import build_warp_context, compare_methods, run_deepwarp
+from .warper import METHODS, compare_methods, simulate_methods
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -180,9 +180,19 @@ def _scheme(cfg: RunConfig) -> IntegrationScheme:
         raise ConfigError(f"unknown integration scheme {name!r}")
 
 
-def _damping(cfg: RunConfig) -> RayleighDamping:
-    return RayleighDamping(cfg.getfloat("damping_alpha", 0.0),
-                           cfg.getfloat("damping_beta", 0.0))
+def _scenario(cfg: RunConfig, command: str, steps: int, dt: float) -> dict:
+    """The anchored mesh, material, load and time stepping of ``simulate`` and
+    ``compare``, keyed by ``simulate_methods`` parameter names; ``steps`` and
+    ``dt`` are the command's defaults."""
+    mesh = _load_mesh(cfg)
+    if not mesh.anchors:
+        raise ConfigError(f"{command} requires anchors")
+    return dict(mesh=mesh, params=_material(cfg), field_descr=_field(cfg),
+                steps=cfg.getint("steps", steps), dt=cfg.getfloat("dt", dt),
+                scheme=_scheme(cfg),
+                damping=RayleighDamping(cfg.getfloat("damping_alpha", 0.0),
+                                        cfg.getfloat("damping_beta", 0.0)),
+                density=cfg.getfloat("density", 1000.0))
 
 
 class _AtomicFile:
@@ -308,7 +318,6 @@ def cmd_train(args) -> int:
     cfg = RunConfig.from_args(args)
     records = read_dataset_file(cfg.require("dataset"))
     hidden = [int(v) for v in str(cfg.get("layers", "16,16")).replace(",", " ").split()]
-    from .net import Activation
     spec = MlpSpec(tuple([N_FEATURES] + hidden + [3]),
                    activation=Activation(cfg.get("activation", "tanh")))
     seed = cfg.getint("seed", 0)
@@ -321,7 +330,6 @@ def cmd_train(args) -> int:
 
     out = cfg.require("out")
     with _AtomicFile(out, binary=True) as f:
-        from .net import save_network
         save_network(f, result.best_network)
     loss_csv = cfg.get("loss_csv", out + ".loss.csv")
     with _AtomicFile(loss_csv) as f:
@@ -330,7 +338,6 @@ def cmd_train(args) -> int:
         f.write("epoch,train_mse,val_mse\n")
         for epoch, (tr_mse, va_mse) in enumerate(result.history):
             f.write(f"{epoch},{tr_mse:.10g},{va_mse:.10g}\n")
-    from .net import mse_loss
     test_mse = mse_loss(result.best_network.weights,
                         result.best_network.scaler.transform(te.features),
                         te.targets, spec.activation)
@@ -338,9 +345,6 @@ def cmd_train(args) -> int:
                  f"val {result.history[0][1]:.4g} -> {result.history[-1][1]:.4g}, "
                  f"test {test_mse:.4g}; wrote {out}")
     return EXIT_OK
-
-
-METHODS = ("linear", "mw", "rsw", "deepwarp", "groundtruth")
 
 
 def cmd_simulate(args) -> int:
@@ -353,53 +357,17 @@ def cmd_simulate(args) -> int:
         net = load_network_file(cfg.require("net"))
     elif cfg.get("net"):
         _print(args, f"note: --net is ignored for method '{method}'")
-
-    mesh = _load_mesh(cfg)
-    if not mesh.anchors:
-        raise ConfigError("simulation requires anchors")
-    params = _material(cfg)
-    field = _field(cfg)
-    density = cfg.getfloat("density", 1000.0)
-    dt = cfg.getfloat("dt", 1.0 / 60.0)
-    steps = cfg.getint("steps", 100)
-    damping = _damping(cfg)
-    scheme = _scheme(cfg)
-    track = _tracked_nodes(cfg, mesh, "0")
-
-    f_ext = force_vector(mesh, field, density)
-    displacements: list[np.ndarray] = []
-    if method == "deepwarp":
-        ctx = build_warp_context(mesh, params, net, field, dt, scheme, damping,
-                                 density)
-        displacements = run_deepwarp(ctx, steps, f_ext)
-    elif method == "groundtruth":
-        from .dynamics import SimState, build_nonlinear_system, step_newmark_nonlinear
-        system = build_nonlinear_system(mesh, params, damping, density)
-        state = SimState.rest(mesh.n_nodes)
-        for _ in range(steps):
-            state = step_newmark_nonlinear(system, state, f_ext, dt)
-            displacements.append(state.u.copy())
-    else:
-        from .dynamics import SimState, build_linear_system, step_linear_implicit
-        from .registration import gradient_operator
-        from .warper import mw_warp, rsw_warp
-        system = build_linear_system(mesh, params.as_linear(), dt, scheme,
-                                     damping, density)
-        grad_op = gradient_operator(mesh) if method in ("mw", "rsw") else None
-        state = SimState.rest(mesh.n_nodes)
-        for _ in range(steps):
-            state = step_linear_implicit(system, state, f_ext)
-            u = state.u.copy()
-            if method == "mw":
-                u = mw_warp(mesh, u, grad_op)
-            elif method == "rsw":
-                u = rsw_warp(mesh, u, grad_op)
-            displacements.append(u)
+    run = _scenario(cfg, "simulation", steps=100, dt=1.0 / 60.0)
+    track = _tracked_nodes(cfg, run["mesh"], "0")
+    trajectories, note = simulate_methods(net=net, methods=(method,), **run)
+    if note is not None:
+        raise ConvergenceError(note)
 
     out = cfg.require("out")
+    steps, dt = run["steps"], run["dt"]
     times = dt * np.arange(1, steps + 1)
     with _AtomicFile(out) as f:
-        write_trajectory_csv(f, times, track, displacements,
+        write_trajectory_csv(f, times, track, trajectories[method],
                              header_lines=cfg.header_lines("simulate"))
     _print(args, f"simulated {steps} steps with method '{method}'; wrote {out}")
     return EXIT_OK
@@ -413,21 +381,11 @@ def cmd_compare(args) -> int:
         if m not in METHODS or m == "groundtruth":
             raise ConfigError(f"unknown comparison method {m!r}")
     net = load_network_file(cfg.require("net")) if "deepwarp" in methods else None
-    mesh = _load_mesh(cfg)
-    if not mesh.anchors:
-        raise ConfigError("comparison requires anchors")
-    params = _material(cfg)
-    field = _field(cfg)
-    track = _tracked_nodes(cfg, mesh, "") or [None]
+    run = _scenario(cfg, "comparison", steps=50, dt=1.0 / 50.0)
+    track = _tracked_nodes(cfg, run["mesh"], "") or [None]
     if len(track) > 1:
         raise ConfigError(f"compare tracks one node; got {len(track)}")
-    report = compare_methods(mesh, params, field, net,
-                             steps=cfg.getint("steps", 50),
-                             dt=cfg.getfloat("dt", 1.0 / 50.0),
-                             damping=_damping(cfg),
-                             density=cfg.getfloat("density", 1000.0),
-                             tracked_node=track[0],
-                             methods=methods, scheme=_scheme(cfg))
+    report = compare_methods(net=net, tracked_node=track[0], methods=methods, **run)
     out = cfg.require("out")
     with _AtomicFile(out) as f:
         for line in cfg.header_lines("compare"):
@@ -499,16 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("train", cmd_train,
         ["dataset", "out", "layers", "epochs", "batch", "lr", "val_fraction",
          "test_fraction", "loss_csv", "activation"])
-    add("simulate", cmd_simulate,
-        ["nodes", "elements", "anchors", "material", "youngs", "poisson",
-         "density", "method", "net", "steps", "dt", "track", "out", "scheme",
-         "damping_alpha", "damping_beta", "field", "field_direction",
-         "field_magnitude", "field_axis_point", "field_axis_dir"])
-    add("compare", cmd_compare,
-        ["nodes", "elements", "anchors", "material", "youngs", "poisson",
-         "density", "methods", "net", "steps", "dt", "track", "out", "scheme",
-         "damping_alpha", "damping_beta", "field", "field_direction",
-         "field_magnitude", "field_axis_point", "field_axis_dir"])
+    scenario = ["nodes", "elements", "anchors", "material", "youngs", "poisson",
+                "density", "net", "steps", "dt", "track", "out", "scheme",
+                "damping_alpha", "damping_beta", "field", "field_direction",
+                "field_magnitude", "field_axis_point", "field_axis_dir"]
+    add("simulate", cmd_simulate, ["method"] + scenario)
+    add("compare", cmd_compare, ["methods"] + scenario)
     add("partition-graph", cmd_partition_graph,
         ["nodes", "elements", "anchors", "partition", "nodes2", "elements2",
          "partition2"])

@@ -34,6 +34,7 @@ MAGIC = b"DWTP"
 FORMAT_VERSION = 1
 RECORD_DOUBLES = N_FEATURES + 3
 DISPLACEMENT_CAP = 2.0
+MAX_MAGNITUDES = 50          # ramp steps per field before it gives up
 
 
 class DatasetFormatError(Exception):
@@ -107,7 +108,6 @@ class RampConfig:
 
     start: float
     factor: float = 1.3
-    max_magnitudes: int = 50
     poses_per_magnitude: int = 10
     cap: float = DISPLACEMENT_CAP
 
@@ -126,7 +126,6 @@ class Pose:
     magnitude: float
     u_lin: np.ndarray
     u: np.ndarray
-    converged: bool
     residual: float
 
 
@@ -162,13 +161,12 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
     for f in fields:
         emitted_before = report.emitted
         magnitude = ramp.start
-        for _ in range(ramp.max_magnitudes):
+        for _ in range(MAX_MAGNITUDES):
             # every registered sequence starts from the rest shape, so each
             # magnitude contributes the rest pair first; this also keeps the
             # network's rest-feature region represented in the training set
             report.poses.append(Pose(field=f.with_magnitude(0.0), magnitude=0.0,
-                                     u_lin=zero.copy(), u=zero.copy(),
-                                     converged=True, residual=0.0))
+                                     u_lin=zero.copy(), u=zero.copy(), residual=0.0))
             report.attempted += 1
             current = f.with_magnitude(magnitude)
             fvec = force_vector(mesh, current, masses=masses)
@@ -187,7 +185,7 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
                     continue
                 report.poses.append(Pose(field=current, magnitude=magnitude,
                                          u_lin=pair.u_lin, u=pair.u,
-                                         converged=True, residual=pair.residual))
+                                         residual=pair.residual))
             if cap_hit or not reg.completed:
                 break
             magnitude *= ramp.factor

@@ -65,6 +65,15 @@ class IntegrationScheme(Enum):
 NEWMARK_GAMMA = 0.5
 NEWMARK_BETA = 0.25
 
+# random solves that check each new factorization's residual
+RESIDUAL_PROBES = 3
+# inverse power iterations of the slowest-mode estimate
+POWER_ITERATIONS = 60
+# quasi-static loading stops within this relative distance of K^-1 f and
+# fails once the inertial force exceeds this fraction of the load
+QUASISTATIC_REL_TOL = 1e-6
+QUASISTATIC_ACCEL_BOUND = 0.05
+
 _factorization_events = 0
 
 
@@ -333,7 +342,7 @@ class Prefactorization:
     events occur after construction.
     """
 
-    def __init__(self, matrix, rng_probe: int = 3):
+    def __init__(self, matrix):
         global _factorization_events
         A = matrix.tocsc() if sp.issparse(matrix) else sp.csc_matrix(matrix)
         n = A.shape[0]    # 0 when every DOF is anchored: an empty system is valid
@@ -351,7 +360,7 @@ class Prefactorization:
         self.factorization_count = 1
         # probe: solve must reproduce A x = b, and x^T A x must stay positive
         rng = np.random.default_rng(0)
-        for _ in range(rng_probe if n else 0):
+        for _ in range(RESIDUAL_PROBES if n else 0):
             b = rng.standard_normal(n)
             x = self._factor.solve(b)
             if not np.all(np.isfinite(x)):
@@ -461,14 +470,14 @@ def step_linear_implicit(system: LinearSystem, state: SimState,
                     t=state.t + dt)
 
 
-def smallest_mode_frequency(K, M, factor, n_iter: int = 60, seed: int = 0) -> float:
+def smallest_mode_frequency(K, M, factor) -> float:
     """Estimate sqrt(lambda_min) of K x = lambda M x by inverse power iteration;
     ``factor.solve`` applies K^-1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(K.shape[0])
     x /= np.linalg.norm(x)
     lam = 1.0
-    for _ in range(n_iter):
+    for _ in range(POWER_ITERATIONS):
         y = factor.solve(M @ x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
@@ -519,8 +528,8 @@ class QuasistaticDriver:
                                           IntegrationScheme.BACKWARD_EULER,
                                           damping, density)
 
-    def run(self, f_ext: np.ndarray, n_steps: int, rel_tol: float = 1e-6,
-            max_steps: int = 2000, accel_bound: float = 0.05) -> QuasistaticSequence:
+    def run(self, f_ext: np.ndarray, n_steps: int,
+            max_steps: int = 2000) -> QuasistaticSequence:
         """Overdamped loading from rest toward K^-1 f_ext, subsampled to at
         most ``n_steps`` snapshots (always keeping the final, converged one)."""
         if n_steps < 1:
@@ -539,12 +548,12 @@ class QuasistaticDriver:
             prev_v = state.v
             state = step_linear_implicit(self.system, state, f_ext)
             accel = self.masses * (state.v - prev_v) / self.dt
-            if np.linalg.norm(accel) > accel_bound * f_norm:
+            if np.linalg.norm(accel) > QUASISTATIC_ACCEL_BOUND * f_norm:
                 raise ConvergenceError(
                     "quasi-static assumption violated: acceleration exceeds bound",
                     residual=float(np.linalg.norm(accel) / f_norm))
             path.append(state.u.copy())
-            if np.linalg.norm(state.u - target) <= rel_tol * target_norm:
+            if np.linalg.norm(state.u - target) <= QUASISTATIC_REL_TOL * target_norm:
                 converged = True
                 break
         if not converged:

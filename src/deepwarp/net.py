@@ -26,6 +26,10 @@ from .features import FEATURE_ORDER, N_FEATURES
 
 MAGIC = b"DWNN"
 FORMAT_VERSION = 1
+# Adam decay rates and denominator guard (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NetworkFormatError(Exception):
@@ -51,11 +55,11 @@ class Activation(Enum):
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer sizes (first 7, last 3), activation, and the frozen feature order."""
+    """Layer sizes (first 7, last 3) and activation; every network reads
+    its features in ``FEATURE_ORDER``."""
 
     layer_sizes: tuple[int, ...]
     activation: Activation = Activation.TANH
-    feature_order: tuple[str, ...] = FEATURE_ORDER
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -66,7 +70,6 @@ class MlpSpec:
         if sizes[0] != N_FEATURES or sizes[-1] != 3:
             raise ValueError(f"network must map {N_FEATURES} features to 3 outputs")
         object.__setattr__(self, "layer_sizes", sizes)
-        object.__setattr__(self, "feature_order", tuple(self.feature_order))
 
     @property
     def n_params(self) -> int:
@@ -159,9 +162,6 @@ def mse_loss(weights: MlpWeights, X: np.ndarray, Y: np.ndarray,
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch: int = 1024
     epochs: int = 10
     seed: int = 0
@@ -169,8 +169,6 @@ class AdamConfig:
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam decay rates must lie in [0, 1)")
 
 
 @dataclass
@@ -191,7 +189,7 @@ def adam_step(weights: MlpWeights, grads: MlpWeights, state: AdamState,
     """Standard bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     params = weights.weights + weights.biases
     gs = grads.weights + grads.biases
     for p, g, m, v in zip(params, gs, state.m, state.v):
@@ -201,7 +199,7 @@ def adam_step(weights: MlpWeights, grads: MlpWeights, state: AdamState,
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        p -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -329,8 +327,8 @@ def save_network(stream, network: MlpNetwork) -> None:
         stream.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
     stream.write(np.ascontiguousarray(network.scaler.mean, dtype="<f8").tobytes())
     stream.write(np.ascontiguousarray(network.scaler.std, dtype="<f8").tobytes())
-    names = list(network.spec.feature_order) + [network.spec.activation.value]
-    stream.write(struct.pack("<I", len(network.spec.feature_order)))
+    names = list(FEATURE_ORDER) + [network.spec.activation.value]
+    stream.write(struct.pack("<I", len(FEATURE_ORDER)))
     for name in names:
         raw = name.encode("utf-8")
         stream.write(struct.pack("<I", len(raw)))
@@ -377,8 +375,7 @@ def load_network(stream) -> MlpNetwork:
     except ValueError:
         raise NetworkFormatError(f"unknown activation tag {act_tag!r}") from None
     try:
-        spec = MlpSpec(layer_sizes=tuple(sizes), activation=activation,
-                       feature_order=feature_order)
+        spec = MlpSpec(layer_sizes=tuple(sizes), activation=activation)
     except ValueError as exc:
         raise NetworkFormatError(f"layer shape mismatch: {exc}") from None
     return MlpNetwork(spec=spec, weights=MlpWeights(weights, biases),

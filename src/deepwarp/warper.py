@@ -1,6 +1,7 @@
 """Runtime warping: learned per-node correction of a pre-factorized linear
 solve, plus the modal-warping (MW) and rotation-strain-warping (RSW)
-geometric baselines and a method-comparison harness.
+geometric baselines, one driver that steps any of the five ``METHODS`` on
+one load, and the method comparison built on it.
 
 Each step: (1) external forces are un-rotated per node by the cached local
 rotation of the previous step, (2) one back-substitution advances the linear
@@ -35,6 +36,11 @@ from .registration import (_AXIAL, gradient_operator, rotation_operator,
                            rotation_vectors_from_displacement, rotations_from_vectors)
 
 
+# a standardized feature beyond this many deviations counts as extrapolated
+EXTRAPOLATION_ZMAX = 6.0
+METHODS = ("linear", "mw", "rsw", "deepwarp", "groundtruth")
+
+
 class ExtrapolationWarning(UserWarning):
     """A runtime feature fell outside the trained range."""
 
@@ -54,7 +60,6 @@ class WarpContext:
     rotation_cache: np.ndarray         # (n, 3, 3)
     free_mask: np.ndarray              # (n,) bool, False at anchors
     geo: object = None
-    extrapolation_zmax: float = 6.0
     extrapolation_events: int = 0
     warn_on_extrapolation: bool = True
 
@@ -86,7 +91,7 @@ class WarpContext:
         u_mag, w_mag, angle, Q = align_batch(U, w)
         Z = self.net.scaler.transform(
             assemble_features_batch(u_mag, w_mag, angle, self.static, self.poisson))
-        far = np.abs(Z) > self.extrapolation_zmax
+        far = np.abs(Z) > EXTRAPOLATION_ZMAX
         if far.any():
             over = int(np.count_nonzero(far.any(axis=1)))
             # warn once per context; extrapolation_events keeps the full count
@@ -136,14 +141,11 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
     return ctx
 
 
-def deepwarp_step(ctx: WarpContext, state: SimState, f_ext: np.ndarray,
-                  dt: float | None = None):
+def deepwarp_step(ctx: WarpContext, state: SimState, f_ext: np.ndarray):
     """One warped step: un-rotate forces, one linear solve, learned fix.
 
     Returns (next linear SimState, corrected nonlinear displacement (3n,)).
     """
-    if dt is not None and abs(dt - ctx.dt) > 1e-15:
-        raise ValueError(f"step dt {dt} does not match the prefactorized dt {ctx.dt}")
     Rt = ctx.rotation_cache.transpose(1, 2, 0)          # Rt[q, p] = R[:, q, p]
     fx, fy, fz = f_ext.reshape(-1, 3).T
     f = (Rt[0] * fx + Rt[1] * fy + Rt[2] * fz).T.ravel()   # R^T f per node
@@ -266,8 +268,58 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# method comparison
+# stepping and comparing the methods
 # ---------------------------------------------------------------------------
+
+def simulate_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceField,
+                     net: MlpNetwork | None, methods: tuple[str, ...], steps: int,
+                     dt: float, scheme: IntegrationScheme, damping: RayleighDamping,
+                     density: float) -> tuple[dict[str, np.ndarray], str | None]:
+    """Step each requested method from rest under one constant load.
+
+    Returns the (k, 3n) displacement trajectories keyed in ``METHODS`` order,
+    and a note that is None unless the ground truth, which runs first,
+    diverged or inverted an element after k < ``steps`` steps; the other
+    methods then run those k steps only. linear, MW, RSW and deepwarp step on
+    one factorization, deepwarp's own system when it is requested.
+    """
+    if "deepwarp" in methods and net is None:
+        raise ValueError("deepwarp method requires a trained network")
+    f_ext = force_vector(mesh, field_descr, density)
+    out: dict[str, list[np.ndarray]] = {m: [] for m in METHODS if m in methods}
+    note = None
+    if "groundtruth" in out:
+        nsys = build_nonlinear_system(mesh, params, damping, density)
+        state = SimState.rest(mesh.n_nodes)
+        try:
+            for _ in range(steps):
+                state = step_newmark_nonlinear(nsys, state, f_ext, dt)
+                out["groundtruth"].append(state.u)
+        except (ConvergenceError, InvertedElementError) as exc:
+            steps = len(out["groundtruth"])
+            note = f"ground truth diverged after {steps} steps: {exc}"
+
+    ctx = None
+    if "deepwarp" in out:
+        ctx = build_warp_context(mesh, params, net, field_descr, dt, scheme, damping,
+                                 density)
+        out["deepwarp"] = run_deepwarp(ctx, steps, f_ext)
+    baselines = [m for m in ("linear", "mw", "rsw") if m in out]
+    if baselines:
+        system = ctx.system if ctx is not None else build_linear_system(
+            mesh, params.as_linear(), dt, scheme, damping, density)
+        grad_op = gradient_operator(mesh) if baselines != ["linear"] else None
+        warps = {"linear": lambda u: u,
+                 "mw": lambda u: mw_warp(mesh, u, grad_op),
+                 "rsw": lambda u: rsw_warp(mesh, u, grad_op)}
+        state = SimState.rest(mesh.n_nodes)
+        for _ in range(steps):
+            state = step_linear_implicit(system, state, f_ext)
+            for m in baselines:
+                out[m].append(warps[m](state.u))
+    return {m: np.array(traj).reshape(len(traj), 3 * mesh.n_nodes)
+            for m, traj in out.items()}, note
+
 
 @dataclass
 class MethodSummary:
@@ -287,7 +339,11 @@ class ComparisonReport:
     note: str | None = None
 
 
-def dominant_frequency(signal: np.ndarray, dt: float, pad_factor: int = 8) -> float:
+# zero-padding factor of the spectrum that dominant_frequency searches
+SPECTRUM_PAD = 8
+
+
+def dominant_frequency(signal: np.ndarray, dt: float) -> float:
     """Peak non-DC frequency of a scalar signal via the real FFT.
 
     Zero-padding interpolates the spectrum so the peak is located more finely
@@ -295,7 +351,7 @@ def dominant_frequency(signal: np.ndarray, dt: float, pad_factor: int = 8) -> fl
     """
     x = np.asarray(signal, dtype=np.float64)
     x = x - x.mean()
-    n = max(int(pad_factor) * len(x), len(x))
+    n = SPECTRUM_PAD * len(x)
     spec = np.abs(np.fft.rfft(x, n=n))
     if len(spec) < 2 or spec.max() <= 1e-14 * max(np.abs(x).max(), 1e-300) * len(x):
         return 0.0
@@ -310,79 +366,36 @@ def compare_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFie
                     methods: tuple[str, ...] = ("linear", "mw", "rsw", "deepwarp"),
                     scheme: IntegrationScheme = IntegrationScheme.NEWMARK
                     ) -> ComparisonReport:
-    """Run ground truth plus the requested methods on one force script.
+    """Errors of the requested methods against the ground truth, all stepped
+    by ``simulate_methods`` on one load.
 
     Emits per-step relative L2 errors against the nonlinear reference and the
-    tracked node's trajectory per method. A ground truth that diverges or
-    inverts an element yields a partial report flagged ``completed=False``.
+    tracked node's dominant frequency per method. A ground truth that diverges
+    or inverts an element yields a partial report flagged ``completed=False``.
     """
-    if "deepwarp" in methods and net is None:
-        raise ValueError("deepwarp method requires a trained network")
-    report = ComparisonReport()
-    f_ext = force_vector(mesh, field_descr, density)
-    adjacency = node_adjacency(mesh)
-    grad_op = gradient_operator(mesh, adjacency)
-
-    nsys = build_nonlinear_system(mesh, params, damping, density)
-    state = SimState.rest(mesh.n_nodes)
-    gt = []
-    try:
-        for _ in range(steps):
-            state = step_newmark_nonlinear(nsys, state, f_ext, dt)
-            gt.append(state.u.copy())
-    except (ConvergenceError, InvertedElementError) as exc:
-        report.completed = False
-        report.note = f"ground truth diverged after {len(gt)} steps: {exc}"
+    traj, note = simulate_methods(mesh, params, field_descr, net,
+                                  ("groundtruth",) + tuple(methods), steps, dt,
+                                  scheme, damping, density)
+    report = ComparisonReport(completed=note is None, note=note)
+    gt = traj["groundtruth"]
     n_ok = len(gt)
     if n_ok == 0:
         return report
-    gt_arr = np.array(gt)
-    report.trajectories["groundtruth"] = gt_arr
-
-    # the baselines step on deepwarp's linear system, so it is factorized once
-    ctx = build_warp_context(mesh, params, net, field_descr, dt, scheme, damping,
-                             density) if "deepwarp" in methods else None
-    lin_system = ctx.system if ctx is not None else build_linear_system(
-        mesh, params.as_linear(), dt, scheme, damping, density)
-    lin_state = SimState.rest(mesh.n_nodes)
-    lin = []
-    for _ in range(n_ok):
-        lin_state = step_linear_implicit(lin_system, lin_state, f_ext)
-        lin.append(lin_state.u.copy())
-
-    outputs: dict[str, list[np.ndarray]] = {}
-    if "linear" in methods:
-        outputs["linear"] = lin
-    if "mw" in methods:
-        outputs["mw"] = [mw_warp(mesh, u, grad_op) for u in lin]
-    if "rsw" in methods:
-        outputs["rsw"] = [rsw_warp(mesh, u, grad_op) for u in lin]
-    if ctx is not None:
-        outputs["deepwarp"] = run_deepwarp(ctx, n_ok, f_ext)
-
+    report.trajectories = traj
     if tracked_node is None:
-        amp = np.linalg.norm(gt_arr.reshape(n_ok, -1, 3), axis=2).max(axis=0)
+        amp = np.linalg.norm(gt.reshape(n_ok, -1, 3), axis=2).max(axis=0)
         tracked_node = int(np.argmax(amp))
     report.tracked_node = tracked_node
-
-    for name, traj in outputs.items():
-        arr = np.array(traj)
-        report.trajectories[name] = arr
-        errs = []
-        for k in range(n_ok):
-            denom = max(float(np.linalg.norm(gt_arr[k])), 1e-30)
-            rel = float(np.linalg.norm(arr[k] - gt_arr[k])) / denom
-            report.rows.append((name, k, rel))
-            errs.append(rel)
-        comp = _dominant_component(arr, tracked_node)
-        report.summaries.append(MethodSummary(
-            method=name, mean_rel_l2=float(np.mean(errs)),
-            max_rel_l2=float(np.max(errs)),
-            dominant_frequency=dominant_frequency(comp, dt)))
-    gt_comp = _dominant_component(gt_arr, tracked_node)
-    report.summaries.append(MethodSummary(
-        method="groundtruth", mean_rel_l2=0.0, max_rel_l2=0.0,
-        dominant_frequency=dominant_frequency(gt_comp, dt)))
+    # one norm per step: norm(axis=1) may differ from it in the last bit
+    denom = [max(float(np.linalg.norm(g)), 1e-30) for g in gt]
+    for name, arr in traj.items():
+        errs = [float(np.linalg.norm(a - g)) / d for a, g, d in zip(arr, gt, denom)]
+        if name != "groundtruth":
+            report.rows += [(name, k, rel) for k, rel in enumerate(errs)]
+        freq = dominant_frequency(_dominant_component(arr, tracked_node), dt)
+        report.summaries.append(MethodSummary(method=name, mean_rel_l2=float(np.mean(errs)),
+                                              max_rel_l2=float(np.max(errs)),
+                                              dominant_frequency=freq))
     return report
 
 

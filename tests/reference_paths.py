@@ -30,6 +30,7 @@ from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
 from deepwarp.mesh import MeshError, lumped_mass, node_adjacency
 from deepwarp.net import forward_batch
 from deepwarp.registration import RankDeficientNeighborhoodError, build_rotation_blockdiag
+from deepwarp.warper import EXTRAPOLATION_ZMAX
 
 _FLIP_X = np.diag([1.0, -1.0, -1.0])
 
@@ -178,7 +179,7 @@ class ReferenceStepper:
         Z = ctx.net.scaler.transform(
             assemble_features_batch(u_mag, w_mag, angle, ctx.static, ctx.poisson))
         self.extrapolation_events += int(np.count_nonzero(
-            np.abs(Z).max(axis=1) > ctx.extrapolation_zmax))
+            np.abs(Z).max(axis=1) > EXTRAPOLATION_ZMAX))
         Y = forward_batch(ctx.net.weights, Z, ctx.net.spec.activation) - ctx.rest_offset
         delta = np.einsum("npq,np->nq", Q, Y)
         u = U + np.where(free[:, None], delta, 0.0)

@@ -231,6 +231,16 @@ class TestTrainSimulateCompare:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows == ["t,node,ux,uy,uz"] + want
 
+    def test_simulate_diverging_ground_truth_is_numerical(self, mesh_files, tmp_path,
+                                                          capsys):
+        out = tmp_path / "gt.csv"
+        code = main(["simulate"] + mesh_flags(mesh_files) + [
+            "--method", "groundtruth", "--steps", "6", "--dt", "0.2", "--out", str(out),
+            "--field-direction", "0,-1,0", "--field-magnitude", "1e3", "--quiet"])
+        assert code == 2
+        assert "ground truth diverged after" in capsys.readouterr().err
+        assert not out.exists() and not os.path.exists(str(out) + ".partial")
+
     def test_simulate_method_needs_net(self, mesh_files, tmp_path):
         out = tmp_path / "x.csv"
         code = main(["simulate"] + mesh_flags(mesh_files) + [

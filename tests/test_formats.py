@@ -5,6 +5,7 @@ single changed byte) that fails only with the format's own error."""
 import io
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,12 @@ class TestDwnn:
             return
         sizes = again.spec.layer_sizes
         assert [W.shape for W in again.weights.weights] == list(zip(sizes[1:], sizes))
+
+    def test_reference_fixture_resaves_byte_identical(self):
+        raw = (Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+               / "reference.dwnn").read_bytes()
+        assert len(raw) == 3848
+        assert network_bytes(load_network(io.BytesIO(raw))) == raw
 
     def test_no_layers_rejected(self):
         # a well-formed file apart from its layer count of zero

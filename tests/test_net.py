@@ -3,10 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from deepwarp.net import (Activation, AdamConfig, AdamState, FeatureScaler,
-                          MlpNetwork, MlpSpec, MlpWeights, NetworkFormatError,
-                          TrainingDivergedError, adam_step, backward, forward,
-                          forward_batch, init_weights, load_network,
+from deepwarp.features import FEATURE_ORDER
+from deepwarp.net import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Activation, AdamConfig,
+                          AdamState, FeatureScaler, MlpNetwork, MlpSpec, MlpWeights,
+                          NetworkFormatError, TrainingDivergedError, adam_step,
+                          backward, forward, forward_batch, init_weights, load_network,
                           save_network, train)
 
 
@@ -141,7 +142,7 @@ class TestAdam:
         cfg = AdamConfig()
         adam_step(w, ones, AdamState.zeros_like(w), cfg)
         for prev, now in zip(before, w.weights + w.biases):
-            assert np.abs((now - prev) + cfg.lr / (1 + cfg.eps)).max() < 1e-6
+            assert np.abs((now - prev) + cfg.lr / (1 + ADAM_EPS)).max() < 1e-6
 
     def test_zero_gradient_no_change(self):
         spec = MlpSpec((7, 16, 3))
@@ -169,7 +170,7 @@ class TestAdam:
 
     def test_config_defaults_match_reference_protocol(self):
         cfg = AdamConfig()
-        assert (cfg.lr, cfg.batch, cfg.beta1, cfg.beta2, cfg.eps, cfg.epochs) == \
+        assert (cfg.lr, cfg.batch, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cfg.epochs) == \
             (0.001, 1024, 0.9, 0.999, 1e-8, 10)
 
 
@@ -301,7 +302,7 @@ class TestSerialization:
         buf = io.BytesIO()
         save_network(buf, net)
         raw = bytearray(buf.getvalue())
-        names = list(net.spec.feature_order) + [net.spec.activation.value]
+        names = list(FEATURE_ORDER) + [net.spec.activation.value]
         first = len(raw) - sum(4 + len(n.encode()) for n in names)
         assert struct.unpack_from("<I", raw, first)[0] == len(names[0])
         struct.pack_into("<I", raw, first, 2**32 - 1)

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from deepwarp.dynamics import (factorization_event_count,
-                               reset_factorization_event_count)
+from deepwarp.dynamics import (IntegrationScheme, RayleighDamping, SimState,
+                               build_linear_system, build_nonlinear_system,
+                               factorization_event_count, reset_factorization_event_count,
+                               step_linear_implicit, step_newmark_nonlinear)
 from deepwarp.features import ForceField, force_vector
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh
 from deepwarp.meshgen import beam
 from deepwarp.registration import gradient_operator, rotation_from_vector, \
     rotation_vectors_from_displacement
-from deepwarp.warper import (build_warp_context, compare_methods, deepwarp_step,
+from deepwarp.warper import (METHODS, build_warp_context, compare_methods, deepwarp_step,
                              dominant_frequency, mw_average_rotation, mw_warp,
-                             rsw_warp, run_deepwarp)
+                             rsw_warp, run_deepwarp, simulate_methods)
 
 import reference_paths
 
@@ -319,14 +321,6 @@ class TestDeepwarpStep:
         assert sum(issubclass(w.category, ExtrapolationWarning) for w in caught) == 1
         assert ctx.extrapolation_events == 10 * per_call
 
-    def test_dt_mismatch_rejected(self, normalized_beam, neo_hookean, quick_net):
-        field = ForceField.directional([0, -1, 0], 0.3)
-        ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
-                                 dt=1 / 60)
-        with pytest.raises(ValueError, match="dt"):
-            deepwarp_step(ctx, ctx.reset(),
-                          np.zeros(3 * normalized_beam.n_nodes), dt=1 / 30)
-
     def test_equivariance_under_global_rotation(self, normalized_beam, neo_hookean,
                                                  quick_net):
         # rotate the mesh and the field; the warped trajectory rotates with
@@ -414,6 +408,61 @@ class TestCompareMethods:
         freqs = {s.method: s.dominant_frequency for s in report.summaries}
         bin_width = 1.0 / (steps * dt)
         assert abs(freqs["deepwarp"] - freqs["groundtruth"]) <= bin_width + 1e-12
+
+
+class TestSimulateMethods:
+    FIELD = ForceField.directional([0.2, -1.0, 0.1], 0.3)
+    STEPS, DT, DENSITY = 5, 1 / 50, 1000.0
+
+    def simulate(self, mesh, params, net, methods):
+        return simulate_methods(mesh, params, self.FIELD, net, methods, self.STEPS, self.DT,
+                                IntegrationScheme.NEWMARK, RayleighDamping(), self.DENSITY)
+
+    def direct_loop(self, method, mesh, params, net):
+        f_ext = force_vector(mesh, self.FIELD, self.DENSITY)
+        if method == "deepwarp":
+            ctx = build_warp_context(mesh, params, net, self.FIELD, self.DT)
+            return np.array(run_deepwarp(ctx, self.STEPS, f_ext))
+        state, out = SimState.rest(mesh.n_nodes), []
+        if method == "groundtruth":
+            system = build_nonlinear_system(mesh, params, RayleighDamping(), self.DENSITY)
+            for _ in range(self.STEPS):
+                state = step_newmark_nonlinear(system, state, f_ext, self.DT)
+                out.append(state.u)
+            return np.array(out)
+        system = build_linear_system(mesh, params.as_linear(), self.DT,
+                                     IntegrationScheme.NEWMARK, RayleighDamping(),
+                                     self.DENSITY)
+        grad_op = gradient_operator(mesh)
+        for _ in range(self.STEPS):
+            state = step_linear_implicit(system, state, f_ext)
+            u = state.u
+            if method == "mw":
+                u = mw_warp(mesh, u, grad_op)
+            elif method == "rsw":
+                u = rsw_warp(mesh, u, grad_op)
+            out.append(u)
+        return np.array(out)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_matches_its_direct_loop(self, method, normalized_beam,
+                                                 neo_hookean, quick_net):
+        traj, note = self.simulate(normalized_beam, neo_hookean, quick_net, (method,))
+        assert note is None and list(traj) == [method]
+        want = self.direct_loop(method, normalized_beam, neo_hookean, quick_net)
+        assert want.shape == (self.STEPS, 3 * normalized_beam.n_nodes)
+        assert np.array_equal(traj[method], want)
+
+    def test_linear_system_methods_share_one_factorization(self, normalized_beam,
+                                                           neo_hookean, quick_net):
+        reset_factorization_event_count()
+        together, note = self.simulate(normalized_beam, neo_hookean, quick_net,
+                                       ("deepwarp", "rsw", "linear", "mw"))
+        assert factorization_event_count() == 1
+        assert note is None and list(together) == ["linear", "mw", "rsw", "deepwarp"]
+        for method, traj in together.items():
+            alone, _ = self.simulate(normalized_beam, neo_hookean, quick_net, (method,))
+            assert np.array_equal(traj, alone[method])
 
 
 class TestDominantFrequency:
