@@ -187,9 +187,13 @@ def _scenario(cfg: RunConfig, command: str, steps: int, dt: float) -> dict:
     mesh = _load_mesh(cfg)
     if not mesh.anchors:
         raise ConfigError(f"{command} requires anchors")
+    steps, dt = cfg.getint("steps", steps), cfg.getfloat("dt", dt)
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1; got {steps}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be finite and positive; got {dt}")
     return dict(mesh=mesh, params=_material(cfg), field_descr=_field(cfg),
-                steps=cfg.getint("steps", steps), dt=cfg.getfloat("dt", dt),
-                scheme=_scheme(cfg),
+                steps=steps, dt=dt, scheme=_scheme(cfg),
                 damping=RayleighDamping(cfg.getfloat("damping_alpha", 0.0),
                                         cfg.getfloat("damping_beta", 0.0)),
                 density=cfg.getfloat("density", 1000.0))

@@ -7,7 +7,8 @@ equilibrium linear displacement reaches the cap max_i |u_i| >= 2 (the cap is
 evaluated on the linear displacement, which exists before registration).
 
 Records are per non-anchor node: the 7-feature vector plus the canonical
-frame displacement fix Q (u_i - u_lin_i).
+frame displacement fix Q (u_i - u_lin_i), extracted as each pose is emitted
+by one pass that builds every mesh operator and static feature set once.
 
 Dataset file format (little-endian): magic 'DWTP', version u32, record count
 u64, then one 10-double row per record (7 features in FEATURE_ORDER, then
@@ -25,8 +26,8 @@ from .dynamics import QuasistaticDriver
 from .features import (N_FEATURES, ForceField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
-from .material import MaterialModel, MaterialParams, MeshPrecomp
-from .mesh import TetMesh, lumped_mass, node_adjacency
+from .material import MaterialModel, MaterialParams
+from .mesh import TetMesh, node_adjacency
 from .registration import gradient_operator, register_sequence, \
     rotation_vectors_from_displacement
 
@@ -131,7 +132,10 @@ class Pose:
 
 @dataclass
 class PoseGenerationReport:
+    """Emitted poses; ``records[k]`` holds pose k's records."""
+
     poses: list[Pose] = field(default_factory=list)
+    records: list[RecordSet] = field(default_factory=list)
     attempted: int = 0
     dropped_nonconverged: int = 0
     dropped_capped: int = 0
@@ -143,7 +147,8 @@ class PoseGenerationReport:
 
 def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceField],
                    ramp: RampConfig, density: float = 1000.0) -> PoseGenerationReport:
-    """Registered training poses for every field over the magnitude ramp.
+    """Registered training poses for every field over the magnitude ramp,
+    each with its records.
 
     Per field the rest pose (magnitude 0) is emitted first; snapshots whose
     max per-node linear displacement already exceeds the cap are dropped,
@@ -152,27 +157,35 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
     if params.model is MaterialModel.LINEAR:
         raise ValueError("pose generation registers against a nonlinear model")
     report = PoseGenerationReport()
+    driver = QuasistaticDriver(mesh, params.as_linear(), density=density)
     adjacency = node_adjacency(mesh)
     grad_op = gradient_operator(mesh, adjacency)
-    pre = MeshPrecomp(mesh)
-    masses = lumped_mass(mesh, density)
-    driver = QuasistaticDriver(mesh, params.as_linear(), density=density)
+    geo = geodesic_all(mesh, adjacency)
     zero = np.zeros(3 * mesh.n_nodes)
+
+    def emit(pose: Pose, static: StaticFeatureSet) -> None:
+        rs = extract_records(pose, static, params.poisson, mesh, grad_op)
+        rs.pose_ids[:] = report.emitted
+        report.poses.append(pose)
+        report.records.append(rs)
+
     for f in fields:
         emitted_before = report.emitted
+        rest = f.with_magnitude(0.0)
+        static = static_features(mesh, rest, adjacency, geo)
         magnitude = ramp.start
         for _ in range(MAX_MAGNITUDES):
             # every registered sequence starts from the rest shape, so each
             # magnitude contributes the rest pair first; this also keeps the
             # network's rest-feature region represented in the training set
-            report.poses.append(Pose(field=f.with_magnitude(0.0), magnitude=0.0,
-                                     u_lin=zero.copy(), u=zero.copy(), residual=0.0))
+            emit(Pose(field=rest, magnitude=0.0, u_lin=zero.copy(), u=zero.copy(),
+                      residual=0.0), static)
             report.attempted += 1
             current = f.with_magnitude(magnitude)
-            fvec = force_vector(mesh, current, masses=masses)
+            fvec = force_vector(mesh, current, masses=driver.masses)
             seq = driver.run(fvec, n_steps=ramp.poses_per_magnitude)
             reg = register_sequence(mesh, params, seq.displacements,
-                                    grad_op=grad_op, pre=pre)
+                                    grad_op=grad_op, pre=driver.pre)
             report.attempted += len(seq.displacements)
             report.dropped_nonconverged += len(seq.displacements) - len(reg.pairs)
             max_lin = [float(np.linalg.norm(p.u_lin.reshape(-1, 3), axis=1).max())
@@ -183,9 +196,8 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
                 if max_lin[k] >= ramp.cap and not is_final:
                     report.dropped_capped += 1
                     continue
-                report.poses.append(Pose(field=current, magnitude=magnitude,
-                                         u_lin=pair.u_lin, u=pair.u,
-                                         residual=pair.residual))
+                emit(Pose(field=current, magnitude=magnitude, u_lin=pair.u_lin,
+                          u=pair.u, residual=pair.residual), static)
             if cap_hit or not reg.completed:
                 break
             magnitude *= ramp.factor
@@ -204,8 +216,7 @@ def extract_records(pose: Pose, static: StaticFeatureSet, poisson: float,
     delta = pose.u.reshape(-1, 3) - U
     targets = np.einsum("npq,nq->np", Q, delta)
     keep = np.ones(mesh.n_nodes, dtype=bool)
-    if mesh.anchors:
-        keep[mesh.anchor_array()] = False
+    keep[mesh.anchor_array()] = False
     idx = np.nonzero(keep)[0]
     return RecordSet(X[idx], targets[idx],
                      pose_ids=np.full(len(idx), -1), node_ids=idx)
@@ -216,27 +227,9 @@ def build_dataset(mesh: TetMesh, params: MaterialParams, fields: list[ForceField
                   ) -> tuple[RecordSet, PoseGenerationReport]:
     """End-to-end record generation over fields, magnitudes and nodes."""
     report = generate_poses(mesh, params, fields, ramp, density)
-    adjacency = node_adjacency(mesh)
-    grad_op = gradient_operator(mesh, adjacency)
-    parts = []
-    static_cache: dict = {}
-    geo = geodesic_all(mesh, adjacency)
-    for pose_id, pose in enumerate(report.poses):
-        key = _field_key(pose.field)
-        if key not in static_cache:
-            static_cache[key] = static_features(mesh, pose.field, adjacency, geo)
-        rs = extract_records(pose, static_cache[key], params.poisson, mesh, grad_op)
-        rs.pose_ids[:] = pose_id
-        parts.append(rs)
-    records = RecordSet.concat(parts)
+    records = RecordSet.concat(report.records)
     records.validate(mesh.anchors)
     return records, report
-
-
-def _field_key(f: ForceField):
-    if f.direction is not None:
-        return ("dir", tuple(np.round(f.direction, 15)))
-    return ("circ", tuple(np.round(f.axis_point, 15)), tuple(np.round(f.axis_dir, 15)))
 
 
 def split(records: RecordSet, val_fraction: float, test_fraction: float,

@@ -39,8 +39,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .material import InvertedElementError, MaterialModel, MaterialParams, MeshPrecomp, \
-    assemble_force, assemble_stiffness
+from .material import InvertedElementError, MaterialParams, MeshPrecomp, assemble_force, \
+    assemble_stiffness
 from .mesh import FreeDofs, TetMesh, lumped_mass
 
 
@@ -402,13 +402,11 @@ class LinearSystem:
     """Constant-coefficient implicit system for the linear material, on the
     free DOFs: ``K``, ``M`` and ``C`` are K_ff, M_ff and C_ff."""
 
-    mesh: TetMesh
     K: sp.csr_matrix
     M: sp.csr_matrix
     C: sp.csr_matrix
     dt: float
     scheme: IntegrationScheme
-    damping: RayleighDamping
     prefact: Prefactorization
     free: FreeDofs = field(repr=False)
 
@@ -418,15 +416,24 @@ class LinearSystem:
 
 
 def _free_matrices(mesh: TetMesh, params: MaterialParams, density: float):
-    """(pre, K_ff, M_ff): the rest stiffness and the lumped mass on the free
-    DOFs of ``pre.free``."""
+    """(pre, K_ff, M_ff, masses): the rest stiffness and the lumped mass on
+    the free DOFs of ``pre.free``, and the (n,) lumped node masses."""
     if not mesh.anchors:
         raise NotPositiveDefiniteError(
             "mesh has no anchors; the stiffness has a floating null space")
     pre = MeshPrecomp(mesh)
     K = pre.free_block(assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), pre))
-    masses = pre.free.gather(np.repeat(lumped_mass(mesh, density), 3))
-    return pre, K, sp.diags(masses).tocsr()
+    masses = lumped_mass(mesh, density)
+    M = sp.diags(pre.free.gather(np.repeat(masses, 3))).tocsr()
+    return pre, K, M, masses
+
+
+def _linear_system(K, M, free: FreeDofs, dt: float, scheme: IntegrationScheme,
+                   damping: RayleighDamping) -> LinearSystem:
+    """Rayleigh-damped system on K_ff and M_ff, prefactorized."""
+    C = (damping.alpha * M + damping.beta * K).tocsr()
+    return LinearSystem(K=K, M=M, C=C, dt=dt, scheme=scheme,
+                        prefact=prefactorize(K, M, C, dt, scheme), free=free)
 
 
 def build_linear_system(mesh: TetMesh, params: MaterialParams, dt: float,
@@ -434,13 +441,8 @@ def build_linear_system(mesh: TetMesh, params: MaterialParams, dt: float,
                         damping: RayleighDamping = RayleighDamping(),
                         density: float = 1000.0) -> LinearSystem:
     """Assemble and prefactorize the linear-elasticity system on the free DOFs."""
-    if params.model is not MaterialModel.LINEAR:
-        params = params.as_linear()
-    pre, K, M = _free_matrices(mesh, params, density)
-    C = (damping.alpha * M + damping.beta * K).tocsr()
-    prefact = prefactorize(K, M, C, dt, scheme)
-    return LinearSystem(mesh=mesh, K=K, M=M, C=C, dt=dt, scheme=scheme,
-                        damping=damping, prefact=prefact, free=pre.free)
+    pre, K, M, _ = _free_matrices(mesh, params.as_linear(), density)
+    return _linear_system(K, M, pre.free, dt, scheme, damping)
 
 
 def step_linear_implicit(system: LinearSystem, state: SimState,
@@ -501,32 +503,28 @@ class QuasistaticSequence:
 class QuasistaticDriver:
     """Reusable overdamped-loading context for one (mesh, density).
 
-    Factorizes K_ff and the backward-Euler system matrix once each (the K_ff
-    factor also serves the slowest-mode estimate); ``run`` then produces a
-    quasi-static sequence per force vector, which is what the training ramp
-    exercises many times.
+    Assembles K_ff and M_ff once and factorizes K_ff and the backward-Euler
+    matrix built from them once each (the K_ff factor also serves the
+    slowest-mode estimate); ``run`` then produces a quasi-static sequence per
+    force vector, which is what the training ramp exercises many times.
     """
 
     def __init__(self, mesh: TetMesh, params: MaterialParams,
                  damping: RayleighDamping | None = None, density: float = 1000.0):
-        params = params.as_linear()
-        pre, K, M = _free_matrices(mesh, params, density)
+        self.pre, K, M, self.masses = _free_matrices(mesh, params.as_linear(), density)
         self.mesh = mesh
-        self.free = pre.free
-        self.masses = np.repeat(lumped_mass(mesh, density), 3)
+        self.free = self.pre.free
         self.static = prefactorize(K)
         omega = smallest_mode_frequency(K, M, self.static)
         if omega <= 0.0:
             raise NotPositiveDefiniteError("anchored system has a zero-frequency mode")
         if damping is None:
             damping = RayleighDamping(alpha=10.0 * omega, beta=0.0)  # damping ratio >= 5
-        self.damping = damping
         # alpha*dt = 30 keeps per-step acceleration near 1/30 of the load while
         # the slow-mode relaxation still converges in a few dozen steps
         self.dt = 30.0 / max(damping.alpha, 1e-30)
-        self.system = build_linear_system(mesh, params, self.dt,
-                                          IntegrationScheme.BACKWARD_EULER,
-                                          damping, density)
+        self.system = _linear_system(K, M, self.free, self.dt,
+                                     IntegrationScheme.BACKWARD_EULER, damping)
 
     def run(self, f_ext: np.ndarray, n_steps: int,
             max_steps: int = 2000) -> QuasistaticSequence:
@@ -543,11 +541,12 @@ class QuasistaticDriver:
         state = SimState.rest(self.mesh.n_nodes)
         path: list[np.ndarray] = []
         f_norm = np.linalg.norm(f)
+        dof_masses = np.repeat(self.masses, 3)
         converged = False
         for _ in range(max_steps):
             prev_v = state.v
             state = step_linear_implicit(self.system, state, f_ext)
-            accel = self.masses * (state.v - prev_v) / self.dt
+            accel = dof_masses * (state.v - prev_v) / self.dt
             if np.linalg.norm(accel) > QUASISTATIC_ACCEL_BOUND * f_norm:
                 raise ConvergenceError(
                     "quasi-static assumption violated: acceleration exceeds bound",
@@ -589,7 +588,7 @@ def build_nonlinear_system(mesh: TetMesh, params: MaterialParams,
                            damping: RayleighDamping = RayleighDamping(),
                            density: float = 1000.0) -> NonlinearSystem:
     """Ground-truth Newmark context; Rayleigh damping uses the rest-state K."""
-    pre, K0, M = _free_matrices(mesh, params, density)
+    pre, K0, M, _ = _free_matrices(mesh, params, density)
     C = (damping.alpha * M + damping.beta * K0).tocsr()
     return NonlinearSystem(mesh=mesh, params=params, pre=pre, M=M, C=C)
 

@@ -37,7 +37,7 @@ N_FEATURES = len(FEATURE_ORDER)
 _EPS = 1e-12
 
 
-class FeatureError(Exception):
+class FeatureError(ValueError):
     """Feature computation failed (e.g. unreachable node)."""
 
 
@@ -115,8 +115,7 @@ def force_vector(mesh: TetMesh, field: ForceField, density: float = 1000.0,
         safe = np.where(norms > _EPS, norms, 1.0)
         tangent = np.where(norms[:, None] > _EPS, tangent / safe[:, None], 0.0)
         f = masses[:, None] * field.magnitude * tangent
-    if mesh.anchors:
-        f[mesh.anchor_array()] = 0.0
+    f[mesh.anchor_array()] = 0.0
     return f.ravel()
 
 

@@ -161,8 +161,7 @@ def build_rotation_blockdiag(mesh: TetMesh, u_lin: np.ndarray,
     grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
     w = rotation_vectors_from_displacement(grad_op, u_lin)
     R = rotations_from_vectors(w)
-    if mesh.anchors:
-        R[mesh.anchor_array()] = np.eye(3)
+    R[mesh.anchor_array()] = np.eye(3)
     return BlockRotations(R)
 
 

@@ -54,6 +54,7 @@ class WarpContext:
     net: MlpNetwork
     static: StaticFeatureSet
     field_descr: ForceField
+    grad_op: sp.csr_matrix             # (9n, 3n) displacement -> node gradients
     rot_op: sp.csr_matrix              # (3n, 3n) displacement -> rotation vectors
     poisson: float
     rest_offset: np.ndarray            # (n, 3) network output at rest features
@@ -62,10 +63,6 @@ class WarpContext:
     geo: object = None
     extrapolation_events: int = 0
     warn_on_extrapolation: bool = True
-
-    @property
-    def dt(self) -> float:
-        return self.system.dt
 
     def reset(self) -> SimState:
         self.rotation_cache = np.broadcast_to(
@@ -122,7 +119,8 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
                        damping: RayleighDamping = RayleighDamping(),
                        density: float = 1000.0) -> WarpContext:
     """Assemble the linear system once and precompute all per-node statics,
-    including the rotation operator that reads w from a displacement."""
+    including the gradient operator and the rotation operator built from it,
+    which reads w from a displacement."""
     adjacency = node_adjacency(mesh)
     system = build_linear_system(mesh, params.as_linear(), dt, scheme, damping, density)
     grad_op = gradient_operator(mesh, adjacency)
@@ -130,10 +128,10 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
     static = static_features(mesh, field_descr, adjacency, geo)
     rest_offset = _rest_outputs(net, static, params.poisson)
     free = np.ones(mesh.n_nodes, dtype=bool)
-    if mesh.anchors:
-        free[mesh.anchor_array()] = False
+    free[mesh.anchor_array()] = False
     ctx = WarpContext(mesh=mesh, system=system, net=net, static=static,
-                      field_descr=field_descr, rot_op=rotation_operator(grad_op),
+                      field_descr=field_descr, grad_op=grad_op,
+                      rot_op=rotation_operator(grad_op),
                       poisson=params.poisson, rest_offset=rest_offset,
                       rotation_cache=np.broadcast_to(np.eye(3),
                                                      (mesh.n_nodes, 3, 3)).copy(),
@@ -207,8 +205,7 @@ def mw_warp(mesh: TetMesh, u_lin: np.ndarray,
     grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
     w = rotation_vectors_from_displacement(grad_op, u_lin)
     out = np.einsum("npq,nq->np", mw_average_rotations(w), u_lin.reshape(-1, 3))
-    if mesh.anchors:
-        out[mesh.anchor_array()] = 0.0
+    out[mesh.anchor_array()] = 0.0
     return out.ravel()
 
 
@@ -281,7 +278,8 @@ def simulate_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFi
     and a note that is None unless the ground truth, which runs first,
     diverged or inverted an element after k < ``steps`` steps; the other
     methods then run those k steps only. linear, MW, RSW and deepwarp step on
-    one factorization, deepwarp's own system when it is requested.
+    one factorization, and MW and RSW read one gradient operator: deepwarp's
+    own when it is requested.
     """
     if "deepwarp" in methods and net is None:
         raise ValueError("deepwarp method requires a trained network")
@@ -308,7 +306,8 @@ def simulate_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFi
     if baselines:
         system = ctx.system if ctx is not None else build_linear_system(
             mesh, params.as_linear(), dt, scheme, damping, density)
-        grad_op = gradient_operator(mesh) if baselines != ["linear"] else None
+        grad_op = ctx.grad_op if ctx is not None else (
+            gradient_operator(mesh) if baselines != ["linear"] else None)
         warps = {"linear": lambda u: u,
                  "mw": lambda u: mw_warp(mesh, u, grad_op),
                  "rsw": lambda u: rsw_warp(mesh, u, grad_op)}

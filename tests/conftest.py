@@ -1,6 +1,10 @@
+import collections
+import sys
+
 import numpy as np
 import pytest
 
+from deepwarp import dynamics, material, mesh, registration
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh
 from deepwarp.meshgen import beam
@@ -84,3 +88,35 @@ def factorize_every_solve():
             return factorize_spd(J).solve(b)
 
     return FactorizeEverySolve
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Counts the mesh-operator builds of the code under test.
+
+    ``node_adjacency``, ``lumped_mass`` and ``gradient_operator`` are wrapped
+    in every ``deepwarp`` namespace that imported them, ``MeshPrecomp`` at its
+    constructor, and ``assemble_stiffness`` in ``deepwarp.dynamics`` only, so
+    that the registration Newton loop's own assemblies are not counted.
+    """
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (mesh.node_adjacency, mesh.lumped_mass, registration.gradient_operator):
+        wrapped = counted(fn.__name__, fn)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "deepwarp":
+                continue
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapped)
+    monkeypatch.setattr(material.MeshPrecomp, "__init__",
+                        counted("MeshPrecomp", material.MeshPrecomp.__init__))
+    monkeypatch.setattr(dynamics, "assemble_stiffness",
+                        counted("dynamics.assemble_stiffness", dynamics.assemble_stiffness))
+    return counts

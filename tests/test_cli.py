@@ -9,7 +9,7 @@ from deepwarp.cli import main, parse_config_file
 from deepwarp.dataset import read_dataset_file
 from deepwarp.features import ForceField
 from deepwarp.material import MaterialModel, MaterialParams
-from deepwarp.mesh import load_mesh_files, write_mesh_files
+from deepwarp.mesh import TetMesh, load_mesh_files, write_mesh_files
 from deepwarp.meshgen import beam, partition_by_axis, t_shape
 from deepwarp.net import load_network_file
 from deepwarp.warper import compare_methods
@@ -116,6 +116,20 @@ class TestFeaturesCommand:
                     ["--field-direction", "0,-1,0",
                      "--out", "/nonexistent-dir/features.csv", "--quiet"])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def disjoint_mesh_flags(tmp_path_factory):
+    """Two disjoint beam(2, 1, 1) copies with only the first one anchored."""
+    one = beam(2, 1, 1)
+    nodes = np.vstack([one.nodes, one.nodes + [10.0, 0.0, 0.0]])
+    tets = np.vstack([one.tets, one.tets + one.n_nodes])
+    mesh = TetMesh(nodes=nodes, tets=tets, anchors=one.anchors)
+    root = tmp_path_factory.mktemp("disjoint")
+    paths = [str(root / f"two.{k}") for k in ("node", "ele", "anchor")]
+    with open(paths[0], "w") as n, open(paths[1], "w") as e, open(paths[2], "w") as a:
+        write_mesh_files(mesh, n, e, a)
+    return ["--nodes", paths[0], "--elements", paths[1], "--anchors", paths[2]]
 
 
 class TestGenData:
@@ -240,6 +254,43 @@ class TestTrainSimulateCompare:
         assert code == 2
         assert "ground truth diverged after" in capsys.readouterr().err
         assert not out.exists() and not os.path.exists(str(out) + ".partial")
+
+    @pytest.mark.parametrize("command", ["features", "simulate"])
+    def test_unreachable_node_is_validation_error(self, disjoint_mesh_flags, tmp_path,
+                                                  net_file, command, capsys):
+        out = tmp_path / "x.csv"
+        flags = {"features": [],
+                 "simulate": ["--method", "deepwarp", "--net", str(net_file), "--steps", "2"]}
+        code = main([command] + disjoint_mesh_flags + flags[command] +
+                    ["--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unreachable from every anchor" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("compare", ["--dt", "0"], "dt must be finite and positive"),
+        ("simulate", ["--method", "groundtruth", "--dt", "0"],
+         "dt must be finite and positive"),
+        ("simulate", ["--method", "linear", "--dt", "-0.02"],
+         "dt must be finite and positive"),
+        ("simulate", ["--method", "linear", "--dt", "nan"],
+         "dt must be finite and positive"),
+        ("simulate", ["--method", "linear", "--dt", "inf"],
+         "dt must be finite and positive"),
+        ("simulate", ["--method", "linear", "--steps", "-3"], "steps must be at least 1"),
+        ("compare", ["--steps", "0"], "steps must be at least 1"),
+    ])
+    def test_time_stepping_validated(self, mesh_files, tmp_path, command, flags, message,
+                                     capsys):
+        out = tmp_path / "s.csv"
+        methods = ["--methods", "linear"] if command == "compare" else []
+        code = main([command] + mesh_flags(mesh_files) + methods + flags +
+                    ["--out", str(out), "--quiet"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_method_needs_net(self, mesh_files, tmp_path):
         out = tmp_path / "x.csv"

@@ -129,6 +129,27 @@ class TestExtractRecords:
         n_free = mesh.n_nodes - len(mesh.anchors)
         assert len(records) == report.emitted * n_free
 
+    def test_records_match_per_pose_extraction(self, tiny_setup):
+        mesh, params, fields, ramp, _ = tiny_setup
+        records, report = build_dataset(mesh, params, fields, ramp)
+        grad_op = gradient_operator(mesh)
+        parts = []
+        for pose_id, pose in enumerate(report.poses):
+            rs = extract_records(pose, static_features(mesh, pose.field), params.poisson,
+                                 mesh, grad_op)
+            rs.pose_ids[:] = pose_id
+            parts.append(rs)
+        want = RecordSet.concat(parts)
+        for name in ("features", "targets", "pose_ids", "node_ids"):
+            assert np.array_equal(getattr(records, name), getattr(want, name)), name
+
+    def test_each_operator_built_once(self, tiny_setup, build_counts):
+        mesh, params, fields, ramp, _ = tiny_setup
+        build_dataset(mesh, params, fields, ramp)
+        assert dict(build_counts) == {"node_adjacency": 1, "gradient_operator": 1,
+                                      "MeshPrecomp": 1, "lumped_mass": 1,
+                                      "dynamics.assemble_stiffness": 1}
+
     def test_regeneration_deterministic(self, tiny_setup):
         mesh, params, fields, ramp, _ = tiny_setup
         r1, _ = build_dataset(mesh, params, fields, ramp)

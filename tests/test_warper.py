@@ -387,6 +387,16 @@ class TestCompareMethods:
             assert report.completed
             assert factorization_event_count() == calls
 
+    def test_one_gradient_operator_with_deepwarp(self, normalized_beam, neo_hookean,
+                                                 quick_net, build_counts):
+        field = ForceField.directional([0, -1, 0], 0.2)
+        report = compare_methods(normalized_beam, neo_hookean, field, net=quick_net,
+                                 steps=2, dt=1 / 50,
+                                 methods=("linear", "mw", "rsw", "deepwarp"))
+        assert report.completed
+        assert build_counts["gradient_operator"] == 1
+        assert build_counts["node_adjacency"] == 1
+
     def test_deepwarp_requires_net(self, bending_beam, neo_hookean):
         field = ForceField.directional([0, -1, 0], 0.2)
         with pytest.raises(ValueError, match="network"):
