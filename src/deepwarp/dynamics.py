@@ -9,15 +9,15 @@ and states are gathered to the free DOFs before a solve and the results are
 scattered into zeros, so public (3n,) states hold exact zeros at anchors.
 
 Every sparse factorization in the package is a ``BandedCholesky``: a banded
-Cholesky factor on a reverse Cuthill-McKee ordering (LAPACK ``pbtrf`` and
-``pbtrs``), which stores one triangle and back-substitutes faster than a
-sparse LU on these symmetric stiffness-like matrices. ``factorize_spd`` falls
-back to a symmetric-mode SuperLU LU only for a matrix whose Cholesky breaks
-down, an indefinite Newton tangent. Prefactorizations of constant system
-matrices build the Cholesky directly, which proves them positive definite,
-and are counted through a module-level event counter so tests (and the
-runtime contract) can assert that a whole simulation run performs exactly one
-factorization.
+Cholesky factor on a node-level reverse Cuthill-McKee ordering (LAPACK
+``pbtrf`` and ``pbtrs``), which stores one triangle and back-substitutes
+faster than a sparse LU on these symmetric stiffness-like matrices.
+``factorize_spd`` falls back to a symmetric-mode SuperLU LU only for a matrix
+whose Cholesky breaks down, an indefinite Newton tangent. Prefactorizations
+of constant system matrices build the Cholesky directly, which proves them
+positive definite, and are counted through a module-level event counter so
+tests (and the runtime contract) can assert that a whole simulation run
+performs exactly one factorization.
 
 Registration and the Newmark ground truth share one Newton loop,
 ``newton_solve``, and pass it only their residual and tangent. Its steps go
@@ -117,11 +117,18 @@ class SimState:
 class BandedCholesky:
     """Cholesky factor of a sparse SPD matrix, stored as a band.
 
-    Reverse Cuthill-McKee on the symmetric pattern orders A to a narrow
-    profile; the lower band of the permuted matrix is factorized by LAPACK
+    Node-level reverse Cuthill-McKee orders A to a narrow profile: DOFs
+    3k, 3k+1 and 3k+2 form node k (the free DOFs of an unanchored node), RCM
+    orders the graph of the nonzero 3x3 blocks, and each node's DOFs follow
+    it in place. So the order does not depend on which entries of a block
+    round to exact zero. Components that A does not couple at all (the x, y
+    and z DOFs of a normal matrix of displacement gradients) are ordered one
+    after another, each in that node order, so the band is one component's.
+    The lower band of the permuted matrix is factorized by LAPACK
     ``pbtrf`` and solved by ``pbtrs``. Only one triangle is stored, and
-    back-substitution walks contiguous band columns. Raises
-    ``np.linalg.LinAlgError`` when A is not positive definite.
+    back-substitution walks contiguous band columns. ``perm`` lists the DOFs
+    in elimination order. Raises ``np.linalg.LinAlgError`` when A is not
+    positive definite.
     """
 
     def __init__(self, A):
@@ -129,8 +136,22 @@ class BandedCholesky:
         A.sum_duplicates()
         A.eliminate_zeros()
         n = A.shape[0]
-        perm = reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.int64) if n \
+        # node graph: DOF i belongs to node i // 3, so node k owns CSR rows
+        # 3k to 3k + 2; one entry per nonzero 3x3 block, whichever of its
+        # entries are zero
+        nodes = sp.csr_matrix((np.ones(A.nnz), A.indices // 3, A.indptr[np.r_[0:n:3, n]]),
+                              shape=(-(-n // 3),) * 2)
+        nodes.sum_duplicates()
+        order = reverse_cuthill_mckee(nodes, symmetric_mode=True) if n \
             else np.zeros(0, dtype=np.int64)
+        perm = (3 * order.astype(np.int64)[:, None] + np.arange(3)).ravel()
+        perm = perm[perm < n]
+        # components i % 3 that A does not couple (x, y and z of a normal
+        # matrix of displacement gradients) follow one another, each by node
+        onehot = np.eye(3)[np.arange(n) % 3]
+        coupling = onehot.T @ (abs(A) @ onehot)
+        group = (coupling @ coupling > 0).argmax(axis=1)    # first component reached
+        perm = perm[np.argsort(group[perm % 3], kind="stable")]
         rank = np.empty(n, dtype=np.int64)
         rank[perm] = np.arange(n)
         coo = A.tocoo()

@@ -11,7 +11,11 @@ stiffness assembly from whole 12x12 element blocks. The per-node gradient
 fit ``local_displacement_gradient`` is here too; the package uses only the
 batched ``gradient_operator``. So are the queue-loop BFS of the domain tree
 and the isomorphism search with its two neighbour loops, which ``csgraph``
-and one adjacency-consistency test replaced in ``substructure``.
+and one adjacency-consistency test replaced in ``substructure``. The
+constitutive oracles live here as well: central differences of the energy
+and of the element force, and the material states they are checked at
+(rest, strained, nearly inverted), built one element at a time, for the
+kernel tests and acceptance criterion 1.
 """
 
 import heapq
@@ -25,14 +29,74 @@ from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, ConvergenceError,
                                prefactorize, step_linear_implicit)
 from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_features_batch
 from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
-                               assemble_force, assemble_stiffness, det_and_inverse_transpose,
+                               assemble_force, assemble_stiffness, deformation_gradient,
+                               det_and_inverse_transpose, element_internal_force,
+                               element_precomp, energy_density,
                                piola_stress_differential_batch)
 from deepwarp.mesh import MeshError, lumped_mass, node_adjacency
 from deepwarp.net import forward_batch
-from deepwarp.registration import RankDeficientNeighborhoodError, build_rotation_blockdiag
+from deepwarp.registration import (RankDeficientNeighborhoodError, build_rotation_blockdiag,
+                                   rotation_from_vector)
 from deepwarp.warper import EXTRAPOLATION_ZMAX
 
 _FLIP_X = np.diag([1.0, -1.0, -1.0])
+
+
+def fd_stress(params, F, h=1e-6):
+    P = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(3):
+            Fp, Fm = F.copy(), F.copy()
+            Fp[i, j] += h
+            Fm[i, j] -= h
+            P[i, j] = (energy_density(params, Fp) - energy_density(params, Fm)) / (2 * h)
+    return P
+
+
+def fd_element_stiffness(params, pre, x, h=1e-6):
+    K = np.zeros((12, 12))
+    for c in range(4):
+        for k in range(3):
+            xp, xm = x.copy(), x.copy()
+            xp[c, k] += h
+            xm[c, k] -= h
+            df = (element_internal_force(params, pre, xp)
+                  - element_internal_force(params, pre, xm)) / (2 * h)
+            K[:, 3 * c + k] = -df.ravel()
+    return K
+
+
+def element_gradients(mesh, u):
+    """Per-element F and rest precomputation, one element at a time."""
+    x = mesh.nodes + u.reshape(-1, 3)
+    pres = [element_precomp(mesh.nodes[tet]) for tet in mesh.tets]
+    F = np.array([deformation_gradient(pre, x[tet]) for pre, tet in zip(pres, mesh.tets)])
+    return F, pres
+
+
+def min_det(mesh, u):
+    return np.linalg.det(element_gradients(mesh, u)[0]).min()
+
+
+def material_state(mesh, name):
+    """Rest, a rotated and strained state (min det F = 0.5), or a rotated,
+    nearly inverted one (min det F = 0.05)."""
+    if name == "rest":
+        return np.zeros(3 * mesh.n_nodes)
+    R = rotation_from_vector(np.array([0.0, 0.2, 0.7]))
+    base = (mesh.nodes @ R.T - mesh.nodes).ravel()
+    direction = np.random.default_rng(21).standard_normal(3 * mesh.n_nodes)
+    target = 0.5 if name == "deformed" else 0.05
+    lo, hi = 0.0, 1.0
+    while min_det(mesh, base + hi * direction) > target:
+        hi *= 2.0
+    for _ in range(50):        # bisect for min det F = target
+        mid = 0.5 * (lo + hi)
+        if min_det(mesh, base + mid * direction) > target:
+            lo = mid
+        else:
+            hi = mid
+    return base + lo * direction
 
 
 def skew_stack(V):

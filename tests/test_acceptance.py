@@ -19,9 +19,8 @@ from deepwarp.dynamics import (QuasistaticDriver, RayleighDamping, SimState,
                                step_newmark_nonlinear)
 from deepwarp.features import (ForceField, align_kinematics, digression, force_vector,
                                geodesic_all, static_features, GeodesicField)
-from deepwarp.material import (MaterialModel, MaterialParams, element_internal_force,
-                               element_precomp, element_tangent_stiffness,
-                               energy_density, piola_stress)
+from deepwarp.material import (MaterialModel, MaterialParams, element_precomp,
+                               element_tangent_stiffness, energy_density, piola_stress)
 from deepwarp.mesh import DomainPartition, TetMesh, normalize_to_unit_sphere
 from deepwarp.meshgen import beam, partition_by_axis
 from deepwarp.net import (AdamConfig, AdamState, MlpSpec, MlpWeights, adam_step,
@@ -33,6 +32,8 @@ from deepwarp.substructure import DomainGraph, graphs_isomorphic, \
     simulate_substructured
 from deepwarp.warper import (build_warp_context, deepwarp_step, dominant_frequency,
                              mw_warp, rsw_warp, run_deepwarp)
+from reference_paths import (element_gradients, fd_element_stiffness, fd_stress,
+                             material_state)
 
 DENSITY = 1000.0
 
@@ -135,12 +136,18 @@ def pipeline():
 
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_constitutive_correctness():
+def test_criterion_01_constitutive_correctness(small_beam):
     rng = np.random.default_rng(100)
     rest = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     pre = element_precomp(rest)
-    h = 1e-6
-    worst = 0.0
+    # away from rest: every element of the rotated, strained (min det F = 0.5)
+    # and nearly inverted (0.05) states of the kernel tests
+    away = {name: material_state(small_beam, name) for name in ("deformed", "near_inverted")}
+    worst = dict.fromkeys(("near rest", *away), 0.0)
+
+    def record(key, got, want):
+        worst[key] = max(worst[key], np.linalg.norm(got - want) / np.linalg.norm(want))
+
     for model in MaterialModel:
         params = MaterialParams(model, 100.0, 0.35)
         states = 0
@@ -149,33 +156,21 @@ def test_criterion_01_constitutive_correctness():
             if np.linalg.det(F) <= 0.1:
                 continue
             states += 1
-            P = piola_stress(params, F)
-            Pfd = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    Fp, Fm = F.copy(), F.copy()
-                    Fp[i, j] += h
-                    Fm[i, j] -= h
-                    Pfd[i, j] = (energy_density(params, Fp)
-                                 - energy_density(params, Fm)) / (2 * h)
-            worst = max(worst, np.linalg.norm(P - Pfd) / np.linalg.norm(Pfd))
-
+            record("near rest", piola_stress(params, F), fd_stress(params, F))
             x = rest + 0.15 * rng.standard_normal((4, 3))
             if np.linalg.det((x[1:] - x[0]).T @ pre.inv_rest_edges) <= 0.1:
                 continue
-            K = element_tangent_stiffness(params, pre, x)
-            Kfd = np.zeros((12, 12))
-            for c in range(4):
-                for k in range(3):
-                    xp, xm = x.copy(), x.copy()
-                    xp[c, k] += h
-                    xm[c, k] -= h
-                    df = (element_internal_force(params, pre, xp)
-                          - element_internal_force(params, pre, xm)) / (2 * h)
-                    Kfd[:, 3 * c + k] = -df.ravel()
-            worst = max(worst, np.linalg.norm(K - Kfd) / np.linalg.norm(Kfd))
-    _verdict(1, "constitutive-correctness", worst < 1e-4,
-             f"worst finite-difference relative error {worst:.2e} < 1e-4")
+            record("near rest", element_tangent_stiffness(params, pre, x),
+                   fd_element_stiffness(params, pre, x))
+        for name, u in away.items():
+            x = small_beam.nodes + u.reshape(-1, 3)
+            for tet, F_e, pre_e in zip(small_beam.tets, *element_gradients(small_beam, u)):
+                record(name, piola_stress(params, F_e), fd_stress(params, F_e))
+                record(name, element_tangent_stiffness(params, pre_e, x[tet]),
+                       fd_element_stiffness(params, pre_e, x[tet]))
+    _verdict(1, "constitutive-correctness", max(worst.values()) < 1e-4,
+             "worst finite-difference relative error "
+             + ", ".join(f"{key} {err:.2e}" for key, err in worst.items()) + " < 1e-4")
 
 
 def test_criterion_02_rotation_behavior():

@@ -14,9 +14,10 @@ from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationSche
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
                                MeshPrecomp, assemble_force, assemble_stiffness,
                                total_elastic_energy)
-from deepwarp.mesh import TetMesh, lumped_mass
+from deepwarp.mesh import TetMesh, lumped_mass, normalize_to_unit_sphere
 from deepwarp.features import ForceField, force_vector
 from deepwarp.meshgen import beam
+from deepwarp.registration import gradient_operator
 
 import reference_paths
 
@@ -453,19 +454,64 @@ class TestBandedCholesky:
         ref = spla.splu(A.tocsc()).solve(b)
         assert np.linalg.norm(factor.solve(b) - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_shuffled_newmark_matrix(self):
-        mesh = shuffled_readme_beam(seed=5)
+    @staticmethod
+    def newmark_matrix(mesh):
         dt = 1 / 60
         system = build_linear_system(mesh, LINEAR, dt, IntegrationScheme.NEWMARK,
                                      RayleighDamping(0.5, 0.01))
-        A = (system.M + 0.5 * dt * system.C + 0.25 * dt * dt * system.K).tocsr()
+        return system, (system.M + 0.5 * dt * system.C + 0.25 * dt * dt * system.K).tocsr()
+
+    @staticmethod
+    def node_order(factor):
+        """The node order behind ``perm``, asserting that ``perm`` lists each
+        node's three DOFs together and in order."""
+        order = factor.perm[::3] // 3
+        assert np.array_equal(factor.perm.reshape(-1, 3), 3 * order[:, None] + [0, 1, 2])
+        return order
+
+    # the runtime benchmark's 3300-node beam: a band of 409 rows when RCM
+    # ran on the DOF pattern, 306 on the node graph
+    @pytest.mark.parametrize("make_mesh, max_band", [
+        pytest.param(lambda: shuffled_readme_beam(seed=5), None, id="shuffled_readme"),
+        pytest.param(lambda: normalize_to_unit_sphere(beam(32, 9, 9, lengths=(2.0, 0.8, 0.8))),
+                     306, id="large_beam")])
+    def test_newmark_matrix(self, make_mesh, max_band):
+        system, A = self.newmark_matrix(make_mesh())
         factor = factorize_spd(A)
         assert isinstance(factor, BandedCholesky)
         self.assert_matches_splu(A, factor, seed=1)
         self.assert_matches_splu(A, system.prefact, seed=2)
-        # RCM recovers a band from the shuffled numbering
+        self.node_order(factor)
+        # RCM recovers a band from any numbering
         lu = dynamics._superlu_factor(A)
         assert factor.band.size <= lu.L.nnz + lu.U.nnz
+        if max_band is not None:
+            assert factor.band.shape[0] <= max_band
+
+    def test_order_ignores_zeros_inside_blocks(self):
+        _, A = self.newmark_matrix(shuffled_readme_beam(seed=5))
+        coo = A.tocoo()
+        node_r, node_c, dof_r, dof_c = coo.row // 3, coo.col // 3, coo.row % 3, coo.col % 3
+        # two of the nine entries of every off-diagonal block, symmetrically
+        hit = (node_r != node_c) & (((dof_r == 0) & (dof_c == 1)) | ((dof_r == 1) & (dof_c == 0)))
+        holed = sp.csr_matrix((np.where(hit, 0.0, coo.data), (coo.row, coo.col)), shape=A.shape)
+        factor, holed_factor = BandedCholesky(A), BandedCholesky(holed)
+        assert np.array_equal(self.node_order(holed_factor), self.node_order(factor))
+        self.assert_matches_splu(holed, holed_factor, seed=4)
+
+    def test_uncoupled_components_ordered_apart(self):
+        """The normal matrix of the displacement-gradient fit couples no x, y
+        and z DOFs, so each component follows the other in the same node order."""
+        mesh = beam(16, 5, 5, lengths=(2.0, 0.8, 0.8))
+        E = gradient_operator(mesh)[:, mesh.free_dofs().index]
+        A = (E.T @ E).tocsr()
+        factor = factorize_spd(A)
+        assert isinstance(factor, BandedCholesky)
+        order = factor.perm[:A.shape[0] // 3] // 3
+        assert np.array_equal(factor.perm.reshape(3, -1), 3 * order + np.arange(3)[:, None])
+        # the band of one component: 104 rows with RCM on the DOF pattern
+        assert factor.band.shape[0] <= 76
+        self.assert_matches_splu(A, factor, seed=5)
 
     def test_bent_neo_hookean_tangent(self, bending_beam, neo_hookean):
         K0, J, _ = bent_tangents(bending_beam, neo_hookean)

@@ -4,6 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import reference_paths
+from reference_paths import (element_gradients, fd_element_stiffness, fd_stress,
+                             material_state, min_det)
 
 from deepwarp.dynamics import (RayleighDamping, build_nonlinear_system, factorize_spd,
                                prefactorize)
@@ -25,50 +27,6 @@ def random_rotation(rng, min_angle=0.0):
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(max(min_angle, 1e-3), np.pi)
     return rotation_from_vector(axis * angle)
-
-
-def fd_stress(params, F, h=1e-6):
-    P = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            Fp, Fm = F.copy(), F.copy()
-            Fp[i, j] += h
-            Fm[i, j] -= h
-            P[i, j] = (energy_density(params, Fp) - energy_density(params, Fm)) / (2 * h)
-    return P
-
-
-def element_gradients(mesh, u):
-    """Per-element F and rest precomputation, one element at a time."""
-    x = mesh.nodes + u.reshape(-1, 3)
-    pres = [element_precomp(mesh.nodes[tet]) for tet in mesh.tets]
-    F = np.array([deformation_gradient(pre, x[tet]) for pre, tet in zip(pres, mesh.tets)])
-    return F, pres
-
-
-def min_det(mesh, u):
-    return np.linalg.det(element_gradients(mesh, u)[0]).min()
-
-
-def material_state(mesh, name):
-    """Rest, a rotated and strained state (min det F = 0.5), or a rotated,
-    nearly inverted one (min det F = 0.05)."""
-    if name == "rest":
-        return np.zeros(3 * mesh.n_nodes)
-    R = rotation_from_vector(np.array([0.0, 0.2, 0.7]))
-    base = (mesh.nodes @ R.T - mesh.nodes).ravel()
-    direction = np.random.default_rng(21).standard_normal(3 * mesh.n_nodes)
-    target = 0.5 if name == "deformed" else 0.05
-    lo, hi = 0.0, 1.0
-    while min_det(mesh, base + hi * direction) > target:
-        hi *= 2.0
-    for _ in range(50):        # bisect for min det F = target
-        mid = 0.5 * (lo + hi)
-        if min_det(mesh, base + mid * direction) > target:
-            lo = mid
-        else:
-            hi = mid
-    return base + lo * direction
 
 
 def tensor_stiffness(params, mesh, u):
@@ -99,17 +57,7 @@ def fd_global_stiffness(params, mesh, u, h=1e-6):
     return K
 
 
-def fd_element_stiffness(params, pre, x, h=1e-6):
-    K = np.zeros((12, 12))
-    for c in range(4):
-        for k in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[c, k] += h
-            xm[c, k] -= h
-            df = (element_internal_force(params, pre, xp)
-                  - element_internal_force(params, pre, xm)) / (2 * h)
-            K[:, 3 * c + k] = -df.ravel()
-    return K
+
 
 
 def shuffled_numbering(mesh, seed):

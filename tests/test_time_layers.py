@@ -1,5 +1,5 @@
 """tools/time_layers.py on a tiny beam: every timed call runs and reports
-its median and quartiles."""
+its median and quartiles, and the band factor reports its size."""
 
 import importlib.util
 from pathlib import Path
@@ -30,7 +30,11 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
                                                   "MKL_NUM_THREADS"}
     tiny = out["tiny"]
     assert tiny["nodes"] == 16 and tiny["tets"] == 18
-    for layer in ("setup", "assemble_stiffness", "assemble_force", "total_elastic_energy"):
+    # 12 free nodes: a band of at most 36 rows of 36 float64 entries
+    assert 0 < tiny["band_rows"] <= 36
+    assert tiny["band_mb"] == tiny["band_rows"] * 36 * 8 / 1e6
+    for layer in ("setup", "assemble_stiffness", "assemble_force", "total_elastic_energy",
+                  "factorize", "backsolve"):
         stats = tiny[layer]
         assert stats["calls"] == 3
         assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]

@@ -1,4 +1,5 @@
-"""Time the material assembly layer on the benchmark beams.
+"""Time the material assembly and the factorization layers on the benchmark
+beams.
 
 Usage (from the repository root)::
 
@@ -12,7 +13,13 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   at rest, the set-up every solver pays once per mesh;
 * ``assemble_stiffness`` and ``assemble_force``: neo-Hookean, E = 1e4,
   nu = 0.45 (the benchmark's material), at the deformed state below;
-* ``total_elastic_energy`` at the same state.
+* ``total_elastic_energy`` at the same state;
+* ``factorize`` and ``backsolve``: ``BandedCholesky(A)`` and its
+  ``solve(b)`` for a fixed random b, where A is the Newmark matrix
+  M + dt/2 C + dt^2/4 K that ``build_linear_system`` prefactorizes (the
+  material's linear part, dt = 1/60, no damping, as ``build_warp_context``
+  builds it in the benchmark's runtime workload). ``band_rows`` and
+  ``band_mb`` give the size of its band factor.
 
 The deformed state is fixed: with s = (x - x_min) / (x_max - x_min) along
 the beam axis, every node turns by 0.6 s radians about the axis and moves by
@@ -41,6 +48,8 @@ for _var in THREAD_VARS:
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, BandedCholesky,  # noqa: E402
+                               build_linear_system)
 from deepwarp.material import (MaterialModel, MaterialParams, MeshPrecomp,  # noqa: E402
                                assemble_force, assemble_stiffness, total_elastic_energy)
 from deepwarp.mesh import normalize_to_unit_sphere  # noqa: E402
@@ -49,6 +58,7 @@ from deepwarp.meshgen import beam  # noqa: E402
 PARAMS = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
 MESHES = {"readme_beam": (16, 5, 5), "large_beam": (32, 9, 9)}
 LENGTHS = (2.0, 0.8, 0.8)
+DT = 1 / 60
 
 
 def deformed_state(mesh) -> np.ndarray:
@@ -82,6 +92,10 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     linear = PARAMS.as_linear()
     u = deformed_state(mesh)
     pre = MeshPrecomp(mesh)
+    system = build_linear_system(mesh, linear, DT)
+    A = (system.M + NEWMARK_GAMMA * DT * system.C + NEWMARK_BETA * DT * DT * system.K).tocsc()
+    factor = BandedCholesky(A)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
     return {
         "nodes": mesh.n_nodes, "tets": len(mesh.tets),
         "setup": _stats(lambda: assemble_stiffness(mesh, linear, np.zeros(n), MeshPrecomp(mesh)),
@@ -91,6 +105,9 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
         "assemble_force": _stats(lambda: assemble_force(mesh, PARAMS, u, pre), calls, warmup),
         "total_elastic_energy": _stats(lambda: total_elastic_energy(mesh, PARAMS, u, pre),
                                        calls, warmup),
+        "band_rows": factor.band.shape[0], "band_mb": factor.band.nbytes / 1e6,
+        "factorize": _stats(lambda: BandedCholesky(A), calls, warmup),
+        "backsolve": _stats(lambda: factor.solve(b), calls, warmup),
     }
 
 
