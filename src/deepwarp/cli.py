@@ -25,7 +25,7 @@ from .dataset import (DatasetFormatError, RampConfig, build_dataset,
                       read_dataset_file, sample_directions, split, write_dataset)
 from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteError,
                        RayleighDamping, write_trajectory_csv)
-from .features import FEATURE_ORDER, N_FEATURES, ForceField, static_features
+from .features import FEATURE_ORDER, N_FEATURES, ForceField, geodesic_all, static_features
 from .material import InvertedElementError, MaterialModel, MaterialParams
 from .mesh import (MeshError, load_mesh_files, load_partition, normalize_to_unit_sphere,
                    tet_volumes)
@@ -46,6 +46,10 @@ _VALIDATION_ERRORS = (MeshError, NetworkFormatError, DatasetFormatError, ValueEr
 
 class ConfigError(ValueError):
     pass
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_file(path, seen=None) -> dict[str, str]:
@@ -123,7 +127,11 @@ class RunConfig:
         raw = self.values.get(key)
         if raw is None:
             return default
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in _BOOLEANS:
+            raise ConfigError(f"configuration key '{key}' is not a boolean: {raw!r}; "
+                              f"expected one of {sorted(_BOOLEANS)}")
+        return _BOOLEANS[word]
 
     def getvec(self, key, default=None) -> np.ndarray:
         raw = self.values.get(key, default)
@@ -254,7 +262,7 @@ def cmd_features(args) -> int:
     if not mesh.anchors:
         raise ConfigError("features require at least one anchor")
     field = _field(cfg)
-    sf = static_features(mesh, field)
+    sf = static_features(mesh, field, geodesic_all(mesh))
     out = cfg.require("out")
     with _AtomicFile(out) as f:
         for line in cfg.header_lines("features"):

@@ -113,10 +113,13 @@ class RampConfig:
     cap: float = DISPLACEMENT_CAP
 
     def __post_init__(self):
-        if self.start <= 0.0:
-            raise ValueError("ramp start magnitude must be positive")
-        if self.factor <= 1.0:
-            raise ValueError("ramp factor must exceed 1")
+        if not (np.isfinite(self.start) and self.start > 0.0):
+            raise ValueError(f"ramp start magnitude must be finite and positive, "
+                             f"got {self.start}")
+        if not (np.isfinite(self.factor) and self.factor > 1.0):
+            raise ValueError(f"ramp factor must be finite and exceed 1, got {self.factor}")
+        if not (np.isfinite(self.cap) and self.cap > 0.0):
+            raise ValueError(f"ramp cap must be finite and positive, got {self.cap}")
 
 
 @dataclass
@@ -172,7 +175,7 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
     for f in fields:
         emitted_before = report.emitted
         rest = f.with_magnitude(0.0)
-        static = static_features(mesh, rest, adjacency, geo)
+        static = static_features(mesh, rest, geo)
         magnitude = ramp.start
         for _ in range(MAX_MAGNITUDES):
             # every registered sequence starts from the rest shape, so each
@@ -184,8 +187,7 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
             current = f.with_magnitude(magnitude)
             fvec = force_vector(mesh, current, masses=driver.masses)
             seq = driver.run(fvec, n_steps=ramp.poses_per_magnitude)
-            reg = register_sequence(mesh, params, seq.displacements,
-                                    grad_op=grad_op, pre=driver.pre)
+            reg = register_sequence(driver, params, seq.displacements, grad_op)
             report.attempted += len(seq.displacements)
             report.dropped_nonconverged += len(seq.displacements) - len(reg.pairs)
             max_lin = [float(np.linalg.norm(p.u_lin.reshape(-1, 3), axis=1).max())

@@ -95,8 +95,9 @@ class RayleighDamping:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("Rayleigh coefficients must be non-negative")
+        if not all(np.isfinite(c) and c >= 0.0 for c in (self.alpha, self.beta)):
+            raise ValueError(f"Rayleigh coefficients must be finite and non-negative, "
+                             f"got alpha={self.alpha}, beta={self.beta}")
 
 
 @dataclass
@@ -527,11 +528,12 @@ class QuasistaticDriver:
     Assembles K_ff and M_ff once and factorizes K_ff and the backward-Euler
     matrix built from them once each (the K_ff factor also serves the
     slowest-mode estimate); ``run`` then produces a quasi-static sequence per
-    force vector, which is what the training ramp exercises many times.
+    force vector, which is what the training ramp exercises many times. The
+    damping is mass-proportional, alpha = 10 omega for the slowest mode's
+    frequency omega: a damping ratio of 5 on that mode.
     """
 
-    def __init__(self, mesh: TetMesh, params: MaterialParams,
-                 damping: RayleighDamping | None = None, density: float = 1000.0):
+    def __init__(self, mesh: TetMesh, params: MaterialParams, density: float = 1000.0):
         self.pre, K, M, self.masses = _free_matrices(mesh, params.as_linear(), density)
         self.mesh = mesh
         self.free = self.pre.free
@@ -539,8 +541,7 @@ class QuasistaticDriver:
         omega = smallest_mode_frequency(K, M, self.static)
         if omega <= 0.0:
             raise NotPositiveDefiniteError("anchored system has a zero-frequency mode")
-        if damping is None:
-            damping = RayleighDamping(alpha=10.0 * omega, beta=0.0)  # damping ratio >= 5
+        damping = RayleighDamping(alpha=10.0 * omega, beta=0.0)
         # alpha*dt = 30 keeps per-step acceleration near 1/30 of the load while
         # the slow-mode relaxation still converges in a few dozen steps
         self.dt = 30.0 / max(damping.alpha, 1e-30)

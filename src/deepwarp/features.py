@@ -62,8 +62,9 @@ class ForceField:
     axis_dir: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.magnitude < 0.0:
-            raise ValueError("field magnitude must be non-negative")
+        if not (np.isfinite(self.magnitude) and self.magnitude >= 0.0):
+            raise ValueError(f"field magnitude must be finite and non-negative, "
+                             f"got {self.magnitude}")
         if self.kind is FieldKind.DIRECTIONAL:
             if self.direction is None:
                 raise ValueError("directional field needs a direction")
@@ -72,8 +73,10 @@ class ForceField:
         else:
             if self.axis_point is None or self.axis_dir is None:
                 raise ValueError("circular field needs axis_point and axis_dir")
-            object.__setattr__(self, "axis_point",
-                               np.asarray(self.axis_point, dtype=np.float64))
+            point = np.asarray(self.axis_point, dtype=np.float64)
+            if not np.all(np.isfinite(point)):
+                raise ValueError("circular field axis point must be finite")
+            object.__setattr__(self, "axis_point", point)
             object.__setattr__(self, "axis_dir", _unit(self.axis_dir))
 
     @classmethod
@@ -94,8 +97,8 @@ class ForceField:
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = np.linalg.norm(v)
-    if n < _EPS:
-        raise ValueError("direction vector must be non-zero")
+    if not (np.isfinite(n) and n >= _EPS):
+        raise ValueError(f"direction vector must be finite and non-zero, got {v}")
     u = v / n
     u.setflags(write=False)
     return u
@@ -219,9 +222,7 @@ class StaticFeatureSet:
 
 
 def static_features(mesh: TetMesh, field: ForceField,
-                    adjacency: list[np.ndarray] | None = None,
-                    geo: GeodesicField | None = None) -> StaticFeatureSet:
-    geo = geo if geo is not None else geodesic_all(mesh, adjacency)
+                    geo: GeodesicField) -> StaticFeatureSet:
     return StaticFeatureSet(g=geo.g, p=potential_all(mesh, field),
                             d=digression_all(mesh, field, geo))
 

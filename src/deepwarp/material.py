@@ -75,8 +75,9 @@ class MaterialParams:
     poisson: float
 
     def __post_init__(self):
-        if self.youngs <= 0.0:
-            raise ValueError(f"Young's modulus must be positive, got {self.youngs}")
+        if not (np.isfinite(self.youngs) and self.youngs > 0.0):
+            raise ValueError(f"Young's modulus must be finite and positive, "
+                             f"got {self.youngs}")
         # nu = 0.5 makes the volumetric coefficient blow up; 0 is legal (cork)
         if not 0.0 <= self.poisson < 0.5:
             raise ValueError(f"Poisson's ratio must lie in [0, 0.5), got {self.poisson}")
@@ -606,8 +607,7 @@ def _stiffness_upper(params: MaterialParams, F: np.ndarray, g: np.ndarray,
 
 
 def total_elastic_energy(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
-                         pre: MeshPrecomp | None = None) -> float:
-    pre = pre or MeshPrecomp(mesh)
+                         pre: MeshPrecomp) -> float:
     F = pre._gradients(u).transpose(2, 0, 1)
     return float(np.dot(pre.volumes, energy_density_batch(params, F)))
 
@@ -617,9 +617,8 @@ def total_elastic_energy(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def assemble_force(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
-                   pre: MeshPrecomp | None = None) -> np.ndarray:
+                   pre: MeshPrecomp) -> np.ndarray:
     """Global restoring force vector (3n,): f = -D^T vec(V P)."""
-    pre = pre or MeshPrecomp(mesh)
     P = piola_stress_batch(params, pre._gradients(u).transpose(2, 0, 1))
     return pre._grad_t @ (P.transpose(1, 2, 0) * -pre.volumes).ravel()
 

@@ -45,13 +45,11 @@ class TetMesh:
         nodes: rest positions, shape (n_nodes, 3), float64.
         tets: corner indices, shape (n_tets, 4), positive signed volume each.
         anchors: Dirichlet-fixed node indices.
-        scale_factor: cumulative uniform scale applied by normalization calls.
     """
 
     nodes: np.ndarray
     tets: np.ndarray
     anchors: frozenset[int] = field(default_factory=frozenset)
-    scale_factor: float = 1.0
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
@@ -221,15 +219,14 @@ def load_mesh_files(node_path, ele_path, anchor_path=None) -> TetMesh:
 def normalize_to_unit_sphere(mesh: TetMesh) -> TetMesh:
     """Translate the node centroid to the origin and scale the max radius to 1.
 
-    Idempotent; the applied scale is multiplied into ``scale_factor``.
+    Idempotent.
     """
     centroid = mesh.nodes.mean(axis=0)
     centered = mesh.nodes - centroid
     radius = float(np.linalg.norm(centered, axis=1).max())
     if radius <= 0.0:
         raise MeshError("cannot normalize: all nodes coincide")
-    return replace(mesh, nodes=centered / radius,
-                   scale_factor=mesh.scale_factor / radius)
+    return replace(mesh, nodes=centered / radius)
 
 
 def node_adjacency(mesh: TetMesh) -> list[np.ndarray]:
@@ -253,8 +250,8 @@ def node_adjacency(mesh: TetMesh) -> list[np.ndarray]:
 
 def lumped_mass(mesh: TetMesh, density: float) -> np.ndarray:
     """Per-node lumped mass: a quarter of each incident tet's mass."""
-    if density <= 0.0:
-        raise ValueError(f"density must be positive, got {density}")
+    if not (np.isfinite(density) and density > 0.0):
+        raise ValueError(f"density must be finite and positive, got {density}")
     vols = tet_volumes(mesh)
     masses = np.zeros(mesh.n_nodes)
     np.add.at(masses, mesh.tets.ravel(), np.repeat(density * vols / 4.0, 4))

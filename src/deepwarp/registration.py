@@ -11,9 +11,12 @@ R entry by entry from Rodrigues' formula; ``rotation_log`` inverts it.
 Registration finds the nonlinear displacement whose internal force matches
 the per-node-rotated linear internal force, chaining warm starts along a
 quasi-static loading path, through ``dynamics.newton_solve``, the Newton
-loop of the Newmark ground truth too. A whole path shares one
-``TangentSolver``, so the factor of one pose's tangent preconditions the
-next poses' solves instead of each iteration refactorizing.
+loop of the Newmark ground truth too. The linear model is the one of the
+``QuasistaticDriver`` that produced the path: its rest stiffness K_ff gives
+the linear force, and its mesh and ``MeshPrecomp`` serve the nonlinear force
+and tangent. A whole path shares one ``TangentSolver``, so the factor of one
+pose's tangent preconditions the next poses' solves instead of each
+iteration refactorizing.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import (NEWTON_ATOL, NEWTON_RTOL, REGISTRATION_MAX_NEWTON, NewtonResult,
-                       TangentSolver, newton_solve)
-from .material import MaterialParams, MeshPrecomp, assemble_force, assemble_stiffness, \
-    skew_quadratic
+                       QuasistaticDriver, TangentSolver, newton_solve)
+from .material import MaterialParams, assemble_force, assemble_stiffness, skew_quadratic
 from .mesh import TetMesh, node_adjacency
 
 # axial((G - G^T)/2) from vec(G) (row-major)
@@ -155,41 +157,31 @@ class BlockRotations:
 
 
 def build_rotation_blockdiag(mesh: TetMesh, u_lin: np.ndarray,
-                             grad_op: sp.csr_matrix | None = None) -> BlockRotations:
+                             grad_op: sp.csr_matrix) -> BlockRotations:
     """Per-node rotations exp([w_i]x) estimated from the linear displacement;
     anchored nodes get the identity."""
-    grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
     w = rotation_vectors_from_displacement(grad_op, u_lin)
     R = rotations_from_vectors(w)
     R[mesh.anchor_array()] = np.eye(3)
     return BlockRotations(R)
 
 
-def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
-                       u_init: np.ndarray | None = None,
-                       rotations: BlockRotations | None = None,
-                       grad_op: sp.csr_matrix | None = None,
-                       pre: MeshPrecomp | None = None,
-                       K_linear: sp.csr_matrix | None = None,
-                       solver: TangentSolver | None = None) -> NewtonResult:
+def register_nonlinear(driver: QuasistaticDriver, params: MaterialParams,
+                       u_lin: np.ndarray, u_init: np.ndarray, grad_op: sp.csr_matrix,
+                       solver: TangentSolver) -> NewtonResult:
     """Solve f_int(u) = R K u_lin for the nonlinear displacement u.
 
-    ``newton_solve`` iterates on the free DOFs of ``pre.free`` (anchored DOFs
-    stay at zero) to NEWTON_RTOL |R K u_lin|, at most REGISTRATION_MAX_NEWTON
-    steps. ``K_linear`` is the (3n x 3n) rest stiffness of the linear model.
-    ``solver`` carries a lagged factor between calls; without one, the first
-    iteration factorizes. The result's u holds all 3n DOFs; a non-converged
-    result holds the best iterate.
+    K is the rest stiffness K_ff of ``driver``'s linear model and R the
+    per-node rotations of u_lin. ``newton_solve`` iterates on the free DOFs
+    of ``driver.free`` (anchored DOFs stay at zero) from ``u_init`` to
+    NEWTON_RTOL |R K u_lin|, at most REGISTRATION_MAX_NEWTON steps.
+    ``solver`` carries a lagged factor between calls; a fresh one factorizes
+    at the first iteration. The result's u holds all 3n DOFs; a
+    non-converged result holds the best iterate.
     """
-    pre = pre or MeshPrecomp(mesh)
-    free = pre.free
-    solver = solver if solver is not None else TangentSolver()
-    if K_linear is None:
-        K_linear = assemble_stiffness(mesh, params.as_linear(),
-                                      np.zeros(3 * mesh.n_nodes), pre)
-    if rotations is None:
-        rotations = build_rotation_blockdiag(mesh, u_lin, grad_op)
-    target = free.gather(rotations.apply(K_linear @ u_lin))
+    mesh, pre, free = driver.mesh, driver.pre, driver.free
+    rotations = build_rotation_blockdiag(mesh, u_lin, grad_op)
+    target = free.gather(rotations.apply(free.scatter(driver.system.K @ free.gather(u_lin))))
     tol = max(NEWTON_RTOL * np.linalg.norm(target), NEWTON_ATOL)
 
     def residual(u):
@@ -198,8 +190,8 @@ def register_nonlinear(mesh: TetMesh, params: MaterialParams, u_lin: np.ndarray,
     def tangent(u):
         return pre.free_block(assemble_stiffness(mesh, params, free.scatter(u), pre))
 
-    u0 = np.zeros(len(target)) if u_init is None else free.gather(u_init)
-    res = newton_solve(residual, tangent, u0, tol, REGISTRATION_MAX_NEWTON, solver)
+    res = newton_solve(residual, tangent, free.gather(u_init), tol,
+                       REGISTRATION_MAX_NEWTON, solver)
     res.u = free.scatter(res.u)
     return res
 
@@ -218,26 +210,20 @@ class SequenceRegistration:
     diagnostic: str | None = None
 
 
-def register_sequence(mesh: TetMesh, params: MaterialParams,
-                      u_lin_sequence, grad_op: sp.csr_matrix | None = None,
-                      pre: MeshPrecomp | None = None) -> SequenceRegistration:
-    """Register a loading path, warm-starting each pose from the previous one.
+def register_sequence(driver: QuasistaticDriver, params: MaterialParams,
+                      u_lin_sequence, grad_op: sp.csr_matrix) -> SequenceRegistration:
+    """Register a loading path of ``driver``, warm-starting each pose from the
+    previous one and the first from rest.
 
     One ``TangentSolver`` serves the whole path. Aborts on the first
     non-converged pose, returning the prior pairs plus a diagnostic instead
     of emitting unconverged data.
     """
-    pre = pre or MeshPrecomp(mesh)
-    grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
-    K_linear = assemble_stiffness(mesh, params.as_linear(),
-                                  np.zeros(3 * mesh.n_nodes), pre)
     pairs: list[RegisteredPair] = []
-    u_prev = None
+    u_prev = np.zeros(3 * driver.mesh.n_nodes)
     solver = TangentSolver()
     for k, u_lin in enumerate(u_lin_sequence):
-        res = register_nonlinear(mesh, params, u_lin, u_init=u_prev,
-                                 grad_op=grad_op, pre=pre, K_linear=K_linear,
-                                 solver=solver)
+        res = register_nonlinear(driver, params, u_lin, u_prev, grad_op, solver=solver)
         if not res.converged:
             return SequenceRegistration(
                 pairs=pairs, completed=False,

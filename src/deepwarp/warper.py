@@ -26,7 +26,7 @@ from .dynamics import (ConvergenceError, IntegrationScheme, LinearSystem,
                        RayleighDamping, SimState, build_linear_system,
                        build_nonlinear_system, factorize_spd, step_linear_implicit,
                        step_newmark_nonlinear)
-from .features import (ForceField, StaticFeatureSet, align_batch,
+from .features import (ForceField, GeodesicField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
 from .material import InvertedElementError, MaterialParams, skew_quadratic
@@ -60,7 +60,7 @@ class WarpContext:
     rest_offset: np.ndarray            # (n, 3) network output at rest features
     rotation_cache: np.ndarray         # (n, 3, 3)
     free_mask: np.ndarray              # (n,) bool, False at anchors
-    geo: object = None
+    geo: GeodesicField                 # direction-free; ``update_field`` reuses it
     extrapolation_events: int = 0
     warn_on_extrapolation: bool = True
 
@@ -73,7 +73,7 @@ class WarpContext:
         """Re-derive direction-dependent features (and the rest calibration)
         for a new field orientation; the geodesic part is direction-free."""
         self.field_descr = field_descr
-        self.static = static_features(self.mesh, field_descr, geo=self.geo)
+        self.static = static_features(self.mesh, field_descr, self.geo)
         self.rest_offset = _rest_outputs(self.net, self.static, self.poisson)
 
     def correct(self, u_lin: np.ndarray):
@@ -125,7 +125,7 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
     system = build_linear_system(mesh, params.as_linear(), dt, scheme, damping, density)
     grad_op = gradient_operator(mesh, adjacency)
     geo = geodesic_all(mesh, adjacency)
-    static = static_features(mesh, field_descr, adjacency, geo)
+    static = static_features(mesh, field_descr, geo)
     rest_offset = _rest_outputs(net, static, params.poisson)
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[mesh.anchor_array()] = False
@@ -154,10 +154,8 @@ def deepwarp_step(ctx: WarpContext, state: SimState, f_ext: np.ndarray):
     return new_state, u
 
 
-def run_deepwarp(ctx: WarpContext, steps: int, f_ext: np.ndarray | None = None):
+def run_deepwarp(ctx: WarpContext, steps: int, f_ext: np.ndarray):
     """Drive a fresh simulation for ``steps`` steps under a constant load."""
-    if f_ext is None:
-        f_ext = force_vector(ctx.mesh, ctx.field_descr)
     state = ctx.reset()
     out = []
     for _ in range(steps):
@@ -199,10 +197,8 @@ def mw_average_rotation(w: np.ndarray) -> np.ndarray:
     return mw_average_rotations(np.asarray(w, dtype=np.float64)[None])[0]
 
 
-def mw_warp(mesh: TetMesh, u_lin: np.ndarray,
-            grad_op: sp.csr_matrix | None = None) -> np.ndarray:
+def mw_warp(mesh: TetMesh, u_lin: np.ndarray, grad_op: sp.csr_matrix) -> np.ndarray:
     """Modal warping: per node, apply the averaged-rotation transform to u_lin."""
-    grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
     w = rotation_vectors_from_displacement(grad_op, u_lin)
     out = np.einsum("npq,nq->np", mw_average_rotations(w), u_lin.reshape(-1, 3))
     out[mesh.anchor_array()] = 0.0
@@ -241,8 +237,7 @@ def _rsw_normal_fit(grad_op: sp.csr_matrix, mesh: TetMesh) -> _RswFit:
     return _rsw_fit
 
 
-def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
-             grad_op: sp.csr_matrix | None = None) -> np.ndarray:
+def rsw_warp(mesh: TetMesh, u_lin: np.ndarray, grad_op: sp.csr_matrix) -> np.ndarray:
     """Rotation-strain warping via an anchored global least-squares fit.
 
     Per node the target gradient is exp([w]x)(S + I) - I; the displacement
@@ -254,7 +249,6 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray,
     """
     if not mesh.anchors:
         raise ValueError("rotation-strain warp requires anchors")
-    grad_op = grad_op if grad_op is not None else gradient_operator(mesh)
     fit = _rsw_normal_fit(grad_op, mesh)
     vecG = grad_op @ u_lin
     G = vecG.reshape(-1, 3, 3)

@@ -88,9 +88,10 @@ def pipeline():
     driver = QuasistaticDriver(mesh, params.as_linear(), density=DENSITY)
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[mesh.anchor_array()] = False
+    geo = geodesic_all(mesh)
 
     def warp_pose(field, u_lin):
-        sf = static_features(mesh, field)
+        sf = static_features(mesh, field, geo)
         w = rotation_vectors_from_displacement(grad_op, u_lin)
         from deepwarp.features import align_batch, assemble_features_batch
         mu, mw, th, Q = align_batch(u_lin.reshape(-1, 3), w)
@@ -112,7 +113,7 @@ def pipeline():
         mx = np.linalg.norm(probe.target.reshape(-1, 3), axis=1).max()
         field = field.with_magnitude(target_max / mx)
         seq = driver.run(force_vector(mesh, field, DENSITY), n_steps=25)
-        reg = register_sequence(mesh, params, seq.displacements, grad_op=grad_op)
+        reg = register_sequence(driver, params, seq.displacements, grad_op)
         assert reg.completed, reg.diagnostic
         u_lin, u_gt = reg.pairs[-1].u_lin, reg.pairs[-1].u
         gn = np.linalg.norm(u_gt)
@@ -206,13 +207,13 @@ def test_criterion_03_alignment_invariance(pipeline):
     mesh, params, net = pipeline["mesh"], pipeline["params"], pipeline["net"]
     field = ForceField.directional([0.25, 0.9, 0.3], 3.0)
     ctx = build_warp_context(mesh, params, net, field, dt=1 / 60, density=DENSITY)
-    traj = run_deepwarp(ctx, 8)
+    traj = run_deepwarp(ctx, 8, force_vector(mesh, field))
     R = rotation_from_vector(np.array([0.4, -0.2, 0.7]))
     rot_mesh = TetMesh(nodes=mesh.nodes @ R.T, tets=mesh.tets, anchors=mesh.anchors)
     rot_field = ForceField.directional(R @ field.direction, field.magnitude)
     rot_ctx = build_warp_context(rot_mesh, params, net, rot_field, dt=1 / 60,
                                  density=DENSITY)
-    rot_traj = run_deepwarp(rot_ctx, 8)
+    rot_traj = run_deepwarp(rot_ctx, 8, force_vector(rot_mesh, rot_field))
     worst_equi = 0.0
     for u, ur in zip(traj[3:], rot_traj[3:]):
         expected = (u.reshape(-1, 3) @ R.T).ravel()
@@ -232,9 +233,10 @@ def test_criterion_04_registration_small_strain_limit():
         base = force_vector(mesh, ForceField.directional([0, -1, 0], 0.12), DENSITY)
         gaps = []
         for scale in (1.0, 0.5, 0.25, 0.125):
-            seq = QuasistaticDriver(mesh, params.as_linear(),
-                                    density=DENSITY).run(scale * base, n_steps=10)
-            reg = register_sequence(mesh, params, seq.displacements)
+            driver = QuasistaticDriver(mesh, params.as_linear(), density=DENSITY)
+            seq = driver.run(scale * base, n_steps=10)
+            reg = register_sequence(driver, params, seq.displacements,
+                                    gradient_operator(mesh))
             assert reg.completed, reg.diagnostic
             u_lin, u = reg.pairs[-1].u_lin, reg.pairs[-1].u
             gaps.append(float(np.linalg.norm(u - u_lin) / np.linalg.norm(u_lin)))
@@ -485,7 +487,7 @@ def test_criterion_10_substructuring(pipeline):
     traj = simulate_substructured(mesh, part1, 0, params, net, field,
                                   steps=5, dt=1 / 60, density=DENSITY)
     ctx = build_warp_context(mesh, params, net, field, dt=1 / 60, density=DENSITY)
-    mono = run_deepwarp(ctx, 5)
+    mono = run_deepwarp(ctx, 5, force_vector(mesh, field))
     single_err = max(np.abs(a - b).max() for a, b in zip(traj.displacements, mono))
 
     # frozen parent: child equals a standalone run anchored at the interface
@@ -504,7 +506,7 @@ def test_criterion_10_substructuring(pipeline):
                   tets=local_of[free_mesh.tets[part2.labels == 1]],
                   anchors=frozenset(int(local_of[s]) for s in shared))
     ctx_sub = build_warp_context(sub, params, net, field, dt=1 / 60, density=DENSITY)
-    standalone = run_deepwarp(ctx_sub, 5)
+    standalone = run_deepwarp(ctx_sub, 5, force_vector(sub, field))
     frozen_err = 0.0
     keep = ~np.isin(right_nodes, shared)
     for a, b in zip(traj2.displacements, standalone):

@@ -80,6 +80,25 @@ class TestConfig:
                 main(argv)
             assert got.value.args[0] == {k: k for k in keys}, name
 
+    def test_boolean_words(self):
+        words = {"1": True, "TRUE": True, " yes ": True, "On": True,
+                 "0": False, "false": False, "No": False, "off": False}
+        for word, value in words.items():
+            assert cli.RunConfig({"include_circular": word}).getbool("include_circular") \
+                is value
+        assert cli.RunConfig({}).getbool("include_circular") is False
+        for word in ("ture", "", "2", "y"):
+            with pytest.raises(cli.ConfigError, match="include_circular"):
+                cli.RunConfig({"include_circular": word}).getbool("include_circular")
+
+    def test_misspelled_boolean_is_validation_error(self, tmp_path, mesh_files, capsys):
+        out = tmp_path / "d.dwtp"
+        code = main(["gen-data", "--include-circular", "ture", "--out", str(out)]
+                    + mesh_flags(mesh_files))
+        assert code == 1
+        assert "not a boolean" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_file(self, tmp_path, mesh_files, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("youngs = 1\n")
@@ -290,6 +309,22 @@ class TestTrainSimulateCompare:
                     ["--out", str(out), "--quiet"])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--field-magnitude", "nan"], ["--field-magnitude", "inf"],
+        ["--field-direction", "nan,0,0"],
+        ["--field", "circular", "--field-axis-point", "nan,0,0"],
+        ["--youngs", "nan"], ["--youngs", "inf"],
+        ["--density", "nan"], ["--density", "inf"],
+        ["--damping-alpha", "nan"], ["--damping-beta", "inf"],
+    ], ids="_".join)
+    def test_non_finite_physical_input_rejected(self, mesh_files, tmp_path, flags, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["simulate", "--method", "linear", "--steps", "2"] + mesh_flags(mesh_files)
+                    + flags + ["--out", str(out), "--quiet"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_method_needs_net(self, mesh_files, tmp_path):

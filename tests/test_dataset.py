@@ -1,13 +1,15 @@
+import collections
 import io
 
 import numpy as np
 import pytest
 
+from deepwarp import dynamics, registration
 from deepwarp.dataset import (DatasetFormatError, Pose, RampConfig, RecordSet,
                               build_dataset, extract_records, generate_poses,
                               read_dataset, sample_directions, split,
                               write_dataset)
-from deepwarp.features import ForceField, static_features
+from deepwarp.features import ForceField, geodesic_all, static_features
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh, normalize_to_unit_sphere
 from deepwarp.meshgen import beam
@@ -62,6 +64,14 @@ class TestGeneratePoses:
         assert report.emitted + report.dropped_nonconverged + report.dropped_capped \
             == report.attempted
 
+    def test_ramp_config_validated(self):
+        for kwargs in (dict(start=0.0), dict(start=np.nan), dict(start=np.inf),
+                       dict(start=0.1, factor=1.0), dict(start=0.1, factor=np.nan),
+                       dict(start=0.1, factor=np.inf), dict(start=0.1, cap=0.0),
+                       dict(start=0.1, cap=np.nan), dict(start=0.1, cap=np.inf)):
+            with pytest.raises(ValueError, match="ramp"):
+                RampConfig(**kwargs)
+
     def test_linear_params_rejected(self, tiny_setup):
         mesh, params, fields, ramp, _ = tiny_setup
         with pytest.raises(ValueError, match="nonlinear"):
@@ -72,14 +82,14 @@ class TestExtractRecords:
     def test_rest_pose_zero_targets(self, tiny_setup):
         mesh, params, fields, _, report = tiny_setup
         grad_op = gradient_operator(mesh)
-        sf = static_features(mesh, fields[0])
+        sf = static_features(mesh, fields[0], geodesic_all(mesh))
         rs = extract_records(report.poses[0], sf, params.poisson, mesh, grad_op)
         assert np.abs(rs.targets).max() == 0.0
 
     def test_record_count_excludes_anchors(self, tiny_setup):
         mesh, params, fields, _, report = tiny_setup
         grad_op = gradient_operator(mesh)
-        sf = static_features(mesh, fields[0])
+        sf = static_features(mesh, fields[0], geodesic_all(mesh))
         rs = extract_records(report.poses[2], sf, params.poisson, mesh, grad_op)
         assert len(rs) == mesh.n_nodes - len(mesh.anchors)
         assert not set(rs.node_ids.tolist()) & mesh.anchors
@@ -91,7 +101,7 @@ class TestExtractRecords:
         from deepwarp.registration import rotation_vectors_from_displacement
         grad_op = gradient_operator(mesh)
         pose = report.poses[3]
-        sf = static_features(mesh, pose.field)
+        sf = static_features(mesh, pose.field, geodesic_all(mesh))
         rs = extract_records(pose, sf, params.poisson, mesh, grad_op)
         w = rotation_vectors_from_displacement(grad_op, pose.u_lin)
         _, _, _, Q = align_batch(pose.u_lin.reshape(-1, 3), w)
@@ -104,7 +114,7 @@ class TestExtractRecords:
         mesh, params, fields, _, report = tiny_setup
         grad_op = gradient_operator(mesh)
         pose = report.poses[3]
-        sf = static_features(mesh, pose.field)
+        sf = static_features(mesh, pose.field, geodesic_all(mesh))
         rs = extract_records(pose, sf, params.poisson, mesh, grad_op)
 
         R = rotation_from_vector(np.array([0.4, -0.2, 0.9]))
@@ -117,7 +127,7 @@ class TestExtractRecords:
                         u=(pose.u.reshape(-1, 3) @ R.T).ravel(),
                         residual=pose.residual)
         rot_grad = gradient_operator(rot_mesh)
-        rot_sf = static_features(rot_mesh, rot_field)
+        rot_sf = static_features(rot_mesh, rot_field, geodesic_all(rot_mesh))
         rot_rs = extract_records(rot_pose, rot_sf, params.poisson, rot_mesh, rot_grad)
         assert np.abs(rs.features - rot_rs.features).max() < 1e-9
         assert np.abs(rs.targets - rot_rs.targets).max() < 1e-9
@@ -133,9 +143,10 @@ class TestExtractRecords:
         mesh, params, fields, ramp, _ = tiny_setup
         records, report = build_dataset(mesh, params, fields, ramp)
         grad_op = gradient_operator(mesh)
+        geo = geodesic_all(mesh)
         parts = []
         for pose_id, pose in enumerate(report.poses):
-            rs = extract_records(pose, static_features(mesh, pose.field), params.poisson,
+            rs = extract_records(pose, static_features(mesh, pose.field, geo), params.poisson,
                                  mesh, grad_op)
             rs.pose_ids[:] = pose_id
             parts.append(rs)
@@ -143,12 +154,27 @@ class TestExtractRecords:
         for name in ("features", "targets", "pose_ids", "node_ids"):
             assert np.array_equal(getattr(records, name), getattr(want, name)), name
 
-    def test_each_operator_built_once(self, tiny_setup, build_counts):
+    def test_each_operator_built_once(self, tiny_setup, build_counts, monkeypatch):
         mesh, params, fields, ramp, _ = tiny_setup
+        linear = collections.Counter()
+
+        def count_linear(module):
+            original = module.assemble_stiffness
+
+            def wrapper(mesh, params, *args, **kwargs):
+                linear[module.__name__] += params.model is MaterialModel.LINEAR
+                return original(mesh, params, *args, **kwargs)
+            monkeypatch.setattr(module, "assemble_stiffness", wrapper)
+
+        count_linear(dynamics)
+        count_linear(registration)
         build_dataset(mesh, params, fields, ramp)
         assert dict(build_counts) == {"node_adjacency": 1, "gradient_operator": 1,
                                       "MeshPrecomp": 1, "lumped_mass": 1,
                                       "dynamics.assemble_stiffness": 1}
+        # the linear rest stiffness is the driver's one assembly; registration
+        # reads it from the driver instead of assembling it per loading path
+        assert sum(linear.values()) == 1
 
     def test_regeneration_deterministic(self, tiny_setup):
         mesh, params, fields, ramp, _ = tiny_setup

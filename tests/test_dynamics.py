@@ -108,6 +108,11 @@ class TestLinearStepping:
         assert np.abs(out.u).max() == 0.0
         assert out.t == pytest.approx(1 / 60)
 
+    def test_rayleigh_coefficients_validated(self):
+        for alpha, beta in ((-0.1, 0.0), (0.0, -1e-3), (np.nan, 0.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                RayleighDamping(alpha, beta)
+
     def test_damped_convergence_to_static(self, bending_beam):
         # near-critical mass damping for the softest mode (omega ~ 0.78)
         damping = RayleighDamping(alpha=1.6, beta=0.0)

@@ -70,12 +70,17 @@ class TestForceField:
         assert np.allclose(f.direction, [0, 1, 0])
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            ForceField.directional([0, 0, 0], 1.0)
+        for direction in ([0, 0, 0], [np.nan, 0, 0], [np.inf, 1, 0]):
+            with pytest.raises(ValueError):
+                ForceField.directional(direction, 1.0)
+        for point, axis in (([np.nan, 0, 0], [1, 0, 0]), ([0, 0, 0], [0, np.inf, 0])):
+            with pytest.raises(ValueError, match="finite"):
+                ForceField.circular(point, axis, 1.0)
 
     def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            ForceField.directional([1, 0, 0], -2.0)
+        for magnitude in (-2.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ForceField.directional([1, 0, 0], magnitude)
 
     def test_directional_force_mass_proportional(self, bending_beam):
         from deepwarp.mesh import lumped_mass
@@ -361,8 +366,8 @@ class TestAssembleFeature:
 
     def test_static_features_deformation_independent(self, bending_beam):
         field = ForceField.directional([0, -1, 0], 1.0)
-        s1 = static_features(bending_beam, field)
-        s2 = static_features(bending_beam, field)   # no state to mutate
+        s1 = static_features(bending_beam, field, geodesic_all(bending_beam))
+        s2 = static_features(bending_beam, field, geodesic_all(bending_beam))   # no state to mutate
         assert np.array_equal(s1.g, s2.g)
         assert np.array_equal(s1.p, s2.p)
         assert np.array_equal(s1.d, s2.d)

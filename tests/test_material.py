@@ -48,12 +48,13 @@ def tensor_stiffness(params, mesh, u):
 def fd_global_stiffness(params, mesh, u, h=1e-6):
     """Reference global K from central differences of the assembled force."""
     K = np.zeros((len(u), len(u)))
+    pre = MeshPrecomp(mesh)
     for j in range(len(u)):
         up, um = u.copy(), u.copy()
         up[j] += h
         um[j] -= h
-        K[:, j] = -(assemble_force(mesh, params, up)
-                    - assemble_force(mesh, params, um)) / (2 * h)
+        K[:, j] = -(assemble_force(mesh, params, up, pre)
+                    - assemble_force(mesh, params, um, pre)) / (2 * h)
     return K
 
 
@@ -102,8 +103,9 @@ class TestParams:
             MaterialParams(MaterialModel.LINEAR, 1.0, 0.5)
 
     def test_negative_modulus(self):
-        with pytest.raises(ValueError):
-            MaterialParams(MaterialModel.LINEAR, -1.0, 0.3)
+        for youngs in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                MaterialParams(MaterialModel.LINEAR, youngs, 0.3)
 
     def test_lame_coefficients(self):
         mu, lam = MaterialParams(MaterialModel.LINEAR, 1.0, 0.25).lame()
@@ -338,7 +340,8 @@ class TestAssemblyKernels:
                                                             model, state):
         mesh, u = mesh_state(mesh_name, state)
         params = MaterialParams(model, 100.0, 0.35)
-        f = assemble_force(mesh, params, u)
+        pre = MeshPrecomp(mesh)
+        f = assemble_force(mesh, params, u, pre)
         x = mesh.nodes + u.reshape(-1, 3)
         loop = np.zeros((mesh.n_nodes, 3))
         for tet in mesh.tets:
@@ -346,11 +349,11 @@ class TestAssemblyKernels:
                                                         x[tet]))
         # forces vanish at rest: measure them against E times a face area
         scale = max(np.abs(loop).max(),
-                    params.youngs * np.cbrt(MeshPrecomp(mesh).volumes.max()) ** 2)
+                    params.youngs * np.cbrt(pre.volumes.max()) ** 2)
         assert np.abs(f - loop.ravel()).max() <= 1e-12 * scale
         h = 1e-6
-        grad = np.array([total_elastic_energy(mesh, params, u + h * e)
-                         - total_elastic_energy(mesh, params, u - h * e)
+        grad = np.array([total_elastic_energy(mesh, params, u + h * e, pre)
+                         - total_elastic_energy(mesh, params, u - h * e, pre)
                          for e in np.eye(len(u))]) / (2 * h)
         assert np.abs(f + grad).max() <= 1e-8 * scale
 
@@ -409,8 +412,9 @@ class TestFactorizeSpd:
 class TestAssembly:
     def test_zero_displacement_zero_force(self, bending_beam, all_materials):
         u = np.zeros(3 * bending_beam.n_nodes)
+        pre = MeshPrecomp(bending_beam)
         for params in all_materials:
-            f = assemble_force(bending_beam, params, u)
+            f = assemble_force(bending_beam, params, u, pre)
             assert np.abs(f).max() < 1e-10
 
     def test_anchored_linear_stiffness_spd(self, bending_beam):
@@ -429,7 +433,7 @@ class TestAssembly:
         rng = np.random.default_rng(9)
         u = 0.05 * rng.standard_normal(3 * mesh.n_nodes)
         for params in all_materials:
-            f = assemble_force(mesh, params, u)
+            f = assemble_force(mesh, params, u, MeshPrecomp(mesh))
             expected = np.zeros_like(f)
             x = nodes + u.reshape(-1, 3)
             for tet in tets:
@@ -448,7 +452,7 @@ class TestAssembly:
         for n_idx in tet:
             u[3 * n_idx:3 * n_idx + 3] = 1.9 * (centroid - bending_beam.nodes[n_idx])
         with pytest.raises(InvertedElementError, match="element"):
-            assemble_force(bending_beam, params, u)
+            assemble_force(bending_beam, params, u, MeshPrecomp(bending_beam))
 
     @pytest.mark.parametrize("det", [0.0, -1.0])
     def test_force_and_tangent_reject_inverted(self, unit_tet, det):
@@ -462,12 +466,12 @@ class TestAssembly:
         u = (x - unit_tet.nodes).ravel()
         for assemble in (assemble_force, assemble_stiffness):
             with pytest.raises(InvertedElementError):
-                assemble(unit_tet, params, u)
+                assemble(unit_tet, params, u, MeshPrecomp(unit_tet))
 
     def test_total_energy_matches_element_sum(self, bending_beam, neo_hookean):
         rng = np.random.default_rng(10)
         u = 0.01 * rng.standard_normal(3 * bending_beam.n_nodes)
-        total = total_elastic_energy(bending_beam, neo_hookean, u)
+        total = total_elastic_energy(bending_beam, neo_hookean, u, MeshPrecomp(bending_beam))
         x = bending_beam.nodes + u.reshape(-1, 3)
         expected = 0.0
         for tet in bending_beam.tets:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from deepwarp.dynamics import QuasistaticDriver
+from deepwarp.dynamics import QuasistaticDriver, TangentSolver
 from deepwarp.features import ForceField, force_vector
-from deepwarp.material import MaterialModel, MaterialParams, assemble_force, \
+from deepwarp.material import MaterialModel, MaterialParams, MeshPrecomp, assemble_force, \
     assemble_stiffness, skew
 from deepwarp.mesh import node_adjacency
 from deepwarp.meshgen import beam, t_shape
@@ -160,14 +160,15 @@ class TestRodrigues:
 
 class TestBlockRotations:
     def test_zero_displacement_identity(self, bending_beam):
-        R = build_rotation_blockdiag(bending_beam, np.zeros(3 * bending_beam.n_nodes))
+        R = build_rotation_blockdiag(bending_beam, np.zeros(3 * bending_beam.n_nodes),
+                                     gradient_operator(bending_beam))
         assert np.abs(R.blocks - np.eye(3)).max() < 1e-14
 
     def test_uniform_small_rotation(self, bending_beam):
         w = np.array([0.0, 0.0, 5e-3])
         Rtrue = rotation_from_vector(w)
         u = (bending_beam.nodes @ Rtrue.T - bending_beam.nodes).ravel()
-        R = build_rotation_blockdiag(bending_beam, u)
+        R = build_rotation_blockdiag(bending_beam, u, gradient_operator(bending_beam))
         free = np.ones(bending_beam.n_nodes, bool)
         free[bending_beam.anchor_array()] = False
         assert np.abs(R.blocks[free] - Rtrue).max() < 1e-5
@@ -175,13 +176,13 @@ class TestBlockRotations:
     def test_anchored_nodes_identity(self, bending_beam):
         rng = np.random.default_rng(5)
         u = 0.01 * rng.standard_normal(3 * bending_beam.n_nodes)
-        R = build_rotation_blockdiag(bending_beam, u)
+        R = build_rotation_blockdiag(bending_beam, u, gradient_operator(bending_beam))
         assert np.abs(R.blocks[bending_beam.anchor_array()] - np.eye(3)).max() == 0.0
 
     def test_norm_preservation(self, bending_beam):
         rng = np.random.default_rng(6)
         u = 0.05 * rng.standard_normal(3 * bending_beam.n_nodes)
-        R = build_rotation_blockdiag(bending_beam, u)
+        R = build_rotation_blockdiag(bending_beam, u, gradient_operator(bending_beam))
         v = rng.standard_normal(3 * bending_beam.n_nodes)
         out = R.apply(v).reshape(-1, 3)
         assert np.abs(np.linalg.norm(out, axis=1)
@@ -190,7 +191,7 @@ class TestBlockRotations:
     def test_emitted_rotations_orthogonal(self, bending_beam):
         rng = np.random.default_rng(7)
         u = 0.2 * rng.standard_normal(3 * bending_beam.n_nodes)
-        R = build_rotation_blockdiag(bending_beam, u)
+        R = build_rotation_blockdiag(bending_beam, u, gradient_operator(bending_beam))
         RtR = np.einsum("nij,nik->njk", R.blocks, R.blocks)
         assert np.abs(RtR - np.eye(3)).max() < 1e-8
         assert np.allclose(np.linalg.det(R.blocks), 1.0, atol=1e-8)
@@ -198,24 +199,28 @@ class TestBlockRotations:
 
 class TestRegister:
     def test_zero_target(self, bending_beam, neo_hookean):
-        res = register_nonlinear(bending_beam, neo_hookean,
-                                 np.zeros(3 * bending_beam.n_nodes))
+        zero = np.zeros(3 * bending_beam.n_nodes)
+        res = register_nonlinear(QuasistaticDriver(bending_beam, neo_hookean), neo_hookean,
+                                 zero, zero, gradient_operator(bending_beam), TangentSolver())
         assert res.converged
         assert np.abs(res.u).max() < 1e-10
 
     def test_converged_residual_under_tolerance(self, bending_beam, neo_hookean):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.3))
-        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=6)
-        res = register_nonlinear(bending_beam, neo_hookean, seq.displacements[-1])
+        driver = QuasistaticDriver(bending_beam, neo_hookean.as_linear())
+        seq = driver.run(f, n_steps=6)
+        grad_op = gradient_operator(bending_beam)
+        res = register_nonlinear(driver, neo_hookean, seq.displacements[-1],
+                                 np.zeros(3 * bending_beam.n_nodes), grad_op, TangentSolver())
         assert res.converged
         # independent audit: recompute the residual from scratch
-        rot = build_rotation_blockdiag(bending_beam, seq.displacements[-1])
+        rot = build_rotation_blockdiag(bending_beam, seq.displacements[-1], grad_op)
         K = assemble_stiffness(bending_beam, neo_hookean.as_linear(),
                                np.zeros(3 * bending_beam.n_nodes))
         target = rot.apply(K @ seq.displacements[-1])
         dofs = (bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()
         target[dofs] = 0.0
-        r = -assemble_force(bending_beam, neo_hookean, res.u) - target
+        r = -assemble_force(bending_beam, neo_hookean, res.u, MeshPrecomp(bending_beam)) - target
         r[dofs] = 0.0
         assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(target) + 1e-12
 
@@ -224,30 +229,38 @@ class TestRegister:
         f1 = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
         gaps = []
         for scale in (1.0, 0.5, 0.25, 0.125):
-            seq = QuasistaticDriver(bending_beam, params.as_linear()).run(scale * f1,
-                                                                          n_steps=10)
-            reg = register_sequence(bending_beam, params, seq.displacements)
+            driver = QuasistaticDriver(bending_beam, params.as_linear())
+            seq = driver.run(scale * f1, n_steps=10)
+            reg = register_sequence(driver, params, seq.displacements,
+                                    gradient_operator(bending_beam))
             assert reg.completed
             u_lin, u = reg.pairs[-1].u_lin, reg.pairs[-1].u
             gaps.append(np.linalg.norm(u - u_lin) / np.linalg.norm(u_lin))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_linear_self_consistency(self, bending_beam):
+    def test_linear_self_consistency(self, bending_beam, monkeypatch):
         # linear material with identity rotations returns u_lin itself
+        from deepwarp import registration
         params = MaterialParams(MaterialModel.LINEAR, 1e4, 0.3)
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.5))
-        seq = QuasistaticDriver(bending_beam, params).run(f, n_steps=4)
+        driver = QuasistaticDriver(bending_beam, params)
+        seq = driver.run(f, n_steps=4)
         u_lin = seq.displacements[-1]
         identity = BlockRotations(np.broadcast_to(
             np.eye(3), (bending_beam.n_nodes, 3, 3)).copy())
-        res = register_nonlinear(bending_beam, params, u_lin, rotations=identity)
+        monkeypatch.setattr(registration, "build_rotation_blockdiag",
+                            lambda mesh, u, grad_op: identity)
+        res = register_nonlinear(driver, params, u_lin, np.zeros_like(u_lin),
+                                 gradient_operator(bending_beam), TangentSolver())
         assert res.converged
         assert np.linalg.norm(res.u - u_lin) < 1e-6 * np.linalg.norm(u_lin)
 
     def test_sequence_warm_start_monotone(self, bending_beam, neo_hookean):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.35))
-        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=8)
-        reg = register_sequence(bending_beam, neo_hookean, seq.displacements)
+        driver = QuasistaticDriver(bending_beam, neo_hookean.as_linear())
+        seq = driver.run(f, n_steps=8)
+        grad_op = gradient_operator(bending_beam)
+        reg = register_sequence(driver, neo_hookean, seq.displacements, grad_op)
         assert reg.completed
         assert len(reg.pairs) == len(seq.displacements)
         norms = [np.linalg.norm(p.u) for p in reg.pairs]
@@ -257,11 +270,12 @@ class TestRegister:
         K = assemble_stiffness(bending_beam, neo_hookean.as_linear(),
                                np.zeros(3 * bending_beam.n_nodes))
         dofs = (bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()
+        pre = MeshPrecomp(bending_beam)
         for pair in reg.pairs:
-            rot = build_rotation_blockdiag(bending_beam, pair.u_lin)
+            rot = build_rotation_blockdiag(bending_beam, pair.u_lin, grad_op)
             target = rot.apply(K @ pair.u_lin)
             target[dofs] = 0.0
-            r = -assemble_force(bending_beam, neo_hookean, pair.u) - target
+            r = -assemble_force(bending_beam, neo_hookean, pair.u, pre) - target
             r[dofs] = 0.0
             assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(target) + 1e-10
 
@@ -269,7 +283,8 @@ class TestRegister:
                                                     factorize_every_solve, monkeypatch):
         from deepwarp import registration
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
-        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=6)
+        driver = QuasistaticDriver(bending_beam, neo_hookean.as_linear())
+        seq = driver.run(f, n_steps=6)
         original = registration.register_nonlinear
 
         def run(solver_class):
@@ -283,7 +298,8 @@ class TestRegister:
 
             monkeypatch.setattr(registration, "TangentSolver", solver_class)
             monkeypatch.setattr(registration, "register_nonlinear", recording)
-            reg = register_sequence(bending_beam, neo_hookean, seq.displacements)
+            reg = register_sequence(driver, neo_hookean, seq.displacements,
+                                    gradient_operator(bending_beam))
             monkeypatch.undo()
             assert reg.completed
             assert all(s is solvers[0] for s in solvers)   # one solver per chain
@@ -302,7 +318,8 @@ class TestRegister:
         # the free-DOF Newton loop against the unit-diagonal elimination
         from deepwarp import registration
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0.2], 0.4))
-        seq = QuasistaticDriver(bending_beam, neo_hookean.as_linear()).run(f, n_steps=6)
+        driver = QuasistaticDriver(bending_beam, neo_hookean.as_linear())
+        seq = driver.run(f, n_steps=6)
         iterations = []
         original = registration.register_nonlinear
 
@@ -312,7 +329,8 @@ class TestRegister:
             return res
 
         monkeypatch.setattr(registration, "register_nonlinear", recording)
-        reg = register_sequence(bending_beam, neo_hookean, seq.displacements)
+        reg = register_sequence(driver, neo_hookean, seq.displacements,
+                                gradient_operator(bending_beam))
         ref = reference_paths.unit_diagonal_register_sequence(
             bending_beam, neo_hookean, seq.displacements, gradient_operator(bending_beam))
         assert reg.completed

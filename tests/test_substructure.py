@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from deepwarp.features import ForceField
+from deepwarp.features import ForceField, force_vector
 from deepwarp.mesh import DomainPartition, MeshError, TetMesh
 from deepwarp.meshgen import beam, partition_by_axis, t_shape
 from deepwarp.registration import rotation_from_vector, rotation_log
@@ -260,7 +260,7 @@ class TestSubstructuredSimulation:
                                       quick_net, field, steps=6, dt=1 / 60)
         ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
                                  dt=1 / 60)
-        mono = run_deepwarp(ctx, 6)
+        mono = run_deepwarp(ctx, 6, force_vector(normalized_beam, field))
         for a, b in zip(traj.displacements, mono):
             assert np.abs(a - b).max() < 1e-12
 
@@ -287,7 +287,7 @@ class TestSubstructuredSimulation:
                       tets=local_of[mesh.tets[right_tets]],
                       anchors=frozenset(int(local_of[s]) for s in shared))
         ctx = build_warp_context(sub, neo_hookean, quick_net, field, dt=1 / 60)
-        standalone = run_deepwarp(ctx, 6)
+        standalone = run_deepwarp(ctx, 6, force_vector(sub, field))
         for a, b in zip(traj.displacements, standalone):
             got = a.reshape(-1, 3)[right_nodes]
             want = b.reshape(-1, 3)

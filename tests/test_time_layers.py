@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deepwarp.material import MaterialModel, MaterialParams, total_elastic_energy
+from deepwarp.material import MaterialModel, MaterialParams, MeshPrecomp, total_elastic_energy
 from deepwarp.meshgen import beam
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,4 +46,4 @@ def test_deformed_state_strains_without_inverting(monkeypatch):
     u = tool.deformed_state(mesh)
     assert np.abs(u).max() > 0.1
     params = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
-    assert np.isfinite(total_elastic_energy(mesh, params, u))
+    assert np.isfinite(total_elastic_energy(mesh, params, u, MeshPrecomp(mesh)))

@@ -86,7 +86,8 @@ class TestModalWarp:
 
 class TestRotationStrainWarp:
     def test_zero_displacement(self, bending_beam):
-        out = rsw_warp(bending_beam, np.zeros(3 * bending_beam.n_nodes))
+        out = rsw_warp(bending_beam, np.zeros(3 * bending_beam.n_nodes),
+                       gradient_operator(bending_beam))
         assert np.abs(out).max() < 1e-12
 
     def test_rotation_free_fixpoint(self, bending_beam):
@@ -181,7 +182,7 @@ class TestRotationStrainWarp:
     def test_requires_anchors(self):
         mesh = beam(2, 1, 1, anchor="none")
         with pytest.raises(ValueError, match="anchor"):
-            rsw_warp(mesh, np.zeros(3 * mesh.n_nodes))
+            rsw_warp(mesh, np.zeros(3 * mesh.n_nodes), gradient_operator(mesh))
 
 
 class TestDeepwarpStep:
@@ -331,7 +332,7 @@ class TestDeepwarpStep:
         field = ForceField.directional([0.2, -1, 0.1], 0.35)
         ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
                                  dt=1 / 60)
-        traj = run_deepwarp(ctx, 8)
+        traj = run_deepwarp(ctx, 8, force_vector(normalized_beam, field))
 
         R = rotation_from_vector(np.array([0.3, 0.5, -0.4]))
         rot_mesh = TetMesh(nodes=normalized_beam.nodes @ R.T,
@@ -339,7 +340,7 @@ class TestDeepwarpStep:
         rot_field = ForceField.directional(R @ field.direction, field.magnitude)
         rot_ctx = build_warp_context(rot_mesh, neo_hookean, quick_net, rot_field,
                                      dt=1 / 60)
-        rot_traj = run_deepwarp(rot_ctx, 8)
+        rot_traj = run_deepwarp(rot_ctx, 8, force_vector(rot_mesh, rot_field))
         for u, ur in zip(traj[3:], rot_traj[3:]):
             expected = (u.reshape(-1, 3) @ R.T).ravel()
             scale = max(np.abs(expected).max(), 1e-12)
