@@ -12,8 +12,7 @@ from .material import (InvertedElementError, MaterialModel, MaterialParams,
                        element_tangent_stiffness, energy_density, piola_stress,
                        polar_decompose)
 from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteError,
-                       Prefactorization, RayleighDamping, SimState,
-                       build_linear_system, build_nonlinear_system,
+                       RayleighDamping, SimState, build_linear_system, build_nonlinear_system,
                        factorization_event_count, prefactorize,
                        reset_factorization_event_count, step_linear_implicit,
                        step_newmark_nonlinear)
@@ -23,7 +22,7 @@ from .features import (FEATURE_ORDER, FieldKind, ForceField, align_kinematics,
                        assemble_feature, digression, geodesic_all, potential_all,
                        static_features, unalign)
 from .net import (Activation, AdamConfig, MlpNetwork, MlpSpec, adam_step, backward,
-                  forward, init_weights, load_network_file, save_network_file, train)
+                  forward, init_weights, load_network_file, train)
 from .dataset import (RampConfig, RecordSet, build_dataset, extract_records,
                       generate_poses, read_dataset_file, sample_directions, split,
                       write_dataset_file)

@@ -12,12 +12,13 @@ Every sparse factorization in the package is a ``BandedCholesky``: a banded
 Cholesky factor on a node-level reverse Cuthill-McKee ordering (LAPACK
 ``pbtrf`` and ``pbtrs``), which stores one triangle and back-substitutes
 faster than a sparse LU on these symmetric stiffness-like matrices.
-``factorize_spd`` falls back to a symmetric-mode SuperLU LU only for a matrix
-whose Cholesky breaks down, an indefinite Newton tangent. Prefactorizations
-of constant system matrices build the Cholesky directly, which proves them
-positive definite, and are counted through a module-level event counter so
-tests (and the runtime contract) can assert that a whole simulation run
-performs exactly one factorization.
+``prefactorize`` factors every constant system matrix (K_ff, and the scheme
+matrix of a ``LinearSystem``): it checks the matrix, returns the Cholesky,
+which proves it positive definite, and counts it through a module-level event
+counter so tests (and the runtime contract) can assert that a whole
+simulation run performs exactly one factorization. ``factorize_spd`` serves
+only Newton tangents: it falls back to a symmetric-mode SuperLU LU for a
+tangent whose Cholesky breaks down, an indefinite one.
 
 Registration and the Newmark ground truth share one Newton loop,
 ``newton_solve``, and pass it only their residual and tangent. Its steps go
@@ -186,12 +187,12 @@ def _superlu_factor(A) -> spla.SuperLU:
 
 
 def factorize_spd(A) -> BandedCholesky | spla.SuperLU:
-    """Factor of a symmetric K-like, Newmark or normal matrix; ``.solve(b)``.
+    """Factor of a symmetric Newton tangent; ``.solve(b)``.
 
-    A positive definite A (every constant system matrix and, in practice,
-    every Newton tangent) gets a ``BandedCholesky``. Only when its Cholesky
-    breaks down does A go to a symmetric-mode SuperLU LU, which also handles
-    indefinite tangents and raises RuntimeError on an exactly singular A.
+    A positive definite tangent (in practice, every one) gets a
+    ``BandedCholesky``. Only when its Cholesky breaks down does A go to a
+    symmetric-mode SuperLU LU, which also handles indefinite tangents and
+    raises RuntimeError on an exactly singular A.
     """
     try:
         return BandedCholesky(A)
@@ -354,69 +355,42 @@ def _line_search(residual, tangent, u, delta, phi0: float, dphi0: float, tol: fl
     return None
 
 
-class Prefactorization:
-    """Opaque handle to a factorized SPD system matrix.
+def prefactorize(A) -> BandedCholesky:
+    """Factorize a constant SPD system matrix, checked; the factor's ``solve``
+    only back-substitutes.
 
-    The matrix must be symmetric with a positive diagonal, and its banded
-    Cholesky factorization must succeed, which holds exactly when it is
-    positive definite; a few random solves then check the residual.
-    ``solve`` performs back-substitution only; no further factorization
-    events occur after construction.
+    A must be symmetric with a positive diagonal, and its banded Cholesky
+    factorization must succeed, which holds exactly when it is positive
+    definite; a few random solves then check the residual. Raises
+    ``NotPositiveDefiniteError`` otherwise. Increments the factorization
+    event counter by exactly one.
     """
-
-    def __init__(self, matrix):
-        global _factorization_events
-        A = matrix.tocsc() if sp.issparse(matrix) else sp.csc_matrix(matrix)
-        n = A.shape[0]    # 0 when every DOF is anchored: an empty system is valid
-        if n and abs(A - A.T).max() > 1e-8 * max(abs(A).max(), 1e-300):
-            raise NotPositiveDefiniteError("system matrix is not symmetric")
-        if n and A.diagonal().min() <= 0.0:
-            raise NotPositiveDefiniteError("system matrix has a non-positive diagonal entry")
-        try:
-            self._factor = BandedCholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"Cholesky factorization failed (matrix is not positive definite): {exc}"
-            ) from None
-        _factorization_events += 1
-        self.factorization_count = 1
-        # probe: solve must reproduce A x = b, and x^T A x must stay positive
-        rng = np.random.default_rng(0)
-        for _ in range(RESIDUAL_PROBES if n else 0):
-            b = rng.standard_normal(n)
-            x = self._factor.solve(b)
-            if not np.all(np.isfinite(x)):
-                raise NotPositiveDefiniteError("factorization produced non-finite solve")
-            if np.linalg.norm(A @ x - b) > 1e-8 * np.linalg.norm(b):
-                raise NotPositiveDefiniteError("factorized solve failed the residual check")
-            if float(x @ b) <= 0.0:   # x^T A x with A x = b
-                raise NotPositiveDefiniteError("system matrix is not positive definite")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._factor.solve(b)
-
-
-def prefactorize(K, M=None, C=None, dt: float = 0.0,
-                 scheme: IntegrationScheme = IntegrationScheme.BACKWARD_EULER
-                 ) -> Prefactorization:
-    """Factorize the constant system matrix of an implicit scheme.
-
-    With ``M`` (and optionally ``C``) given, the matrix is
-    M + dt*C + dt^2*K for backward Euler or M + gamma*dt*C + beta*dt^2*K for
-    Newmark. Without ``M`` the static stiffness K itself is factorized.
-    Increments the factorization event counter by exactly one.
-    """
-    if M is None:
-        return Prefactorization(K)
-    if C is None:
-        C = sp.csr_matrix(K.shape)
-    if scheme is IntegrationScheme.BACKWARD_EULER:
-        A = M + dt * C + dt * dt * K
-    elif scheme is IntegrationScheme.NEWMARK:
-        A = M + NEWMARK_GAMMA * dt * C + NEWMARK_BETA * dt * dt * K
-    else:
-        raise ValueError(f"unknown scheme {scheme}")
-    return Prefactorization(A)
+    global _factorization_events
+    A = sp.csc_matrix(A)
+    n = A.shape[0]    # 0 when every DOF is anchored: an empty system is valid
+    if n and abs(A - A.T).max() > 1e-8 * max(abs(A).max(), 1e-300):
+        raise NotPositiveDefiniteError("system matrix is not symmetric")
+    if n and A.diagonal().min() <= 0.0:
+        raise NotPositiveDefiniteError("system matrix has a non-positive diagonal entry")
+    try:
+        factor = BandedCholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"Cholesky factorization failed (matrix is not positive definite): {exc}"
+        ) from None
+    _factorization_events += 1
+    # probe: solve must reproduce A x = b, and x^T A x must stay positive
+    rng = np.random.default_rng(0)
+    for _ in range(RESIDUAL_PROBES if n else 0):
+        b = rng.standard_normal(n)
+        x = factor.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise NotPositiveDefiniteError("factorization produced non-finite solve")
+        if np.linalg.norm(A @ x - b) > 1e-8 * np.linalg.norm(b):
+            raise NotPositiveDefiniteError("factorized solve failed the residual check")
+        if float(x @ b) <= 0.0:   # x^T A x with A x = b
+            raise NotPositiveDefiniteError("system matrix is not positive definite")
+    return factor
 
 
 @dataclass
@@ -429,7 +403,7 @@ class LinearSystem:
     C: sp.csr_matrix
     dt: float
     scheme: IntegrationScheme
-    prefact: Prefactorization
+    prefact: BandedCholesky
     free: FreeDofs = field(repr=False)
 
     @property
@@ -452,10 +426,14 @@ def _free_matrices(mesh: TetMesh, params: MaterialParams, density: float):
 
 def _linear_system(K, M, free: FreeDofs, dt: float, scheme: IntegrationScheme,
                    damping: RayleighDamping) -> LinearSystem:
-    """Rayleigh-damped system on K_ff and M_ff, prefactorized."""
+    """Rayleigh-damped system on K_ff and M_ff with its prefactorized scheme
+    matrix M + g dt C + b dt^2 K: g = b = 1 for backward Euler, NEWMARK_GAMMA
+    and NEWMARK_BETA for Newmark."""
     C = (damping.alpha * M + damping.beta * K).tocsr()
+    g, b = (1.0, 1.0) if scheme is IntegrationScheme.BACKWARD_EULER \
+        else (NEWMARK_GAMMA, NEWMARK_BETA)
     return LinearSystem(K=K, M=M, C=C, dt=dt, scheme=scheme,
-                        prefact=prefactorize(K, M, C, dt, scheme), free=free)
+                        prefact=prefactorize(M + g * dt * C + b * dt * dt * K), free=free)
 
 
 def build_linear_system(mesh: TetMesh, params: MaterialParams, dt: float,

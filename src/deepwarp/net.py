@@ -109,8 +109,7 @@ def _act_grad(activation: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarra
     return (z > 0.0).astype(np.float64)
 
 
-def forward_batch(weights: MlpWeights, X: np.ndarray,
-                  activation: Activation = Activation.TANH) -> np.ndarray:
+def forward_batch(weights: MlpWeights, X: np.ndarray, activation: Activation) -> np.ndarray:
     """Network outputs for a batch of (standardized) feature rows."""
     a = np.asarray(X, dtype=np.float64)
     last = len(weights.weights) - 1
@@ -120,13 +119,11 @@ def forward_batch(weights: MlpWeights, X: np.ndarray,
     return a
 
 
-def forward(weights: MlpWeights, x: np.ndarray,
-            activation: Activation = Activation.TANH) -> np.ndarray:
+def forward(weights: MlpWeights, x: np.ndarray, activation: Activation) -> np.ndarray:
     return forward_batch(weights, np.asarray(x, dtype=np.float64)[None], activation)[0]
 
 
-def backward(weights: MlpWeights, X: np.ndarray, Y: np.ndarray,
-             activation: Activation = Activation.TANH):
+def backward(weights: MlpWeights, X: np.ndarray, Y: np.ndarray, activation: Activation):
     """Gradients of 0.5 * mean_i |f(x_i) - y_i|^2 and the loss itself."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -154,7 +151,7 @@ def backward(weights: MlpWeights, X: np.ndarray, Y: np.ndarray,
 
 
 def mse_loss(weights: MlpWeights, X: np.ndarray, Y: np.ndarray,
-             activation: Activation = Activation.TANH) -> float:
+             activation: Activation) -> float:
     diff = forward_batch(weights, X, activation) - np.asarray(Y, dtype=np.float64)
     return 0.5 * float(np.einsum("ni,ni->", diff, diff)) / len(X)
 
@@ -380,11 +377,6 @@ def load_network(stream) -> MlpNetwork:
         raise NetworkFormatError(f"layer shape mismatch: {exc}") from None
     return MlpNetwork(spec=spec, weights=MlpWeights(weights, biases),
                       scaler=FeatureScaler(mean=mean, std=std))
-
-
-def save_network_file(path, network: MlpNetwork) -> None:
-    with open(path, "wb") as f:
-        save_network(f, network)
 
 
 def load_network_file(path) -> MlpNetwork:

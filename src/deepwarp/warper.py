@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import (ConvergenceError, IntegrationScheme, LinearSystem,
+from .dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme, LinearSystem,
                        RayleighDamping, SimState, build_linear_system,
-                       build_nonlinear_system, factorize_spd, step_linear_implicit,
-                       step_newmark_nonlinear)
+                       build_nonlinear_system, step_linear_implicit, step_newmark_nonlinear)
 from .features import (ForceField, GeodesicField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
@@ -53,7 +52,6 @@ class WarpContext:
     system: LinearSystem
     net: MlpNetwork
     static: StaticFeatureSet
-    field_descr: ForceField
     grad_op: sp.csr_matrix             # (9n, 3n) displacement -> node gradients
     rot_op: sp.csr_matrix              # (3n, 3n) displacement -> rotation vectors
     poisson: float
@@ -72,7 +70,6 @@ class WarpContext:
     def update_field(self, field_descr: ForceField) -> None:
         """Re-derive direction-dependent features (and the rest calibration)
         for a new field orientation; the geodesic part is direction-free."""
-        self.field_descr = field_descr
         self.static = static_features(self.mesh, field_descr, self.geo)
         self.rest_offset = _rest_outputs(self.net, self.static, self.poisson)
 
@@ -129,8 +126,7 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
     rest_offset = _rest_outputs(net, static, params.poisson)
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[mesh.anchor_array()] = False
-    ctx = WarpContext(mesh=mesh, system=system, net=net, static=static,
-                      field_descr=field_descr, grad_op=grad_op,
+    ctx = WarpContext(mesh=mesh, system=system, net=net, static=static, grad_op=grad_op,
                       rot_op=rotation_operator(grad_op),
                       poisson=params.poisson, rest_offset=rest_offset,
                       rotation_cache=np.broadcast_to(np.eye(3),
@@ -213,7 +209,7 @@ class _RswFit:
     anchors: frozenset
     free: FreeDofs
     Et: sp.csr_matrix
-    factor: object
+    factor: BandedCholesky
 
 
 _rsw_fit: _RswFit | None = None
@@ -229,8 +225,8 @@ def _rsw_normal_fit(grad_op: sp.csr_matrix, mesh: TetMesh) -> _RswFit:
     free = mesh.free_dofs()
     E = grad_op[:, free.index]
     try:
-        factor = factorize_spd(E.T @ E)
-    except RuntimeError as exc:
+        factor = BandedCholesky(E.T @ E)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"rotation-strain fit is singular (insufficient anchors): {exc}")
     _rsw_fit = _RswFit(grad_op=grad_op, anchors=mesh.anchors, free=free, Et=E.T.tocsr(),
                        factor=factor)

@@ -329,8 +329,10 @@ def unit_diagonal_linear_system(mesh, params, dt, scheme=IntegrationScheme.NEWMA
     C = (damping.alpha * M + damping.beta * K).tocsr()
     dofs = anchor_dofs(mesh)
     M, C = apply_anchors(M, dofs), apply_anchors(C, dofs)
+    g, b = (1.0, 1.0) if scheme is IntegrationScheme.BACKWARD_EULER \
+        else (NEWMARK_GAMMA, NEWMARK_BETA)
     return SimpleNamespace(K=K, M=M, C=C, dt=dt, scheme=scheme, dofs=dofs,
-                           prefact=prefactorize(K, M, C, dt, scheme))
+                           prefact=prefactorize(M + g * dt * C + b * dt * dt * K))
 
 
 def unit_diagonal_linear_step(system, state, f_ext):

@@ -8,8 +8,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the count after the build-on-None defaults were removed
-MAX_OPTIONAL_VALUES = 103
+# the count after the build-on-None defaults, prefactorize's scheme
+# parameters and the networks' default activation were removed
+MAX_OPTIONAL_VALUES = 95
 
 
 def load_tool():

@@ -53,7 +53,7 @@ class TestForward:
         w = init_weights(spec, 0)
         for arr in w.weights:
             arr[:] = 0.0
-        assert np.abs(forward(w, np.ones(7))).max() == 0.0
+        assert np.abs(forward(w, np.ones(7), spec.activation)).max() == 0.0
 
     def test_single_neuron_hand_example(self):
         # one hidden unit reading feature 0, unit output weight on x
@@ -63,18 +63,18 @@ class TestForward:
         w.weights[1][0, 0] = 1.0
         x = np.zeros(7)
         x[0] = 0.73
-        out = forward(w, x)
+        out = forward(w, x, Activation.TANH)
         assert out[0] == pytest.approx(np.tanh(0.73), abs=1e-14)
         assert out[1] == out[2] == 0.0
         x[0] = 0.0
-        assert np.abs(forward(w, x)).max() == 0.0
+        assert np.abs(forward(w, x, Activation.TANH)).max() == 0.0
 
     def test_output_bound(self):
         spec = MlpSpec((7, 16, 16, 3))
         w = init_weights(spec, 7)
         bound = np.abs(w.weights[-1]).sum(axis=1) + np.abs(w.biases[-1])
         rng = np.random.default_rng(8)
-        out = forward_batch(w, 10.0 * rng.standard_normal((200, 7)))
+        out = forward_batch(w, 10.0 * rng.standard_normal((200, 7)), spec.activation)
         assert np.all(np.abs(out) <= bound + 1e-12)
 
     def test_relu_variant(self):
@@ -92,8 +92,8 @@ class TestBackward:
         w = init_weights(spec, 1)
         rng = np.random.default_rng(2)
         X = rng.standard_normal((16, 7))
-        Y = forward_batch(w, X)
-        grads, loss = backward(w, X, Y)
+        Y = forward_batch(w, X, spec.activation)
+        grads, loss = backward(w, X, Y, spec.activation)
         assert loss == 0.0
         assert all(np.abs(g).max() < 1e-14 for g in grads.weights + grads.biases)
 
@@ -103,7 +103,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((32, 7))
         Y = rng.standard_normal((32, 3))
-        grads, _ = backward(w, X, Y)
+        grads, _ = backward(w, X, Y, spec.activation)
         h = 1e-6
         params = w.weights + w.biases
         grad_arrays = grads.weights + grads.biases
@@ -114,9 +114,9 @@ class TestBackward:
             j = tuple(rng.integers(0, s) for s in arr.shape)
             orig = arr[j]
             arr[j] = orig + h
-            _, lp = backward(w, X, Y)
+            _, lp = backward(w, X, Y, spec.activation)
             arr[j] = orig - h
-            _, lm = backward(w, X, Y)
+            _, lm = backward(w, X, Y, spec.activation)
             arr[j] = orig
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(fd - grad_arrays[pi][j]) / max(abs(fd), 1e-10))
@@ -127,8 +127,8 @@ class TestBackward:
         w = init_weights(spec, 5)
         x = np.ones((1, 7))
         y = np.zeros((1, 3))
-        _, loss = backward(w, x, y)
-        out = forward(w, x[0])
+        _, loss = backward(w, x, y, spec.activation)
+        out = forward(w, x[0], spec.activation)
         assert loss == pytest.approx(0.5 * float(out @ out))
 
 
@@ -322,5 +322,5 @@ class TestSerialization:
     def test_predict_applies_standardization(self):
         net = self.trained_net()
         x = np.arange(7.0)      # equals the scaler mean -> standardized zeros
-        direct = forward_batch(net.weights, np.zeros((1, 7)))
+        direct = forward_batch(net.weights, np.zeros((1, 7)), net.spec.activation)
         assert np.allclose(net.predict(x), direct)

@@ -128,8 +128,8 @@ class TestRotationStrainWarp:
     def test_cached_fit_matches_fresh_fit(self, bending_beam, monkeypatch):
         from deepwarp import warper
         fits = []
-        factorize = warper.factorize_spd
-        monkeypatch.setattr(warper, "factorize_spd",
+        factorize = warper.BandedCholesky
+        monkeypatch.setattr(warper, "BandedCholesky",
                             lambda A: fits.append(A.shape) or factorize(A))
         monkeypatch.setattr(warper, "_rsw_fit", None)
         grad_op = gradient_operator(bending_beam)
@@ -146,8 +146,8 @@ class TestRotationStrainWarp:
     def test_cached_fit_refits_on_new_operator_or_anchors(self, bending_beam, monkeypatch):
         from deepwarp import warper
         fits = []
-        factorize = warper.factorize_spd
-        monkeypatch.setattr(warper, "factorize_spd",
+        factorize = warper.BandedCholesky
+        monkeypatch.setattr(warper, "BandedCholesky",
                             lambda A: fits.append(A.shape) or factorize(A))
         monkeypatch.setattr(warper, "_rsw_fit", None)
         grad_op = gradient_operator(bending_beam)
@@ -165,6 +165,20 @@ class TestRotationStrainWarp:
         monkeypatch.setattr(warper, "_rsw_fit", None)
         assert np.linalg.norm(out - rsw_warp(extra, u, grad_op)) \
             <= 1e-12 * np.linalg.norm(out)
+
+    def test_failed_fit_is_a_value_error(self, bending_beam, monkeypatch):
+        # the normal matrix has no indefinite fallback: a Cholesky breakdown
+        # is the documented validation error
+        from deepwarp import warper
+
+        def breaks_down(A):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(warper, "BandedCholesky", breaks_down)
+        monkeypatch.setattr(warper, "_rsw_fit", None)
+        with pytest.raises(ValueError, match="insufficient anchors"):
+            rsw_warp(bending_beam, np.zeros(3 * bending_beam.n_nodes),
+                     gradient_operator(bending_beam))
 
     def test_reads_w_through_the_axial_map(self, bending_beam, monkeypatch):
         # the axial map's 0.5 factors are exact: w is bit-identical to the
