@@ -11,7 +11,10 @@ scattered into zeros, so public (3n,) states hold exact zeros at anchors.
 Every sparse factorization in the package is a ``BandedCholesky``: a banded
 Cholesky factor on a node-level reverse Cuthill-McKee ordering (LAPACK
 ``pbtrf`` and ``pbtrs``), which stores one triangle and back-substitutes
-faster than a sparse LU on these symmetric stiffness-like matrices.
+faster than a sparse LU on these symmetric stiffness-like matrices. Its
+analysis of a CSR pattern (ordering, band width, the map into the band) is
+kept, so ``refactor`` of a matrix with the same pattern only packs the values
+and runs ``pbtrf``.
 ``prefactorize`` factors every constant system matrix (K_ff, and the scheme
 matrix of a ``LinearSystem``): it checks the matrix, returns the Cholesky,
 which proves it positive definite, and counts it through a module-level event
@@ -23,10 +26,12 @@ tangent whose Cholesky breaks down, an indefinite one.
 Registration and the Newmark ground truth share one Newton loop,
 ``newton_solve``, and pass it only their residual and tangent. Its steps go
 through a ``TangentSolver``: it keeps the most recent factor and solves each
-new tangent by conjugate gradients preconditioned with that lagged factor,
-refactorizing only when CG stalls or meets non-positive curvature. CG runs to
-a 1e-10 relative residual, so Newton iterates match the direct solves to that
-tolerance and iteration counts are unchanged.
+new tangent by conjugate gradients preconditioned with that lagged factor.
+It refactorizes, through ``refactor`` of its kept banded Cholesky, when CG
+stalls or meets non-positive curvature, and at the solve after one that took
+more than PCG_REFRESH_ITER CG iterations. CG runs to a 1e-10 relative
+residual, so Newton iterates match the direct solves to that tolerance and
+iteration counts are unchanged.
 """
 
 from __future__ import annotations
@@ -116,6 +121,63 @@ class SimState:
         return cls(u=z.copy(), v=z.copy(), a=z.copy(), t=0.0)
 
 
+class _BandAnalysis:
+    """The symbolic half of a ``BandedCholesky``, fixed by one canonical CSR
+    pattern (sorted, unique column indices; explicit zeros kept).
+
+    ``perm`` and the band row count come from the nonzero entries only.
+    ``take`` lists the lower entries of the pattern that fall inside the band
+    and ``scatter`` their flat positions in the Fortran-order band;
+    ``outside`` lists the lower entries beyond it, which must hold zeros.
+    """
+
+    def __init__(self, A: sp.csr_matrix):
+        n = A.shape[0]
+        nonzero = A.data != 0.0
+        # node graph: DOF i belongs to node i // 3, so node k owns CSR rows
+        # 3k to 3k + 2; one entry per nonzero 3x3 block, whichever of its
+        # entries are zero
+        nodes = sp.csr_matrix((nonzero.astype(np.float64), A.indices // 3,
+                               A.indptr[np.r_[0:n:3, n]]), shape=(-(-n // 3),) * 2)
+        nodes.sum_duplicates()
+        nodes.eliminate_zeros()
+        order = reverse_cuthill_mckee(nodes, symmetric_mode=True) if n \
+            else np.zeros(0, dtype=np.int64)
+        perm = (3 * order.astype(np.int64)[:, None] + np.arange(3)).ravel()
+        perm = perm[perm < n]
+        # components i % 3 that A does not couple (x, y and z of a normal
+        # matrix of displacement gradients) follow one another, each by node
+        onehot = np.eye(3)[np.arange(n) % 3]
+        coupling = onehot.T @ (abs(A) @ onehot)
+        group = (coupling @ coupling > 0).argmax(axis=1)    # first component reached
+        perm = perm[np.argsort(group[perm % 3], kind="stable")]
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        row = rank[np.repeat(np.arange(n), np.diff(A.indptr))]
+        col = rank[A.indices]
+        offset = row - col
+        lower = offset >= 0
+        rows = int(offset[lower & nonzero].max(initial=0)) + 1
+        inside = lower & (offset < rows)
+        self.indptr, self.indices = A.indptr, A.indices
+        self.perm, self.shape = perm, (rows, n)
+        self.take = np.flatnonzero(inside)
+        self.scatter = (offset + rows * col)[inside]
+        self.outside = np.flatnonzero(lower & ~inside)
+
+    def fits(self, A: sp.csr_matrix) -> bool:
+        """A has this pattern and holds zeros wherever the band does not reach."""
+        return (np.array_equal(A.indptr, self.indptr)
+                and np.array_equal(A.indices, self.indices)
+                and not A.data[self.outside].any())
+
+    def pack(self, data: np.ndarray) -> np.ndarray:
+        """The lower band of the permuted matrix with CSR values ``data``."""
+        band = np.zeros(self.shape[0] * self.shape[1])
+        band[self.scatter] = data[self.take]
+        return band.reshape(self.shape, order="F")
+
+
 class BandedCholesky:
     """Cholesky factor of a sparse SPD matrix, stored as a band.
 
@@ -131,40 +193,34 @@ class BandedCholesky:
     back-substitution walks contiguous band columns. ``perm`` lists the DOFs
     in elimination order. Raises ``np.linalg.LinAlgError`` when A is not
     positive definite.
+
+    The work splits as George & Liu's (*Computer Solution of Large Sparse
+    Positive Definite Systems*, 1981): an analysis of the CSR pattern (the
+    ordering, the band width and the map of each entry into the band), then
+    a numeric factorization that packs the values and runs ``pbtrf``.
+    ``refactor`` repeats only the numeric half for a matrix of the same
+    pattern.
     """
 
     def __init__(self, A):
-        A = sp.csr_matrix(A, dtype=np.float64, copy=True)
-        A.sum_duplicates()
-        A.eliminate_zeros()
-        n = A.shape[0]
-        # node graph: DOF i belongs to node i // 3, so node k owns CSR rows
-        # 3k to 3k + 2; one entry per nonzero 3x3 block, whichever of its
-        # entries are zero
-        nodes = sp.csr_matrix((np.ones(A.nnz), A.indices // 3, A.indptr[np.r_[0:n:3, n]]),
-                              shape=(-(-n // 3),) * 2)
-        nodes.sum_duplicates()
-        order = reverse_cuthill_mckee(nodes, symmetric_mode=True) if n \
-            else np.zeros(0, dtype=np.int64)
-        perm = (3 * order.astype(np.int64)[:, None] + np.arange(3)).ravel()
-        perm = perm[perm < n]
-        # components i % 3 that A does not couple (x, y and z of a normal
-        # matrix of displacement gradients) follow one another, each by node
-        onehot = np.eye(3)[np.arange(n) % 3]
-        coupling = onehot.T @ (abs(A) @ onehot)
-        group = (coupling @ coupling > 0).argmax(axis=1)    # first component reached
-        perm = perm[np.argsort(group[perm % 3], kind="stable")]
-        rank = np.empty(n, dtype=np.int64)
-        rank[perm] = np.arange(n)
-        coo = A.tocoo()
-        row, col = rank[coo.row], rank[coo.col]
-        lower = row >= col
-        row, col = row[lower], col[lower]
-        band = np.zeros((int((row - col).max(initial=0)) + 1, n))
-        band[row - col, col] = coo.data[lower]
-        self.perm = perm
-        self.band = cholesky_banded(band, overwrite_ab=True, lower=True,
-                                    check_finite=False)
+        self._analysis = None
+        self.refactor(A)
+
+    def refactor(self, A) -> None:
+        """Replace the factor by A's. A matrix with this factor's CSR pattern
+        and zeros wherever the band does not reach keeps the analysis; any
+        other gets a full one. Raises ``np.linalg.LinAlgError`` when A is not
+        positive definite, and the factor is then unchanged."""
+        A = sp.csr_matrix(A, dtype=np.float64)
+        analysis = self._analysis
+        if analysis is None or not analysis.fits(A):
+            if not A.has_canonical_format:
+                A = A.copy()
+                A.sum_duplicates()
+            analysis = _BandAnalysis(A)
+        band = cholesky_banded(analysis.pack(A.data), overwrite_ab=True, lower=True,
+                               check_finite=False)
+        self._analysis, self.perm, self.band = analysis, analysis.perm, band
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
@@ -201,25 +257,37 @@ def factorize_spd(A) -> BandedCholesky | spla.SuperLU:
 
 
 # Lagged-factor CG: relative residual target and iteration cap before the
-# solver gives up and refactorizes.
+# solver gives up and refactorizes; a solve that takes more than
+# PCG_REFRESH_ITER iterations makes the next solve factorize its own tangent.
+# On the README beam, thresholds 4 to 8 cut registration time alike; 4 cut the
+# Newmark ground truth's the most (CHANGES.md has the sweep).
 PCG_RTOL = 1e-10
 PCG_MAX_ITER = 20
+PCG_REFRESH_ITER = 4
 
 
 class TangentSolver:
     """Solves J x = b for a sequence of slowly changing symmetric tangents.
 
-    The most recent ``factorize_spd`` factor preconditions CG on each new J.
-    The solve stops at a true residual |J x - b| <= PCG_RTOL |b|. It gives up
-    after PCG_MAX_ITER iterations or at the first non-positive curvature
-    (r.z <= 0 or p.Jp <= 0: a tangent or its pivoted factor may be
-    indefinite); then, as on the first call, J itself is factorized, kept,
-    and solved directly. Counts solves, factorizations, CG iterations and
-    fallbacks.
+    The most recent factor preconditions CG on each new J. The solve stops at
+    a true residual |J x - b| <= PCG_RTOL |b|. It gives up after PCG_MAX_ITER
+    iterations or at the first non-positive curvature (r.z <= 0 or p.Jp <= 0:
+    a tangent or its pivoted factor may be indefinite); then, as on the first
+    call, J itself is factorized, kept, and solved directly. A solve that
+    took more than PCG_REFRESH_ITER iterations also makes the next solve
+    factorize its J instead of iterating, so the preconditioner follows the
+    tangents. Every factorization refactors one kept ``BandedCholesky``,
+    which reuses its analysis while the tangents keep their pattern; a J
+    whose Cholesky breaks down (an indefinite one) goes to SuperLU, and the
+    banded analysis stays for the next positive definite J. Counts solves,
+    factorizations, CG iterations and fallbacks; the iteration counts alone
+    decide when to factorize, so the solves are deterministic.
     """
 
     def __init__(self):
         self._factor = None
+        self._banded = None
+        self._refresh = False
         self.solves = 0
         self.factorizations = 0
         self.pcg_iterations = 0
@@ -227,14 +295,29 @@ class TangentSolver:
 
     def solve(self, J, b: np.ndarray) -> np.ndarray:
         self.solves += 1
-        if self._factor is not None:
+        if self._factor is not None and not self._refresh:
+            before = self.pcg_iterations
             x = self._pcg(J, b)
             if x is not None:
+                self._refresh = self.pcg_iterations - before > PCG_REFRESH_ITER
                 return x
             self.fallbacks += 1
-        self._factor = factorize_spd(J)
+        self._factor = self._factorize(J)
+        self._refresh = False
         self.factorizations += 1
         return self._factor.solve(b)
+
+    def _factorize(self, J) -> BandedCholesky | spla.SuperLU:
+        if self._banded is None:
+            factor = factorize_spd(J)
+            if isinstance(factor, BandedCholesky):
+                self._banded = factor
+            return factor
+        try:
+            self._banded.refactor(J)
+        except np.linalg.LinAlgError:
+            return _superlu_factor(J)
+        return self._banded
 
     def _pcg(self, J, b: np.ndarray) -> np.ndarray | None:
         tol = PCG_RTOL * np.linalg.norm(b)
@@ -366,7 +449,7 @@ def prefactorize(A) -> BandedCholesky:
     event counter by exactly one.
     """
     global _factorization_events
-    A = sp.csc_matrix(A)
+    A = sp.csr_matrix(A, dtype=np.float64)    # the CSR that BandedCholesky factors
     n = A.shape[0]    # 0 when every DOF is anchored: an empty system is valid
     if n and abs(A - A.T).max() > 1e-8 * max(abs(A).max(), 1e-300):
         raise NotPositiveDefiniteError("system matrix is not symmetric")

@@ -362,6 +362,20 @@ class TestNewtonSolve:
         assert sum(newton) > 30
 
 
+@pytest.fixture
+def analyses(monkeypatch):
+    """The shapes of the matrices whose band analysis ``BandedCholesky`` runs."""
+    shapes = []
+
+    class CountedAnalysis(dynamics._BandAnalysis):
+        def __init__(self, A):
+            shapes.append(A.shape)
+            super().__init__(A)
+
+    monkeypatch.setattr(dynamics, "_BandAnalysis", CountedAnalysis)
+    return shapes
+
+
 def bent_tangents(mesh, params):
     """The free-DOF rest tangent K0, the tangent J of a visibly bent beam
     and a random right-hand side."""
@@ -419,6 +433,39 @@ class TestTangentSolver:
         # the fallback keeps the new factor: the same tangent now solves by CG
         solver.solve(J, 2.0 * b)
         assert solver.factorizations == 2
+
+    @pytest.mark.parametrize("above", [True, False], ids=["above", "at"])
+    def test_refresh_after_a_long_solve(self, tangents, monkeypatch, above):
+        K0, J, b = tangents
+        solver = TangentSolver()
+        solver.solve(K0, b)
+        solver.solve(J, b)
+        iterations = solver.pcg_iterations
+        assert 1 < iterations <= dynamics.PCG_MAX_ITER
+        # the rule reads the threshold at the end of each solve
+        solver = TangentSolver()
+        monkeypatch.setattr(dynamics, "PCG_REFRESH_ITER", iterations - 1 if above else iterations)
+        solver.solve(K0, b)
+        solver.solve(J, b)
+        x = solver.solve(J, 2.0 * b)
+        if above:
+            # the next solve factorizes its own tangent without CG
+            assert (solver.factorizations, solver.pcg_iterations) == (2, iterations)
+            assert np.array_equal(x, BandedCholesky(J).solve(2.0 * b))
+        else:
+            assert solver.factorizations == 1 and solver.pcg_iterations > iterations
+        assert solver.fallbacks == 0
+
+    def test_indefinite_tangent_keeps_the_banded_analysis(self, tangents, analyses):
+        K0, J, b = tangents
+        solver = TangentSolver()
+        solver.solve(K0, b)
+        assert np.array_equal(solver.solve(-K0, b), dynamics._superlu_factor(-K0).solve(b))
+        # SPD -> indefinite -> SPD: banded, SuperLU, then a refactor of the
+        # kept band on its first analysis
+        x = solver.solve(J, b)
+        assert (solver.factorizations, solver.fallbacks, len(analyses)) == (3, 2, 1)
+        assert np.array_equal(x, BandedCholesky(J).solve(b))
 
     def test_zero_rhs(self, tangents):
         K0, J, b = tangents
@@ -529,6 +576,55 @@ class TestBandedCholesky:
         # the band of one component: 104 rows with RCM on the DOF pattern
         assert factor.band.shape[0] <= 76
         self.assert_matches_splu(A, factor, seed=5)
+
+    def test_refactor_reuses_the_analysis_bitwise(self, bending_beam, neo_hookean, analyses):
+        K0, J, b = bent_tangents(bending_beam, neo_hookean)
+        analyses.clear()
+        factor = BandedCholesky(K0)
+        perm, band, x = factor.perm.copy(), factor.band.copy(), factor.solve(b)
+        factor.refactor(K0)
+        assert np.array_equal(factor.perm, perm) and np.array_equal(factor.band, band)
+        assert np.array_equal(factor.solve(b), x)
+        factor.refactor(J)
+        assert len(analyses) == 1
+        fresh = BandedCholesky(J)
+        assert np.array_equal(factor.perm, fresh.perm)
+        assert np.array_equal(factor.band, fresh.band)
+        assert np.array_equal(factor.solve(b), fresh.solve(b))
+
+    def test_refactor_of_another_pattern_runs_a_full_analysis(self):
+        _, A = self.newmark_matrix(beam(16, 5, 5, lengths=(2.0, 0.8, 0.8)))
+        _, B = self.newmark_matrix(shuffled_readme_beam(seed=5))
+        assert A.shape == B.shape
+        factor = BandedCholesky(A)
+        factor.refactor(B)
+        fresh = BandedCholesky(B)
+        assert not np.array_equal(fresh.perm, BandedCholesky(A).perm)
+        assert np.array_equal(factor.perm, fresh.perm)
+        assert np.array_equal(factor.band, fresh.band)
+        self.assert_matches_splu(B, factor, seed=6)
+
+    def test_refactor_when_an_entry_outside_the_band_fills(self):
+        _, A = self.newmark_matrix(beam(16, 5, 5, lengths=(2.0, 0.8, 0.8)))
+        perm = BandedCholesky(A).perm
+        # the first and last DOFs of the elimination order: as far apart as
+        # the ordering puts any two
+        i, j = perm[0], perm[-1]
+        coo = A.tocoo()
+
+        def with_pair(value):
+            return sp.csr_matrix((np.r_[coo.data, value, value],
+                                  (np.r_[coo.row, i, j], np.r_[coo.col, j, i])), shape=A.shape)
+
+        holding_zeros = with_pair(0.0)
+        assert holding_zeros.nnz == A.nnz + 2     # explicit zeros stay in the pattern
+        factor = BandedCholesky(holding_zeros)
+        assert np.array_equal(factor.band, BandedCholesky(A).band)
+        filled = with_pair(0.1 * A.diagonal().min())
+        assert np.array_equal(filled.indices, holding_zeros.indices)
+        factor.refactor(filled)
+        assert factor.band.shape[0] > BandedCholesky(A).band.shape[0]
+        self.assert_matches_splu(filled, factor, seed=7)
 
     def test_bent_neo_hookean_tangent(self, bending_beam, neo_hookean):
         K0, J, _ = bent_tangents(bending_beam, neo_hookean)

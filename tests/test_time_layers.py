@@ -34,7 +34,7 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
     assert 0 < tiny["band_rows"] <= 36
     assert tiny["band_mb"] == tiny["band_rows"] * 36 * 8 / 1e6
     for layer in ("setup", "assemble_stiffness", "assemble_force", "total_elastic_energy",
-                  "factorize", "backsolve"):
+                  "factorize", "refactorize", "backsolve"):
         stats = tiny[layer]
         assert stats["calls"] == 3
         assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]

@@ -1,0 +1,61 @@
+"""Count the Newton linear-solve work of one benchmark workload.
+
+Usage (from the repository root)::
+
+    python tools/solver_counts.py TREE WORKLOAD SEED
+
+TREE is a checkout with ``bench/run.py`` and ``src/``; the workload runs
+once, in this process, from that tree's benchmark with ``--seconds 0``. Every
+``dynamics.TangentSolver`` it creates is recorded, and the output is one JSON
+object with the sums of their counters: ``solves``, ``factorizations``,
+``pcg_iterations`` and ``fallbacks``. The counts depend only on the inputs
+and the code, not on the host's speed, so they repeat exactly and compare
+two trees without A/B pairs. Standard output of the benchmark goes to
+standard error; the JSON is the only line on standard output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import json
+import os
+import sys
+
+COUNTERS = ("solves", "factorizations", "pcg_iterations", "fallbacks")
+
+
+def count(tree: str, workload: str, seed: int) -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(os.path.abspath(tree), "bench", "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)    # puts the tree's src/ first on sys.path
+    solver_class = bench.dynamics.TangentSolver
+    solvers = []
+    init = solver_class.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        solvers.append(self)
+
+    solver_class.__init__ = recording_init
+    try:
+        os.makedirs(bench.OUT_DIR, exist_ok=True)
+        with contextlib.redirect_stdout(sys.stderr):
+            bench.run_workload(workload, seed, 0.0, traced=False)
+    finally:
+        solver_class.__init__ = init
+    return {name: sum(getattr(s, name) for s in solvers) for name in COUNTERS}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 3:
+        sys.exit(__doc__.split("\n\n")[1])
+    tree, workload, seed = args
+    print(json.dumps(count(tree, workload, int(seed))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,11 +15,14 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   nu = 0.45 (the benchmark's material), at the deformed state below;
 * ``total_elastic_energy`` at the same state;
 * ``factorize`` and ``backsolve``: ``BandedCholesky(A)`` and its
-  ``solve(b)`` for a fixed random b, where A is the Newmark matrix
+  ``solve(b)`` for a fixed random b, where A is the CSR Newmark matrix
   M + dt/2 C + dt^2/4 K that ``build_linear_system`` prefactorizes (the
   material's linear part, dt = 1/60, no damping, as ``build_warp_context``
   builds it in the benchmark's runtime workload). ``band_rows`` and
-  ``band_mb`` give the size of its band factor.
+  ``band_mb`` give the size of its band factor;
+* ``refactorize``: ``factor.refactor(A)`` on the same A, the numeric half
+  alone (pack and ``pbtrf``) that a Newton loop pays while its tangents keep
+  their pattern.
 
 The deformed state is fixed: with s = (x - x_min) / (x_max - x_min) along
 the beam axis, every node turns by 0.6 s radians about the axis and moves by
@@ -93,7 +96,7 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     u = deformed_state(mesh)
     pre = MeshPrecomp(mesh)
     system = build_linear_system(mesh, linear, DT)
-    A = (system.M + NEWMARK_GAMMA * DT * system.C + NEWMARK_BETA * DT * DT * system.K).tocsc()
+    A = (system.M + NEWMARK_GAMMA * DT * system.C + NEWMARK_BETA * DT * DT * system.K).tocsr()
     factor = BandedCholesky(A)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
     return {
@@ -107,6 +110,7 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
                                        calls, warmup),
         "band_rows": factor.band.shape[0], "band_mb": factor.band.nbytes / 1e6,
         "factorize": _stats(lambda: BandedCholesky(A), calls, warmup),
+        "refactorize": _stats(lambda: factor.refactor(A), calls, warmup),
         "backsolve": _stats(lambda: factor.solve(b), calls, warmup),
     }
 
