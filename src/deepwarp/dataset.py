@@ -5,6 +5,11 @@ overdamped quasi-static linear sequence at each magnitude, register every
 linear snapshot to its nonlinear counterpart, and stop the ramp once the
 equilibrium linear displacement reaches the cap max_i |u_i| >= 2 (the cap is
 evaluated on the linear displacement, which exists before registration).
+Each loading path starts from rest, so the paths are independent: they run
+in one worker process per CPU of the process's affinity mask, and their
+results are read in ramp order, where the stopping rule applies. The output
+does not depend on the CPU count; ``taskset -c 0`` runs every path in the
+calling process, which is what a profiler needs.
 
 Records are per non-anchor node: the 7-feature vector plus the canonical
 frame displacement fix Q (u_i - u_lin_i), extracted as each pose is emitted
@@ -17,6 +22,12 @@ the 3 target components).
 
 from __future__ import annotations
 
+import collections
+import ctypes
+import functools
+import itertools
+import multiprocessing
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -28,8 +39,8 @@ from .features import (N_FEATURES, ForceField, StaticFeatureSet, align_batch,
                        static_features)
 from .material import MaterialModel, MaterialParams
 from .mesh import TetMesh, node_adjacency
-from .registration import gradient_operator, register_sequence, \
-    rotation_vectors_from_displacement
+from .registration import (SequenceRegistration, gradient_operator, register_sequence,
+                           rotation_vectors_from_displacement)
 
 MAGIC = b"DWTP"
 FORMAT_VERSION = 1
@@ -156,6 +167,12 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
     Per field the rest pose (magnitude 0) is emitted first; snapshots whose
     max per-node linear displacement already exceeds the cap are dropped,
     except the final equilibrium pose of the ramp.
+
+    Loading paths run in one worker process per CPU of this process's
+    affinity mask, at most one path per worker ahead of the ramp, and their
+    results are read in ramp order, so the output does not depend on the CPU
+    count. With one CPU (for profilers, ``taskset -c 0``) the paths run in
+    this process, one after another.
     """
     if params.model is MaterialModel.LINEAR:
         raise ValueError("pose generation registers against a nonlinear model")
@@ -165,6 +182,13 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
     grad_op = gradient_operator(mesh, adjacency)
     geo = geodesic_all(mesh, adjacency)
     zero = np.zeros(3 * mesh.n_nodes)
+    ended: set[int] = set()       # fields whose ramp has stopped
+
+    def register(f_ext: np.ndarray) -> tuple[int, SequenceRegistration]:
+        """One loading path from rest: its snapshot count and registration."""
+        seq = driver.run(f_ext, n_steps=ramp.poses_per_magnitude)
+        return len(seq.displacements), register_sequence(driver, params,
+                                                         seq.displacements, grad_op)
 
     def emit(pose: Pose, static: StaticFeatureSet) -> None:
         rs = extract_records(pose, static, params.poisson, mesh, grad_op)
@@ -172,24 +196,44 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
         report.poses.append(pose)
         report.records.append(rs)
 
-    for f in fields:
-        emitted_before = report.emitted
-        rest = f.with_magnitude(0.0)
-        static = static_features(mesh, rest, geo)
-        magnitude = ramp.start
-        for _ in range(MAX_MAGNITUDES):
+    def paths(pool):
+        """Each field's paths in ramp order, with a call that returns the
+        path's result; a field's paths stop once it has ended."""
+        for i, f in enumerate(fields):
+            rest = f.with_magnitude(0.0)
+            static = static_features(mesh, rest, geo)
+            magnitude = ramp.start
+            for _ in range(MAX_MAGNITUDES):
+                if i in ended:
+                    break
+                current = f.with_magnitude(magnitude)
+                f_ext = force_vector(mesh, current, masses=driver.masses)
+                result = (pool.apply_async(_run_in_worker, (f_ext,)).get if pool
+                          else functools.partial(register, f_ext))
+                yield i, rest, static, current, magnitude, result
+                magnitude *= ramp.factor
+
+    n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pool = (multiprocessing.get_context("fork").Pool(n_workers, _init_worker, (register,))
+            if n_workers > 1 else None)
+    try:
+        planned = paths(pool)
+        window: collections.deque = collections.deque()
+        while True:
+            window.extend(itertools.islice(planned, n_workers - len(window)))
+            if not window:
+                break
+            i, rest, static, current, magnitude, result = window.popleft()
+            if i in ended:
+                continue
+            n_snapshots, reg = result()
             # every registered sequence starts from the rest shape, so each
             # magnitude contributes the rest pair first; this also keeps the
             # network's rest-feature region represented in the training set
             emit(Pose(field=rest, magnitude=0.0, u_lin=zero.copy(), u=zero.copy(),
                       residual=0.0), static)
-            report.attempted += 1
-            current = f.with_magnitude(magnitude)
-            fvec = force_vector(mesh, current, masses=driver.masses)
-            seq = driver.run(fvec, n_steps=ramp.poses_per_magnitude)
-            reg = register_sequence(driver, params, seq.displacements, grad_op)
-            report.attempted += len(seq.displacements)
-            report.dropped_nonconverged += len(seq.displacements) - len(reg.pairs)
+            report.attempted += 1 + n_snapshots
+            report.dropped_nonconverged += n_snapshots - len(reg.pairs)
             max_lin = [float(np.linalg.norm(p.u_lin.reshape(-1, 3), axis=1).max())
                        for p in reg.pairs]
             cap_hit = bool(max_lin and max_lin[-1] >= ramp.cap and reg.completed)
@@ -201,11 +245,56 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
                 emit(Pose(field=current, magnitude=magnitude, u_lin=pair.u_lin,
                           u=pair.u, residual=pair.residual), static)
             if cap_hit or not reg.completed:
-                break
-            magnitude *= ramp.factor
-        if report.emitted == emitted_before:
-            raise ValueError(f"no converged poses generated for field {f}")
+                ended.add(i)
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
     return report
+
+
+_worker_register = None       # a worker process's ``register`` of generate_poses
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
+                        "scipy_openblas_set_num_threads64_")
+
+
+def _init_worker(register) -> None:
+    # the pool forks, so ``register`` and the driver and operators it holds
+    # are inherited, not pickled; nothing here may raise, or the pool would
+    # replace the failed worker forever
+    global _worker_register
+    _worker_register = register
+    _one_blas_thread()
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    A worker has a CPU of its own, and the spinning OpenBLAS threads of
+    several workers would share the same CPUs: with unset thread variables,
+    a 10x4x4 beam took 4x longer to register on 2 CPUs. Its records were
+    bit-identical with one BLAS thread and with two.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(library, name):
+                set_threads = getattr(library, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+
+
+def _run_in_worker(f_ext: np.ndarray) -> tuple[int, SequenceRegistration]:
+    return _worker_register(f_ext)
 
 
 def extract_records(pose: Pose, static: StaticFeatureSet, poisson: float,

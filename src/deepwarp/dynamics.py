@@ -61,6 +61,11 @@ class ConvergenceError(Exception):
         super().__init__(message)
         self.residual = residual
 
+    def __reduce__(self):
+        # pickled whole, so that one raised in a pose-generation worker
+        # reaches the caller with its residual
+        return type(self), (self.args[0], self.residual)
+
 
 class IntegrationScheme(Enum):
     BACKWARD_EULER = "backward_euler"

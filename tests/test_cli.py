@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from deepwarp import cli
+from deepwarp import cli, dataset
 from deepwarp.cli import main, parse_config_file
 from deepwarp.dataset import read_dataset_file
+from deepwarp.dynamics import ConvergenceError
 from deepwarp.features import ForceField
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh, load_mesh_files, write_mesh_files
@@ -181,6 +182,21 @@ class TestGenData:
     def test_no_partial_left_behind(self, mesh_files, tmp_path):
         out = self.run_gen(mesh_files, tmp_path, "c.dwtp")
         assert not os.path.exists(str(out) + ".partial")
+
+    @pytest.mark.parametrize("error, code", [(ValueError("bad path"), 1),
+                                             (ConvergenceError("path diverged", 3.0), 2)])
+    def test_worker_error_exit_code(self, mesh_files, tmp_path, monkeypatch, capsys,
+                                    error, code):
+        # two CPUs, so the failing registration runs in a worker process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def failing(*args):
+            raise error
+        monkeypatch.setattr(dataset, "register_sequence", failing)
+        assert main(["gen-data"] + mesh_flags(mesh_files) + [
+            "--out", str(tmp_path / "f.dwtp"), "--n-alpha", "1", "--n-beta", "1",
+            "--quiet"]) == code
+        assert str(error) in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

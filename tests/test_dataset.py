@@ -1,14 +1,18 @@
 import collections
+import ctypes
 import io
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from deepwarp import dynamics, registration
+from deepwarp import dataset, dynamics, registration
 from deepwarp.dataset import (DatasetFormatError, Pose, RampConfig, RecordSet,
                               build_dataset, extract_records, generate_poses,
                               read_dataset, sample_directions, split,
                               write_dataset)
+from deepwarp.dynamics import ConvergenceError
 from deepwarp.features import ForceField, geodesic_all, static_features
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh, normalize_to_unit_sphere
@@ -182,6 +186,89 @@ class TestExtractRecords:
         r2, _ = build_dataset(mesh, params, fields, ramp)
         assert np.array_equal(r1.features, r2.features)
         assert np.array_equal(r1.targets, r2.targets)
+
+
+def blas_threads() -> list[int]:
+    """The thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        counts += [getattr(library, name)() for name in (
+            "openblas_get_num_threads", "scipy_openblas_get_num_threads",
+            "scipy_openblas_get_num_threads64_") if hasattr(library, name)]
+    return counts
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make ``generate_poses`` see an affinity mask of ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestParallelPaths:
+    """Loading paths run in one worker process per CPU; the output must not
+    depend on the CPU count. In ``tiny_setup`` field 0 ends on a failed
+    registration (its fourth path stops at pose 1) and field 1 at the cap."""
+
+    def test_output_independent_of_cpu_count(self, tiny_setup, monkeypatch):
+        mesh, params, fields, ramp, _ = tiny_setup
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            runs.append(build_dataset(mesh, params, fields, ramp))
+            assert multiprocessing.active_children() == []
+        (serial, serial_report), (parallel, parallel_report) = runs
+        # a path failed, and a path's final pose reached the cap
+        assert serial_report.dropped_nonconverged > 0
+        assert any(np.linalg.norm(p.u_lin.reshape(-1, 3), axis=1).max() >= ramp.cap
+                   for p in serial_report.poses)
+        for name in ("features", "targets", "pose_ids", "node_ids"):
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+        for name in ("attempted", "emitted", "dropped_nonconverged", "dropped_capped"):
+            assert getattr(serial_report, name) == getattr(parallel_report, name), name
+        assert [p.magnitude for p in serial_report.poses] == \
+            [p.magnitude for p in parallel_report.poses]
+
+    def test_one_cpu_runs_each_path_once_in_process(self, tiny_setup, monkeypatch):
+        mesh, params, fields, ramp, _ = tiny_setup
+        use_cpus(monkeypatch, 1)
+        runs = []
+        original = dynamics.QuasistaticDriver.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(os.getpid())
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(dynamics.QuasistaticDriver, "run", counted)
+        _, report = build_dataset(mesh, params, fields, ramp)
+        # one linear run per path, as many as the serial ramp plans: 4 per field
+        assert runs == [os.getpid()] * 8
+        assert sum(p.magnitude == 0.0 for p in report.poses) == 8
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_path_exception_reaches_caller(self, tiny_setup, monkeypatch, cpus):
+        mesh, params, fields, ramp, _ = tiny_setup
+        use_cpus(monkeypatch, cpus)
+        caller = os.getpid()
+
+        def diverging(*args):
+            where = "caller" if os.getpid() == caller else "worker"
+            raise ConvergenceError(f"path diverged in a {where}", residual=2.5)
+        monkeypatch.setattr(dataset, "register_sequence", diverging)
+        where = "caller" if cpus == 1 else "worker"
+        with pytest.raises(ConvergenceError, match=f"^path diverged in a {where}$") as info:
+            build_dataset(mesh, params, fields, ramp)
+        assert info.value.residual == 2.5
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_one_blas_thread(self):
+        pool = multiprocessing.get_context("fork").Pool(1, dataset._init_worker, (None,))
+        try:
+            assert pool.apply_async(blas_threads).get(timeout=60) == \
+                [1] * len(blas_threads())
+        finally:
+            pool.terminate()
+            pool.join()
 
 
 class TestSplit:

@@ -12,6 +12,11 @@ object with the sums of their counters: ``solves``, ``factorizations``,
 and the code, not on the host's speed, so they repeat exactly and compare
 two trees without A/B pairs. Standard output of the benchmark goes to
 standard error; the JSON is the only line on standard output.
+
+The tool pins its own process to one CPU before it runs the workload.
+``dataset.generate_poses`` registers loading paths in one worker process per
+CPU of the affinity mask, and the solvers created in those workers would be
+missing from the sums; with one CPU every path runs in this process.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ def count(tree: str, workload: str, seed: int) -> dict:
         solvers.append(self)
 
     solver_class.__init__ = recording_init
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     try:
         os.makedirs(bench.OUT_DIR, exist_ok=True)
         with contextlib.redirect_stdout(sys.stderr):
