@@ -8,7 +8,8 @@ Output files are written under a ``.partial`` suffix and renamed on success.
 Each subcommand's flags are declared once, in ``build_parser``, which hands
 the list to ``RunConfig.from_args``.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error
+(any ``OSError``, also the ``ChildProcessError`` of a dead pose worker).
 """
 
 from __future__ import annotations

@@ -172,7 +172,8 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
     affinity mask, at most one path per worker ahead of the ramp, and their
     results are read in ramp order, so the output does not depend on the CPU
     count. With one CPU (for profilers, ``taskset -c 0``) the paths run in
-    this process, one after another.
+    this process, one after another. A worker that dies without raising (a
+    signal, the OOM killer, a native crash) is a ``ChildProcessError``.
     """
     if params.model is MaterialModel.LINEAR:
         raise ValueError("pose generation registers against a nonlinear model")
@@ -208,14 +209,17 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
                     break
                 current = f.with_magnitude(magnitude)
                 f_ext = force_vector(mesh, current, masses=driver.masses)
-                result = (pool.apply_async(_run_in_worker, (f_ext,)).get if pool
-                          else functools.partial(register, f_ext))
+                result = (functools.partial(_pool_result, workers,
+                                            pool.apply_async(_run_in_worker, (f_ext,)))
+                          if pool else functools.partial(register, f_ext))
                 yield i, rest, static, current, magnitude, result
                 magnitude *= ramp.factor
 
     n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    children = set(multiprocessing.active_children())
     pool = (multiprocessing.get_context("fork").Pool(n_workers, _init_worker, (register,))
             if n_workers > 1 else None)
+    workers = set(multiprocessing.active_children()) - children
     try:
         planned = paths(pool)
         window: collections.deque = collections.deque()
@@ -295,6 +299,18 @@ def _one_blas_thread() -> None:
 
 def _run_in_worker(f_ext: np.ndarray) -> tuple[int, SequenceRegistration]:
     return _worker_register(f_ext)
+
+
+def _pool_result(workers: set, result: multiprocessing.pool.AsyncResult):
+    """The task's value, polled every 0.25 s: the pool replaces a dead worker
+    but never completes its task, so a plain ``result.get()`` would hang."""
+    while not result.ready():
+        result.wait(0.25)
+        for worker in workers:
+            if not worker.is_alive():
+                raise ChildProcessError(f"pose worker process {worker.pid} died "
+                                        f"(exit code {worker.exitcode})")
+    return result.get()
 
 
 def extract_records(pose: Pose, static: StaticFeatureSet, poisson: float,

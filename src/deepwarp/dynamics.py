@@ -136,26 +136,20 @@ class _BandAnalysis:
     ``outside`` lists the lower entries beyond it, which must hold zeros.
     """
 
-    def __init__(self, A: sp.csr_matrix):
-        n = A.shape[0]
+    def __init__(self, A: sp.csr_matrix, node_dofs: int):
+        n, d = A.shape[0], node_dofs
         nonzero = A.data != 0.0
-        # node graph: DOF i belongs to node i // 3, so node k owns CSR rows
-        # 3k to 3k + 2; one entry per nonzero 3x3 block, whichever of its
-        # entries are zero
-        nodes = sp.csr_matrix((nonzero.astype(np.float64), A.indices // 3,
-                               A.indptr[np.r_[0:n:3, n]]), shape=(-(-n // 3),) * 2)
+        # node graph: DOF i belongs to node i // d, so node k owns CSR rows
+        # dk to dk + d - 1; one entry per nonzero d x d block, whichever of
+        # its entries are zero
+        nodes = sp.csr_matrix((nonzero.astype(np.float64), A.indices // d,
+                               A.indptr[np.r_[0:n:d, n]]), shape=(-(-n // d),) * 2)
         nodes.sum_duplicates()
         nodes.eliminate_zeros()
         order = reverse_cuthill_mckee(nodes, symmetric_mode=True) if n \
             else np.zeros(0, dtype=np.int64)
-        perm = (3 * order.astype(np.int64)[:, None] + np.arange(3)).ravel()
+        perm = (d * order.astype(np.int64)[:, None] + np.arange(d)).ravel()
         perm = perm[perm < n]
-        # components i % 3 that A does not couple (x, y and z of a normal
-        # matrix of displacement gradients) follow one another, each by node
-        onehot = np.eye(3)[np.arange(n) % 3]
-        coupling = onehot.T @ (abs(A) @ onehot)
-        group = (coupling @ coupling > 0).argmax(axis=1)    # first component reached
-        perm = perm[np.argsort(group[perm % 3], kind="stable")]
         rank = np.empty(n, dtype=np.int64)
         rank[perm] = np.arange(n)
         row = rank[np.repeat(np.arange(n), np.diff(A.indptr))]
@@ -186,18 +180,16 @@ class _BandAnalysis:
 class BandedCholesky:
     """Cholesky factor of a sparse SPD matrix, stored as a band.
 
-    Node-level reverse Cuthill-McKee orders A to a narrow profile: DOFs
-    3k, 3k+1 and 3k+2 form node k (the free DOFs of an unanchored node), RCM
-    orders the graph of the nonzero 3x3 blocks, and each node's DOFs follow
-    it in place. So the order does not depend on which entries of a block
-    round to exact zero. Components that A does not couple at all (the x, y
-    and z DOFs of a normal matrix of displacement gradients) are ordered one
-    after another, each in that node order, so the band is one component's.
-    The lower band of the permuted matrix is factorized by LAPACK
-    ``pbtrf`` and solved by ``pbtrs``. Only one triangle is stored, and
-    back-substitution walks contiguous band columns. ``perm`` lists the DOFs
-    in elimination order. Raises ``np.linalg.LinAlgError`` when A is not
-    positive definite.
+    Node-level reverse Cuthill-McKee orders A to a narrow profile: DOFs dk
+    to dk + d - 1 form node k, for d = ``node_dofs`` (3 for the free DOFs of
+    unanchored nodes, 1 for one unknown per node), RCM orders the graph of
+    the nonzero d x d blocks, and each node's DOFs follow it in place. So
+    the order does not depend on which entries of a block round to exact
+    zero. The lower band of the permuted matrix is factorized by LAPACK
+    ``pbtrf`` and solved by ``pbtrs``, for one or several right-hand sides.
+    Only one triangle is stored, and back-substitution walks contiguous band
+    columns. ``perm`` lists the DOFs in elimination order. Raises
+    ``np.linalg.LinAlgError`` when A is not positive definite.
 
     The work splits as George & Liu's (*Computer Solution of Large Sparse
     Positive Definite Systems*, 1981): an analysis of the CSR pattern (the
@@ -207,7 +199,8 @@ class BandedCholesky:
     pattern.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, node_dofs: int):
+        self.node_dofs = node_dofs
         self._analysis = None
         self.refactor(A)
 
@@ -222,7 +215,7 @@ class BandedCholesky:
             if not A.has_canonical_format:
                 A = A.copy()
                 A.sum_duplicates()
-            analysis = _BandAnalysis(A)
+            analysis = _BandAnalysis(A, self.node_dofs)
         band = cholesky_banded(analysis.pack(A.data), overwrite_ab=True, lower=True,
                                check_finite=False)
         self._analysis, self.perm, self.band = analysis, analysis.perm, band
@@ -256,7 +249,7 @@ def factorize_spd(A) -> BandedCholesky | spla.SuperLU:
     raises RuntimeError on an exactly singular A.
     """
     try:
-        return BandedCholesky(A)
+        return BandedCholesky(A, 3)
     except np.linalg.LinAlgError:
         return _superlu_factor(A)
 
@@ -461,7 +454,7 @@ def prefactorize(A) -> BandedCholesky:
     if n and A.diagonal().min() <= 0.0:
         raise NotPositiveDefiniteError("system matrix has a non-positive diagonal entry")
     try:
-        factor = BandedCholesky(A)
+        factor = BandedCholesky(A, 3)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed (matrix is not positive definite): {exc}"

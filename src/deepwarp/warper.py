@@ -203,7 +203,7 @@ def mw_warp(mesh: TetMesh, u_lin: np.ndarray, grad_op: sp.csr_matrix) -> np.ndar
 
 @dataclass
 class _RswFit:
-    """Factorized normal matrix E^T E of the anchored least-squares fit."""
+    """Factorized node-level copy A1 of the fit's normal matrix E^T E = A1 kron I_3."""
 
     grad_op: sp.csr_matrix
     anchors: frozenset
@@ -224,8 +224,9 @@ def _rsw_normal_fit(grad_op: sp.csr_matrix, mesh: TetMesh) -> _RswFit:
         return fit
     free = mesh.free_dofs()
     E = grad_op[:, free.index]
+    Ex = E[:, 0::3]    # column 3j + p reaches only rows 9i + 3p + q: A1 = Ex^T Ex
     try:
-        factor = BandedCholesky(E.T @ E)
+        factor = BandedCholesky(Ex.T @ Ex, 1)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"rotation-strain fit is singular (insufficient anchors): {exc}")
     _rsw_fit = _RswFit(grad_op=grad_op, anchors=mesh.anchors, free=free, Et=E.T.tocsr(),
@@ -238,10 +239,11 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray, grad_op: sp.csr_matrix) -> np.nda
 
     Per node the target gradient is exp([w]x)(S + I) - I; the displacement
     reconstructing those gradients is the minimizer of
-    sum_i |G_i(u) - Ghat_i|^2 with anchored nodes pinned at zero. The normal
-    matrix depends only on the operator and the anchors, so its factor is
-    cached and reused while the same ``grad_op`` object and anchor set are
-    passed (an operator must not be modified in place between calls).
+    sum_i |G_i(u) - Ghat_i|^2 with anchored nodes pinned at zero. One
+    node-level factor of the normal matrix solves the x, y and z columns. It
+    depends only on the operator and the anchors, so it is cached and reused
+    while the same ``grad_op`` object and anchor set are passed (an operator
+    must not be modified in place between calls).
     """
     if not mesh.anchors:
         raise ValueError("rotation-strain warp requires anchors")
@@ -251,7 +253,8 @@ def rsw_warp(mesh: TetMesh, u_lin: np.ndarray, grad_op: sp.csr_matrix) -> np.nda
     S = 0.5 * (G + np.swapaxes(G, 1, 2))
     R = rotations_from_vectors(vecG.reshape(-1, 9) @ _AXIAL.T)
     Ghat = R @ (S + np.eye(3)) - np.eye(3)
-    return fit.free.scatter(fit.factor.solve(fit.Et @ Ghat.reshape(-1)))
+    rhs = (fit.Et @ Ghat.reshape(-1)).reshape(-1, 3)    # one column per component
+    return fit.free.scatter(fit.factor.solve(rhs).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ the unit-diagonal elimination of the anchors in the linear, Newmark and
 registration solvers with registration's weak Wolfe search, and the
 stiffness assembly from whole 12x12 element blocks. The per-node gradient
 fit ``local_displacement_gradient`` is here too; the package uses only the
-batched ``gradient_operator``. So are the queue-loop BFS of the domain tree
+batched ``gradient_operator``. So is the rotation-strain warp solved by
+SuperLU on all 3 n_free DOFs of its normal equations, which the package
+factors as one node-level copy. So are the queue-loop BFS of the domain tree
 and the isomorphism search with its two neighbour loops, which ``csgraph``
 and one adjacency-consistency test replaced in ``substructure``. The
 constitutive oracles live here as well: central differences of the energy
@@ -23,6 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, ConvergenceError,
                                IntegrationScheme, RayleighDamping, SimState, TangentSolver,
@@ -220,6 +223,17 @@ def rotation_vectors(grad_op, u):
     return 0.5 * np.stack([G[:, 2, 1] - G[:, 1, 2],
                            G[:, 0, 2] - G[:, 2, 0],
                            G[:, 1, 0] - G[:, 0, 1]], axis=1)
+
+
+def rsw_warp(mesh, u_lin, grad_op):
+    """Rotation-strain warping solved on the full 3 n_free normal equations
+    E^T E by SuperLU, each call from scratch."""
+    free = mesh.free_dofs()
+    E = grad_op[:, free.index]
+    G = (grad_op @ u_lin).reshape(-1, 3, 3)
+    S = 0.5 * (G + np.swapaxes(G, 1, 2))
+    Ghat = rotations_from_vectors(rotation_vectors(grad_op, u_lin)) @ (S + np.eye(3)) - np.eye(3)
+    return free.scatter(spla.spsolve((E.T @ E).tocsc(), E.T @ Ghat.reshape(-1)))
 
 
 class ReferenceStepper:

@@ -3,6 +3,10 @@ import ctypes
 import io
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,37 @@ def use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+DEAD_WORKER_SCRIPT = """
+import multiprocessing, os, sys
+from deepwarp import cli, dataset
+from deepwarp.dataset import RampConfig, generate_poses
+from deepwarp.features import ForceField
+from deepwarp.material import MaterialModel, MaterialParams
+from deepwarp.mesh import write_mesh_files
+from deepwarp.meshgen import beam
+
+# two CPUs, so that the paths run in workers; each worker dies at its
+# first registration without raising
+os.sched_getaffinity = lambda pid: {0, 1}
+dataset.register_sequence = lambda *args: os._exit(9)
+mesh = beam(3, 2, 2, lengths=(2.0, 1.0, 1.0))
+try:
+    generate_poses(mesh, MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.4),
+                   [ForceField.directional([0, 1, 0], 1.0)], RampConfig(start=0.3))
+except ChildProcessError as exc:
+    print("generate_poses:", exc)
+print("children:", len(multiprocessing.active_children()))
+files = {k: os.path.join(sys.argv[1], "beam." + k) for k in ("node", "ele", "anchor")}
+with open(files["node"], "w") as n, open(files["ele"], "w") as e, \\
+        open(files["anchor"], "w") as a:
+    write_mesh_files(mesh, n, e, a)
+print("gen-data:", cli.main(["gen-data", "--nodes", files["node"], "--elements", files["ele"],
+                             "--anchors", files["anchor"], "--n-alpha", "1", "--n-beta", "1",
+                             "--out", os.path.join(sys.argv[1], "d.dwtp"), "--quiet"]))
+print("children:", len(multiprocessing.active_children()))
+"""
+
+
 class TestParallelPaths:
     """Loading paths run in one worker process per CPU; the output must not
     depend on the CPU count. In ``tiny_setup`` field 0 ends on a failed
@@ -260,6 +295,22 @@ class TestParallelPaths:
             build_dataset(mesh, params, fields, ramp)
         assert info.value.residual == 2.5
         assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, tmp_path):
+        # run in a child interpreter, so that a wait that never ends fails
+        # this test by its timeout instead of hanging the suite
+        script = tmp_path / "dead_worker.py"
+        script.write_text(DEAD_WORKER_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(dataset.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, str(script), str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert re.fullmatch(r"generate_poses: pose worker process \d+ died \(exit code 9\)",
+                            lines[0])
+        assert lines[1:] == ["children: 0", "gen-data: 3", "children: 0"]
+        assert "I/O error: pose worker process" in run.stderr
 
     def test_workers_run_one_blas_thread(self):
         pool = multiprocessing.get_context("fork").Pool(1, dataset._init_worker, (None,))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from deepwarp import dynamics
+from deepwarp import dynamics, warper
 from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme,
                                NotPositiveDefiniteError, QuasistaticDriver,
                                RayleighDamping, SimState, TangentSolver,
@@ -93,7 +93,7 @@ class TestPrefactorize:
         assert isinstance(factor, BandedCholesky)
         assert factorization_event_count() == 1
         b = np.random.default_rng(2).standard_normal(K_ff.shape[0])
-        assert np.array_equal(factor.solve(b), BandedCholesky(K_ff).solve(b))
+        assert np.array_equal(factor.solve(b), BandedCholesky(K_ff, 3).solve(b))
 
     def test_indefinite_matrix_rejected(self):
         A = sp.diags([1.0, -1.0, 1.0, 1.0]).tocsr()
@@ -199,9 +199,9 @@ class TestQuasistatic:
         built = []
 
         class CountedCholesky(BandedCholesky):
-            def __init__(self, A):
+            def __init__(self, A, node_dofs):
                 built.append(A.shape)
-                super().__init__(A)
+                super().__init__(A, node_dofs)
 
         monkeypatch.setattr(dynamics, "BandedCholesky", CountedCholesky)
         reset_factorization_event_count()
@@ -368,9 +368,9 @@ def analyses(monkeypatch):
     shapes = []
 
     class CountedAnalysis(dynamics._BandAnalysis):
-        def __init__(self, A):
+        def __init__(self, A, node_dofs):
             shapes.append(A.shape)
-            super().__init__(A)
+            super().__init__(A, node_dofs)
 
     monkeypatch.setattr(dynamics, "_BandAnalysis", CountedAnalysis)
     return shapes
@@ -451,7 +451,7 @@ class TestTangentSolver:
         if above:
             # the next solve factorizes its own tangent without CG
             assert (solver.factorizations, solver.pcg_iterations) == (2, iterations)
-            assert np.array_equal(x, BandedCholesky(J).solve(2.0 * b))
+            assert np.array_equal(x, BandedCholesky(J, 3).solve(2.0 * b))
         else:
             assert solver.factorizations == 1 and solver.pcg_iterations > iterations
         assert solver.fallbacks == 0
@@ -465,7 +465,7 @@ class TestTangentSolver:
         # kept band on its first analysis
         x = solver.solve(J, b)
         assert (solver.factorizations, solver.fallbacks, len(analyses)) == (3, 2, 1)
-        assert np.array_equal(x, BandedCholesky(J).solve(b))
+        assert np.array_equal(x, BandedCholesky(J, 3).solve(b))
 
     def test_zero_rhs(self, tangents):
         K0, J, b = tangents
@@ -559,35 +559,43 @@ class TestBandedCholesky:
         # two of the nine entries of every off-diagonal block, symmetrically
         hit = (node_r != node_c) & (((dof_r == 0) & (dof_c == 1)) | ((dof_r == 1) & (dof_c == 0)))
         holed = sp.csr_matrix((np.where(hit, 0.0, coo.data), (coo.row, coo.col)), shape=A.shape)
-        factor, holed_factor = BandedCholesky(A), BandedCholesky(holed)
+        factor, holed_factor = BandedCholesky(A, 3), BandedCholesky(holed, 3)
         assert np.array_equal(self.node_order(holed_factor), self.node_order(factor))
         self.assert_matches_splu(holed, holed_factor, seed=4)
 
-    def test_uncoupled_components_ordered_apart(self):
-        """The normal matrix of the displacement-gradient fit couples no x, y
-        and z DOFs, so each component follows the other in the same node order."""
+    def test_rsw_normal_matrix_is_one_node_level_copy(self, monkeypatch):
+        """The RSW fit factors the node-level copy A1 of E^T E = A1 kron I_3,
+        one DOF per node: the README beam's 576 free nodes wide."""
+        monkeypatch.setattr(warper, "_rsw_fit", None)
         mesh = beam(16, 5, 5, lengths=(2.0, 0.8, 0.8))
-        E = gradient_operator(mesh)[:, mesh.free_dofs().index]
-        A = (E.T @ E).tocsr()
-        factor = factorize_spd(A)
-        assert isinstance(factor, BandedCholesky)
-        order = factor.perm[:A.shape[0] // 3] // 3
-        assert np.array_equal(factor.perm.reshape(3, -1), 3 * order + np.arange(3)[:, None])
-        # the band of one component: 104 rows with RCM on the DOF pattern
+        grad_op = gradient_operator(mesh)
+        factor = warper._rsw_normal_fit(grad_op, mesh).factor
+        assert factor.node_dofs == 1 and factor.band.shape[1] == 576
+        # 104 rows with RCM on the DOF pattern of E^T E, 87 on node triples of A1
         assert factor.band.shape[0] <= 76
-        self.assert_matches_splu(A, factor, seed=5)
+        E = grad_op[:, mesh.free_dofs().index]
+        self.assert_matches_splu((E.T @ E)[0::3, 0::3].tocsr(), factor, seed=5)
+
+    def test_solves_several_right_hand_sides(self):
+        _, A = self.newmark_matrix(shuffled_readme_beam(seed=5))
+        factor = BandedCholesky(A, 3)
+        B = np.random.default_rng(8).standard_normal((A.shape[0], 3))
+        X = factor.solve(B)
+        assert X.shape == B.shape
+        for k in range(3):
+            assert np.array_equal(X[:, k], factor.solve(B[:, k]))
 
     def test_refactor_reuses_the_analysis_bitwise(self, bending_beam, neo_hookean, analyses):
         K0, J, b = bent_tangents(bending_beam, neo_hookean)
         analyses.clear()
-        factor = BandedCholesky(K0)
+        factor = BandedCholesky(K0, 3)
         perm, band, x = factor.perm.copy(), factor.band.copy(), factor.solve(b)
         factor.refactor(K0)
         assert np.array_equal(factor.perm, perm) and np.array_equal(factor.band, band)
         assert np.array_equal(factor.solve(b), x)
         factor.refactor(J)
         assert len(analyses) == 1
-        fresh = BandedCholesky(J)
+        fresh = BandedCholesky(J, 3)
         assert np.array_equal(factor.perm, fresh.perm)
         assert np.array_equal(factor.band, fresh.band)
         assert np.array_equal(factor.solve(b), fresh.solve(b))
@@ -596,17 +604,17 @@ class TestBandedCholesky:
         _, A = self.newmark_matrix(beam(16, 5, 5, lengths=(2.0, 0.8, 0.8)))
         _, B = self.newmark_matrix(shuffled_readme_beam(seed=5))
         assert A.shape == B.shape
-        factor = BandedCholesky(A)
+        factor = BandedCholesky(A, 3)
         factor.refactor(B)
-        fresh = BandedCholesky(B)
-        assert not np.array_equal(fresh.perm, BandedCholesky(A).perm)
+        fresh = BandedCholesky(B, 3)
+        assert not np.array_equal(fresh.perm, BandedCholesky(A, 3).perm)
         assert np.array_equal(factor.perm, fresh.perm)
         assert np.array_equal(factor.band, fresh.band)
         self.assert_matches_splu(B, factor, seed=6)
 
     def test_refactor_when_an_entry_outside_the_band_fills(self):
         _, A = self.newmark_matrix(beam(16, 5, 5, lengths=(2.0, 0.8, 0.8)))
-        perm = BandedCholesky(A).perm
+        perm = BandedCholesky(A, 3).perm
         # the first and last DOFs of the elimination order: as far apart as
         # the ordering puts any two
         i, j = perm[0], perm[-1]
@@ -618,12 +626,12 @@ class TestBandedCholesky:
 
         holding_zeros = with_pair(0.0)
         assert holding_zeros.nnz == A.nnz + 2     # explicit zeros stay in the pattern
-        factor = BandedCholesky(holding_zeros)
-        assert np.array_equal(factor.band, BandedCholesky(A).band)
+        factor = BandedCholesky(holding_zeros, 3)
+        assert np.array_equal(factor.band, BandedCholesky(A, 3).band)
         filled = with_pair(0.1 * A.diagonal().min())
         assert np.array_equal(filled.indices, holding_zeros.indices)
         factor.refactor(filled)
-        assert factor.band.shape[0] > BandedCholesky(A).band.shape[0]
+        assert factor.band.shape[0] > BandedCholesky(A, 3).band.shape[0]
         self.assert_matches_splu(filled, factor, seed=7)
 
     def test_bent_neo_hookean_tangent(self, bending_beam, neo_hookean):

@@ -1,5 +1,5 @@
 """tools/time_layers.py on a tiny beam: every timed call runs and reports
-its median and quartiles, and the band factor reports its size."""
+its median and quartiles, and the band factors report their sizes."""
 
 import importlib.util
 from pathlib import Path
@@ -33,8 +33,11 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
     # 12 free nodes: a band of at most 36 rows of 36 float64 entries
     assert 0 < tiny["band_rows"] <= 36
     assert tiny["band_mb"] == tiny["band_rows"] * 36 * 8 / 1e6
+    # the RSW normal matrix, one DOF per node: 12 columns
+    assert 0 < tiny["rsw_band_rows"] <= 12
+    assert tiny["rsw_band_mb"] == tiny["rsw_band_rows"] * 12 * 8 / 1e6
     for layer in ("setup", "assemble_stiffness", "assemble_force", "total_elastic_energy",
-                  "factorize", "refactorize", "backsolve"):
+                  "factorize", "refactorize", "backsolve", "rsw_fit", "rsw_backsolve"):
         stats = tiny[layer]
         assert stats["calls"] == 3
         assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]

@@ -130,7 +130,7 @@ class TestRotationStrainWarp:
         fits = []
         factorize = warper.BandedCholesky
         monkeypatch.setattr(warper, "BandedCholesky",
-                            lambda A: fits.append(A.shape) or factorize(A))
+                            lambda A, node_dofs: fits.append(A.shape) or factorize(A, node_dofs))
         monkeypatch.setattr(warper, "_rsw_fit", None)
         grad_op = gradient_operator(bending_beam)
         rng = np.random.default_rng(4)
@@ -148,7 +148,7 @@ class TestRotationStrainWarp:
         fits = []
         factorize = warper.BandedCholesky
         monkeypatch.setattr(warper, "BandedCholesky",
-                            lambda A: fits.append(A.shape) or factorize(A))
+                            lambda A, node_dofs: fits.append(A.shape) or factorize(A, node_dofs))
         monkeypatch.setattr(warper, "_rsw_fit", None)
         grad_op = gradient_operator(bending_beam)
         u = 0.05 * np.random.default_rng(5).standard_normal(3 * bending_beam.n_nodes)
@@ -158,7 +158,7 @@ class TestRotationStrainWarp:
         # one more anchored node: the same operator, a smaller free set
         extra = bending_beam.with_anchors(bending_beam.anchors | {bending_beam.n_nodes - 1})
         out = rsw_warp(extra, u, grad_op)
-        assert len(fits) == 2 and fits[-1][0] == fits[0][0] - 3
+        assert len(fits) == 2 and fits[-1][0] == fits[0][0] - 1
         assert np.abs(out.reshape(-1, 3)[extra.anchor_array()]).max() == 0.0
         rsw_warp(extra, u, gradient_operator(extra))   # an equal operator, not the same
         assert len(fits) == 3
@@ -171,7 +171,7 @@ class TestRotationStrainWarp:
         # is the documented validation error
         from deepwarp import warper
 
-        def breaks_down(A):
+        def breaks_down(A, node_dofs):
             raise np.linalg.LinAlgError("leading minor not positive definite")
 
         monkeypatch.setattr(warper, "BandedCholesky", breaks_down)
@@ -192,6 +192,21 @@ class TestRotationStrainWarp:
         u = 0.05 * np.random.default_rng(6).standard_normal(3 * bending_beam.n_nodes)
         rsw_warp(bending_beam, u, grad_op)
         assert np.array_equal(seen[0], reference_paths.rotation_vectors(grad_op, u))
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["anchored", "shuffled"])
+    def test_matches_full_normal_equations(self, bending_beam, shuffle, monkeypatch):
+        from deepwarp import warper
+        mesh = bending_beam
+        if shuffle:
+            perm = np.random.default_rng(7).permutation(mesh.n_nodes)
+            new_index = np.argsort(perm)
+            mesh = TetMesh(nodes=mesh.nodes[perm], tets=new_index[mesh.tets],
+                           anchors=frozenset(int(new_index[a]) for a in mesh.anchors))
+        monkeypatch.setattr(warper, "_rsw_fit", None)
+        grad_op = gradient_operator(mesh)
+        u = 0.05 * np.random.default_rng(8).standard_normal(3 * mesh.n_nodes)
+        ref = reference_paths.rsw_warp(mesh, u, grad_op)
+        assert np.linalg.norm(rsw_warp(mesh, u, grad_op) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_requires_anchors(self):
         mesh = beam(2, 1, 1, anchor="none")

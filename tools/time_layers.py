@@ -14,7 +14,7 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
 * ``assemble_stiffness`` and ``assemble_force``: neo-Hookean, E = 1e4,
   nu = 0.45 (the benchmark's material), at the deformed state below;
 * ``total_elastic_energy`` at the same state;
-* ``factorize`` and ``backsolve``: ``BandedCholesky(A)`` and its
+* ``factorize`` and ``backsolve``: ``BandedCholesky(A, 3)`` and its
   ``solve(b)`` for a fixed random b, where A is the CSR Newmark matrix
   M + dt/2 C + dt^2/4 K that ``build_linear_system`` prefactorizes (the
   material's linear part, dt = 1/60, no damping, as ``build_warp_context``
@@ -22,7 +22,13 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   ``band_mb`` give the size of its band factor;
 * ``refactorize``: ``factor.refactor(A)`` on the same A, the numeric half
   alone (pack and ``pbtrf``) that a Newton loop pays while its tangents keep
-  their pattern.
+  their pattern;
+* ``rsw_fit``: ``warper._rsw_normal_fit`` with its cache cleared, the
+  rotation-strain baseline's normal matrix formed and factored as one
+  node-level copy (one DOF per node); ``rsw_band_rows`` and ``rsw_band_mb``
+  give the size of its band, and ``rsw_backsolve`` times its ``solve`` of a
+  fixed random right-hand side of 3 n_free entries, one column per
+  component: the solve of one ``rsw_warp`` step.
 
 The deformed state is fixed: with s = (x - x_min) / (x_max - x_min) along
 the beam axis, every node turns by 0.6 s radians about the axis and moves by
@@ -51,12 +57,14 @@ for _var in THREAD_VARS:
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+from deepwarp import warper  # noqa: E402
 from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, BandedCholesky,  # noqa: E402
                                build_linear_system)
 from deepwarp.material import (MaterialModel, MaterialParams, MeshPrecomp,  # noqa: E402
                                assemble_force, assemble_stiffness, total_elastic_energy)
 from deepwarp.mesh import normalize_to_unit_sphere  # noqa: E402
 from deepwarp.meshgen import beam  # noqa: E402
+from deepwarp.registration import gradient_operator  # noqa: E402
 
 PARAMS = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
 MESHES = {"readme_beam": (16, 5, 5), "large_beam": (32, 9, 9)}
@@ -97,8 +105,18 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     pre = MeshPrecomp(mesh)
     system = build_linear_system(mesh, linear, DT)
     A = (system.M + NEWMARK_GAMMA * DT * system.C + NEWMARK_BETA * DT * DT * system.K).tocsr()
-    factor = BandedCholesky(A)
+    factor = BandedCholesky(A, 3)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
+    grad_op = gradient_operator(mesh)
+
+    def rsw_fit():
+        warper._rsw_fit = None
+        return warper._rsw_normal_fit(grad_op, mesh)
+
+    rsw = rsw_fit().factor
+    # the 3 n_free right-hand side of one step, in the factor's columns
+    rhs = np.random.default_rng(1).standard_normal(mesh.free_dofs().index.size)
+    rhs = rhs.reshape(rsw.band.shape[1], -1)
     return {
         "nodes": mesh.n_nodes, "tets": len(mesh.tets),
         "setup": _stats(lambda: assemble_stiffness(mesh, linear, np.zeros(n), MeshPrecomp(mesh)),
@@ -109,9 +127,12 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
         "total_elastic_energy": _stats(lambda: total_elastic_energy(mesh, PARAMS, u, pre),
                                        calls, warmup),
         "band_rows": factor.band.shape[0], "band_mb": factor.band.nbytes / 1e6,
-        "factorize": _stats(lambda: BandedCholesky(A), calls, warmup),
+        "factorize": _stats(lambda: BandedCholesky(A, 3), calls, warmup),
         "refactorize": _stats(lambda: factor.refactor(A), calls, warmup),
         "backsolve": _stats(lambda: factor.solve(b), calls, warmup),
+        "rsw_band_rows": rsw.band.shape[0], "rsw_band_mb": rsw.band.nbytes / 1e6,
+        "rsw_fit": _stats(rsw_fit, calls, warmup),
+        "rsw_backsolve": _stats(lambda: rsw.solve(rhs), calls, warmup),
     }
 
 
