@@ -24,9 +24,12 @@ only Newton tangents: it falls back to a symmetric-mode SuperLU LU for a
 tangent whose Cholesky breaks down, an indefinite one.
 
 Registration and the Newmark ground truth share one Newton loop,
-``newton_solve``, and pass it only their residual and tangent. Its steps go
-through a ``TangentSolver``: it keeps the most recent factor and solves each
-new tangent by conjugate gradients preconditioned with that lagged factor.
+``newton_solve``, and pass it only their residual and tangent. The Newmark
+step starts it at the constant-acceleration predictor and, when that start
+inverts an element or does not converge, once more at the previous
+displacement. Its steps go through a ``TangentSolver``: it keeps the most
+recent factor and solves each new tangent by conjugate gradients
+preconditioned with that lagged factor.
 It refactorizes, through ``refactor`` of its kept banded Cholesky, when CG
 stalls or meets non-positive curvature, and at the solve after one that took
 more than PCG_REFRESH_ITER CG iterations. CG runs to a 1e-10 relative
@@ -684,8 +687,14 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
     """One Newmark (gamma=1/2, beta=1/4) step; ``newton_solve`` converges the
     dynamic residual on the free DOFs to NEWTON_RTOL * |f_ext| (NEWTON_ATOL
     when the load vanishes) through ``system.solver``, whose factor carries
-    over from the previous iterations and steps. Raises ConvergenceError when
-    Newton does not converge.
+    over from the previous iterations and steps.
+
+    Newton starts at the constant-acceleration predictor u + dt v + dt^2/2 a
+    (Hughes, *The Finite Element Method*, 1987, ch. 9), one iteration per step
+    on a smooth trajectory. When that start inverts an element or Newton from
+    it does not converge, Newton runs once more from the previous displacement
+    u, and that attempt's result or error is the step's. Raises
+    ConvergenceError when Newton does not converge.
     """
     g, b = NEWMARK_GAMMA, NEWMARK_BETA
     free = system.pre.free
@@ -709,7 +718,13 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
             assemble_stiffness(system.mesh, system.params, free.scatter(u), system.pre))
 
     tol = max(NEWTON_RTOL * np.linalg.norm(f), NEWTON_ATOL)
-    res = newton_solve(residual, tangent, u0, tol, NEWMARK_MAX_NEWTON, system.solver)
+    try:
+        res = newton_solve(residual, tangent, u_pred + b * dt * dt * a0, tol,
+                           NEWMARK_MAX_NEWTON, system.solver)
+    except InvertedElementError:
+        res = None
+    if res is None or not res.converged:
+        res = newton_solve(residual, tangent, u0, tol, NEWMARK_MAX_NEWTON, system.solver)
     if not res.converged:
         raise ConvergenceError(
             f"Newmark inner Newton did not converge in {res.iterations} iterations",

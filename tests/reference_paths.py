@@ -11,9 +11,11 @@ stiffness assembly from whole 12x12 element blocks. The per-node gradient
 fit ``local_displacement_gradient`` is here too; the package uses only the
 batched ``gradient_operator``. So is the rotation-strain warp solved by
 SuperLU on all 3 n_free DOFs of its normal equations, which the package
-factors as one node-level copy. So are the queue-loop BFS of the domain tree
-and the isomorphism search with its two neighbour loops, which ``csgraph``
-and one adjacency-consistency test replaced in ``substructure``. The
+factors as one node-level copy. So is the Newmark step whose Newton loop
+starts at the previous displacement, without the predictor start and its
+retry. So are the queue-loop BFS of the domain tree and the isomorphism
+search with its two neighbour loops, which ``csgraph`` and one
+adjacency-consistency test replaced in ``substructure``. The
 constitutive oracles live here as well: central differences of the energy
 and of the element force, and the material states they are checked at
 (rest, strained, nearly inverted), built one element at a time, for the
@@ -27,9 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, ConvergenceError,
-                               IntegrationScheme, RayleighDamping, SimState, TangentSolver,
-                               prefactorize, step_linear_implicit)
+from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_MAX_NEWTON, NEWTON_ATOL,
+                               NEWTON_RTOL, ConvergenceError, IntegrationScheme,
+                               RayleighDamping, SimState, TangentSolver, internal_force,
+                               newton_solve, prefactorize, step_linear_implicit)
 from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_features_batch
 from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
                                assemble_force, assemble_stiffness, deformation_gradient,
@@ -387,7 +390,9 @@ def unit_diagonal_nonlinear_system(mesh, params, damping=RayleighDamping(), dens
 
 def unit_diagonal_newmark_step(system, state, f_ext, dt):
     """Newmark step with Armijo backtracking on 0.5|r|^2, the search that
-    ``dynamics`` used before its Newton loop was shared with registration."""
+    ``dynamics`` used before its Newton loop was shared with registration.
+    Newton starts at the constant-acceleration predictor, as
+    ``step_newmark_nonlinear`` does."""
     g, b = NEWMARK_GAMMA, NEWMARK_BETA
     dofs = system.dofs
     f = np.array(f_ext, dtype=np.float64, copy=True)
@@ -408,7 +413,7 @@ def unit_diagonal_newmark_step(system, state, f_ext, dt):
         return r
 
     tol = max(1e-6 * np.linalg.norm(f), 1e-10)
-    u = u0.copy()
+    u = u_pred + b * dt * dt * a0
     u[dofs] = 0.0
     r = residual(u)
     for _ in range(30):
@@ -437,6 +442,39 @@ def unit_diagonal_newmark_step(system, state, f_ext, dt):
                 break
             s *= 0.5
     raise ConvergenceError("Newmark inner Newton did not converge")
+
+
+def previous_state_newmark_step(system, state, f_ext, dt):
+    """``step_newmark_nonlinear`` as it was before its Newton loop started at
+    the constant-acceleration predictor: one ``newton_solve`` from the
+    previous displacement, no retry."""
+    g, b = NEWMARK_GAMMA, NEWMARK_BETA
+    free = system.pre.free
+    f, u0, v0, a0 = (free.gather(x) for x in (f_ext, state.u, state.v, state.a))
+    u_pred = u0 + dt * v0 + dt * dt * (0.5 - b) * a0
+    v_pred = v0 + dt * (1.0 - g) * a0
+    inertia = system.M / (b * dt * dt) + system.C * (g / (b * dt))
+
+    def kinematics(u):
+        a = (u - u_pred) / (b * dt * dt)
+        return v_pred + g * dt * a, a
+
+    def residual(u):
+        v, a = kinematics(u)
+        f_int = free.gather(internal_force(system, free.scatter(u)))
+        return system.M @ a + system.C @ v + f_int - f
+
+    def tangent(u):
+        return inertia + system.pre.free_block(
+            assemble_stiffness(system.mesh, system.params, free.scatter(u), system.pre))
+
+    tol = max(NEWTON_RTOL * np.linalg.norm(f), NEWTON_ATOL)
+    res = newton_solve(residual, tangent, u0, tol, NEWMARK_MAX_NEWTON, system.solver)
+    if not res.converged:
+        raise ConvergenceError("Newmark inner Newton did not converge", residual=res.residual)
+    v, a = kinematics(res.u)
+    return SimState(u=free.scatter(res.u), v=free.scatter(v), a=free.scatter(a),
+                    t=state.t + dt)
 
 
 def _wolfe_search(phi, dphi, phi0, dphi0, max_iter=40):

@@ -331,18 +331,10 @@ class TestNewtonSolve:
         assert tol < r1 < np.linalg.norm(residual(u0))
         assert res.residual == r1
 
-    def test_newmark_one_tangent_per_newton_iteration(self, monkeypatch):
-        # the README beam under an off-axis load with a static max |u| of 0.7
-        mesh = beam(16, 5, 5, lengths=(2.0, 0.8, 0.8))
-        params = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
-        direction = np.array([0.18, 0.71, 0.68])
-        pre = MeshPrecomp(mesh)
-        K = pre.free_block(assemble_stiffness(mesh, params.as_linear(),
-                                              np.zeros(3 * mesh.n_nodes), pre))
-        unit = force_vector(mesh, ForceField.directional(direction, 1.0))
-        peak = np.linalg.norm(pre.free.scatter(factorize_spd(K).solve(
-            pre.free.gather(unit))).reshape(-1, 3), axis=1).max()
-        f = 0.7 / peak * unit
+    def test_newmark_one_tangent_per_newton_iteration(self, off_axis_readme_beam,
+                                                      monkeypatch):
+        # dt = 1/30: at 1/60 the predictor start takes one iteration per step
+        mesh, params, f = off_axis_readme_beam
         assemblies = []
         original = dynamics.assemble_stiffness
 
@@ -356,10 +348,119 @@ class TestNewtonSolve:
         newton = []
         for _ in range(30):
             solves, built = system.solver.solves, len(assemblies)
-            state = step_newmark_nonlinear(system, state, f, 1 / 60)
+            state = step_newmark_nonlinear(system, state, f, 1 / 30)
             newton.append(system.solver.solves - solves)
             assert len(assemblies) - built == newton[-1]
         assert sum(newton) > 30
+
+
+@pytest.fixture(scope="module")
+def off_axis_readme_beam():
+    """(mesh, params, f): the README beam under an off-axis load with a static
+    max |u| of 0.7, as the benchmark loads it."""
+    mesh = beam(16, 5, 5, lengths=(2.0, 0.8, 0.8))
+    params = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
+    direction = np.array([0.18, 0.71, 0.68])
+    pre = MeshPrecomp(mesh)
+    K = pre.free_block(assemble_stiffness(mesh, params.as_linear(),
+                                          np.zeros(3 * mesh.n_nodes), pre))
+    unit = force_vector(mesh, ForceField.directional(direction, 1.0))
+    peak = np.linalg.norm(pre.free.scatter(factorize_spd(K).solve(
+        pre.free.gather(unit))).reshape(-1, 3), axis=1).max()
+    return mesh, params, 0.7 / peak * unit
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The start of every ``newton_solve`` call of the Newmark step."""
+    calls = []
+    original = dynamics.newton_solve
+
+    def counting(residual, tangent, u0, tol, max_iter, solver):
+        calls.append(u0)
+        return original(residual, tangent, u0, tol, max_iter, solver)
+
+    monkeypatch.setattr(dynamics, "newton_solve", counting)
+    return calls
+
+
+class TestNewmarkPredictorStart:
+    """Newton starts each Newmark step at the constant-acceleration predictor
+    and retries from the previous displacement; the oracle is the step that
+    starts from the previous displacement."""
+
+    def test_one_newton_solve_per_step(self, off_axis_readme_beam, newton_calls):
+        mesh, params, f = off_axis_readme_beam
+        system = build_nonlinear_system(mesh, params)
+        state = SimState.rest(mesh.n_nodes)
+        newton = []
+        for _ in range(30):
+            solves = system.solver.solves
+            state = step_newmark_nonlinear(system, state, f, 1 / 60)
+            newton.append(system.solver.solves - solves)
+        assert newton == [1] * 30
+        assert len(newton_calls) == 30    # no retry from the previous displacement
+
+    def test_matches_previous_state_start_over_120_steps(self, off_axis_readme_beam):
+        mesh, params, f = off_axis_readme_beam
+        system = build_nonlinear_system(mesh, params)
+        ref_system = build_nonlinear_system(mesh, params)
+        state = ref_state = SimState.rest(mesh.n_nodes)
+        diffs, peaks = [], []
+        for _ in range(120):
+            state = step_newmark_nonlinear(system, state, f, 1 / 60)
+            ref_state = reference_paths.previous_state_newmark_step(ref_system, ref_state, f,
+                                                                    1 / 60)
+            diffs.append(np.abs(state.u - ref_state.u).max())
+            peaks.append(np.abs(ref_state.u).max())
+        assert max(diffs) <= 1e-8 * max(peaks)
+        assert system.solver.solves == 120 < ref_system.solver.solves
+
+    def test_inverted_predictor_retries_from_previous_state(self, bending_beam, neo_hookean,
+                                                            newton_calls):
+        # at rest, with an acceleration that moves the free tip corner along -x
+        # by 1.4 cell lengths at the predictor u_pred + dt^2/4 a (inverted) and
+        # by 0.7 at u_pred
+        dt = 1 / 60
+        x = bending_beam.nodes
+        tip = int(np.argmax(x @ np.array([1.0, 1e-3, 1e-6])))
+        state = SimState.rest(bending_beam.n_nodes)
+        state.a[3 * tip] = -1.4 * (2.0 / 6) / (0.5 * dt * dt)
+        predictor = state.u + dt * state.v + 0.5 * dt * dt * state.a
+        assert reference_paths.min_det(bending_beam, predictor) < 0.0
+        f = np.zeros(3 * bending_beam.n_nodes)
+        system = build_nonlinear_system(bending_beam, neo_hookean)
+        out = step_newmark_nonlinear(system, state, f, dt)
+        assert len(newton_calls) == 2 and not newton_calls[1].any()    # the retry from rest
+        ref = reference_paths.previous_state_newmark_step(
+            build_nonlinear_system(bending_beam, neo_hookean), state, f, dt)
+        assert np.abs(out.u - ref.u).max() <= 1e-9 * np.abs(ref.u).max()
+        assert reference_paths.min_det(bending_beam, out.u) > 0.0
+
+    def test_unconverged_predictor_start_retries(self, off_axis_readme_beam, monkeypatch):
+        # the first Newton loop of each step gets max_iter 0, so it reports
+        # non-converged; the retry is the previous-displacement step
+        mesh, params, f = off_axis_readme_beam
+        calls = []
+        original = dynamics.newton_solve
+
+        def first_fails(residual, tangent, u0, tol, max_iter, solver):
+            calls.append(u0)
+            return original(residual, tangent, u0, tol, max_iter if len(calls) > 1 else 0,
+                            solver)
+
+        monkeypatch.setattr(dynamics, "newton_solve", first_fails)
+        system = build_nonlinear_system(mesh, params)
+        ref_system = build_nonlinear_system(mesh, params)
+        state = ref_state = SimState.rest(mesh.n_nodes)
+        for _ in range(3):
+            calls.clear()
+            previous = system.pre.free.gather(state.u)
+            state = step_newmark_nonlinear(system, state, f, 1 / 60)
+            ref_state = reference_paths.previous_state_newmark_step(ref_system, ref_state, f,
+                                                                    1 / 60)
+            assert len(calls) == 2 and np.array_equal(calls[1], previous)
+            assert np.abs(state.u - ref_state.u).max() <= 1e-9 * np.abs(ref_state.u).max()
 
 
 @pytest.fixture
@@ -476,6 +577,9 @@ class TestTangentSolver:
 
     def test_newmark_matches_factorize_every_solve(self, bending_beam, neo_hookean,
                                                    factorize_every_solve):
+        # the load is switched off and on every 5 steps: under a constant load
+        # the predictor start takes one iteration per step, while each
+        # unloaded step takes two to reach the absolute tolerance NEWTON_ATOL
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0.2], 0.8))
 
         def run(solver):
@@ -484,9 +588,9 @@ class TestTangentSolver:
                 system.solver = solver
             state = SimState.rest(bending_beam.n_nodes)
             traj, newton = [], []
-            for _ in range(30):
+            for k in range(30):
                 before = system.solver.solves
-                state = step_newmark_nonlinear(system, state, f, 1 / 60)
+                state = step_newmark_nonlinear(system, state, f * (k // 5 % 2 == 0), 1 / 60)
                 traj.append(state.u)
                 newton.append(system.solver.solves - before)
             return np.array(traj), newton, system.solver

@@ -1,5 +1,6 @@
 """tools/time_layers.py on a tiny beam: every timed call runs and reports
-its median and quartiles, and the band factors report their sizes."""
+its median and quartiles, the band factors report their sizes and the
+Newmark trajectory reports its Newton solves per step."""
 
 import importlib.util
 from pathlib import Path
@@ -41,6 +42,11 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
         stats = tiny[layer]
         assert stats["calls"] == 3
         assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]
+    # the Newmark step: one call per step of the fixed 30-step trajectory
+    stats = tiny["newmark_step"]
+    assert stats["calls"] == tool.NEWMARK_STEPS == 30
+    assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]
+    assert tiny["newmark_solves_per_step"] >= 1.0
 
 
 def test_deformed_state_strains_without_inverting(monkeypatch):

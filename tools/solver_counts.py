@@ -8,9 +8,12 @@ TREE is a checkout with ``bench/run.py`` and ``src/``; the workload runs
 once, in this process, from that tree's benchmark with ``--seconds 0``. Every
 ``dynamics.TangentSolver`` it creates is recorded, and the output is one JSON
 object with the sums of their counters: ``solves``, ``factorizations``,
-``pcg_iterations`` and ``fallbacks``. The counts depend only on the inputs
-and the code, not on the host's speed, so they repeat exactly and compare
-two trees without A/B pairs. Standard output of the benchmark goes to
+``pcg_iterations`` and ``fallbacks``, plus ``newton_calls``, the calls of
+``dynamics.newton_solve`` from the Newmark ground truth and registration. A
+Newmark step calls it once, and once more when it retries from the previous
+displacement, so calls beyond the step count are retries. The counts depend
+only on the inputs and the code, not on the host's speed, so they repeat
+exactly and compare two trees without A/B pairs. Standard output of the benchmark goes to
 standard error; the JSON is the only line on standard output.
 
 The tool pins its own process to one CPU before it runs the workload.
@@ -44,6 +47,17 @@ def count(tree: str, workload: str, seed: int) -> dict:
         solvers.append(self)
 
     solver_class.__init__ = recording_init
+    newton_solve = bench.dynamics.newton_solve
+    newton_calls = []
+
+    def counting_newton_solve(*args, **kwargs):
+        newton_calls.append(1)
+        return newton_solve(*args, **kwargs)
+
+    # registration binds the name at import, so both modules are patched
+    callers = (bench.dynamics, bench.registration)
+    for module in callers:
+        module.newton_solve = counting_newton_solve
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     try:
         os.makedirs(bench.OUT_DIR, exist_ok=True)
@@ -51,7 +65,10 @@ def count(tree: str, workload: str, seed: int) -> dict:
             bench.run_workload(workload, seed, 0.0, traced=False)
     finally:
         solver_class.__init__ = init
-    return {name: sum(getattr(s, name) for s in solvers) for name in COUNTERS}
+        for module in callers:
+            module.newton_solve = newton_solve
+    counts = {name: sum(getattr(s, name) for s in solvers) for name in COUNTERS}
+    return {**counts, "newton_calls": len(newton_calls)}
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,5 @@
-"""Time the material assembly and the factorization layers on the benchmark
-beams.
+"""Time the material assembly, the factorization layers and the Newmark
+ground-truth step on the benchmark beams.
 
 Usage (from the repository root)::
 
@@ -28,17 +28,23 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   node-level copy (one DOF per node); ``rsw_band_rows`` and ``rsw_band_mb``
   give the size of its band, and ``rsw_backsolve`` times its ``solve`` of a
   fixed random right-hand side of 3 n_free entries, one column per
-  component: the solve of one ``rsw_warp`` step.
+  component: the solve of one ``rsw_warp`` step;
+* ``newmark_step``: ``step_newmark_nonlinear`` along a fixed trajectory of
+  ``NEWMARK_STEPS`` = 30 steps from rest, dt = 1/60, under the benchmark's
+  nominal off-axis load (direction (sin 45 cos 75, cos 45, sin 45 sin 75),
+  scaled so that the static linear solution has max |u| = 0.7), one call per
+  step; ``newmark_solves_per_step`` is the mean number of Newton solves of
+  its steps.
 
 The deformed state is fixed: with s = (x - x_min) / (x_max - x_min) along
 the beam axis, every node turns by 0.6 s radians about the axis and moves by
 0.15 s^2 along +y. It strains every element without inverting any (the
 neo-Hookean calls would raise ``InvertedElementError``).
 
-Every call is run ``warmup`` times untimed, then ``calls`` times; the
-output is one JSON object with the median and quartiles in milliseconds per
-call, ``nproc``, the Python, numpy and scipy versions and the BLAS thread
-variables. The variables are pinned to 1 unless they are set, as in the
+Every call but the Newmark step is run ``warmup`` times untimed, then
+``calls`` times; the output is one JSON object with the median and quartiles
+in milliseconds per call, ``nproc``, the Python, numpy and scipy versions and
+the BLAS thread variables. The variables are pinned to 1 unless they are set, as in the
 benchmark.
 """
 
@@ -59,7 +65,9 @@ import scipy  # noqa: E402
 
 from deepwarp import warper  # noqa: E402
 from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, BandedCholesky,  # noqa: E402
-                               build_linear_system)
+                               SimState, build_linear_system, build_nonlinear_system,
+                               step_newmark_nonlinear)
+from deepwarp.features import ForceField, force_vector  # noqa: E402
 from deepwarp.material import (MaterialModel, MaterialParams, MeshPrecomp,  # noqa: E402
                                assemble_force, assemble_stiffness, total_elastic_energy)
 from deepwarp.mesh import normalize_to_unit_sphere  # noqa: E402
@@ -70,6 +78,11 @@ PARAMS = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
 MESHES = {"readme_beam": (16, 5, 5), "large_beam": (32, 9, 9)}
 LENGTHS = (2.0, 0.8, 0.8)
 DT = 1 / 60
+NEWMARK_STEPS = 30
+_ALPHA, _BETA = np.radians(75.0), np.radians(45.0)
+LOAD_DIRECTION = np.array([np.sin(_BETA) * np.cos(_ALPHA), np.cos(_BETA),
+                           np.sin(_BETA) * np.sin(_ALPHA)])
+STATIC_MAX_U = 0.7
 
 
 def deformed_state(mesh) -> np.ndarray:
@@ -85,6 +98,12 @@ def deformed_state(mesh) -> np.ndarray:
     return u.ravel()
 
 
+def _quartiles(times) -> dict:
+    q1, med, q3 = np.percentile(np.asarray(times) * 1e3, [25, 50, 75])
+    return {"median_ms": float(med), "q1_ms": float(q1), "q3_ms": float(q3),
+            "calls": len(times)}
+
+
 def _stats(fn, calls: int, warmup: int) -> dict:
     for _ in range(warmup):
         fn()
@@ -93,8 +112,26 @@ def _stats(fn, calls: int, warmup: int) -> dict:
         t0 = time.perf_counter()
         fn()
         times[k] = time.perf_counter() - t0
-    q1, med, q3 = np.percentile(times * 1e3, [25, 50, 75])
-    return {"median_ms": float(med), "q1_ms": float(q1), "q3_ms": float(q3), "calls": calls}
+    return _quartiles(times)
+
+
+def newmark_trajectory(mesh, K) -> tuple[list, list]:
+    """Wall time (s) and Newton solves of each step of the fixed Newmark
+    trajectory; K is the free-DOF linear rest stiffness."""
+    free = mesh.free_dofs()
+    unit = force_vector(mesh, ForceField.directional(LOAD_DIRECTION, 1.0))
+    static = free.scatter(BandedCholesky(K, 3).solve(free.gather(unit)))
+    f = STATIC_MAX_U / np.linalg.norm(static.reshape(-1, 3), axis=1).max() * unit
+    system = build_nonlinear_system(mesh, PARAMS)
+    state = SimState.rest(mesh.n_nodes)
+    times, solves = [], []
+    for _ in range(NEWMARK_STEPS):
+        before = system.solver.solves
+        t0 = time.perf_counter()
+        state = step_newmark_nonlinear(system, state, f, DT)
+        times.append(time.perf_counter() - t0)
+        solves.append(system.solver.solves - before)
+    return times, solves
 
 
 def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
@@ -117,6 +154,7 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     # the 3 n_free right-hand side of one step, in the factor's columns
     rhs = np.random.default_rng(1).standard_normal(mesh.free_dofs().index.size)
     rhs = rhs.reshape(rsw.band.shape[1], -1)
+    newmark_times, newmark_solves = newmark_trajectory(mesh, system.K)
     return {
         "nodes": mesh.n_nodes, "tets": len(mesh.tets),
         "setup": _stats(lambda: assemble_stiffness(mesh, linear, np.zeros(n), MeshPrecomp(mesh)),
@@ -133,6 +171,8 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
         "rsw_band_rows": rsw.band.shape[0], "rsw_band_mb": rsw.band.nbytes / 1e6,
         "rsw_fit": _stats(rsw_fit, calls, warmup),
         "rsw_backsolve": _stats(lambda: rsw.solve(rhs), calls, warmup),
+        "newmark_step": _quartiles(newmark_times),
+        "newmark_solves_per_step": sum(newmark_solves) / NEWMARK_STEPS,
     }
 
 
