@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .material import InvertedElementError, MaterialParams, MeshPrecomp, assemble_force, \
@@ -222,12 +222,14 @@ class BandedCholesky:
         band = cholesky_banded(analysis.pack(A.data), overwrite_ab=True, lower=True,
                                check_finite=False)
         self._analysis, self.perm, self.band = analysis, analysis.perm, band
+        self._pbtrs = get_lapack_funcs("pbtrs", (band,))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        # LAPACK directly: b[perm] always has the band's column count, the one
+        # argument cho_solve_banded's checks could reject
         b = np.asarray(b, dtype=np.float64)
         x = np.empty_like(b)
-        x[self.perm] = cho_solve_banded((self.band, True), b[self.perm],
-                                        overwrite_b=True, check_finite=False)
+        x[self.perm] = self._pbtrs(self.band, b[self.perm], lower=1, overwrite_b=1)[0]
         return x
 
 

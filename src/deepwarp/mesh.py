@@ -7,6 +7,16 @@ File formats (plain text, ``#`` starts a comment, blank lines ignored):
 * element file:   one tetrahedron per line, ``index n0 n1 n2 n3``
 * anchor file:    one node index per line (Dirichlet-fixed nodes)
 * partition file: one non-negative domain label per tetrahedron line
+
+Fields are separated by whitespace; a comment may hold any text. An index,
+corner, anchor or label is a 64-bit integer: an optional sign and ASCII
+digits. A coordinate is an ASCII decimal number with optional sign, fraction
+and exponent (``-2.5``, ``.5``, ``3e-2``); ``nan`` and ``inf`` parse and are
+rejected as non-finite. This is the grammar of ``np.loadtxt``, which reads
+each file in one pass. Spellings that only Python's ``int`` and ``float``
+accept (``1_000``, non-ASCII digits, integers past 64 bits) are rejected.
+Every rejected file raises ``MeshFormatError``, which names the file and,
+where there is one, the first bad line.
 """
 
 from __future__ import annotations
@@ -26,15 +36,6 @@ class MeshError(Exception):
 
 class MeshFormatError(MeshError):
     """Malformed mesh input (parse error, bad index, degenerate element)."""
-
-
-def _iter_data_lines(stream: Iterable[str]):
-    """Yield (line_number, tokens) for non-empty, non-comment lines."""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line.split()
 
 
 @dataclass(frozen=True)
@@ -125,79 +126,142 @@ def tet_volumes(mesh: TetMesh) -> np.ndarray:
     return signed_volumes(mesh.nodes, mesh.tets)
 
 
+def _data_text(line: str) -> str:
+    """A line without its ``#`` comment and surrounding whitespace."""
+    return line.split("#", 1)[0].strip()
+
+
+# One structured row per text format: np.loadtxt reads each field's columns
+# with the field's dtype and rejects a line with another number of columns.
+_NODE_ROW = np.dtype([("index", np.int64), ("xyz", np.float64, (3,))])
+_ELEMENT_ROW = np.dtype([("index", np.int64), ("corners", np.int64, (4,))])
+_VALUE_ROW = np.dtype([("value", np.int64, (1,))])
+
+
+def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    # np.loadtxt's integer parser (numpy 2.4) can read out of bounds on some
+    # non-ASCII characters and crash at random, so such text never reaches it
+    if not all(map(str.isascii, lines)):
+        raise ValueError("non-ASCII data")
+    return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+
+
+def _read_table(stream: Iterable[str], what: str, usage: str, row: np.dtype,
+                checks) -> np.ndarray:
+    """The rows of one text table, parsed in one pass and checked as arrays.
+
+    ``checks(rows)`` lists (bad, message) pairs: a mask of the rows that fail
+    the check and the message of failing row k. A rejected table raises a
+    MeshFormatError that names ``what`` and the first data line that cannot
+    be read or fails a check, the earlier check first. Only a table that
+    cannot be read is read again, in halves, to find its first unreadable
+    line. A table without data lines has no rows.
+    """
+    lines = list(stream)
+    if not all(map(str.isascii, lines)):
+        # the data of each line, its fields split at any Unicode whitespace
+        lines = [" ".join(_data_text(line).split()) for line in lines]
+    if not any(map(_data_text, lines)):
+        return np.empty(0, row)  # np.loadtxt warns on a table without data
+    try:
+        rows = _parse(lines, row)
+    except ValueError as exc:
+        found = _first_unreadable(lines, row, usage)
+        if found is None:
+            raise MeshFormatError(f"{what}: {exc}") from None
+        stop, why = found
+        _read_table(lines[:stop], what, usage, row, checks)  # a check fails earlier
+        raise MeshFormatError(f"{what} line {stop + 1}: {why}") from None
+    results = checks(rows)
+    failed = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(results) if bad.any()]
+    if failed:
+        k, i = min(failed)
+        lineno = [n for n, line in enumerate(lines, start=1) if _data_text(line)][k]
+        raise MeshFormatError(f"{what} line {lineno}: {results[i][1](k)}")
+    return rows
+
+
+def _first_unreadable(lines: list[str], row: np.dtype, usage: str):
+    """(i, why) for the first of ``lines`` that ``_parse`` cannot read as
+    ``row``, found by halving the lines; None if it reads them all."""
+    if not any(map(_data_text, lines)):
+        return None
+    try:
+        _parse(lines, row)
+        return None
+    except ValueError:
+        pass
+    if len(lines) == 1:
+        tokens = _data_text(lines[0]).split()
+        columns = [row[name].base for name in row.names
+                   for _ in range(int(np.prod(row[name].shape)))]
+        if len(tokens) != len(columns):
+            return 0, usage
+        for token, dtype in zip(tokens, columns):
+            try:
+                _parse([token], dtype)
+            except ValueError:
+                return 0, f"could not convert {token!r} to {dtype}"
+        return 0, f"could not read {lines[0]!r}"
+    half = len(lines) // 2
+    first = _first_unreadable(lines[:half], row, usage)
+    if first is not None:
+        return first
+    second = _first_unreadable(lines[half:], row, usage)
+    return second and (half + second[0], second[1])
+
+
+def _contiguous(index: np.ndarray):
+    bad = index != np.arange(len(index))
+    return bad, lambda k: f"index {index[k]} not contiguous (expected {k})"
+
+
+def _in_range(indices: np.ndarray, n_nodes: int):
+    outside = (indices < 0) | (indices >= n_nodes)
+    return outside.any(axis=1), lambda k: f"node index {indices[k][outside[k]][0]} out of range"
+
+
 def load_mesh(node_text: Iterable[str], ele_text: Iterable[str],
               anchor_text: Iterable[str] | None = None) -> TetMesh:
     """Parse node/element/anchor streams into a validated TetMesh.
 
-    Tets with negative signed volume are repaired by swapping corners 2 and 3;
-    degenerate (zero-volume) tets are rejected.
+    Each stream is an iterable of lines in the grammar of the module
+    docstring. Tets with negative signed volume are repaired by swapping
+    corners 2 and 3; degenerate (zero-volume) tets are rejected.
     """
-    nodes = []
-    for lineno, tok in _iter_data_lines(node_text):
-        if len(tok) != 4:
-            raise MeshFormatError(f"node file line {lineno}: expected 'index x y z'")
-        try:
-            idx = int(tok[0])
-            xyz = [float(v) for v in tok[1:]]
-        except ValueError as exc:
-            raise MeshFormatError(f"node file line {lineno}: {exc}") from None
-        if idx != len(nodes):
-            raise MeshFormatError(
-                f"node file line {lineno}: index {idx} not contiguous (expected {len(nodes)})")
-        if not all(np.isfinite(xyz)):
-            raise MeshFormatError(f"node file line {lineno}: non-finite coordinate")
-        nodes.append(xyz)
-    if not nodes:
+    nodes = _read_table(node_text, "node file", "expected 'index x y z'", _NODE_ROW,
+                        lambda rows: [_contiguous(rows["index"]),
+                                      (~np.isfinite(rows["xyz"]).all(axis=1),
+                                       lambda k: "non-finite coordinate")])["xyz"]
+    if not len(nodes):
         raise MeshFormatError("node file contains no nodes")
-    nodes = np.array(nodes, dtype=np.float64)
-
-    tets = []
-    for lineno, tok in _iter_data_lines(ele_text):
-        if len(tok) != 5:
-            raise MeshFormatError(f"element file line {lineno}: expected 'index n0 n1 n2 n3'")
-        try:
-            idx = int(tok[0])
-            corners = [int(v) for v in tok[1:]]
-        except ValueError as exc:
-            raise MeshFormatError(f"element file line {lineno}: {exc}") from None
-        if idx != len(tets):
-            raise MeshFormatError(
-                f"element file line {lineno}: index {idx} not contiguous (expected {len(tets)})")
-        for c in corners:
-            if c < 0 or c >= len(nodes):
-                raise MeshFormatError(f"element file line {lineno}: node index {c} out of range")
-        if len(set(corners)) != 4:
-            raise MeshFormatError(f"element file line {lineno}: repeated corner index")
-        tets.append(corners)
-    if not tets:
+    tets = _read_table(ele_text, "element file", "expected 'index n0 n1 n2 n3'", _ELEMENT_ROW,
+                       lambda rows: [_contiguous(rows["index"]),
+                                     _in_range(rows["corners"], len(nodes)),
+                                     ((np.diff(np.sort(rows["corners"]), axis=1) == 0).any(axis=1),
+                                      lambda k: "repeated corner index")])["corners"]
+    if not len(tets):
         raise MeshFormatError("element file contains no tetrahedra")
-    tets = np.array(tets, dtype=np.int64)
     tets = orient_positive(nodes, tets)
 
-    anchors: set[int] = set()
+    anchors = np.empty(0, dtype=np.int64)
     if anchor_text is not None:
-        for lineno, tok in _iter_data_lines(anchor_text):
-            if len(tok) != 1:
-                raise MeshFormatError(f"anchor file line {lineno}: expected a single node index")
-            try:
-                a = int(tok[0])
-            except ValueError as exc:
-                raise MeshFormatError(f"anchor file line {lineno}: {exc}") from None
-            if a < 0 or a >= len(nodes):
-                raise MeshFormatError(f"anchor file line {lineno}: node index {a} out of range")
-            anchors.add(a)
-
-    return TetMesh(nodes=nodes, tets=tets, anchors=frozenset(anchors))
+        anchors = _read_table(anchor_text, "anchor file", "expected a single node index",
+                              _VALUE_ROW, lambda rows: [_in_range(rows["value"], len(nodes))])
+        anchors = anchors["value"].ravel()
+    return TetMesh(nodes=nodes, tets=tets, anchors=frozenset(anchors.tolist()))
 
 
 def orient_positive(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Repair tet orientation: swap corners 2,3 when volume is negative.
 
-    Zero volume (below a relative degeneracy threshold) is a hard error.
+    Zero volume (below a relative degeneracy threshold) is a hard error. The
+    sign and the threshold both come from one gather of each tet's edges.
     """
     tets = np.array(tets, dtype=np.int64, copy=True)
-    vols = signed_volumes(nodes, tets)
-    edges = nodes[tets] - nodes[tets[:, :1]]
+    p = nodes[tets]
+    edges = p[:, 1:] - p[:, :1]
+    vols = np.einsum("ij,ij->i", edges[:, 0], np.cross(edges[:, 1], edges[:, 2])) / 6.0
     edge_scale = np.abs(edges).max(axis=(1, 2))
     degenerate = np.abs(vols) <= 1e-12 * np.maximum(edge_scale, 1e-300) ** 3
     if np.any(degenerate):
@@ -341,15 +405,11 @@ class DomainPartition:
 
 
 def load_partition(stream: Iterable[str], mesh: TetMesh) -> DomainPartition:
-    labels = []
-    for lineno, tok in _iter_data_lines(stream):
-        if len(tok) != 1:
-            raise MeshFormatError(f"partition file line {lineno}: expected a single label")
-        try:
-            labels.append(int(tok[0]))
-        except ValueError as exc:
-            raise MeshFormatError(f"partition file line {lineno}: {exc}") from None
-    part = DomainPartition(np.array(labels, dtype=np.int64))
+    labels = _read_table(stream, "partition file", "expected a single label", _VALUE_ROW,
+                         lambda rows: [])["value"]
+    if not len(labels):
+        raise MeshFormatError("partition file contains no labels")
+    part = DomainPartition(labels.ravel())
     part.validate(mesh)
     return part
 

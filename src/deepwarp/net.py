@@ -110,13 +110,18 @@ def _act_grad(activation: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarra
 
 
 def forward_batch(weights: MlpWeights, X: np.ndarray, activation: Activation) -> np.ndarray:
-    """Network outputs for a batch of (standardized) feature rows."""
-    a = np.asarray(X, dtype=np.float64)
+    """Network outputs for a batch of (standardized) feature rows.
+
+    Feature-major: each layer is W @ Aᵀ plus the bias in place; the result
+    is the transposed view of the (outputs, rows) array.
+    """
+    a = np.asarray(X, dtype=np.float64).T
     last = len(weights.weights) - 1
     for i, (W, b) in enumerate(zip(weights.weights, weights.biases)):
-        z = a @ W.T + b
+        z = W @ a
+        z += b[:, None]
         a = z if i == last else _act(activation, z)
-    return a
+    return a.T
 
 
 def forward(weights: MlpWeights, x: np.ndarray, activation: Activation) -> np.ndarray:

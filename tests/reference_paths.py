@@ -15,7 +15,11 @@ factors as one node-level copy. So is the Newmark step whose Newton loop
 starts at the previous displacement, without the predictor start and its
 retry. So are the queue-loop BFS of the domain tree and the isomorphism
 search with its two neighbour loops, which ``csgraph`` and one
-adjacency-consistency test replaced in ``substructure``. The
+adjacency-consistency test replaced in ``substructure``. So are the
+per-line text loaders of ``mesh`` (Python ``int`` and ``float`` on each
+token), which one ``np.loadtxt`` pass and array checks replaced, with the
+orientation repair through ``np.linalg.det``, and the MLP forward pass on
+rows (``A @ W.T``), which ``net`` computes feature-major. The
 constitutive oracles live here as well: central differences of the energy
 and of the element force, and the material states they are checked at
 (rest, strained, nearly inverted), built one element at a time, for the
@@ -24,6 +28,7 @@ kernel tests and acceptance criterion 1.
 
 import heapq
 from types import SimpleNamespace
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +44,9 @@ from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
                                det_and_inverse_transpose, element_internal_force,
                                element_precomp, energy_density,
                                piola_stress_differential_batch)
-from deepwarp.mesh import MeshError, lumped_mass, node_adjacency
-from deepwarp.net import forward_batch
+from deepwarp.mesh import (DomainPartition, MeshError, MeshFormatError, TetMesh, lumped_mass,
+                           node_adjacency, signed_volumes)
+from deepwarp.net import Activation, forward_batch
 from deepwarp.registration import (RankDeficientNeighborhoodError, build_rotation_blockdiag,
                                    rotation_from_vector)
 from deepwarp.warper import EXTRAPOLATION_ZMAX
@@ -708,3 +714,134 @@ def graphs_isomorphic(g1, g2):
     if extend(0):
         return True, dict(mapping)
     return False, None
+
+
+# ---------------------------------------------------------------------------
+# per-line mesh text loaders
+#
+# The earlier readers of the node, element, anchor and partition files: one
+# Python pass per line, ``int`` and ``float`` on each token, and the
+# orientation repair through ``np.linalg.det``. The package parses each file
+# in one ``np.loadtxt`` pass and checks the rows as arrays.
+# ---------------------------------------------------------------------------
+
+def _iter_data_lines(stream: Iterable[str]):
+    """Yield (line_number, tokens) for non-empty, non-comment lines."""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        yield lineno, line.split()
+
+
+def load_mesh(node_text: Iterable[str], ele_text: Iterable[str],
+              anchor_text: Iterable[str] | None = None) -> TetMesh:
+    """Parse node/element/anchor streams into a validated TetMesh.
+
+    Tets with negative signed volume are repaired by swapping corners 2 and 3;
+    degenerate (zero-volume) tets are rejected.
+    """
+    nodes = []
+    for lineno, tok in _iter_data_lines(node_text):
+        if len(tok) != 4:
+            raise MeshFormatError(f"node file line {lineno}: expected 'index x y z'")
+        try:
+            idx = int(tok[0])
+            xyz = [float(v) for v in tok[1:]]
+        except ValueError as exc:
+            raise MeshFormatError(f"node file line {lineno}: {exc}") from None
+        if idx != len(nodes):
+            raise MeshFormatError(
+                f"node file line {lineno}: index {idx} not contiguous (expected {len(nodes)})")
+        if not all(np.isfinite(xyz)):
+            raise MeshFormatError(f"node file line {lineno}: non-finite coordinate")
+        nodes.append(xyz)
+    if not nodes:
+        raise MeshFormatError("node file contains no nodes")
+    nodes = np.array(nodes, dtype=np.float64)
+
+    tets = []
+    for lineno, tok in _iter_data_lines(ele_text):
+        if len(tok) != 5:
+            raise MeshFormatError(f"element file line {lineno}: expected 'index n0 n1 n2 n3'")
+        try:
+            idx = int(tok[0])
+            corners = [int(v) for v in tok[1:]]
+        except ValueError as exc:
+            raise MeshFormatError(f"element file line {lineno}: {exc}") from None
+        if idx != len(tets):
+            raise MeshFormatError(
+                f"element file line {lineno}: index {idx} not contiguous (expected {len(tets)})")
+        for c in corners:
+            if c < 0 or c >= len(nodes):
+                raise MeshFormatError(f"element file line {lineno}: node index {c} out of range")
+        if len(set(corners)) != 4:
+            raise MeshFormatError(f"element file line {lineno}: repeated corner index")
+        tets.append(corners)
+    if not tets:
+        raise MeshFormatError("element file contains no tetrahedra")
+    tets = np.array(tets, dtype=np.int64)
+    tets = orient_positive(nodes, tets)
+
+    anchors: set[int] = set()
+    if anchor_text is not None:
+        for lineno, tok in _iter_data_lines(anchor_text):
+            if len(tok) != 1:
+                raise MeshFormatError(f"anchor file line {lineno}: expected a single node index")
+            try:
+                a = int(tok[0])
+            except ValueError as exc:
+                raise MeshFormatError(f"anchor file line {lineno}: {exc}") from None
+            if a < 0 or a >= len(nodes):
+                raise MeshFormatError(f"anchor file line {lineno}: node index {a} out of range")
+            anchors.add(a)
+
+    return TetMesh(nodes=nodes, tets=tets, anchors=frozenset(anchors))
+
+
+def orient_positive(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Repair tet orientation: swap corners 2,3 when volume is negative.
+
+    Zero volume (below a relative degeneracy threshold) is a hard error.
+    """
+    tets = np.array(tets, dtype=np.int64, copy=True)
+    vols = signed_volumes(nodes, tets)
+    edges = nodes[tets] - nodes[tets[:, :1]]
+    edge_scale = np.abs(edges).max(axis=(1, 2))
+    degenerate = np.abs(vols) <= 1e-12 * np.maximum(edge_scale, 1e-300) ** 3
+    if np.any(degenerate):
+        raise MeshFormatError(f"zero-volume tetrahedron at index {int(np.argmax(degenerate))}")
+    flip = vols < 0
+    if np.any(flip):
+        tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
+    return tets
+
+
+def load_partition(stream: Iterable[str], mesh: TetMesh) -> DomainPartition:
+    labels = []
+    for lineno, tok in _iter_data_lines(stream):
+        if len(tok) != 1:
+            raise MeshFormatError(f"partition file line {lineno}: expected a single label")
+        try:
+            labels.append(int(tok[0]))
+        except ValueError as exc:
+            raise MeshFormatError(f"partition file line {lineno}: {exc}") from None
+    part = DomainPartition(np.array(labels, dtype=np.int64))
+    part.validate(mesh)
+    return part
+
+
+# ---------------------------------------------------------------------------
+# row-major MLP forward pass
+# ---------------------------------------------------------------------------
+
+def row_major_forward_batch(weights, X, activation):
+    """Network outputs for a batch of rows, one ``a @ W.T + b`` per layer."""
+    a = np.asarray(X, dtype=np.float64)
+    last = len(weights.weights) - 1
+    for i, (W, b) in enumerate(zip(weights.weights, weights.biases)):
+        z = a @ W.T + b
+        if i < last:
+            z = np.tanh(z) if activation is Activation.TANH else np.maximum(z, 0.0)
+        a = z
+    return a

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded
 
 from deepwarp import dynamics, warper
 from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme,
@@ -688,6 +689,16 @@ class TestBandedCholesky:
         assert X.shape == B.shape
         for k in range(3):
             assert np.array_equal(X[:, k], factor.solve(B[:, k]))
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["one_rhs", "three_rhs"])
+    def test_solve_is_cho_solve_banded_bitwise(self, shape):
+        """The direct pbtrs call returns what scipy's checked wrapper does."""
+        _, A = self.newmark_matrix(shuffled_readme_beam(seed=5))
+        factor = BandedCholesky(A, 3)
+        b = np.random.default_rng(9).standard_normal((A.shape[0], *shape))
+        want = np.empty_like(b)
+        want[factor.perm] = cho_solve_banded((factor.band, True), b[factor.perm])
+        assert np.array_equal(factor.solve(b), want)
 
     def test_refactor_reuses_the_analysis_bitwise(self, bending_beam, neo_hookean, analyses):
         K0, J, b = bent_tangents(bending_beam, neo_hookean)

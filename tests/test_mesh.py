@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from scipy.sparse import csgraph
 from deepwarp.mesh import (DomainPartition, MeshError, MeshFormatError, TetMesh,
                            load_mesh, load_partition,
                            lumped_mass, mass_center, node_adjacency,
-                           normalize_to_unit_sphere, select_pseudo_anchor,
+                           normalize_to_unit_sphere, orient_positive, select_pseudo_anchor,
                            signed_volumes, tet_volumes, write_mesh_files)
 from deepwarp.meshgen import beam, partition_by_axis, t_shape
+
+import reference_paths
 
 
 def make_streams(nodes, tets, anchors=()):
@@ -72,6 +75,189 @@ class TestLoadMesh:
 
     def test_all_volumes_positive_after_load(self, bending_beam):
         assert np.all(signed_volumes(bending_beam.nodes, bending_beam.tets) > 0)
+
+
+def mesh_texts(mesh):
+    """The node, element and anchor file texts of ``mesh``."""
+    files = io.StringIO(), io.StringIO(), io.StringIO()
+    write_mesh_files(mesh, *files)
+    return [f.getvalue() for f in files]
+
+
+def replace_line(text, lineno, line):
+    lines = text.splitlines(keepends=True)
+    lines[lineno - 1] = line + "\n"
+    return "".join(lines)
+
+
+def decorate(text):
+    """``text`` with a header, comment and blank lines, inline comments,
+    tabs and CRLF endings."""
+    out = ["# header, then a blank line\r\n", "\r\n"]
+    for k, line in enumerate(text.splitlines()):
+        if k % 3 == 0:
+            line = line.replace(" ", "\t", 1) + "  # inline comment"
+        elif k % 3 == 1:
+            out.append("   # an indented comment\r\n")
+            line = " " + line.replace(" ", " \t ") + "\t"
+        out.append(line + "\r\n")
+    return "".join(out)
+
+
+def unicode_spaces(text):
+    """``text`` with non-ASCII whitespace around and between the fields of
+    every other line, and a non-ASCII comment."""
+    lines = text.splitlines()
+    lines[::2] = ["\u00a0" + line.replace(" ", "\u2003") + "\u3000" for line in lines[::2]]
+    return "# maße in metern\n" + "\n".join(lines)
+
+
+def outcome(load, *texts):
+    """(mesh or None, MeshFormatError message or None) of ``load`` on the
+    texts, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return load(*(io.StringIO(t, newline="") for t in texts)), None
+        except MeshFormatError as exc:
+            return None, str(exc)
+
+
+def where(message):
+    """The file and line a MeshFormatError message names, or None."""
+    head = message.split(":", 1)[0]
+    return head if " line " in head else None
+
+
+def assert_same_mesh(got, want):
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.tets, want.tets)
+    assert got.anchors == want.anchors
+
+
+SMALL = mesh_texts(beam(3, 2, 2))   # 36 nodes
+BAD_NODE_LINE = 3      # node 2
+BAD_ELEMENT_LINE = 4   # tet 3
+
+
+class TestLoaderMatchesPerLineReference:
+    """One np.loadtxt pass per file against the per-line loaders it
+    replaced: the same meshes from valid files, a MeshFormatError naming
+    the same line from malformed ones."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: beam(3, 2, 2),
+        lambda: beam(16, 5, 5, lengths=(2.0, 0.8, 0.8)),
+        lambda: shuffled_nodes(beam(5, 3, 2), seed=3).with_anchors([0, 7, 11]),
+    ], ids=["small", "readme", "shuffled"])
+    @pytest.mark.parametrize("dress", [lambda t: t, decorate, unicode_spaces],
+                             ids=["plain", "decorated", "unicode_spaces"])
+    def test_valid_files_load_the_same_mesh(self, make, dress):
+        texts = [dress(t) for t in mesh_texts(make())]
+        got, error = outcome(load_mesh, *texts)
+        want, ref_error = outcome(reference_paths.load_mesh, *texts)
+        assert error is None and ref_error is None
+        assert_same_mesh(got, want)
+
+    @pytest.mark.parametrize("which, lineno, line", [
+        (0, BAD_NODE_LINE, "2 0 0"),
+        (0, BAD_NODE_LINE, "2 0 0 0 0"),
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 3 4"),
+        (0, BAD_NODE_LINE, "bad 0 0 0"),
+        (0, BAD_NODE_LINE, "1.0 0 0 0"),
+        (1, BAD_ELEMENT_LINE, "1.0 0 1 2 3"),
+        (0, BAD_NODE_LINE, "2 nan 0 0"),
+        (0, BAD_NODE_LINE, "2 0 1e400 0"),
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 -1"),
+        (1, BAD_ELEMENT_LINE, f"3 0 1 2 {2**63}"),
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 99999999999999999999"),
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 2"),
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 36"),
+        (1, BAD_ELEMENT_LINE, "4 0 1 2 3"),
+        (2, 2, "36"),
+        (2, 2, "-1"),
+        (2, 2, "0 1"),
+        (2, 2, "x"),
+        # Python's int reads these, np.loadtxt does not
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 1_0"),
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 \u0663"),
+        # a non-ASCII character np.loadtxt's integer parser can crash on
+        (1, BAD_ELEMENT_LINE, "3 0 1 2 \U0002c6ca"),
+    ])
+    def test_malformed_line_is_named(self, which, lineno, line):
+        texts = list(SMALL)
+        texts[which] = replace_line(texts[which], lineno, line)
+        got, error = outcome(load_mesh, *texts)
+        assert got is None
+        file = ("node file", "element file", "anchor file")[which]
+        assert where(error) == f"{file} line {lineno}"
+        _, ref_error = outcome(reference_paths.load_mesh, *texts)
+        if ref_error is not None and where(ref_error) is not None:
+            assert where(ref_error) == where(error)
+
+    def test_first_bad_line_wins(self):
+        """A check that fails on an earlier line than a line that cannot
+        be read is the one reported, as the per-line loader reports it."""
+        node = replace_line(SMALL[0], 2, "7 0 0 0")
+        node = replace_line(node, 5, "4 bad 0 0")
+        _, error = outcome(load_mesh, node, SMALL[1], SMALL[2])
+        _, ref_error = outcome(reference_paths.load_mesh, node, SMALL[1], SMALL[2])
+        assert error.startswith("node file line 2: index 7 not contiguous")
+        assert where(ref_error) == "node file line 2"
+        ele = replace_line(SMALL[1], 2, "1 0 1 2 2")
+        ele = replace_line(ele, 3, "2 0 1 2 99")
+        _, error = outcome(load_mesh, SMALL[0], ele, SMALL[2])
+        assert error == "element file line 2: repeated corner index"
+
+    @pytest.mark.parametrize("which, text, message", [
+        (0, "", "node file contains no nodes"),
+        (0, "# comment only\n\n", "node file contains no nodes"),
+        (1, "", "element file contains no tetrahedra"),
+        (1, "# comment only\n  \n", "element file contains no tetrahedra"),
+    ])
+    def test_empty_file(self, which, text, message):
+        texts = list(SMALL)
+        texts[which] = text
+        assert outcome(load_mesh, *texts) == (None, message)
+        assert outcome(reference_paths.load_mesh, *texts) == (None, message)
+
+    def test_zero_volume_tet(self):
+        node = replace_line(SMALL[0], 2, "1 0 0 0")  # node 1 onto node 0
+        texts = [node, SMALL[1], SMALL[2]]
+        got, error = outcome(load_mesh, *texts)
+        assert got is None and "zero-volume" in error
+        assert outcome(reference_paths.load_mesh, *texts) == (None, error)
+
+    def test_orientation_repair_matches_det(self):
+        rng = np.random.default_rng(2)
+        nodes = rng.standard_normal((40, 3))
+        tets = np.array([rng.choice(40, 4, replace=False) for _ in range(300)])
+        assert np.array_equal(orient_positive(nodes, tets),
+                              reference_paths.orient_positive(nodes, tets))
+
+    @pytest.mark.parametrize("line", ["0 1", "bad", "1.0", f"{2**63}",
+                                      "99999999999999999999", "\U0002c6ca"])
+    def test_malformed_partition_line_is_named(self, small_beam, line):
+        text = replace_line("0\n" * small_beam.n_tets, 5, line)
+        got, error = outcome(lambda f: load_partition(f, small_beam), text)
+        assert got is None and where(error) == "partition file line 5"
+        try:
+            _, ref_error = outcome(lambda f: reference_paths.load_partition(f, small_beam), text)
+        except OverflowError:  # the per-line loader's np.array of a label past int64
+            return
+        assert where(ref_error) == where(error)
+
+    @pytest.mark.parametrize("text", ["", "# comment only\n"])
+    def test_empty_partition_file(self, small_beam, text):
+        assert outcome(lambda f: load_partition(f, small_beam), text) == (
+            None, "partition file contains no labels")
+
+    def test_valid_partition_matches_reference(self, small_beam):
+        labels = (np.arange(small_beam.n_tets) >= 6).astype(int)
+        text = decorate("\n".join(map(str, labels)))
+        got, _ = outcome(lambda f: load_partition(f, small_beam), text)
+        want, _ = outcome(lambda f: reference_paths.load_partition(f, small_beam), text)
+        assert np.array_equal(got.labels, want.labels)
 
 
 class TestNormalize:

@@ -10,6 +10,8 @@ from deepwarp.net import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Activation, AdamConf
                           backward, forward, forward_batch, init_weights, load_network,
                           save_network, train)
 
+import reference_paths
+
 
 class TestSpec:
     def test_shape_invariants(self):
@@ -84,6 +86,23 @@ class TestForward:
         x = np.array([-1.0, 2.0, -3.0, 4.0, 0, 0, 0])
         out = forward(w, x, Activation.RELU)
         assert out[0] == pytest.approx(6.0)     # relu sum = 2 + 4
+
+
+class TestForwardBatchMatchesRowMajor:
+    """The feature-major pass against ``a @ W.T + b`` on rows."""
+
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
+    @pytest.mark.parametrize("rows", [1, 612, 3300])
+    def test_same_outputs(self, activation, rows):
+        spec = MlpSpec((7, 16, 16, 3), activation)
+        w = init_weights(spec, seed=6)
+        rng = np.random.default_rng(rows)
+        w.biases = [rng.standard_normal(b.shape) for b in w.biases]
+        X = rng.standard_normal((rows, 7))
+        got = forward_batch(w, X, activation)
+        want = reference_paths.row_major_forward_batch(w, X, activation)
+        assert got.shape == (rows, 3)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestBackward:

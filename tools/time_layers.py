@@ -1,5 +1,5 @@
-"""Time the material assembly, the factorization layers and the Newmark
-ground-truth step on the benchmark beams.
+"""Time the mesh loader, the material assembly, the factorization layers
+and the Newmark ground-truth step on the benchmark beams.
 
 Usage (from the repository root)::
 
@@ -9,6 +9,10 @@ Each mesh is the benchmark's beam, normalised to the unit sphere: the README
 beam ``beam(16, 5, 5)`` (612 nodes, 2400 tets) and ``beam(32, 9, 9)`` (3300
 nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
 
+* ``load_mesh``: ``load_mesh_files`` plus ``normalize_to_unit_sphere`` on
+  the node, element and anchor files of the beam before normalisation,
+  written once by ``write_mesh_files`` to a temporary directory: the call
+  that ``gendata-readme``'s ``setup_s`` times;
 * ``setup``: ``MeshPrecomp(mesh)`` plus its first linear ``assemble_stiffness``
   at rest, the set-up every solver pays once per mesh;
 * ``assemble_stiffness`` and ``assemble_force``: neo-Hookean, E = 1e4,
@@ -54,6 +58,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -70,7 +75,8 @@ from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, BandedCholesky,  # n
 from deepwarp.features import ForceField, force_vector  # noqa: E402
 from deepwarp.material import (MaterialModel, MaterialParams, MeshPrecomp,  # noqa: E402
                                assemble_force, assemble_stiffness, total_elastic_energy)
-from deepwarp.mesh import normalize_to_unit_sphere  # noqa: E402
+from deepwarp.mesh import (load_mesh_files, normalize_to_unit_sphere,  # noqa: E402
+                           write_mesh_files)
 from deepwarp.meshgen import beam  # noqa: E402
 from deepwarp.registration import gradient_operator  # noqa: E402
 
@@ -134,6 +140,15 @@ def newmark_trajectory(mesh, K) -> tuple[list, list]:
     return times, solves
 
 
+def time_load(mesh, calls: int, warmup: int) -> dict:
+    """Per-call timings of loading and normalising ``mesh`` from its files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "beam" + ext) for ext in (".node", ".ele", ".anchor")]
+        with open(paths[0], "w") as n, open(paths[1], "w") as e, open(paths[2], "w") as a:
+            write_mesh_files(mesh, n, e, a)
+        return _stats(lambda: normalize_to_unit_sphere(load_mesh_files(*paths)), calls, warmup)
+
+
 def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     """Per-call timings of the assembly layer on one mesh."""
     n = 3 * mesh.n_nodes
@@ -187,8 +202,9 @@ def run(meshes: dict, calls: int = 30, warmup: int = 3) -> dict:
     out = {"environment": environment(), "material": PARAMS.model.value,
            "youngs": PARAMS.youngs, "poisson": PARAMS.poisson}
     for name, cells in meshes.items():
-        mesh = normalize_to_unit_sphere(beam(*cells, lengths=LENGTHS))
-        out[name] = time_mesh(mesh, calls, warmup)
+        raw = beam(*cells, lengths=LENGTHS)
+        out[name] = {"load_mesh": time_load(raw, calls, warmup),
+                     **time_mesh(normalize_to_unit_sphere(raw), calls, warmup)}
     return out
 
 
