@@ -180,6 +180,9 @@ class _BandAnalysis:
         return band.reshape(self.shape, order="F")
 
 
+_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
+
+
 class BandedCholesky:
     """Cholesky factor of a sparse SPD matrix, stored as a band.
 
@@ -222,14 +225,13 @@ class BandedCholesky:
         band = cholesky_banded(analysis.pack(A.data), overwrite_ab=True, lower=True,
                                check_finite=False)
         self._analysis, self.perm, self.band = analysis, analysis.perm, band
-        self._pbtrs = get_lapack_funcs("pbtrs", (band,))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # LAPACK directly: b[perm] always has the band's column count, the one
         # argument cho_solve_banded's checks could reject
         b = np.asarray(b, dtype=np.float64)
         x = np.empty_like(b)
-        x[self.perm] = self._pbtrs(self.band, b[self.perm], lower=1, overwrite_b=1)[0]
+        x[self.perm] = _PBTRS(self.band, b[self.perm], lower=1, overwrite_b=1)[0]
         return x
 
 

@@ -8,19 +8,19 @@ File formats (plain text, ``#`` starts a comment, blank lines ignored):
 * anchor file:    one node index per line (Dirichlet-fixed nodes)
 * partition file: one non-negative domain label per tetrahedron line
 
-Fields are separated by whitespace; a comment may hold any text. An index,
-corner, anchor or label is a 64-bit integer: an optional sign and ASCII
-digits. A coordinate is an ASCII decimal number with optional sign, fraction
-and exponent (``-2.5``, ``.5``, ``3e-2``); ``nan`` and ``inf`` parse and are
-rejected as non-finite. This is the grammar of ``np.loadtxt``, which reads
-each file in one pass. Spellings that only Python's ``int`` and ``float``
-accept (``1_000``, non-ASCII digits, integers past 64 bits) are rejected.
-Every rejected file raises ``MeshFormatError``, which names the file and,
-where there is one, the first bad line.
+Fields are separated by whitespace; a comment may hold any text. Indices,
+corners, anchors and labels are 64-bit integers (optional sign, ASCII
+digits); a coordinate is an ASCII decimal number such as ``-2.5``, ``.5`` or
+``3e-2`` (``nan`` and ``inf`` are rejected as non-finite). Spellings only
+Python's ``int`` or ``float`` accept (``1_000``, non-ASCII digits, integers
+past 64 bits) and integers written as floats (``2.0``, ``1e1``) are rejected:
+every malformed file raises ``MeshFormatError`` naming the file and, where
+there is one, the first bad line.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import IO, Iterable
@@ -142,8 +142,11 @@ def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray:
     # np.loadtxt's integer parser (numpy 2.4) can read out of bounds on some
     # non-ASCII characters and crash at random, so such text never reaches it
     if not all(map(str.isascii, lines)):
-        raise ValueError("non-ASCII data")
-    return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        raise ValueError("non-ASCII characters outside a comment")
+    with warnings.catch_warnings():
+        # older numpy releases read '5.7' or '1e1' as an integer and only warn
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
 
 
 def _read_table(stream: Iterable[str], what: str, usage: str, row: np.dtype,
@@ -154,8 +157,8 @@ def _read_table(stream: Iterable[str], what: str, usage: str, row: np.dtype,
     the check and the message of failing row k. A rejected table raises a
     MeshFormatError that names ``what`` and the first data line that cannot
     be read or fails a check, the earlier check first. Only a table that
-    cannot be read is read again, in halves, to find its first unreadable
-    line. A table without data lines has no rows.
+    cannot be read is read again, line by line. A table without data lines
+    has no rows.
     """
     lines = list(stream)
     if not all(map(str.isascii, lines)):
@@ -166,12 +169,12 @@ def _read_table(stream: Iterable[str], what: str, usage: str, row: np.dtype,
     try:
         rows = _parse(lines, row)
     except ValueError as exc:
-        found = _first_unreadable(lines, row, usage)
-        if found is None:
-            raise MeshFormatError(f"{what}: {exc}") from None
-        stop, why = found
-        _read_table(lines[:stop], what, usage, row, checks)  # a check fails earlier
-        raise MeshFormatError(f"{what} line {stop + 1}: {why}") from None
+        for i, line in enumerate(lines):
+            why = _unreadable(line, row, usage)
+            if why:
+                _read_table(lines[:i], what, usage, row, checks)  # a check fails earlier
+                raise MeshFormatError(f"{what} line {i + 1}: {why}") from None
+        raise MeshFormatError(f"{what}: {exc}") from None
     results = checks(rows)
     failed = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(results) if bad.any()]
     if failed:
@@ -181,34 +184,18 @@ def _read_table(stream: Iterable[str], what: str, usage: str, row: np.dtype,
     return rows
 
 
-def _first_unreadable(lines: list[str], row: np.dtype, usage: str):
-    """(i, why) for the first of ``lines`` that ``_parse`` cannot read as
-    ``row``, found by halving the lines; None if it reads them all."""
-    if not any(map(_data_text, lines)):
+def _unreadable(line: str, row: np.dtype, usage: str) -> str | None:
+    """Why ``_parse`` cannot read ``line`` as ``row``; None if it can or the
+    line holds no data."""
+    tokens = _data_text(line).split()
+    if not tokens:
         return None
+    if len(tokens) != row.itemsize // 8:  # every column is 8 bytes wide
+        return usage
     try:
-        _parse(lines, row)
-        return None
-    except ValueError:
-        pass
-    if len(lines) == 1:
-        tokens = _data_text(lines[0]).split()
-        columns = [row[name].base for name in row.names
-                   for _ in range(int(np.prod(row[name].shape)))]
-        if len(tokens) != len(columns):
-            return 0, usage
-        for token, dtype in zip(tokens, columns):
-            try:
-                _parse([token], dtype)
-            except ValueError:
-                return 0, f"could not convert {token!r} to {dtype}"
-        return 0, f"could not read {lines[0]!r}"
-    half = len(lines) // 2
-    first = _first_unreadable(lines[:half], row, usage)
-    if first is not None:
-        return first
-    second = _first_unreadable(lines[half:], row, usage)
-    return second and (half + second[0], second[1])
+        _parse([line], row)
+    except ValueError as exc:
+        return str(exc).split(" at row")[0]
 
 
 def _contiguous(index: np.ndarray):
