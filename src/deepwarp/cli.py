@@ -29,7 +29,7 @@ from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteE
 from .features import FEATURE_ORDER, N_FEATURES, ForceField, geodesic_all, static_features
 from .material import InvertedElementError, MaterialModel, MaterialParams
 from .mesh import (MeshError, load_mesh_files, load_partition, normalize_to_unit_sphere,
-                   tet_volumes)
+                   tet_volumes, text_lines)
 from .net import (Activation, AdamConfig, MlpSpec, NetworkFormatError,
                   TrainingDivergedError, load_network_file, mse_loss, save_network, train)
 from .substructure import build_domain_graph, graphs_isomorphic
@@ -419,16 +419,14 @@ def cmd_compare(args) -> int:
 def cmd_partition_graph(args) -> int:
     cfg = RunConfig.from_args(args)
     mesh = _load_mesh(cfg)
-    with open(cfg.require("partition")) as f:
-        part = load_partition(f, mesh)
+    part = load_partition(text_lines(cfg.require("partition")), mesh)
     graph = build_domain_graph(mesh, part)
     print(f"domains {graph.n_vertices}")
     for a, b in sorted(graph.edges):
         print(f"edge {a} {b}")
     if cfg.get("partition2"):
         mesh2 = load_mesh_files(cfg.require("nodes2"), cfg.require("elements2"))
-        with open(cfg.require("partition2")) as f:
-            part2 = load_partition(f, mesh2)
+        part2 = load_partition(text_lines(cfg.require("partition2")), mesh2)
         graph2 = build_domain_graph(mesh2, part2)
         ok, mapping = graphs_isomorphic(graph, graph2)
         print(f"isomorphic {str(ok).lower()}")

@@ -132,7 +132,7 @@ class GeodesicField:
 
 
 def geodesic_all(mesh: TetMesh,
-                 adjacency: list[np.ndarray] | None = None) -> GeodesicField:
+                 adjacency: sp.csr_matrix | None = None) -> GeodesicField:
     """Multi-source Dijkstra from all anchors with Euclidean edge weights.
 
     A node equally near several anchors takes the anchor of its first
@@ -143,13 +143,13 @@ def geodesic_all(mesh: TetMesh,
         raise FeatureError("geodesic feature requires at least one anchor")
     adjacency = adjacency if adjacency is not None else node_adjacency(mesh)
     n = mesh.n_nodes
-    owner = np.repeat(np.arange(n), [len(nbr) for nbr in adjacency])
-    nbr = np.concatenate(adjacency).astype(np.int64)
+    owner = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+    nbr = adjacency.indices.astype(np.int64)
     d = mesh.nodes[nbr] - mesh.nodes[owner]
     # each edge length rounded as np.linalg.norm(d_k) rounds it (norm(axis=1)
     # can differ in the last bit), so that ties between equal paths are exact
     length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-    graph = sp.csr_matrix((length, (owner, nbr)), shape=(n, n))
+    graph = sp.csr_matrix((length, adjacency.indices, adjacency.indptr), shape=(n, n))
     dist = dijkstra(graph, directed=False, indices=mesh.anchor_array(), min_only=True)
     if not np.all(np.isfinite(dist)):
         bad = int(np.argmax(~np.isfinite(dist)))

@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TetMesh
+from .mesh import TetMesh, tet_node_graph
 
 
 class InvertedElementError(Exception):
@@ -141,9 +141,9 @@ class MeshPrecomp:
     shape-function gradients g_a, (4, 3, m) with the element axis last.
     ``grad`` is the element-gradient operator D (9m x 3n, four entries per
     row): vec(F - I) = D u, stored component-major as (3, 3, m), and the
-    force is f = -D^T vec(V P). The stiffness pattern comes from the node
-    pairs of each tet, with the slot of every element entry in it
-    (``_csr_pattern``). ``free`` holds the mesh's free DOFs, and
+    force is f = -D^T vec(V P). The stiffness pattern is the CSR node graph
+    ``mesh.tet_node_graph`` in 3x3 blocks, each element entry found by its
+    node pair (``_csr_pattern``). ``free`` holds the mesh's free DOFs, and
     ``free_block`` restricts an assembled stiffness to them.
     """
 
@@ -182,34 +182,25 @@ class MeshPrecomp:
 
     @cached_property
     def _csr_pattern(self):
-        """The stiffness pattern from the node pairs of each tet.
+        """The stiffness pattern from the node graph with its diagonal.
 
-        Node i's neighbours j (itself included), sorted, give the columns
-        3j..3j+2 of its rows 3i..3i+2: the entry (3i+p, 3j+r) sits at slot
-        9 start_i + 3 p deg_i + 3 q + r, with j the q-th of the deg_i
-        neighbours. Returns indptr, indices, the row of every slot, the
-        slot of each upper-triangle element entry ((78, m) flattened, always
-        an upper slot: row <= column) and the gather that fills every slot
-        from its upper twin.
+        Node i's neighbours j (itself included), the row i of
+        ``tet_node_graph``, give the columns 3j..3j+2 of its rows 3i..3i+2:
+        the entry (3i+p, 3j+r) sits at slot 9 start_i + 3 p deg_i + 3 q + r,
+        with j the q-th of the deg_i neighbours. Returns indptr, indices, the
+        row of every slot, the slot of each upper-triangle element entry
+        ((78, m) flattened, always an upper slot: row <= column) and the
+        gather that fills every slot from its upper twin.
         """
         n = self._n_nodes
-        na = self._tets[:, _CORNER_PAIRS[:, 0]].astype(np.int64)   # (m, 10)
-        nb = self._tets[:, _CORNER_PAIRS[:, 1]].astype(np.int64)
-        keys, pair = np.unique(np.minimum(na, nb) * n + np.maximum(na, nb),
-                               return_inverse=True)
-        lo, hi = np.divmod(keys, n)
-        off = np.flatnonzero(lo != hi)
-        # the node entries: the upper pairs, then the lower twins of the
-        # off-diagonal ones, each with its upper twin; then sorted by row
-        rows = np.concatenate([lo, hi[off]])
-        order = np.argsort(rows * n + np.concatenate([hi, lo[off]]))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        twin = rank[np.concatenate([np.arange(len(lo)), off])][order]
-        lower = order >= len(lo)
-        rows, cols = rows[order], np.concatenate([hi, lo[off]])[order]
-        deg = np.bincount(rows, minlength=n)
-        start = np.concatenate([[0], np.cumsum(deg)])
+        graph = tet_node_graph(self._tets, n)
+        start = graph.indptr.astype(np.int64)
+        deg = np.diff(start)
+        rows = np.repeat(np.arange(n), deg)
+        cols = graph.indices.astype(np.int64)
+        # each entry's upper twin (min, max), found by its key in the CSR order
+        keys = rows * n + cols
+        twin = np.searchsorted(keys, np.minimum(rows, cols) * n + np.maximum(rows, cols))
         base = 9 * start[rows] + 3 * (np.arange(len(rows)) - start[rows])
         stride = 3 * deg[rows]
 
@@ -222,14 +213,15 @@ class MeshPrecomp:
         row[slot] = 3 * rows + p
         # a lower entry's twin slot swaps p and r, and so does that of a
         # below-diagonal entry of a diagonal node block
-        swap = lower | ((rows == cols) & (p > r))
+        swap = (rows > cols) | ((rows == cols) & (p > r))
         mirror = np.empty_like(indices)
         mirror[slot] = base[twin] + np.where(swap, r * stride[twin] + p, p * stride[twin] + r)
 
         # per element node pair: its upper entry's slot base and the steps of
         # the entry's row and column components
-        t = rank[pair.reshape(na.shape).T]                 # (10, m)
-        swap = (na > nb).T
+        na, nb = self._tets[:, _CORNER_PAIRS].transpose(2, 1, 0)   # (10, m) each
+        t = np.searchsorted(keys, np.minimum(na, nb) * n + np.maximum(na, nb))
+        swap = na > nb
         step_p = np.where(swap, 1, stride[t])[_ENTRY_PAIR]
         step_r = np.where(swap, stride[t], 1)[_ENTRY_PAIR]
         upper = base[t][_ENTRY_PAIR] + _ENTRY_P[:, None] * step_p + _ENTRY_R[:, None] * step_r

@@ -1,5 +1,5 @@
 """Tetrahedral mesh representation, I/O, normalization, mass lumping and
-tet connectivity (node adjacency, tets sharing an edge or a face).
+tet connectivity (the CSR node graph, tets sharing an edge or a face).
 
 File formats (plain text, ``#`` starts a comment, blank lines ignored):
 
@@ -20,9 +20,11 @@ there is one, the first bad line.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
@@ -259,12 +261,19 @@ def orient_positive(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return tets
 
 
+def text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes are a MeshFormatError."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MeshFormatError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_mesh_files(node_path, ele_path, anchor_path=None) -> TetMesh:
-    with open(node_path) as node_f, open(ele_path) as ele_f:
-        if anchor_path is None:
-            return load_mesh(node_f, ele_f, None)
-        with open(anchor_path) as anchor_f:
-            return load_mesh(node_f, ele_f, anchor_f)
+    return load_mesh(text_lines(node_path), text_lines(ele_path),
+                     None if anchor_path is None else text_lines(anchor_path))
 
 
 def normalize_to_unit_sphere(mesh: TetMesh) -> TetMesh:
@@ -280,23 +289,24 @@ def normalize_to_unit_sphere(mesh: TetMesh) -> TetMesh:
     return replace(mesh, nodes=centered / radius)
 
 
-def node_adjacency(mesh: TetMesh) -> list[np.ndarray]:
-    """Per-node neighbor lists: j is adjacent to i iff they share a tet.
+def tet_node_graph(tets: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """The node graph with its diagonal, (n_nodes x n_nodes) CSR with sorted
+    indices: entry (i, j) counts the tets holding nodes i and j, from one
+    product T^T T of the tet-node incidence matrix T."""
+    tet_nodes = sp.csr_matrix((np.ones(tets.size, dtype=np.int32), tets.ravel(),
+                               np.arange(0, tets.size + 1, 4)), shape=(len(tets), n_nodes))
+    graph = (tet_nodes.T @ tet_nodes).tocsr()
+    graph.sort_indices()
+    return graph
 
-    One sparse product of the node-tet incidence matrix with its transpose
-    gives the shared-tet pattern; each list is sorted, int64, without i.
-    """
-    n, m = mesh.n_nodes, mesh.n_tets
-    incidence = sp.csr_matrix((np.ones(4 * m, dtype=np.int32),
-                               (mesh.tets.ravel(), np.repeat(np.arange(m), 4))),
-                              shape=(n, m))
-    shared = (incidence @ incidence.T).tocsr()
-    shared.sort_indices()
-    rows = np.repeat(np.arange(n), np.diff(shared.indptr))
-    off_diagonal = shared.indices != rows
-    neighbors = shared.indices[off_diagonal].astype(np.int64)
-    ends = np.cumsum(np.bincount(rows[off_diagonal], minlength=n))
-    return np.split(neighbors, ends[:-1])
+
+def node_adjacency(mesh: TetMesh) -> sp.csr_matrix:
+    """``tet_node_graph`` without its diagonal: node i's neighbours, the
+    nodes sharing a tet with it, are ``indices[indptr[i]:indptr[i + 1]]``."""
+    graph = tet_node_graph(mesh.tets, mesh.n_nodes)
+    graph.setdiag(0)
+    graph.eliminate_zeros()
+    return graph
 
 
 def lumped_mass(mesh: TetMesh, density: float) -> np.ndarray:
@@ -304,9 +314,8 @@ def lumped_mass(mesh: TetMesh, density: float) -> np.ndarray:
     if not (np.isfinite(density) and density > 0.0):
         raise ValueError(f"density must be finite and positive, got {density}")
     vols = tet_volumes(mesh)
-    masses = np.zeros(mesh.n_nodes)
-    np.add.at(masses, mesh.tets.ravel(), np.repeat(density * vols / 4.0, 4))
-    return masses
+    return np.bincount(mesh.tets.ravel(), weights=np.repeat(density * vols / 4.0, 4),
+                       minlength=mesh.n_nodes)
 
 
 def mass_center(mesh: TetMesh, density: float = 1.0) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Linear-to-nonlinear pose correspondence.
 
-Per-node kinematics: a least-squares displacement gradient G over the
-adjacent nodes, its rotation vector w = axial((G - G^T)/2), and the local
-rotation R = exp([w]x). ``gradient_operator`` stacks every G in one sparse
-operator, built from all per-node moment matrices as one batch;
+Per-node kinematics: a least-squares displacement gradient G over a node's
+row of the CSR node graph, its rotation vector w = axial((G - G^T)/2), and
+the local rotation R = exp([w]x). ``gradient_operator`` stacks every G in
+one sparse operator, built from all per-node moment matrices as one batch;
 ``rotation_operator`` keeps only its skew rows, so a runtime reads every w
 with one smaller sparse product, and ``rotations_from_vectors`` writes each
 R entry by entry from Rodrigues' formula; ``rotation_log`` inverts it.
@@ -84,23 +84,23 @@ def rotations_from_vectors(W: np.ndarray) -> np.ndarray:
 
 
 def gradient_operator(mesh: TetMesh,
-                      adjacency: list[np.ndarray] | None = None) -> sp.csr_matrix:
+                      adjacency: sp.csr_matrix | None = None) -> sp.csr_matrix:
     """Sparse (9n x 3n) operator stacking vec(G_i) row-major for every node.
 
-    Node i's weights are w_j = M_i^-1 (x_j - x_i) over its neighbors j, with
-    the moment matrix M_i = sum_j (x_j - x_i)(x_j - x_i)^T; all moment
-    matrices are summed, checked and inverted as one batch. The same linear
-    map serves feature extraction, the runtime warp and the rotation-strain
-    reconstruction.
+    Node i's weights are w_j = M_i^-1 (x_j - x_i) over its neighbors j, the
+    row i of the CSR node graph ``adjacency``, with the moment matrix
+    M_i = sum_j (x_j - x_i)(x_j - x_i)^T; all moment matrices are summed,
+    checked and inverted as one batch. The same linear map serves feature
+    extraction, the runtime warp and the rotation-strain reconstruction.
     """
     adjacency = adjacency if adjacency is not None else node_adjacency(mesh)
     n = mesh.n_nodes
-    counts = np.array([len(nbr) for nbr in adjacency], dtype=np.int64)
+    counts = np.diff(adjacency.indptr)
     owner = np.repeat(np.arange(n), counts)
-    nbr = np.concatenate(adjacency).astype(np.int64)
+    nbr = adjacency.indices.astype(np.int64)
     d = mesh.nodes[nbr] - mesh.nodes[owner]                 # (e, 3)
-    M = np.zeros((n, 3, 3))
-    np.add.at(M, owner, d[:, :, None] * d[:, None, :])
+    M = np.stack([np.bincount(owner, d[:, a] * d[:, b], n) for a in range(3) for b in range(3)],
+                 axis=1).reshape(n, 3, 3)
     eig = np.linalg.eigvalsh(M)
     few = counts < 3
     bad = np.flatnonzero(few | (eig[:, 0] <= 1e-10 * np.maximum(eig[:, -1], 1e-300)))
@@ -110,8 +110,7 @@ def gradient_operator(mesh: TetMesh,
             f"node {i}: fewer than 3 neighbors" if few[i] else
             f"node {i}: neighborhood is rank-deficient (coplanar neighbors)")
     w = np.einsum("er,erq->eq", d, np.linalg.inv(M)[owner])   # rows are w_j
-    wsum = np.zeros((n, 3))
-    np.add.at(wsum, owner, w)
+    wsum = np.stack([np.bincount(owner, wq, n) for wq in w.T], axis=1)
     # entry (row 9i + 3p + q, column 3j + p) is w_j[q]; column 3i + p holds
     # -sum_j w_j[q]
     pq = np.arange(9)

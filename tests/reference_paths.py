@@ -19,7 +19,10 @@ adjacency-consistency test replaced in ``substructure``. So are the
 per-line text loaders of ``mesh`` (Python ``int`` and ``float`` on each
 token), which one ``np.loadtxt`` pass and array checks replaced, with the
 orientation repair through ``np.linalg.det``, and the MLP forward pass on
-rows (``A @ W.T``), which ``net`` computes feature-major. The
+rows (``A @ W.T``), which ``net`` computes feature-major. So are the
+mesh operators on per-node neighbour lists (the adjacency, the batched
+gradient operator, the geodesic feature, lumped mass and the stiffness
+pattern's own pair search), which one CSR node graph replaced. The
 constitutive oracles live here as well: central differences of the energy
 and of the element force, and the material states they are checked at
 (rest, strained, nearly inverted), built one element at a time, for the
@@ -33,19 +36,21 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import dijkstra
 
 from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_MAX_NEWTON, NEWTON_ATOL,
                                NEWTON_RTOL, ConvergenceError, IntegrationScheme,
                                RayleighDamping, SimState, TangentSolver, internal_force,
                                newton_solve, prefactorize, step_linear_implicit)
 from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_features_batch
-from deepwarp.material import (InvertedElementError, MaterialModel, MeshPrecomp,
+from deepwarp.material import (_CORNER_PAIRS, _ENTRY_P, _ENTRY_PAIR, _ENTRY_R,
+                               InvertedElementError, MaterialModel, MeshPrecomp,
                                assemble_force, assemble_stiffness, deformation_gradient,
                                det_and_inverse_transpose, element_internal_force,
                                element_precomp, energy_density,
                                piola_stress_differential_batch)
 from deepwarp.mesh import (DomainPartition, MeshError, MeshFormatError, TetMesh, lumped_mass,
-                           node_adjacency, signed_volumes)
+                           signed_volumes, tet_volumes)
 from deepwarp.net import Activation, forward_batch
 from deepwarp.registration import (RankDeficientNeighborhoodError, build_rotation_blockdiag,
                                    rotation_from_vector)
@@ -195,7 +200,7 @@ def _neighbor_weights(rest, neighbors, i):
 
 def local_displacement_gradient(mesh, u, i, adjacency=None):
     """G minimizing sum_j |G (x_j - x_i) - (u_j - u_i)|^2 over adjacent nodes."""
-    adjacency = adjacency if adjacency is not None else node_adjacency(mesh)
+    adjacency = adjacency if adjacency is not None else adjacency_lists(mesh)
     nbr = adjacency[i]
     if len(nbr) < 3:
         raise RankDeficientNeighborhoodError(f"node {i}: fewer than 3 neighbors")
@@ -829,6 +834,190 @@ def load_partition(stream: Iterable[str], mesh: TetMesh) -> DomainPartition:
     part = DomainPartition(np.array(labels, dtype=np.int64))
     part.validate(mesh)
     return part
+
+
+# ---------------------------------------------------------------------------
+# the node graph as per-node lists
+#
+# The earlier mesh operators: ``node_adjacency`` split the incidence
+# product into one neighbour array per node, the gradient operator and the
+# geodesic feature joined those lists again and summed per node with
+# ``np.add.at``, as lumped mass did, and the stiffness pattern found its
+# node pairs by its own ``np.unique``/``argsort`` search. The package reads
+# one CSR node graph (``mesh.tet_node_graph``) and sums with ``np.bincount``.
+# ---------------------------------------------------------------------------
+
+def adjacency_lists(mesh: TetMesh) -> list[np.ndarray]:
+    """Per-node neighbor lists: j is adjacent to i iff they share a tet.
+
+    One sparse product of the node-tet incidence matrix with its transpose
+    gives the shared-tet pattern; each list is sorted, int64, without i.
+    """
+    n, m = mesh.n_nodes, mesh.n_tets
+    incidence = sp.csr_matrix((np.ones(4 * m, dtype=np.int32),
+                               (mesh.tets.ravel(), np.repeat(np.arange(m), 4))),
+                              shape=(n, m))
+    shared = (incidence @ incidence.T).tocsr()
+    shared.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(shared.indptr))
+    off_diagonal = shared.indices != rows
+    neighbors = shared.indices[off_diagonal].astype(np.int64)
+    ends = np.cumsum(np.bincount(rows[off_diagonal], minlength=n))
+    return np.split(neighbors, ends[:-1])
+
+
+def graph_of(adjacency: list) -> sp.csr_matrix:
+    """The CSR node graph (unit data) of per-node neighbor lists."""
+    indptr = np.concatenate([[0], np.cumsum([len(nbr) for nbr in adjacency])])
+    indices = np.concatenate([np.asarray(nbr, dtype=np.int64) for nbr in adjacency])
+    n = len(adjacency)
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+
+def add_at_gradient_operator(mesh: TetMesh,
+                             adjacency: list[np.ndarray] | None = None) -> sp.csr_matrix:
+    """Sparse (9n x 3n) operator stacking vec(G_i) row-major for every node.
+
+    Node i's weights are w_j = M_i^-1 (x_j - x_i) over its neighbors j, with
+    the moment matrix M_i = sum_j (x_j - x_i)(x_j - x_i)^T; all moment
+    matrices are summed, checked and inverted as one batch. The same linear
+    map serves feature extraction, the runtime warp and the rotation-strain
+    reconstruction.
+    """
+    adjacency = adjacency if adjacency is not None else adjacency_lists(mesh)
+    n = mesh.n_nodes
+    counts = np.array([len(nbr) for nbr in adjacency], dtype=np.int64)
+    owner = np.repeat(np.arange(n), counts)
+    nbr = np.concatenate(adjacency).astype(np.int64)
+    d = mesh.nodes[nbr] - mesh.nodes[owner]                 # (e, 3)
+    M = np.zeros((n, 3, 3))
+    np.add.at(M, owner, d[:, :, None] * d[:, None, :])
+    eig = np.linalg.eigvalsh(M)
+    few = counts < 3
+    bad = np.flatnonzero(few | (eig[:, 0] <= 1e-10 * np.maximum(eig[:, -1], 1e-300)))
+    if len(bad):
+        i = int(bad[0])
+        raise RankDeficientNeighborhoodError(
+            f"node {i}: fewer than 3 neighbors" if few[i] else
+            f"node {i}: neighborhood is rank-deficient (coplanar neighbors)")
+    w = np.einsum("er,erq->eq", d, np.linalg.inv(M)[owner])   # rows are w_j
+    wsum = np.zeros((n, 3))
+    np.add.at(wsum, owner, w)
+    # entry (row 9i + 3p + q, column 3j + p) is w_j[q]; column 3i + p holds
+    # -sum_j w_j[q]
+    pq = np.arange(9)
+    p, q = pq // 3, pq % 3
+    nodes = np.arange(n)[:, None]
+    rows = np.concatenate([(9 * owner[:, None] + pq).ravel(), (9 * nodes + pq).ravel()])
+    cols = np.concatenate([(3 * nbr[:, None] + p).ravel(), (3 * nodes + p).ravel()])
+    vals = np.concatenate([w[:, q].ravel(), -wsum[:, q].ravel()])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(9 * n, 3 * n))
+
+
+def list_geodesic_all(mesh: TetMesh,
+                      adjacency: list[np.ndarray] | None = None) -> GeodesicField:
+    """Multi-source Dijkstra from all anchors with Euclidean edge weights.
+
+    A node equally near several anchors takes the anchor of its first
+    shortest-path predecessor in (distance, index) order, as a heap-ordered
+    multi-source search that visits anchors in ascending order would.
+    """
+    if not mesh.anchors:
+        raise FeatureError("geodesic feature requires at least one anchor")
+    adjacency = adjacency if adjacency is not None else adjacency_lists(mesh)
+    n = mesh.n_nodes
+    owner = np.repeat(np.arange(n), [len(nbr) for nbr in adjacency])
+    nbr = np.concatenate(adjacency).astype(np.int64)
+    d = mesh.nodes[nbr] - mesh.nodes[owner]
+    # each edge length rounded as np.linalg.norm(d_k) rounds it (norm(axis=1)
+    # can differ in the last bit), so that ties between equal paths are exact
+    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    graph = sp.csr_matrix((length, (owner, nbr)), shape=(n, n))
+    dist = dijkstra(graph, directed=False, indices=mesh.anchor_array(), min_only=True)
+    if not np.all(np.isfinite(dist)):
+        bad = int(np.argmax(~np.isfinite(dist)))
+        raise FeatureError(f"node {bad} is unreachable from every anchor")
+    by_rank = np.lexsort((np.arange(n), dist))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    tight = (dist[owner] + length == dist[nbr]) & (rank[owner] < rank[nbr])
+    first = np.full(n, n)
+    np.minimum.at(first, nbr[tight], rank[owner[tight]])
+    source = np.where(first < n, by_rank[np.minimum(first, n - 1)], np.arange(n))
+    while True:                  # follow the predecessors to their anchors
+        up = source[source]
+        if np.array_equal(up, source):
+            break
+        source = up
+    dmax = dist.max()
+    g = dist / dmax if dmax > 0.0 else np.zeros(n)
+    return GeodesicField(g=g, nearest_anchor=source, distance=dist)
+
+
+def add_at_lumped_mass(mesh: TetMesh, density: float) -> np.ndarray:
+    """Per-node lumped mass: a quarter of each incident tet's mass."""
+    if not (np.isfinite(density) and density > 0.0):
+        raise ValueError(f"density must be finite and positive, got {density}")
+    vols = tet_volumes(mesh)
+    masses = np.zeros(mesh.n_nodes)
+    np.add.at(masses, mesh.tets.ravel(), np.repeat(density * vols / 4.0, 4))
+    return masses
+
+
+def unique_csr_pattern(tets: np.ndarray, n_nodes: int):
+    """The stiffness pattern from the node pairs of each tet.
+
+    Node i's neighbours j (itself included), sorted, give the columns
+    3j..3j+2 of its rows 3i..3i+2: the entry (3i+p, 3j+r) sits at slot
+    9 start_i + 3 p deg_i + 3 q + r, with j the q-th of the deg_i
+    neighbours. Returns indptr, indices, the row of every slot, the
+    slot of each upper-triangle element entry ((78, m) flattened, always
+    an upper slot: row <= column) and the gather that fills every slot
+    from its upper twin.
+    """
+    n = n_nodes
+    na = tets[:, _CORNER_PAIRS[:, 0]].astype(np.int64)   # (m, 10)
+    nb = tets[:, _CORNER_PAIRS[:, 1]].astype(np.int64)
+    keys, pair = np.unique(np.minimum(na, nb) * n + np.maximum(na, nb),
+                           return_inverse=True)
+    lo, hi = np.divmod(keys, n)
+    off = np.flatnonzero(lo != hi)
+    # the node entries: the upper pairs, then the lower twins of the
+    # off-diagonal ones, each with its upper twin; then sorted by row
+    rows = np.concatenate([lo, hi[off]])
+    order = np.argsort(rows * n + np.concatenate([hi, lo[off]]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    twin = rank[np.concatenate([np.arange(len(lo)), off])][order]
+    lower = order >= len(lo)
+    rows, cols = rows[order], np.concatenate([hi, lo[off]])[order]
+    deg = np.bincount(rows, minlength=n)
+    start = np.concatenate([[0], np.cumsum(deg)])
+    base = 9 * start[rows] + 3 * (np.arange(len(rows)) - start[rows])
+    stride = 3 * deg[rows]
+
+    p, r = np.arange(3)[:, None, None], np.arange(3)[None, :, None]
+    slot = base + p * stride + r                       # (3, 3, entries)
+    indptr = np.append(9 * start[:-1, None] + 3 * deg[:, None] * np.arange(3), 9 * start[-1])
+    indices = np.empty(9 * len(rows), dtype=np.int64)
+    indices[slot] = 3 * cols + r
+    row = np.empty_like(indices)
+    row[slot] = 3 * rows + p
+    # a lower entry's twin slot swaps p and r, and so does that of a
+    # below-diagonal entry of a diagonal node block
+    swap = lower | ((rows == cols) & (p > r))
+    mirror = np.empty_like(indices)
+    mirror[slot] = base[twin] + np.where(swap, r * stride[twin] + p, p * stride[twin] + r)
+
+    # per element node pair: its upper entry's slot base and the steps of
+    # the entry's row and column components
+    t = rank[pair.reshape(na.shape).T]                 # (10, m)
+    swap = (na > nb).T
+    step_p = np.where(swap, 1, stride[t])[_ENTRY_PAIR]
+    step_r = np.where(swap, stride[t], 1)[_ENTRY_PAIR]
+    upper = base[t][_ENTRY_PAIR] + _ENTRY_P[:, None] * step_p + _ENTRY_R[:, None] * step_r
+    index = np.int32 if len(indices) < 2**31 else np.int64
+    return indptr.astype(index), indices.astype(index), row, upper.ravel(), mirror
 
 
 # ---------------------------------------------------------------------------

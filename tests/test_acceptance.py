@@ -32,7 +32,7 @@ from deepwarp.substructure import DomainGraph, graphs_isomorphic, \
     simulate_substructured
 from deepwarp.warper import (build_warp_context, deepwarp_step, dominant_frequency,
                              mw_warp, rsw_warp, run_deepwarp)
-from reference_paths import (element_gradients, fd_element_stiffness, fd_stress,
+from reference_paths import (element_gradients, fd_element_stiffness, fd_stress, graph_of,
                              material_state)
 
 DENSITY = 1000.0
@@ -271,7 +271,7 @@ def test_criterion_05_feature_oracles():
                                               replace=False)}
         mesh = TetMesh(nodes=nodes, tets=np.zeros((0, 4), dtype=int),
                        anchors=frozenset(anchors))
-        geo = geodesic_all(mesh, adjacency)
+        geo = geodesic_all(mesh, graph_of(adjacency))
 
         best = {i: (0.0 if i in anchors else np.inf) for i in range(n)}
 

@@ -131,6 +131,16 @@ class TestFeaturesCommand:
     def test_missing_out_is_validation_error(self, mesh_files):
         assert main(["features"] + mesh_flags(mesh_files)) == 1
 
+    def test_non_utf8_mesh_file_is_validation_error(self, mesh_files, tmp_path, capsys):
+        node = tmp_path / "latin1.node"
+        with open(mesh_files["node"], "rb") as f:
+            node.write_bytes(b"# ma\xdfe\n" + f.read())
+        code = main(["features", "--nodes", str(node), "--elements", mesh_files["ele"],
+                     "--anchors", mesh_files["anchor"], "--field-direction", "0,-1,0",
+                     "--out", str(tmp_path / "features.csv"), "--quiet"])
+        assert code == 1
+        assert f"error: {node} line 1: not UTF-8 text" in capsys.readouterr().err
+
     def test_unwritable_out_is_io_error(self, mesh_files):
         code = main(["features"] + mesh_flags(mesh_files) +
                     ["--field-direction", "0,-1,0",
@@ -418,6 +428,15 @@ class TestPartitionGraph:
         out = capsys.readouterr().out
         assert "domains 2" in out
         assert "edge 0 1" in out
+
+    def test_non_utf8_partition_file_is_validation_error(self, mesh_files, tmp_path, capsys):
+        part = tmp_path / "latin1.part"
+        with open(mesh_files["part"], "rb") as f:
+            part.write_bytes(f.read() + b"# ma\xdfe\n")
+        code = main(["partition-graph"] + mesh_flags(mesh_files) + ["--partition", str(part)])
+        assert code == 1
+        lines = len(open(mesh_files["part"]).readlines())
+        assert f"error: {part} line {lines + 1}: not UTF-8 text" in capsys.readouterr().err
 
     def test_isomorphism_verdict(self, mesh_files, tmp_path, capsys):
         mesh2, part2 = t_shape()

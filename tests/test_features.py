@@ -118,7 +118,7 @@ class TestGeodesic:
         adjacency = [np.array(a) for a in ([1], [0, 2], [1, 3], [2, 4], [3])]
         mesh = TetMesh(nodes=nodes, tets=np.zeros((0, 4), dtype=int),
                        anchors=frozenset({0}))
-        geo = geodesic_all(mesh, adjacency)
+        geo = geodesic_all(mesh, reference_paths.graph_of(adjacency))
         assert np.array_equal(geo.g, np.array([0, 0.25, 0.5, 0.75, 1.0]))
 
     def test_matches_brute_force_on_random_graphs(self):
@@ -131,7 +131,7 @@ class TestGeodesic:
                                   replace=False)}
             mesh = TetMesh(nodes=nodes, tets=np.zeros((0, 4), dtype=int),
                            anchors=frozenset(anchors))
-            geo = geodesic_all(mesh, adjacency)
+            geo = geodesic_all(mesh, reference_paths.graph_of(adjacency))
             oracle, _ = brute_force_geodesics(nodes, adjacency, anchors)
             dmax = max(oracle.values())
             for i in range(n):
@@ -144,7 +144,7 @@ class TestGeodesic:
         mesh = TetMesh(nodes=nodes, tets=np.zeros((0, 4), dtype=int),
                        anchors=frozenset({0}))
         with pytest.raises(FeatureError, match="node 2"):
-            geodesic_all(mesh, adjacency)
+            geodesic_all(mesh, reference_paths.graph_of(adjacency))
 
     @pytest.mark.parametrize("make", [
         lambda: beam(6, 3, 3, lengths=(2.0, 1.0, 1.0)),
@@ -158,9 +158,8 @@ class TestGeodesic:
     ], ids=["beam", "t_shape", "shuffled", "ties", "tet_ties"])
     def test_matches_heap_loop(self, make):
         mesh = make()
-        adjacency = node_adjacency(mesh)
-        got = geodesic_all(mesh, adjacency)
-        want = reference_paths.geodesic_all(mesh, adjacency)
+        got = geodesic_all(mesh, node_adjacency(mesh))
+        want = reference_paths.geodesic_all(mesh, reference_paths.adjacency_lists(mesh))
         assert np.array_equal(got.distance, want.distance)
         assert np.array_equal(got.g, want.g)
         assert np.array_equal(got.nearest_anchor, want.nearest_anchor)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from deepwarp.mesh import (DomainPartition, MeshError, MeshFormatError, TetMesh,
-                           load_mesh, load_partition,
+                           load_mesh, load_mesh_files, load_partition,
                            lumped_mass, mass_center, node_adjacency,
                            normalize_to_unit_sphere, orient_positive, select_pseudo_anchor,
                            signed_volumes, tet_volumes, write_mesh_files)
@@ -75,6 +75,31 @@ class TestLoadMesh:
 
     def test_all_volumes_positive_after_load(self, bending_beam):
         assert np.all(signed_volumes(bending_beam.nodes, bending_beam.tets) > 0)
+
+
+def write_unit_tet(tmp_path, node_head=b""):
+    """Node and element files of the unit tet; ``node_head`` leads the node file."""
+    node, ele = tmp_path / "tet.node", tmp_path / "tet.ele"
+    node.write_bytes(node_head + b"0 0 0 0\n1 1 0 0\n2 0 1 0\n3 0 0 1\n")
+    ele.write_bytes(b"0 0 1 2 3\n")
+    return node, ele
+
+
+class TestLoadMeshFiles:
+    @pytest.mark.parametrize("head, lineno", [(b"# ma\xdfe\n", 1),
+                                              (b"# nodes\n\n# ma\xdfe\n", 3),
+                                              (b"# \xe2\x82\n", 1)])
+    def test_non_utf8_file_names_path_and_line(self, tmp_path, head, lineno):
+        node, ele = write_unit_tet(tmp_path, head)
+        with pytest.raises(MeshFormatError) as got:
+            load_mesh_files(node, ele)
+        assert str(got.value).startswith(f"{node} line {lineno}: not UTF-8 text")
+
+    def test_line_endings_and_utf8_comments(self, tmp_path):
+        node, ele = write_unit_tet(tmp_path, "# maße\r\n".encode())
+        node.write_bytes(node.read_bytes().replace(b"\n", b"\r\n"))
+        mesh = load_mesh_files(node, ele)
+        assert mesh.n_nodes == 4 and mesh.n_tets == 1
 
 
 def mesh_texts(mesh):
@@ -313,43 +338,36 @@ class TestNormalize:
 class TestAdjacency:
     def test_single_tet(self, unit_tet):
         adj = node_adjacency(unit_tet)
-        for i in range(4):
-            assert sorted(adj[i]) == sorted(set(range(4)) - {i})
+        assert isinstance(adj, sp.csr_matrix) and adj.has_sorted_indices
+        assert np.array_equal(adj.toarray(), 1 - np.eye(4))
 
     def test_two_tets_shared_face(self):
         nodes = UNIT_TET + [(1.0, 1.0, 1.0)]
         mesh = load_mesh(*make_streams(nodes, [(0, 1, 2, 3), (1, 2, 3, 4)]))
         adj = node_adjacency(mesh)
-        for shared in (1, 2, 3):
-            assert len(adj[shared]) == 4
-        assert len(adj[0]) == 3 and len(adj[4]) == 3
+        assert np.array_equal(np.diff(adj.indptr), [3, 4, 4, 4, 3])
+        # the data count the shared tets: the face's edges lie in both
+        assert np.array_equal(adj[1:4, 1:4].toarray(), 2 * (1 - np.eye(3)))
+        assert adj[0, 4] == 0 and adj[0, 1] == 1
 
     def test_symmetry(self, bending_beam):
         adj = node_adjacency(bending_beam)
-        for i, nbrs in enumerate(adj):
-            for j in nbrs:
-                assert i in adj[j]
-                assert j != i
+        assert (adj != adj.T).nnz == 0
+        assert not adj.diagonal().any()
 
     def test_connected(self, bending_beam):
-        assert adjacency_components(node_adjacency(bending_beam)) == 1
-
-
-def adjacency_components(adjacency):
-    """Connected components of per-node neighbor lists, through csgraph."""
-    rows = np.repeat(np.arange(len(adjacency)), [len(a) for a in adjacency])
-    graph = sp.csr_matrix((np.ones(len(rows)), (rows, np.concatenate(adjacency))),
-                          shape=(len(adjacency), len(adjacency)))
-    return csgraph.connected_components(graph, directed=False)[0]
+        assert csgraph.connected_components(node_adjacency(bending_beam), directed=False)[0] == 1
 
 
 def loop_adjacency(mesh):
-    """Reference path: per-node neighbor sets filled tet by tet."""
-    neighbor_sets = [set() for _ in range(mesh.n_nodes)]
+    """Reference path: per-node {neighbour: shared tets} filled tet by tet."""
+    shared = [{} for _ in range(mesh.n_nodes)]
     for tet in mesh.tets:
         for a in tet:
-            neighbor_sets[a].update(int(b) for b in tet if b != a)
-    return [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
+            for b in tet:
+                if b != a:
+                    shared[a][int(b)] = shared[a].get(int(b), 0) + 1
+    return shared
 
 
 def loop_components(n_nodes, adjacency):
@@ -393,14 +411,15 @@ class TestAdjacencyMatchesLoops:
         lambda: shuffled_nodes(beam(5, 3, 2), seed=11),
         two_pieces,
     ], ids=["beam", "t_shape", "shuffled", "two_pieces"])
-    def test_same_lists_and_components(self, make):
+    def test_same_graph_and_components(self, make):
         mesh = make()
         adj, ref = node_adjacency(mesh), loop_adjacency(mesh)
-        assert len(adj) == len(ref) == mesh.n_nodes
-        for got, want in zip(adj, ref):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
-        n_comp = adjacency_components(adj)
+        assert adj.shape == (mesh.n_nodes, mesh.n_nodes) and adj.has_sorted_indices
+        for i, want in enumerate(ref):
+            row = slice(adj.indptr[i], adj.indptr[i + 1])
+            assert np.array_equal(adj.indices[row], sorted(want))
+            assert np.array_equal(adj.data[row], [want[j] for j in sorted(want)])
+        n_comp = csgraph.connected_components(adj, directed=False)[0]
         assert n_comp == loop_components(mesh.n_nodes, ref)
         assert n_comp == (2 if make is two_pieces else 1)
 

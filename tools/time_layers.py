@@ -1,5 +1,6 @@
-"""Time the mesh loader, the material assembly, the factorization layers
-and the Newmark ground-truth step on the benchmark beams.
+"""Time the mesh loader, the node-graph set-up, the material assembly, the
+factorization layers and the Newmark ground-truth step on the benchmark
+beams.
 
 Usage (from the repository root)::
 
@@ -15,6 +16,11 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   that ``gendata-readme``'s ``setup_s`` times;
 * ``setup``: ``MeshPrecomp(mesh)`` plus its first linear ``assemble_stiffness``
   at rest, the set-up every solver pays once per mesh;
+* ``node_adjacency``, ``gradient_operator`` and ``geodesic_all``: the CSR
+  node graph and the two per-node operators read from it, the latter two
+  given the graph, as ``build_warp_context`` and ``generate_poses`` call
+  them; ``csr_pattern``: a fresh ``MeshPrecomp(mesh)`` plus its stiffness
+  pattern ``_csr_pattern``;
 * ``assemble_stiffness`` and ``assemble_force``: neo-Hookean, E = 1e4,
   nu = 0.45 (the benchmark's material), at the deformed state below;
 * ``total_elastic_energy`` at the same state;
@@ -72,11 +78,11 @@ from deepwarp import warper  # noqa: E402
 from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, BandedCholesky,  # noqa: E402
                                SimState, build_linear_system, build_nonlinear_system,
                                step_newmark_nonlinear)
-from deepwarp.features import ForceField, force_vector  # noqa: E402
+from deepwarp.features import ForceField, force_vector, geodesic_all  # noqa: E402
 from deepwarp.material import (MaterialModel, MaterialParams, MeshPrecomp,  # noqa: E402
                                assemble_force, assemble_stiffness, total_elastic_energy)
-from deepwarp.mesh import (load_mesh_files, normalize_to_unit_sphere,  # noqa: E402
-                           write_mesh_files)
+from deepwarp.mesh import (load_mesh_files, node_adjacency,  # noqa: E402
+                           normalize_to_unit_sphere, write_mesh_files)
 from deepwarp.meshgen import beam  # noqa: E402
 from deepwarp.registration import gradient_operator  # noqa: E402
 
@@ -159,7 +165,8 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     A = (system.M + NEWMARK_GAMMA * DT * system.C + NEWMARK_BETA * DT * DT * system.K).tocsr()
     factor = BandedCholesky(A, 3)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
-    grad_op = gradient_operator(mesh)
+    adjacency = node_adjacency(mesh)
+    grad_op = gradient_operator(mesh, adjacency)
 
     def rsw_fit():
         warper._rsw_fit = None
@@ -174,6 +181,10 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
         "nodes": mesh.n_nodes, "tets": len(mesh.tets),
         "setup": _stats(lambda: assemble_stiffness(mesh, linear, np.zeros(n), MeshPrecomp(mesh)),
                         calls, warmup),
+        "node_adjacency": _stats(lambda: node_adjacency(mesh), calls, warmup),
+        "gradient_operator": _stats(lambda: gradient_operator(mesh, adjacency), calls, warmup),
+        "geodesic_all": _stats(lambda: geodesic_all(mesh, adjacency), calls, warmup),
+        "csr_pattern": _stats(lambda: MeshPrecomp(mesh)._csr_pattern, calls, warmup),
         "assemble_stiffness": _stats(lambda: assemble_stiffness(mesh, PARAMS, u, pre),
                                      calls, warmup),
         "assemble_force": _stats(lambda: assemble_force(mesh, PARAMS, u, pre), calls, warmup),
