@@ -198,9 +198,9 @@ class MeshPrecomp:
         deg = np.diff(start)
         rows = np.repeat(np.arange(n), deg)
         cols = graph.indices.astype(np.int64)
-        # each entry's upper twin (min, max), found by its key in the CSR order
-        keys = rows * n + cols
-        twin = np.searchsorted(keys, np.minimum(rows, cols) * n + np.maximum(rows, cols))
+        # a node pair's upper entry (min, max): one lookup in the graph of positions
+        position = sp.csr_array((np.arange(len(cols)), graph.indices, graph.indptr))
+        twin = position[np.minimum(rows, cols), np.maximum(rows, cols)]
         base = 9 * start[rows] + 3 * (np.arange(len(rows)) - start[rows])
         stride = 3 * deg[rows]
 
@@ -219,8 +219,8 @@ class MeshPrecomp:
 
         # per element node pair: its upper entry's slot base and the steps of
         # the entry's row and column components
-        na, nb = self._tets[:, _CORNER_PAIRS].transpose(2, 1, 0)   # (10, m) each
-        t = np.searchsorted(keys, np.minimum(na, nb) * n + np.maximum(na, nb))
+        na, nb = self._tets.T[_CORNER_PAIRS.T]                     # (10, m) each
+        t = position[np.minimum(na, nb).ravel(), np.maximum(na, nb).ravel()].reshape(na.shape)
         swap = na > nb
         step_p = np.where(swap, 1, stride[t])[_ENTRY_PAIR]
         step_r = np.where(swap, stride[t], 1)[_ENTRY_PAIR]
