@@ -192,11 +192,10 @@ class MeshPrecomp:
         ((78, m) flattened, always an upper slot: row <= column) and the
         gather that fills every slot from its upper twin.
         """
-        n = self._n_nodes
-        graph = tet_node_graph(self._tets, n)
+        graph = tet_node_graph(self._tets, self._n_nodes)
         start = graph.indptr.astype(np.int64)
         deg = np.diff(start)
-        rows = np.repeat(np.arange(n), deg)
+        rows = np.repeat(np.arange(self._n_nodes), deg)
         cols = graph.indices.astype(np.int64)
         # a node pair's upper entry (min, max): one lookup in the graph of positions
         position = sp.csr_array((np.arange(len(cols)), graph.indices, graph.indptr))

@@ -20,7 +20,6 @@ there is one, the first bad line.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -263,12 +262,17 @@ def orient_positive(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 def text_lines(path) -> list[str]:
     """The lines of a UTF-8 text file; other bytes are a MeshFormatError."""
-    data = Path(path).read_bytes()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise MeshFormatError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:  # text mode decodes in chunks; decoded whole, the offset is the file's
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise MeshFormatError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+        raise
 
 
 def load_mesh_files(node_path, ele_path, anchor_path=None) -> TetMesh:
@@ -295,9 +299,7 @@ def tet_node_graph(tets: np.ndarray, n_nodes: int) -> sp.csr_matrix:
     product T^T T of the tet-node incidence matrix T."""
     tet_nodes = sp.csr_matrix((np.ones(tets.size, dtype=np.int32), tets.ravel(),
                                np.arange(0, tets.size + 1, 4)), shape=(len(tets), n_nodes))
-    graph = (tet_nodes.T @ tet_nodes).tocsr()
-    graph.sort_indices()
-    return graph
+    return (tet_nodes.T @ tet_nodes).tocsr().sorted_indices()
 
 
 def node_adjacency(mesh: TetMesh) -> sp.csr_matrix:

@@ -96,7 +96,7 @@ class TestLoadMeshFiles:
         assert str(got.value).startswith(f"{node} line {lineno}: not UTF-8 text")
 
     def test_line_endings_and_utf8_comments(self, tmp_path):
-        node, ele = write_unit_tet(tmp_path, "# maße\r\n".encode())
+        node, ele = write_unit_tet(tmp_path, "# maße\n".encode())
         node.write_bytes(node.read_bytes().replace(b"\n", b"\r\n"))
         mesh = load_mesh_files(node, ele)
         assert mesh.n_nodes == 4 and mesh.n_tets == 1
