@@ -151,6 +151,8 @@ class MeshPrecomp:
         self._tets = mesh.tets
         self._n_nodes = mesh.n_nodes
         m, n = len(mesh.tets), mesh.n_nodes
+        if not m:
+            raise ValueError("mesh has no tetrahedra")
         rest = mesh.nodes[mesh.tets]                       # (m, 4, 3)
         det, inv_t = det_and_inverse_transpose(
             np.swapaxes(rest[:, 1:] - rest[:, :1], 1, 2))  # edge columns
@@ -198,7 +200,7 @@ class MeshPrecomp:
         rows = np.repeat(np.arange(self._n_nodes), deg)
         cols = graph.indices.astype(np.int64)
         # a node pair's upper entry (min, max): one lookup in the graph of positions
-        position = sp.csr_array((np.arange(len(cols)), graph.indices, graph.indptr))
+        position = sp.csr_array((np.arange(graph.nnz), graph.indices, graph.indptr), graph.shape)
         twin = position[np.minimum(rows, cols), np.maximum(rows, cols)]
         base = 9 * start[rows] + 3 * (np.arange(len(rows)) - start[rows])
         stride = 3 * deg[rows]

@@ -20,6 +20,7 @@ there is one, the first bad line.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -265,14 +266,11 @@ def text_lines(path) -> list[str]:
     try:
         with open(path, encoding="utf-8") as f:
             return f.readlines()
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-        try:  # text mode decodes in chunks; decoded whole, the offset is the file's
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise MeshFormatError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
-        raise
+    except UnicodeDecodeError as exc:
+        # text mode decodes in chunks: the whole file, bad bytes escaped, gives the line
+        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+        line = text[:re.search("[\udc80-\udcff]", text).start()].count("\n") + 1
+        raise MeshFormatError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_mesh_files(node_path, ele_path, anchor_path=None) -> TetMesh:

@@ -88,7 +88,9 @@ def write_unit_tet(tmp_path, node_head=b""):
 class TestLoadMeshFiles:
     @pytest.mark.parametrize("head, lineno", [(b"# ma\xdfe\n", 1),
                                               (b"# nodes\n\n# ma\xdfe\n", 3),
-                                              (b"# \xe2\x82\n", 1)])
+                                              (b"# \xe2\x82\n", 1),
+                                              # past text mode's first decoded chunk
+                                              (b"# \xc3\x9f\r\n" * 5000 + b"# \xdf\n", 5001)])
     def test_non_utf8_file_names_path_and_line(self, tmp_path, head, lineno):
         node, ele = write_unit_tet(tmp_path, head)
         with pytest.raises(MeshFormatError) as got:

@@ -8,7 +8,7 @@ import pytest
 
 from deepwarp.features import geodesic_all
 from deepwarp.material import MeshPrecomp
-from deepwarp.mesh import lumped_mass, node_adjacency
+from deepwarp.mesh import TetMesh, lumped_mass, node_adjacency
 from deepwarp.meshgen import beam, t_shape
 from deepwarp.registration import gradient_operator
 
@@ -67,3 +67,8 @@ def test_stiffness_pattern(mesh):
     assert len(got) == len(want) == 5
     for g, w in zip(got, want):
         assert_same(g, w)
+
+
+def test_mesh_without_tets_has_no_precomputation():
+    with pytest.raises(ValueError, match="no tetrahedra"):
+        MeshPrecomp(TetMesh(nodes=np.eye(3), tets=np.zeros((0, 4), dtype=int)))
