@@ -60,20 +60,18 @@ def parse_config_file(path, seen=None) -> dict[str, str]:
         raise ConfigError(f"config include cycle at {path}")
     seen.add(real)
     values: dict[str, str] = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "include":
-                inc = value if os.path.isabs(value) else \
-                    os.path.join(os.path.dirname(path), value)
-                values.update(parse_config_file(inc, seen))
-            else:
-                values[key] = value
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path} line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "include":
+            inc = value if os.path.isabs(value) else os.path.join(os.path.dirname(path), value)
+            values.update(parse_config_file(inc, seen))
+        else:
+            values[key] = value
     return values
 
 

@@ -34,13 +34,15 @@ Solids*, SIGGRAPH 2012 course):
 * the element-gradient operator D, with vec(F - I) = D u for all elements
   at once: F is one sparse product, the force f = -D^T vec(V P) another, and
   ``total_elastic_energy`` sums V Psi(F) over the same F;
-* the stiffness pattern, derived from the node pairs of each tet. One
-  batched kernel writes the 78 upper-triangle entries of every 12x12
-  element block; they are summed into the upper slots (row <= column) of
-  the pattern and mirrored by one gather, so K is exactly symmetric. The
-  linear, StVK and neo-Hookean entries come from their closed-form dP(F; dF)
-  contracted with the corner gradients; only the corotational model
-  differentiates through the polar rotation along twelve basis directions.
+* the stiffness pattern, the CSR node graph in 3x3 node blocks whose
+  numbered slots one scipy BSR-to-CSR conversion places (K_ff's pattern is
+  one scipy slice of them). One batched kernel writes the 78 upper-triangle
+  entries of every 12x12 element block; they are summed into the upper
+  slots (row <= column) of the pattern and mirrored by one gather, so K is
+  exactly symmetric. The linear, StVK and neo-Hookean entries come from
+  their closed-form dP(F; dF) contracted with the corner gradients; only the
+  corotational model differentiates through the polar rotation along twelve
+  basis directions.
 """
 
 from __future__ import annotations
@@ -142,9 +144,11 @@ class MeshPrecomp:
     ``grad`` is the element-gradient operator D (9m x 3n, four entries per
     row): vec(F - I) = D u, stored component-major as (3, 3, m), and the
     force is f = -D^T vec(V P). The stiffness pattern is the CSR node graph
-    ``mesh.tet_node_graph`` in 3x3 blocks, each element entry found by its
-    node pair (``_csr_pattern``). ``free`` holds the mesh's free DOFs, and
-    ``free_block`` restricts an assembled stiffness to them.
+    ``mesh.tet_node_graph`` in 3x3 blocks, converted to CSR by scipy, each
+    element entry found in the block of its node pair (``_csr_pattern``).
+    ``free`` holds the mesh's free DOFs, and ``free_block`` restricts an
+    assembled stiffness to them through the free rows and columns of the
+    pattern's slot numbers (``_free_pattern``).
     """
 
     def __init__(self, mesh: TetMesh):
@@ -184,63 +188,53 @@ class MeshPrecomp:
 
     @cached_property
     def _csr_pattern(self):
-        """The stiffness pattern from the node graph with its diagonal.
+        """The stiffness pattern: ``tet_node_graph`` (its diagonal kept) in
+        3x3 node blocks.
 
-        Node i's neighbours j (itself included), the row i of
-        ``tet_node_graph``, give the columns 3j..3j+2 of its rows 3i..3i+2:
-        the entry (3i+p, 3j+r) sits at slot 9 start_i + 3 p deg_i + 3 q + r,
-        with j the q-th of the deg_i neighbours. Returns indptr, indices, the
-        row of every slot, the slot of each upper-triangle element entry
-        ((78, m) flattened, always an upper slot: row <= column) and the
-        gather that fills every slot from its upper twin.
+        Block k of the graph, numbered in CSR order, holds its entry (p, r)
+        at block slot 9k + 3p + r; one BSR-to-CSR conversion of those slot
+        numbers gives the 3n x 3n CSR and the CSR position of every block
+        slot. Returns indptr, indices, the row of every CSR slot, the slot of
+        each upper-triangle element entry ((78, m) flattened, always an upper
+        slot: row <= column) and the gather that fills every slot from its
+        upper twin.
         """
         graph = tet_node_graph(self._tets, self._n_nodes)
-        start = graph.indptr.astype(np.int64)
-        deg = np.diff(start)
-        rows = np.repeat(np.arange(self._n_nodes), deg)
-        cols = graph.indices.astype(np.int64)
-        # a node pair's upper entry (min, max): one lookup in the graph of positions
+        n, nnz = 3 * self._n_nodes, 9 * graph.nnz
         position = sp.csr_array((np.arange(graph.nnz), graph.indices, graph.indptr), graph.shape)
-        twin = position[np.minimum(rows, cols), np.maximum(rows, cols)]
-        base = 9 * start[rows] + 3 * (np.arange(len(rows)) - start[rows])
-        stride = 3 * deg[rows]
-
-        p, r = np.arange(3)[:, None, None], np.arange(3)[None, :, None]
-        slot = base + p * stride + r                       # (3, 3, entries)
-        indptr = np.append(9 * start[:-1, None] + 3 * deg[:, None] * np.arange(3), 9 * start[-1])
-        indices = np.empty(9 * len(rows), dtype=np.int64)
-        indices[slot] = 3 * cols + r
-        row = np.empty_like(indices)
-        row[slot] = 3 * rows + p
-        # a lower entry's twin slot swaps p and r, and so does that of a
-        # below-diagonal entry of a diagonal node block
-        swap = (rows > cols) | ((rows == cols) & (p > r))
-        mirror = np.empty_like(indices)
-        mirror[slot] = base[twin] + np.where(swap, r * stride[twin] + p, p * stride[twin] + r)
-
-        # per element node pair: its upper entry's slot base and the steps of
-        # the entry's row and column components
+        slots = sp.bsr_matrix((np.arange(nnz).reshape(-1, 3, 3), graph.indices, graph.indptr),
+                              shape=(n, n)).tocsr()
+        at = np.empty(nnz, dtype=np.int64)     # block slot -> CSR slot (scipy keeps slot 0)
+        at[slots.data] = np.arange(nnz)
+        # the transpose of entry (p, r) of block (i, j) is entry (r, p) of
+        # block (j, i); of a slot and its transpose, the upper one comes
+        # first in row order
+        rows = np.repeat(np.arange(self._n_nodes), np.diff(graph.indptr))
+        transpose = (9 * position[graph.indices, rows][:, None, None]
+                     + 3 * np.arange(3) + np.arange(3)[:, None])   # [k, p, r]: 9k' + 3r + p
+        mirror = np.minimum(np.arange(nnz), at[transpose.ravel()[slots.data]])
+        # element entry (p, r) of corner pair (a, b) sits in block (tet[a], tet[b])
         na, nb = self._tets.T[_CORNER_PAIRS.T]                     # (10, m) each
-        t = position[np.minimum(na, nb).ravel(), np.maximum(na, nb).ravel()].reshape(na.shape)
-        swap = na > nb
-        step_p = np.where(swap, 1, stride[t])[_ENTRY_PAIR]
-        step_r = np.where(swap, stride[t], 1)[_ENTRY_PAIR]
-        upper = base[t][_ENTRY_PAIR] + _ENTRY_P[:, None] * step_p + _ENTRY_R[:, None] * step_r
-        index = np.int32 if len(indices) < 2**31 else np.int64
-        return indptr.astype(index), indices.astype(index), row, upper.ravel(), mirror
+        block = position[na.ravel(), nb.ravel()].reshape(na.shape)
+        upper = mirror[at[9 * block[_ENTRY_PAIR] + (3 * _ENTRY_P + _ENTRY_R)[:, None]]]
+        index = np.int32 if nnz < 2**31 else np.int64
+        return (slots.indptr.astype(index), slots.indices.astype(index),
+                np.repeat(np.arange(n), np.diff(slots.indptr)), upper.ravel(), mirror)
 
     @cached_property
     def _free_pattern(self):
         """The slots of the free-free entries in the CSR order of K_ff, with
         its index arrays, and the other slots with their values in the
         eliminated matrix (1 on the diagonal, 0 elsewhere)."""
-        _, indices, row, _, _ = self._csr_pattern
-        pos = np.full(self._n_dof, -1, dtype=np.int64)
-        pos[self.free.index] = np.arange(len(self.free.index))
-        free_entry = (pos[row] >= 0) & (pos[indices] >= 0)
-        keep, fixed = np.flatnonzero(free_entry), np.flatnonzero(~free_entry)
-        counts = np.bincount(pos[row[keep]], minlength=len(self.free.index))
-        return (keep, pos[indices[keep]], np.concatenate([[0], np.cumsum(counts)]),
+        indptr, indices, row, _, _ = self._csr_pattern
+        free = self.free.index
+        # the slot numbers' CSR (slot 0 is an explicit zero, which scipy keeps)
+        slots = sp.csr_matrix((np.arange(len(indices)), indices, indptr),
+                              shape=(self._n_dof, self._n_dof))[free][:, free]
+        kept = np.zeros(len(indices), dtype=bool)
+        kept[slots.data] = True
+        fixed = np.flatnonzero(~kept)
+        return (slots.data, slots.indices.astype(np.int64), slots.indptr.astype(np.int64),
                 fixed, (row[fixed] == indices[fixed]).astype(np.float64))
 
     def free_block(self, K: sp.csr_matrix) -> sp.csr_matrix:

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .dynamics import (NEWTON_ATOL, NEWTON_RTOL, REGISTRATION_MAX_NEWTON, NewtonResult,
                        QuasistaticDriver, TangentSolver, newton_solve)
 from .material import MaterialParams, assemble_force, assemble_stiffness, skew_quadratic
-from .mesh import TetMesh, node_adjacency
+from .mesh import MeshError, TetMesh, node_adjacency
 
 # axial((G - G^T)/2) from vec(G) (row-major)
 _AXIAL = 0.5 * np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
@@ -37,7 +37,7 @@ _AXIAL = 0.5 * np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
                          [0, -1, 0, 1, 0, 0, 0, 0, 0]])
 
 
-class RankDeficientNeighborhoodError(Exception):
+class RankDeficientNeighborhoodError(MeshError):
     """A node's neighbors are coplanar; the gradient fit is singular."""
 
 

@@ -22,7 +22,9 @@ orientation repair through ``np.linalg.det``, and the MLP forward pass on
 rows (``A @ W.T``), which ``net`` computes feature-major. So are the
 mesh operators on per-node neighbour lists (the adjacency, the batched
 gradient operator, the geodesic feature, lumped mass and the stiffness
-pattern's own pair search), which one CSR node graph replaced. The
+pattern's own pair search), which one CSR node graph replaced, and the
+stiffness pattern and its free block by hand-derived slot arithmetic, which
+scipy conversions of slot-number matrices replaced. The
 constitutive oracles live here as well: central differences of the energy
 and of the element force, and the material states they are checked at
 (rest, strained, nearly inverted), built one element at a time, for the
@@ -50,7 +52,7 @@ from deepwarp.material import (_CORNER_PAIRS, _ENTRY_P, _ENTRY_PAIR, _ENTRY_R,
                                element_precomp, energy_density,
                                piola_stress_differential_batch)
 from deepwarp.mesh import (DomainPartition, MeshError, MeshFormatError, TetMesh, lumped_mass,
-                           signed_volumes, tet_volumes)
+                           signed_volumes, tet_node_graph, tet_volumes)
 from deepwarp.net import Activation, forward_batch
 from deepwarp.registration import (RankDeficientNeighborhoodError, build_rotation_blockdiag,
                                    rotation_from_vector)
@@ -1018,6 +1020,77 @@ def unique_csr_pattern(tets: np.ndarray, n_nodes: int):
     upper = base[t][_ENTRY_PAIR] + _ENTRY_P[:, None] * step_p + _ENTRY_R[:, None] * step_r
     index = np.int32 if len(indices) < 2**31 else np.int64
     return indptr.astype(index), indices.astype(index), row, upper.ravel(), mirror
+
+
+# the stiffness pattern by slot arithmetic
+#
+# The earlier ``MeshPrecomp._csr_pattern`` and ``_free_pattern``: slot
+# numbers derived by hand (``9 start_i + 3 p deg_i + 3 q + r``, the ``swap``
+# rule and the row and column steps of each element entry), and K_ff's
+# pattern from free-DOF ranks, counts and a cumulative sum. The package
+# numbers the 3x3 node blocks and lets scipy convert and slice them.
+# ---------------------------------------------------------------------------
+
+def slot_arithmetic_csr_pattern(pre: MeshPrecomp):
+    """The stiffness pattern from the node graph with its diagonal.
+
+    Node i's neighbours j (itself included), the row i of
+    ``tet_node_graph``, give the columns 3j..3j+2 of its rows 3i..3i+2:
+    the entry (3i+p, 3j+r) sits at slot 9 start_i + 3 p deg_i + 3 q + r,
+    with j the q-th of the deg_i neighbours. Returns indptr, indices, the
+    row of every slot, the slot of each upper-triangle element entry
+    ((78, m) flattened, always an upper slot: row <= column) and the
+    gather that fills every slot from its upper twin.
+    """
+    graph = tet_node_graph(pre._tets, pre._n_nodes)
+    start = graph.indptr.astype(np.int64)
+    deg = np.diff(start)
+    rows = np.repeat(np.arange(pre._n_nodes), deg)
+    cols = graph.indices.astype(np.int64)
+    # a node pair's upper entry (min, max): one lookup in the graph of positions
+    position = sp.csr_array((np.arange(graph.nnz), graph.indices, graph.indptr), graph.shape)
+    twin = position[np.minimum(rows, cols), np.maximum(rows, cols)]
+    base = 9 * start[rows] + 3 * (np.arange(len(rows)) - start[rows])
+    stride = 3 * deg[rows]
+
+    p, r = np.arange(3)[:, None, None], np.arange(3)[None, :, None]
+    slot = base + p * stride + r                       # (3, 3, entries)
+    indptr = np.append(9 * start[:-1, None] + 3 * deg[:, None] * np.arange(3), 9 * start[-1])
+    indices = np.empty(9 * len(rows), dtype=np.int64)
+    indices[slot] = 3 * cols + r
+    row = np.empty_like(indices)
+    row[slot] = 3 * rows + p
+    # a lower entry's twin slot swaps p and r, and so does that of a
+    # below-diagonal entry of a diagonal node block
+    swap = (rows > cols) | ((rows == cols) & (p > r))
+    mirror = np.empty_like(indices)
+    mirror[slot] = base[twin] + np.where(swap, r * stride[twin] + p, p * stride[twin] + r)
+
+    # per element node pair: its upper entry's slot base and the steps of
+    # the entry's row and column components
+    na, nb = pre._tets.T[_CORNER_PAIRS.T]                     # (10, m) each
+    t = position[np.minimum(na, nb).ravel(), np.maximum(na, nb).ravel()].reshape(na.shape)
+    swap = na > nb
+    step_p = np.where(swap, 1, stride[t])[_ENTRY_PAIR]
+    step_r = np.where(swap, stride[t], 1)[_ENTRY_PAIR]
+    upper = base[t][_ENTRY_PAIR] + _ENTRY_P[:, None] * step_p + _ENTRY_R[:, None] * step_r
+    index = np.int32 if len(indices) < 2**31 else np.int64
+    return indptr.astype(index), indices.astype(index), row, upper.ravel(), mirror
+
+
+def slot_arithmetic_free_pattern(pre: MeshPrecomp):
+    """The slots of the free-free entries in the CSR order of K_ff, with
+    its index arrays, and the other slots with their values in the
+    eliminated matrix (1 on the diagonal, 0 elsewhere), from the stiffness
+    pattern ``pre`` holds."""
+    _, indices, row, _, _ = pre._csr_pattern
+    pos = np.full(pre._n_dof, -1, dtype=np.int64)
+    pos[pre.free.index] = np.arange(len(pre.free.index))
+    free_entry = (pos[row] >= 0) & (pos[indices] >= 0)
+    keep, fixed = np.flatnonzero(free_entry), np.flatnonzero(~free_entry)
+    counts = np.bincount(pos[row[keep]], minlength=len(pre.free.index))
+    return (keep, pos[indices[keep]], np.concatenate([[0], np.cumsum(counts)]),
+            fixed, (row[fixed] == indices[fixed]).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

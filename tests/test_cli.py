@@ -100,6 +100,18 @@ class TestConfig:
         assert "not a boolean" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_config_is_validation_error(self, tmp_path, mesh_files, capsys):
+        cfgfile = tmp_path / "latin1.cfg"
+        cfgfile.write_bytes(b"# gr\xfc\xdfe\nyoungs = 500\n")
+        code = main(["info", "--config", str(cfgfile)] + mesh_flags(mesh_files))
+        assert code == 1
+        assert f"error: {cfgfile} line 1: not UTF-8 text" in capsys.readouterr().err
+        # an included file is named itself
+        top = tmp_path / "top.cfg"
+        top.write_text(f"poisson = 0.3\ninclude = {cfgfile}\n")
+        assert main(["info", "--config", str(top)] + mesh_flags(mesh_files)) == 1
+        assert f"error: {cfgfile} line 1: not UTF-8 text" in capsys.readouterr().err
+
     def test_flags_override_file(self, tmp_path, mesh_files, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("youngs = 1\n")
@@ -289,6 +301,22 @@ class TestTrainSimulateCompare:
                 for k in range(6) for node in (1, 5)]
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows == ["t,node,ux,uy,uz"] + want
+
+    def test_simulate_rank_deficient_neighborhood_is_validation_error(self, tmp_path, capsys):
+        # one sliver tet: node 0's three neighbours lie almost in one plane
+        sliver = TetMesh(nodes=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-5]]),
+                         tets=np.array([[0, 1, 2, 3]]), anchors=frozenset({0}))
+        paths = [tmp_path / f"sliver.{ext}" for ext in ("node", "ele", "anchor")]
+        with open(paths[0], "w") as n, open(paths[1], "w") as e, open(paths[2], "w") as a:
+            write_mesh_files(sliver, n, e, a)
+        out = tmp_path / "mw.csv"
+        code = main(["simulate", "--nodes", str(paths[0]), "--elements", str(paths[1]),
+                     "--anchors", str(paths[2]), "--method", "mw", "--steps", "2",
+                     "--dt", "0.02", "--out", str(out), "--field-direction", "0,-1,0",
+                     "--quiet"])
+        assert code == 1
+        assert "error: node 0: neighborhood is rank-deficient" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_diverging_ground_truth_is_numerical(self, mesh_files, tmp_path,
                                                           capsys):

@@ -1,13 +1,16 @@
 """The CSR node graph gives the same numbers as the per-node lists it
 replaced: the adjacency, the gradient operator, the geodesic feature, the
 lumped masses and the stiffness pattern, each bitwise equal, dtypes
-included, to the earlier construction kept in ``reference_paths``."""
+included, to the earlier construction kept in ``reference_paths``. So do
+the stiffness pattern and K_ff's pattern built from 3x3 node blocks by
+scipy, against the earlier slot arithmetic, and the K_ff that all four
+material models assemble on them."""
 
 import numpy as np
 import pytest
 
 from deepwarp.features import geodesic_all
-from deepwarp.material import MeshPrecomp
+from deepwarp.material import MaterialModel, MaterialParams, MeshPrecomp, assemble_stiffness
 from deepwarp.mesh import TetMesh, lumped_mass, node_adjacency
 from deepwarp.meshgen import beam, t_shape
 from deepwarp.registration import gradient_operator
@@ -24,9 +27,22 @@ MESHES = {
 }
 
 
+# the stiffness patterns also on an anchored T shape and the 3300-node beam
+PATTERN_MESHES = {
+    **MESHES,
+    "t_shape": lambda: t_shape()[0].with_anchors([0, 1, 2]),
+    "large": lambda: beam(32, 9, 9, lengths=(2.0, 0.8, 0.8)),
+}
+
+
 @pytest.fixture(params=list(MESHES), scope="module")
 def mesh(request):
     return MESHES[request.param]()
+
+
+@pytest.fixture(params=list(PATTERN_MESHES), scope="module")
+def pattern_mesh(request):
+    return PATTERN_MESHES[request.param]()
 
 
 def assert_same(got, want):
@@ -67,6 +83,54 @@ def test_stiffness_pattern(mesh):
     assert len(got) == len(want) == 5
     for g, w in zip(got, want):
         assert_same(g, w)
+
+
+def slot_arithmetic_precomp(mesh):
+    """A ``MeshPrecomp`` that holds the slot-arithmetic patterns of
+    ``reference_paths`` in place of its own."""
+    pre = MeshPrecomp(mesh)
+    pre.__dict__["_csr_pattern"] = reference_paths.slot_arithmetic_csr_pattern(pre)
+    pre.__dict__["_free_pattern"] = reference_paths.slot_arithmetic_free_pattern(pre)
+    return pre
+
+
+def test_block_stiffness_pattern(pattern_mesh):
+    got = MeshPrecomp(pattern_mesh)._csr_pattern
+    want = slot_arithmetic_precomp(pattern_mesh)._csr_pattern
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert_same(g, w)
+
+
+def test_free_pattern(pattern_mesh):
+    assert pattern_mesh.anchors
+    got = MeshPrecomp(pattern_mesh)._free_pattern
+    want = slot_arithmetic_precomp(pattern_mesh)._free_pattern
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert_same(g, w)
+
+
+def strained_state(mesh):
+    """A smooth rotation, shear and bend of the mesh, no element inverted."""
+    s = (mesh.nodes - mesh.nodes.min(axis=0)) / np.ptp(mesh.nodes, axis=0)
+    size = np.ptp(mesh.nodes, axis=0).max()
+    affine = mesh.nodes @ np.array([[0.0, -0.3, 0.1], [0.25, 0.05, 0.0], [-0.1, 0.1, -0.05]]).T
+    bend = np.stack([s[:, 1] * s[:, 2], s[:, 0] ** 2, s[:, 0] * s[:, 1]], axis=1)
+    return (affine + 0.1 * size * bend).ravel()
+
+
+@pytest.mark.parametrize("model", list(MaterialModel))
+def test_free_block(pattern_mesh, model):
+    params = MaterialParams(model, 1e4, 0.45)
+    u = strained_state(pattern_mesh)
+    pre, ref = MeshPrecomp(pattern_mesh), slot_arithmetic_precomp(pattern_mesh)
+    assert np.linalg.det(pre._gradients(u).transpose(2, 0, 1)).min() > 0.5
+    got = pre.free_block(assemble_stiffness(pattern_mesh, params, u, pre))
+    want = ref.free_block(assemble_stiffness(pattern_mesh, params, u, ref))
+    assert got.shape == want.shape == (len(pre.free.index),) * 2
+    for name in ("indptr", "indices", "data"):
+        assert_same(getattr(got, name), getattr(want, name))
 
 
 def test_mesh_without_tets_has_no_precomputation():

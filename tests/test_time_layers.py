@@ -38,7 +38,7 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
     assert 0 < tiny["rsw_band_rows"] <= 12
     assert tiny["rsw_band_mb"] == tiny["rsw_band_rows"] * 12 * 8 / 1e6
     for layer in ("load_mesh", "setup", "node_adjacency", "gradient_operator", "geodesic_all",
-                  "csr_pattern", "assemble_stiffness", "assemble_force", "total_elastic_energy",
+                  "csr_pattern", "free_pattern", "assemble_stiffness", "assemble_force", "total_elastic_energy",
                   "factorize", "refactorize", "backsolve", "rsw_fit", "rsw_backsolve"):
         stats = tiny[layer]
         assert stats["calls"] == 3

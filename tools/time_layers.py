@@ -20,7 +20,9 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   node graph and the two per-node operators read from it, the latter two
   given the graph, as ``build_warp_context`` and ``generate_poses`` call
   them; ``csr_pattern``: a fresh ``MeshPrecomp(mesh)`` plus its stiffness
-  pattern ``_csr_pattern``;
+  pattern ``_csr_pattern``; ``free_pattern``: K_ff's pattern
+  (``MeshPrecomp._free_pattern`` uncached) on a ``MeshPrecomp`` whose
+  ``_csr_pattern`` is already cached;
 * ``assemble_stiffness`` and ``assemble_force``: neo-Hookean, E = 1e4,
   nu = 0.45 (the benchmark's material), at the deformed state below;
 * ``total_elastic_energy`` at the same state;
@@ -161,6 +163,7 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     linear = PARAMS.as_linear()
     u = deformed_state(mesh)
     pre = MeshPrecomp(mesh)
+    pre._csr_pattern                  # cached: ``free_pattern`` times K_ff's pattern alone
     system = build_linear_system(mesh, linear, DT)
     A = (system.M + NEWMARK_GAMMA * DT * system.C + NEWMARK_BETA * DT * DT * system.K).tocsr()
     factor = BandedCholesky(A, 3)
@@ -185,6 +188,7 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
         "gradient_operator": _stats(lambda: gradient_operator(mesh, adjacency), calls, warmup),
         "geodesic_all": _stats(lambda: geodesic_all(mesh, adjacency), calls, warmup),
         "csr_pattern": _stats(lambda: MeshPrecomp(mesh)._csr_pattern, calls, warmup),
+        "free_pattern": _stats(lambda: MeshPrecomp._free_pattern.func(pre), calls, warmup),
         "assemble_stiffness": _stats(lambda: assemble_stiffness(mesh, PARAMS, u, pre),
                                      calls, warmup),
         "assemble_force": _stats(lambda: assemble_force(mesh, PARAMS, u, pre), calls, warmup),
