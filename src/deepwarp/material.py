@@ -213,7 +213,8 @@ class MeshPrecomp:
         transpose = (9 * position[graph.indices, rows][:, None, None]
                      + 3 * np.arange(3) + np.arange(3)[:, None])   # [k, p, r]: 9k' + 3r + p
         mirror = np.minimum(np.arange(nnz), at[transpose.ravel()[slots.data]])
-        # element entry (p, r) of corner pair (a, b) sits in block (tet[a], tet[b])
+        # element entry (p, r) of corner pair (a, b) is entry (p, r) of block
+        # (tet[a], tet[b]); the mirror gives its upper twin
         na, nb = self._tets.T[_CORNER_PAIRS.T]                     # (10, m) each
         block = position[na.ravel(), nb.ravel()].reshape(na.shape)
         upper = mirror[at[9 * block[_ENTRY_PAIR] + (3 * _ENTRY_P + _ENTRY_R)[:, None]]]
