@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__
 from .dataset import (DatasetFormatError, RampConfig, build_dataset,
                       read_dataset_file, sample_directions, split, write_dataset)
-from .dynamics import (ConvergenceError, IntegrationScheme, NotPositiveDefiniteError,
-                       RayleighDamping, write_trajectory_csv)
+from .dynamics import (NEWMARK_BETA, ConvergenceError, IntegrationScheme,
+                       NotPositiveDefiniteError, RayleighDamping, write_trajectory_csv)
 from .features import FEATURE_ORDER, N_FEATURES, ForceField, geodesic_all, static_features
 from .material import InvertedElementError, MaterialModel, MaterialParams
-from .mesh import (MeshError, load_mesh_files, load_partition, normalize_to_unit_sphere,
-                   tet_volumes, text_lines)
+from .mesh import (MeshError, MeshFormatError, load_mesh_files, load_partition,
+                   normalize_to_unit_sphere, tet_volumes, text_lines)
 from .net import (Activation, AdamConfig, MlpSpec, NetworkFormatError,
                   TrainingDivergedError, load_network_file, mse_loss, save_network, train)
 from .substructure import build_domain_graph, graphs_isomorphic
@@ -53,14 +53,18 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_config_file(path, seen=None) -> dict[str, str]:
-    seen = seen or set()
+def parse_config_file(path, seen=frozenset()) -> dict[str, str]:
+    """The values of a config file and its includes; ``seen`` holds the real
+    paths of the chain of files that include this one."""
     real = os.path.realpath(path)
     if real in seen:
         raise ConfigError(f"config include cycle at {path}")
-    seen.add(real)
+    try:
+        lines = text_lines(path)
+    except MeshFormatError as exc:
+        raise ConfigError(str(exc)) from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text_lines(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -69,7 +73,7 @@ def parse_config_file(path, seen=None) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "include":
             inc = value if os.path.isabs(value) else os.path.join(os.path.dirname(path), value)
-            values.update(parse_config_file(inc, seen))
+            values.update(parse_config_file(inc, seen | {real}))
         else:
             values[key] = value
     return values
@@ -141,11 +145,11 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"configuration key '{key}' is not a vector: {raw!r}")
 
-    def header_lines(self, command: str) -> list[str]:
+    def header(self, command: str) -> str:
+        """The ``#`` comment block that opens every output file."""
         lines = [f"deepwarp {command} (v{__version__})"]
-        for key in sorted(self.values):
-            lines.append(f"{key} = {self.values[key]}")
-        return lines
+        lines += [f"{key} = {self.values[key]}" for key in sorted(self.values)]
+        return "".join(f"# {line}\n" for line in lines)
 
 
 def _load_mesh(cfg: RunConfig, normalize: bool = False):
@@ -197,8 +201,10 @@ def _scenario(cfg: RunConfig, command: str, steps: int, dt: float) -> dict:
     steps, dt = cfg.getint("steps", steps), cfg.getfloat("dt", dt)
     if steps < 1:
         raise ConfigError(f"steps must be at least 1; got {steps}")
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"dt must be finite and positive; got {dt}")
+    if not (np.isfinite(dt) and dt > 0.0 and NEWMARK_BETA * dt * dt > 0.0
+            and np.isfinite(1.0 / (NEWMARK_BETA * dt * dt))):
+        raise ConfigError(f"dt must be finite and positive, with 1/(beta dt^2) finite; "
+                          f"got {dt}")
     return dict(mesh=mesh, params=_material(cfg), field_descr=_field(cfg),
                 steps=steps, dt=dt, scheme=_scheme(cfg),
                 damping=RayleighDamping(cfg.getfloat("damping_alpha", 0.0),
@@ -264,8 +270,7 @@ def cmd_features(args) -> int:
     sf = static_features(mesh, field, geodesic_all(mesh))
     out = cfg.require("out")
     with _AtomicFile(out) as f:
-        for line in cfg.header_lines("features"):
-            f.write(f"# {line}\n")
+        f.write(cfg.header("features"))
         f.write("node,g,p,d\n")
         for i in range(mesh.n_nodes):
             f.write(f"{i},{sf.g[i]:.10g},{sf.p[i]:.10g},{sf.d[i]:.10g}\n")
@@ -309,8 +314,7 @@ def cmd_gen_data(args) -> int:
     report_path = cfg.get("report", out + ".report.txt")
     feat = records.features
     with _AtomicFile(report_path) as f:
-        for line in cfg.header_lines("gen-data"):
-            f.write(f"# {line}\n")
+        f.write(cfg.header("gen-data"))
         f.write(f"records {len(records)}\n")
         f.write(f"poses_emitted {report.emitted}\n")
         f.write(f"poses_attempted {report.attempted}\n")
@@ -344,8 +348,7 @@ def cmd_train(args) -> int:
         save_network(f, result.best_network)
     loss_csv = cfg.get("loss_csv", out + ".loss.csv")
     with _AtomicFile(loss_csv) as f:
-        for line in cfg.header_lines("train"):
-            f.write(f"# {line}\n")
+        f.write(cfg.header("train"))
         f.write("epoch,train_mse,val_mse\n")
         for epoch, (tr_mse, va_mse) in enumerate(result.history):
             f.write(f"{epoch},{tr_mse:.10g},{va_mse:.10g}\n")
@@ -378,8 +381,8 @@ def cmd_simulate(args) -> int:
     steps, dt = run["steps"], run["dt"]
     times = dt * np.arange(1, steps + 1)
     with _AtomicFile(out) as f:
-        write_trajectory_csv(f, times, track, trajectories[method],
-                             header_lines=cfg.header_lines("simulate"))
+        f.write(cfg.header("simulate"))
+        write_trajectory_csv(f, times, track, trajectories[method])
     _print(args, f"simulated {steps} steps with method '{method}'; wrote {out}")
     return EXIT_OK
 
@@ -399,8 +402,7 @@ def cmd_compare(args) -> int:
     report = compare_methods(net=net, tracked_node=track[0], methods=methods, **run)
     out = cfg.require("out")
     with _AtomicFile(out) as f:
-        for line in cfg.header_lines("compare"):
-            f.write(f"# {line}\n")
+        f.write(cfg.header("compare"))
         f.write("method,step,rel_l2_error\n")
         for method, step, err in report.rows:
             f.write(f"{method},{step},{err:.10g}\n")

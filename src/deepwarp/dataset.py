@@ -406,13 +406,7 @@ def iter_dataset(stream, batch_size: int = 65536):
 
 
 def read_dataset(stream) -> RecordSet:
-    feats, targs = [], []
-    for X, Y in iter_dataset(stream):
-        feats.append(X)
-        targs.append(Y)
-    if not feats:
-        return RecordSet(np.zeros((0, N_FEATURES)), np.zeros((0, 3)))
-    return RecordSet(np.concatenate(feats), np.concatenate(targs))
+    return RecordSet.concat([RecordSet(X, Y) for X, Y in iter_dataset(stream)])
 
 
 def write_dataset_file(path, records: RecordSet) -> None:

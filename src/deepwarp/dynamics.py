@@ -387,8 +387,12 @@ def newton_solve(residual, tangent, u0: np.ndarray, tol: float, max_iter: int,
     assembled at ``u0`` only when it is not converged, then at the trials the
     curvature test reads; the accepted one serves the next step. After
     ``max_iter`` steps, a failed search or a direction that is not a descent
-    direction, the best iterate is returned flagged non-converged.
+    direction, the best iterate is returned flagged non-converged. A
+    tolerance that is not finite (an overflowed load norm) raises
+    ConvergenceError.
     """
+    if not np.isfinite(tol):
+        raise ConvergenceError(f"Newton tolerance is not finite ({tol})")
     u, r, J = u0, residual(u0), None
     best_u, best_r = u, float(np.linalg.norm(r))
     for it in range(max_iter):
@@ -738,11 +742,8 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
                     t=state.t + dt)
 
 
-def write_trajectory_csv(stream, times, tracked_nodes, displacements,
-                         header_lines=()) -> None:
+def write_trajectory_csv(stream, times, tracked_nodes, displacements) -> None:
     """Trajectory output: one `t,node,ux,uy,uz` row per tracked node per step."""
-    for line in header_lines:
-        stream.write(f"# {line}\n")
     stream.write("t,node,ux,uy,uz\n")
     for t, u in zip(times, displacements):
         x = u.reshape(-1, 3)

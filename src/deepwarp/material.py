@@ -3,7 +3,9 @@
 Four isotropic models share one pair of Lame-style coefficients derived from
 Young's modulus ``k`` and Poisson's ratio ``nu`` (mu = k/2(1+nu),
 lam = k*nu/(1+nu)(1-2nu)), so all strain-stress curves agree to first order
-at the rest state:
+at the rest state. The linear, corotational and StVK models share Hooke's
+law 2 mu X + lam tr(X) I and its energy mu |X|^2 + lam/2 tr(X)^2
+(``_hooke``, ``_hooke_energy``), applied to their strains:
 
 * linear       -- quadratic energy in the Cauchy strain sym(G), G = F - I
 * corotational -- linear energy form evaluated on the stretch S of F = R S
@@ -382,11 +384,26 @@ def _check_uninverted(J: np.ndarray) -> None:
             f"neo-hookean element {bad} inverted (det F = {J.flat[bad]:.3e})")
 
 
-def _stvk_stress_factor(F: np.ndarray, mu: float, lam: float) -> np.ndarray:
-    """T = 2 mu E + lam tr(E) I with E = (F F^T - I)/2, so that P = T F."""
-    E = 0.5 * (F @ np.swapaxes(F, 1, 2) - _EYE)
-    tr = np.trace(E, axis1=1, axis2=2)
-    return 2.0 * mu * E + lam * tr[:, None, None] * _EYE
+def _sym(X: np.ndarray) -> np.ndarray:
+    """(X + X^T)/2 over the last two axes."""
+    return 0.5 * (X + np.swapaxes(X, -2, -1))
+
+
+def _green_strain(F: np.ndarray) -> np.ndarray:
+    """E = (F F^T - I)/2 of a batch (m, 3, 3)."""
+    return 0.5 * (F @ np.swapaxes(F, 1, 2) - _EYE)
+
+
+def _hooke(X: np.ndarray, mu: float, lam: float) -> np.ndarray:
+    """The isotropic linear law 2 mu X + lam tr(X) I of strains (..., 3, 3)."""
+    tr = np.trace(X, axis1=-2, axis2=-1)
+    return 2.0 * mu * X + lam * tr[..., None, None] * _EYE
+
+
+def _hooke_energy(X: np.ndarray, mu: float, lam: float) -> np.ndarray:
+    """mu |X|^2 + lam/2 tr(X)^2 of a batch of strains (m, 3, 3)."""
+    tr = np.trace(X, axis1=1, axis2=2)
+    return mu * np.einsum("nij,nij->n", X, X) + 0.5 * lam * tr * tr
 
 
 def energy_density_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
@@ -394,14 +411,9 @@ def energy_density_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
     mu, lam = params.lame()
     model = params.model
     if model is MaterialModel.LINEAR:
-        G = F - _EYE
-        eps = 0.5 * (G + np.swapaxes(G, 1, 2))
-        tr = np.trace(eps, axis1=1, axis2=2)
-        return mu * np.einsum("nij,nij->n", eps, eps) + 0.5 * lam * tr * tr
+        return _hooke_energy(_sym(F - _EYE), mu, lam)
     if model is MaterialModel.STVK:
-        E = 0.5 * (F @ np.swapaxes(F, 1, 2) - _EYE)
-        tr = np.trace(E, axis1=1, axis2=2)
-        return mu * np.einsum("nij,nij->n", E, E) + 0.5 * lam * tr * tr
+        return _hooke_energy(_green_strain(F), mu, lam)
     if model is MaterialModel.NEO_HOOKEAN:
         J, _ = _neo_hookean_invariants(F)
         i1 = np.einsum("nij,nij->n", F, F)
@@ -409,9 +421,7 @@ def energy_density_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
         return 0.5 * mu * (i1 - 3.0) - mu * logj + 0.5 * lam * logj * logj
     if model is MaterialModel.COROTATIONAL:
         _, S = polar_decompose_batch(F)
-        D = S - _EYE
-        tr = np.trace(D, axis1=1, axis2=2)
-        return mu * np.einsum("nij,nij->n", D, D) + 0.5 * lam * tr * tr
+        return _hooke_energy(S - _EYE, mu, lam)
     raise ValueError(f"unknown material model {model}")
 
 
@@ -420,11 +430,9 @@ def piola_stress_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
     mu, lam = params.lame()
     model = params.model
     if model is MaterialModel.LINEAR:
-        G = F - _EYE
-        tr = np.trace(G, axis1=1, axis2=2)
-        return mu * (G + np.swapaxes(G, 1, 2)) + lam * tr[:, None, None] * _EYE
+        return _hooke(_sym(F - _EYE), mu, lam)
     if model is MaterialModel.STVK:
-        return _stvk_stress_factor(F, mu, lam) @ F
+        return _hooke(_green_strain(F), mu, lam) @ F
     if model is MaterialModel.NEO_HOOKEAN:
         # componentwise on (3, 3, m), where the assembly's F is contiguous
         Fc = np.moveaxis(F, (1, 2), (0, 1))
@@ -433,10 +441,7 @@ def piola_stress_batch(params: MaterialParams, F: np.ndarray) -> np.ndarray:
         return np.moveaxis(mu * Fc + (lam * np.log(J) - mu) * B, (0, 1), (1, 2))
     if model is MaterialModel.COROTATIONAL:
         R, S = polar_decompose_batch(F)
-        D = S - _EYE
-        tr = np.trace(D, axis1=1, axis2=2)
-        T = 2.0 * mu * D + lam * tr[:, None, None] * _EYE
-        return R @ T
+        return R @ _hooke(S - _EYE, mu, lam)
     raise ValueError(f"unknown material model {model}")
 
 
@@ -454,14 +459,13 @@ def piola_stress_differential_batch(params: MaterialParams, F: np.ndarray,
     model = params.model
     dFt = np.swapaxes(dF, 2, 3)
     if model is MaterialModel.LINEAR:
-        tr = np.trace(dF, axis1=2, axis2=3)
-        return mu * (dF + dFt) + lam * tr[..., None, None] * _EYE
+        return _hooke(_sym(dF), mu, lam)
     if model is MaterialModel.STVK:
         Fk = F[:, None]
         FdFt = Fk @ dFt
         trdE = np.einsum("npq,nkpq->nk", F, dF)
         dT = mu * (FdFt + np.swapaxes(FdFt, 2, 3)) + lam * trdE[..., None, None] * _EYE
-        return dT @ Fk + _stvk_stress_factor(F, mu, lam)[:, None] @ dF
+        return dT @ Fk + _hooke(_green_strain(F), mu, lam)[:, None] @ dF
     if model is MaterialModel.NEO_HOOKEAN:
         J, B = _neo_hookean_invariants(F)
         Bk = B[:, None]
@@ -471,9 +475,7 @@ def piola_stress_differential_batch(params: MaterialParams, F: np.ndarray,
     if model is not MaterialModel.COROTATIONAL:
         raise ValueError(f"unknown material model {model}")
     R, S = polar_decompose_batch(F)
-    D = S - _EYE
-    trD = np.trace(D, axis1=1, axis2=2)
-    T = 2.0 * mu * D + lam * trD[:, None, None] * _EYE
+    T = _hooke(S - _EYE, mu, lam)
     # rotation differential: (tr(S) I - S) w = axial(R^T dF - dF^T R)
     L = np.trace(S, axis1=1, axis2=2)[:, None, None] * _EYE - S
     RtdF = np.einsum("nqp,nkqs->nkps", R, dF)           # R^T dF per direction
@@ -484,9 +486,7 @@ def piola_stress_differential_batch(params: MaterialParams, F: np.ndarray,
     except np.linalg.LinAlgError:
         Linv = np.linalg.pinv(L)
     W = skew(np.einsum("nab,nkb->nka", Linv, rhs))
-    dS = RtdF - np.einsum("nkab,nbc->nkac", W, S)
-    trdS = np.trace(dS, axis1=2, axis2=3)
-    dT = 2.0 * mu * dS + lam * trdS[..., None, None] * _EYE
+    dT = _hooke(RtdF - np.einsum("nkab,nbc->nkac", W, S), mu, lam)
     dR = np.einsum("nab,nkbc->nkac", R, W)
     return np.einsum("nkab,nbc->nkac", dR, T) + np.einsum("nab,nkbc->nkac", R, dT)
 
@@ -569,7 +569,7 @@ def _stiffness_upper(params: MaterialParams, F: np.ndarray, g: np.ndarray,
         h, c = g, mu
     elif model is MaterialModel.STVK:
         h, c = _times(F, g), mu
-        T = _stvk_stress_factor(F.transpose(2, 0, 1), mu, lam).transpose(1, 2, 0)
+        T = _hooke(_green_strain(F.transpose(2, 0, 1)), mu, lam).transpose(1, 2, 0)
     elif model is MaterialModel.NEO_HOOKEAN:
         J, B = _det_and_inverse_transpose_cm(F)
         _check_uninverted(J)

@@ -2,6 +2,9 @@
 
 Boxes (and box complexes such as T-shapes) are built on a regular grid with
 six tets per cell (Kuhn decomposition), which is conforming across cells.
+The grid is built by array operations: the used grid points are an OR of
+shifted cell masks, their ids a cumulative sum in C order, and the tets one
+fancy index of the Kuhn paths' corner offsets.
 """
 
 from __future__ import annotations
@@ -10,48 +13,29 @@ import numpy as np
 
 from .mesh import DomainPartition, TetMesh, orient_positive
 
-# Corner order per axis-permutation path through the unit cell.
+# Corner order per axis-permutation path through the unit cell, and the
+# (6, 4, 3) grid offsets of each path's four corners from the cell's origin.
 _KUHN_PATHS = [
     (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
 ]
+_KUHN_CORNERS = np.concatenate([np.zeros((6, 1, 3), dtype=np.int64),
+                                np.eye(3, dtype=np.int64)[_KUHN_PATHS].cumsum(axis=1)], axis=1)
 
 
 def box_complex(cell_mask: np.ndarray, spacing=(1.0, 1.0, 1.0),
                 origin=(0.0, 0.0, 0.0)) -> TetMesh:
-    """Mesh the cells where ``cell_mask`` is True with 6 tets per cell."""
+    """Mesh the cells where ``cell_mask`` is True with 6 tets per cell:
+    grid points and cells in C order, each cell's tets in path order."""
     mask = np.asarray(cell_mask, dtype=bool)
     nx, ny, nz = mask.shape
-    sx, sy, sz = spacing
-
     used = np.zeros((nx + 1, ny + 1, nz + 1), dtype=bool)
-    idx = np.nonzero(mask)
-    for i, j, k in zip(*idx):
-        used[i:i + 2, j:j + 2, k:k + 2] = True
-    node_id = -np.ones(used.shape, dtype=np.int64)
-    coords = []
-    count = 0
-    for gi in range(nx + 1):
-        for gj in range(ny + 1):
-            for gk in range(nz + 1):
-                if used[gi, gj, gk]:
-                    node_id[gi, gj, gk] = count
-                    coords.append((origin[0] + gi * sx, origin[1] + gj * sy,
-                                   origin[2] + gk * sz))
-                    count += 1
-    nodes = np.array(coords, dtype=np.float64)
-
-    tets = []
-    for i, j, k in zip(*idx):
-        base = np.array([i, j, k])
-        for path in _KUHN_PATHS:
-            corner = base.copy()
-            verts = [node_id[tuple(corner)]]
-            for axis in path:
-                corner[axis] += 1
-                verts.append(node_id[tuple(corner)])
-            tets.append((verts[0], verts[1], verts[2], verts[3]))
-    tets = orient_positive(nodes, np.array(tets, dtype=np.int64))
-    return TetMesh(nodes=nodes, tets=tets)
+    for i, j, k in np.ndindex(2, 2, 2):
+        used[i:i + nx, j:j + ny, k:k + nz] |= mask
+    node_id = np.cumsum(used).reshape(used.shape) - 1
+    nodes = np.argwhere(used) * np.asarray(spacing, dtype=np.float64) + origin
+    corners = np.argwhere(mask)[:, None, None] + _KUHN_CORNERS   # (cells, 6, 4, 3)
+    tets = node_id[corners[..., 0], corners[..., 1], corners[..., 2]].reshape(-1, 4)
+    return TetMesh(nodes=nodes, tets=orient_positive(nodes, tets))
 
 
 def beam(nx: int = 8, ny: int = 3, nz: int = 3, lengths=(2.0, 1.0, 1.0),

@@ -3,7 +3,9 @@
 Dependency-free numpy implementation: deterministic per seed, tanh hidden
 activations, linear output layer (targets are unbounded displacement fixes),
 mean-squared-error loss. Inputs are standardized per feature with statistics
-computed on the training set and stored alongside the weights.
+computed on the training set and stored alongside the weights. One
+feature-major layer loop (``_layers``) serves both the forward pass and
+backpropagation, which reads the activations it returns.
 
 Network file format (little-endian):
 
@@ -98,30 +100,37 @@ def init_weights(spec: MlpSpec, seed: int) -> MlpWeights:
 
 
 def _act(activation: Activation, z: np.ndarray) -> np.ndarray:
+    """The hidden activation of z, written over z."""
     if activation is Activation.TANH:
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
-def _act_grad(activation: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _act_grad(activation: Activation, a: np.ndarray) -> np.ndarray:
+    """Derivative of the activation, from its output (ReLU: a > 0 iff z > 0)."""
     if activation is Activation.TANH:
         return 1.0 - a * a
-    return (z > 0.0).astype(np.float64)
+    return (a > 0.0).astype(np.float64)
+
+
+def _layers(weights: MlpWeights, A: np.ndarray, activation: Activation) -> list[np.ndarray]:
+    """Feature-major forward pass: every activation, input (features, rows) first.
+
+    Each layer is W @ a plus the bias in place; the output layer is linear.
+    """
+    acts = [A]
+    last = len(weights.weights) - 1
+    for i, (W, b) in enumerate(zip(weights.weights, weights.biases)):
+        z = W @ acts[-1]
+        z += b[:, None]
+        acts.append(z if i == last else _act(activation, z))
+    return acts
 
 
 def forward_batch(weights: MlpWeights, X: np.ndarray, activation: Activation) -> np.ndarray:
-    """Network outputs for a batch of (standardized) feature rows.
-
-    Feature-major: each layer is W @ Aᵀ plus the bias in place; the result
-    is the transposed view of the (outputs, rows) array.
-    """
-    a = np.asarray(X, dtype=np.float64).T
-    last = len(weights.weights) - 1
-    for i, (W, b) in enumerate(zip(weights.weights, weights.biases)):
-        z = W @ a
-        z += b[:, None]
-        a = z if i == last else _act(activation, z)
-    return a.T
+    """Network outputs for a batch of (standardized) feature rows: the
+    transposed view of the last (outputs, rows) activation."""
+    return _layers(weights, np.asarray(X, dtype=np.float64).T, activation)[-1].T
 
 
 def forward(weights: MlpWeights, x: np.ndarray, activation: Activation) -> np.ndarray:
@@ -131,28 +140,18 @@ def forward(weights: MlpWeights, x: np.ndarray, activation: Activation) -> np.nd
 def backward(weights: MlpWeights, X: np.ndarray, Y: np.ndarray, activation: Activation):
     """Gradients of 0.5 * mean_i |f(x_i) - y_i|^2 and the loss itself."""
     X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
     n = len(X)
-    last = len(weights.weights) - 1
-    acts = [X]
-    zs = []
-    a = X
-    for i, (W, b) in enumerate(zip(weights.weights, weights.biases)):
-        z = a @ W.T + b
-        zs.append(z)
-        a = z if i == last else _act(activation, z)
-        acts.append(a)
-    diff = acts[-1] - Y
-    loss = 0.5 * float(np.einsum("ni,ni->", diff, diff)) / n
-    grad_w = [np.empty_like(W) for W in weights.weights]
-    grad_b = [np.empty_like(b) for b in weights.biases]
+    acts = _layers(weights, X.T, activation)
+    diff = acts[-1] - np.asarray(Y, dtype=np.float64).T
+    loss = 0.5 * float(np.einsum("in,in->", diff, diff)) / n
+    grad_w, grad_b = [], []
     delta = diff / n
-    for i in range(last, -1, -1):
-        grad_w[i] = delta.T @ acts[i]
-        grad_b[i] = delta.sum(axis=0)
+    for i in range(len(weights.weights) - 1, -1, -1):
+        grad_w.append(delta @ acts[i].T)
+        grad_b.append(delta.sum(axis=1))
         if i > 0:
-            delta = (delta @ weights.weights[i]) * _act_grad(activation, zs[i - 1], acts[i])
-    return MlpWeights(weights=grad_w, biases=grad_b), loss
+            delta = (weights.weights[i].T @ delta) * _act_grad(activation, acts[i])
+    return MlpWeights(weights=grad_w[::-1], biases=grad_b[::-1]), loss
 
 
 def mse_loss(weights: MlpWeights, X: np.ndarray, Y: np.ndarray,
@@ -247,6 +246,18 @@ class TrainResult:
     history: list[tuple[float, float]] = field(default_factory=list)
 
 
+def _train_epoch(weights: MlpWeights, state: AdamState, X: np.ndarray, Y: np.ndarray,
+                 perm: np.ndarray, config: AdamConfig, activation: Activation,
+                 epoch: int) -> None:
+    """One Adam step per minibatch of ``config.batch`` rows, in ``perm`` order."""
+    for bi, start in enumerate(range(0, len(X), config.batch)):
+        idx = perm[start:start + config.batch]
+        grads, loss = backward(weights, X[idx], Y[idx], activation)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(epoch, bi, config.lr)
+        adam_step(weights, grads, state, config)
+
+
 def train(spec: MlpSpec, train_X: np.ndarray, train_Y: np.ndarray,
           val_X: np.ndarray, val_Y: np.ndarray,
           config: AdamConfig = AdamConfig()) -> TrainResult:
@@ -272,13 +283,7 @@ def train(spec: MlpSpec, train_X: np.ndarray, train_Y: np.ndarray,
     best_val = history[0][1]
     best_weights = weights.copy()
     for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(len(Xt))
-        for bi, start in enumerate(range(0, len(Xt), config.batch)):
-            idx = perm[start:start + config.batch]
-            grads, loss = backward(weights, Xt[idx], Yt[idx], act)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, bi, config.lr)
-            adam_step(weights, grads, state, config)
+        _train_epoch(weights, state, Xt, Yt, rng.permutation(len(Xt)), config, act, epoch)
         tr = mse_loss(weights, Xt, Yt, act)
         va = mse_loss(weights, Xv, Yv, act)
         history.append((tr, va))

@@ -272,7 +272,8 @@ def simulate_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFi
     diverged or inverted an element after k < ``steps`` steps; the other
     methods then run those k steps only. linear, MW, RSW and deepwarp step on
     one factorization, and MW and RSW read one gradient operator: deepwarp's
-    own when it is requested.
+    own when it is requested. A displacement that is not finite raises
+    ConvergenceError naming the method and the step.
     """
     if "deepwarp" in methods and net is None:
         raise ValueError("deepwarp method requires a trained network")
@@ -309,8 +310,14 @@ def simulate_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFi
             state = step_linear_implicit(system, state, f_ext)
             for m in baselines:
                 out[m].append(warps[m](state.u))
-    return {m: np.array(traj).reshape(len(traj), 3 * mesh.n_nodes)
-            for m, traj in out.items()}, note
+    trajectories = {m: np.array(traj).reshape(len(traj), 3 * mesh.n_nodes)
+                    for m, traj in out.items()}
+    for m, traj in trajectories.items():
+        bad = ~np.isfinite(traj).all(axis=1)
+        if bad.any():
+            raise ConvergenceError(f"{m} displacement is not finite at step "
+                                   f"{int(np.argmax(bad)) + 1}")
+    return trajectories, note
 
 
 @dataclass

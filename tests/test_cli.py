@@ -53,6 +53,15 @@ class TestConfig:
         b.write_text(f"include = {a}\n")
         assert main(["info", "--config", str(a)]) == 1
 
+    def test_diamond_include_is_not_a_cycle(self, tmp_path):
+        d = tmp_path / "d.cfg"
+        d.write_text("youngs = 500\n")
+        for name, poisson in (("b", "0.3"), ("c", "0.4")):
+            (tmp_path / f"{name}.cfg").write_text(f"include = {d}\npoisson = {poisson}\n")
+        a = tmp_path / "a.cfg"
+        a.write_text(f"include = {tmp_path / 'b.cfg'}\ninclude = {tmp_path / 'c.cfg'}\n")
+        assert parse_config_file(str(a)) == {"youngs": "500", "poisson": "0.4"}
+
     def test_non_integer_count_rejected(self, tmp_path, mesh_files, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("ramp_poses = 2.7\n")
@@ -106,6 +115,8 @@ class TestConfig:
         code = main(["info", "--config", str(cfgfile)] + mesh_flags(mesh_files))
         assert code == 1
         assert f"error: {cfgfile} line 1: not UTF-8 text" in capsys.readouterr().err
+        with pytest.raises(cli.ConfigError, match="line 1: not UTF-8 text"):
+            parse_config_file(str(cfgfile))
         # an included file is named itself
         top = tmp_path / "top.cfg"
         top.write_text(f"poisson = 0.3\ninclude = {cfgfile}\n")
@@ -352,6 +363,8 @@ class TestTrainSimulateCompare:
          "dt must be finite and positive"),
         ("simulate", ["--method", "linear", "--dt", "inf"],
          "dt must be finite and positive"),
+        ("simulate", ["--method", "groundtruth", "--dt", "1e-300"],
+         "with 1/(beta dt^2) finite"),
         ("simulate", ["--method", "linear", "--steps", "-3"], "steps must be at least 1"),
         ("compare", ["--steps", "0"], "steps must be at least 1"),
     ])
@@ -379,6 +392,27 @@ class TestTrainSimulateCompare:
                     + flags + ["--out", str(out), "--quiet"])
         assert code == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # numpy warns of the overflow and the NaNs that follow it, and deepwarp of
+    # its features outside the trained range: only these tests expect that
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::deepwarp.warper.ExtrapolationWarning")
+    @pytest.mark.parametrize("method, magnitude, message", [
+        ("rsw", "1e300", "rsw displacement is not finite at step 1"),
+        ("mw", "1e300", "mw displacement is not finite at step 1"),
+        ("deepwarp", "1e300", "deepwarp displacement is not finite at step 1"),
+        ("groundtruth", "1e300", "Newton tolerance is not finite"),
+        ("groundtruth", "1e160", "Newton tolerance is not finite"),
+    ])
+    def test_overflowing_load_is_numerical(self, mesh_files, tmp_path, net_file, method,
+                                           magnitude, message, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["simulate"] + mesh_flags(mesh_files) + [
+            "--method", method, "--net", str(net_file), "--field-magnitude", magnitude,
+            "--steps", "3", "--track", "35", "--out", str(out), "--quiet"])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_method_needs_net(self, mesh_files, tmp_path):

@@ -9,8 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # the count after the build-on-None defaults, prefactorize's scheme
-# parameters and the networks' default activation were removed
-MAX_OPTIONAL_VALUES = 95
+# parameters, the networks' default activation and write_trajectory_csv's
+# header lines were removed
+MAX_OPTIONAL_VALUES = 94
 
 
 def load_tool():

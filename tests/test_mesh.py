@@ -1,3 +1,4 @@
+import hashlib
 import io
 import warnings
 
@@ -299,6 +300,37 @@ class TestLoaderMatchesPerLineReference:
         got, _ = outcome(lambda f: load_partition(f, small_beam), text)
         want, _ = outcome(lambda f: reference_paths.load_partition(f, small_beam), text)
         assert np.array_equal(got.labels, want.labels)
+
+
+# SHA-256 digests of the node, tet and anchor (t_shape: label) arrays'
+# bytes, taken when box_complex still numbered the grid in Python loops
+MESHGEN_DIGESTS = {
+    "beam(16, 5, 5)": (
+        "11aca1317638fc4201e7b7b0d3c92af2a407c49032ffea3a38cd165c6e7ec41d",
+        "636e8bad5223749d6d34a0ad1450d2330743ae53fa1192bec4c1777fbb16b50c",
+        "0a8debd26c46b3c7b1c0f2cd13e088848852c614fcd2f9fde84622e7b1ba4a00"),
+    "beam(32, 9, 9)": (
+        "ef196b21b72ddd5170987a03b1ffeea55a5779a8cb9c52f2a0450c08c9d1bfd1",
+        "3896574f57fffe556c1f5c074d06a2e6010ee4f8fb8a8987ff55e2924dc79d26",
+        "96bdba67cd0b5e6dc0f9e399f66b17eae627eac812d0620119e87687d789546a"),
+    "t_shape()": (
+        "9effcc6f947b23f5a3adfb6e8a4f53c87eb013c175d4ffa617df77361a1112ef",
+        "7196e8a2a1872ca06871dc100a518cb9f88afa8ea09aafd17b0f8ea7bdfa28e2",
+        "1b3549032af5a34573158698b83fa81f625c260188334d483139501b781eabee"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESHGEN_DIGESTS))
+def test_meshgen_arrays_pinned(name):
+    if name == "t_shape()":
+        mesh, part = t_shape()
+        third = part.labels
+    else:
+        mesh = beam(*map(int, name[5:-1].split(", ")), lengths=(2.0, 0.8, 0.8))
+        third = np.array(sorted(mesh.anchors), dtype=np.int64)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in (mesh.nodes, mesh.tets, third))
+    assert got == MESHGEN_DIGESTS[name]
 
 
 class TestNormalize:

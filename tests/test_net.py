@@ -116,8 +116,9 @@ class TestBackward:
         assert loss == 0.0
         assert all(np.abs(g).max() < 1e-14 for g in grads.weights + grads.biases)
 
-    def test_gradients_match_finite_differences(self):
-        spec = MlpSpec((7, 16, 16, 3))
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_gradients_match_finite_differences(self, activation):
+        spec = MlpSpec((7, 16, 16, 3), activation)
         w = init_weights(spec, 3)
         rng = np.random.default_rng(4)
         X = rng.standard_normal((32, 7))

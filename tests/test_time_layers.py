@@ -1,6 +1,7 @@
 """tools/time_layers.py on a tiny beam: every timed call runs and reports
 its median and quartiles, the band factors report their sizes and the
-Newmark trajectory reports its Newton solves per step."""
+Newmark trajectory reports its Newton solves per step. One training epoch
+is timed once per run."""
 
 import importlib.util
 from pathlib import Path
@@ -29,6 +30,9 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
     assert out["environment"]["nproc"] >= 1
     assert set(out["environment"]["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                                   "MKL_NUM_THREADS"}
+    epoch = out["train_epoch"]
+    assert epoch["calls"] == 3
+    assert 0.0 < epoch["q1_ms"] <= epoch["median_ms"] <= epoch["q3_ms"]
     tiny = out["tiny"]
     assert tiny["nodes"] == 16 and tiny["tets"] == 18
     # 12 free nodes: a band of at most 36 rows of 36 float64 entries
@@ -37,7 +41,8 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
     # the RSW normal matrix, one DOF per node: 12 columns
     assert 0 < tiny["rsw_band_rows"] <= 12
     assert tiny["rsw_band_mb"] == tiny["rsw_band_rows"] * 12 * 8 / 1e6
-    for layer in ("load_mesh", "setup", "node_adjacency", "gradient_operator", "geodesic_all",
+    for layer in ("mesh_generation", "load_mesh", "setup", "node_adjacency",
+                  "gradient_operator", "geodesic_all",
                   "csr_pattern", "free_pattern", "assemble_stiffness", "assemble_force", "total_elastic_energy",
                   "factorize", "refactorize", "backsolve", "rsw_fit", "rsw_backsolve"):
         stats = tiny[layer]

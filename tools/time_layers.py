@@ -1,6 +1,6 @@
-"""Time the mesh loader, the node-graph set-up, the material assembly, the
-factorization layers and the Newmark ground-truth step on the benchmark
-beams.
+"""Time the mesh generator and loader, the node-graph set-up, the material
+assembly, the factorization layers and the Newmark ground-truth step on the
+benchmark beams, and one training epoch.
 
 Usage (from the repository root)::
 
@@ -10,6 +10,7 @@ Each mesh is the benchmark's beam, normalised to the unit sphere: the README
 beam ``beam(16, 5, 5)`` (612 nodes, 2400 tets) and ``beam(32, 9, 9)`` (3300
 nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
 
+* ``mesh_generation``: the ``beam(...)`` call that builds the beam;
 * ``load_mesh``: ``load_mesh_files`` plus ``normalize_to_unit_sphere`` on
   the node, element and anchor files of the beam before normalisation,
   written once by ``write_mesh_files`` to a temporary directory: the call
@@ -47,6 +48,11 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   scaled so that the static linear solution has max |u| = 0.7), one call per
   step; ``newmark_solves_per_step`` is the mean number of Newton solves of
   its steps.
+
+``train_epoch`` (one per run, not per beam) times one epoch of ``train``'s
+minibatch loop, ``net._train_epoch``: the (7, 16, 16, 3) tanh network with
+batch 1024 on a fixed seeded set of ``TRAIN_ROWS`` = 45,504 standard-normal
+feature and target rows, the weights carried on from call to call.
 
 The deformed state is fixed: with s = (x - x_min) / (x_max - x_min) along
 the beam axis, every node turns by 0.6 s radians about the axis and moves by
@@ -86,6 +92,8 @@ from deepwarp.material import (MaterialModel, MaterialParams, MeshPrecomp,  # no
 from deepwarp.mesh import (load_mesh_files, node_adjacency,  # noqa: E402
                            normalize_to_unit_sphere, write_mesh_files)
 from deepwarp.meshgen import beam  # noqa: E402
+from deepwarp.net import (AdamConfig, AdamState, MlpSpec, _train_epoch,  # noqa: E402
+                          init_weights)
 from deepwarp.registration import gradient_operator  # noqa: E402
 
 PARAMS = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
@@ -97,6 +105,8 @@ _ALPHA, _BETA = np.radians(75.0), np.radians(45.0)
 LOAD_DIRECTION = np.array([np.sin(_BETA) * np.cos(_ALPHA), np.cos(_BETA),
                            np.sin(_BETA) * np.sin(_ALPHA)])
 STATIC_MAX_U = 0.7
+TRAIN_SPEC = MlpSpec((7, 16, 16, 3))
+TRAIN_ROWS = 45504
 
 
 def deformed_state(mesh) -> np.ndarray:
@@ -157,6 +167,16 @@ def time_load(mesh, calls: int, warmup: int) -> dict:
         return _stats(lambda: normalize_to_unit_sphere(load_mesh_files(*paths)), calls, warmup)
 
 
+def time_train_epoch(calls: int, warmup: int) -> dict:
+    """Per-epoch timings of ``train``'s minibatch loop."""
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((TRAIN_ROWS, 7)), rng.standard_normal((TRAIN_ROWS, 3))
+    weights, config = init_weights(TRAIN_SPEC, 0), AdamConfig(batch=1024)
+    state = AdamState.zeros_like(weights)
+    return _stats(lambda: _train_epoch(weights, state, X, Y, rng.permutation(TRAIN_ROWS),
+                                       config, TRAIN_SPEC.activation, 1), calls, warmup)
+
+
 def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     """Per-call timings of the assembly layer on one mesh."""
     n = 3 * mesh.n_nodes
@@ -215,10 +235,13 @@ def environment() -> dict:
 def run(meshes: dict, calls: int = 30, warmup: int = 3) -> dict:
     """Time every mesh of ``meshes`` (name -> beam cell counts)."""
     out = {"environment": environment(), "material": PARAMS.model.value,
-           "youngs": PARAMS.youngs, "poisson": PARAMS.poisson}
+           "youngs": PARAMS.youngs, "poisson": PARAMS.poisson,
+           "train_epoch": time_train_epoch(calls, warmup)}
     for name, cells in meshes.items():
         raw = beam(*cells, lengths=LENGTHS)
-        out[name] = {"load_mesh": time_load(raw, calls, warmup),
+        out[name] = {"mesh_generation": _stats(lambda: beam(*cells, lengths=LENGTHS),
+                                               calls, warmup),
+                     "load_mesh": time_load(raw, calls, warmup),
                      **time_mesh(normalize_to_unit_sphere(raw), calls, warmup)}
     return out
 
