@@ -372,7 +372,10 @@ def cmd_simulate(args) -> int:
     elif cfg.get("net"):
         _print(args, f"note: --net is ignored for method '{method}'")
     run = _scenario(cfg, "simulation", steps=100, dt=1.0 / 60.0)
-    track = _tracked_nodes(cfg, run["mesh"], "0")
+    mesh = run["mesh"]
+    # by default the lowest-index unanchored node (node 0 if all are anchored)
+    first_free = next((i for i in range(mesh.n_nodes) if i not in mesh.anchors), 0)
+    track = _tracked_nodes(cfg, mesh, str(first_free))
     trajectories, note = simulate_methods(net=net, methods=(method,), **run)
     if note is not None:
         raise ConvergenceError(note)

@@ -322,9 +322,7 @@ def extract_records(pose: Pose, static: StaticFeatureSet, poisson: float,
     X = assemble_features_batch(u_mag, w_mag, angle, static, poisson)
     delta = pose.u.reshape(-1, 3) - U
     targets = np.einsum("npq,nq->np", Q, delta)
-    keep = np.ones(mesh.n_nodes, dtype=bool)
-    keep[mesh.anchor_array()] = False
-    idx = np.nonzero(keep)[0]
+    idx = np.delete(np.arange(mesh.n_nodes), mesh.anchor_array())
     return RecordSet(X[idx], targets[idx],
                      pose_ids=np.full(len(idx), -1), node_ids=idx)
 

@@ -4,9 +4,10 @@ Newmark reference integrator.
 
 Dirichlet anchors are eliminated at the solver boundary. Every system holds
 and factorizes its matrices restricted to the free DOFs (K_ff, M_ff, C_ff;
-``MeshPrecomp.free_block`` gathers K_ff from an assembled stiffness). Loads
-and states are gathered to the free DOFs before a solve and the results are
-scattered into zeros, so public (3n,) states hold exact zeros at anchors.
+``MeshPrecomp.free_stiffness`` and ``free_force`` assemble K_ff and the force
+at a free-DOF displacement). Loads and states are gathered to the free DOFs
+before a solve and the results are scattered into zeros, so public (3n,)
+states hold exact zeros at anchors.
 
 Every sparse factorization in the package is a ``BandedCholesky``: a banded
 Cholesky factor on a node-level reverse Cuthill-McKee ordering (LAPACK
@@ -48,8 +49,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky_banded, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .material import InvertedElementError, MaterialParams, MeshPrecomp, assemble_force, \
-    assemble_stiffness
+from .material import InvertedElementError, MaterialParams, MeshPrecomp
 from .mesh import FreeDofs, TetMesh, lumped_mass
 
 
@@ -510,7 +510,7 @@ def _free_matrices(mesh: TetMesh, params: MaterialParams, density: float):
         raise NotPositiveDefiniteError(
             "mesh has no anchors; the stiffness has a floating null space")
     pre = MeshPrecomp(mesh)
-    K = pre.free_block(assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), pre))
+    K = pre.free_stiffness(params, np.zeros(len(pre.free.index)))
     masses = lumped_mass(mesh, density)
     M = sp.diags(pre.free.gather(np.repeat(masses, 3))).tocsr()
     return pre, K, M, masses
@@ -606,7 +606,6 @@ class QuasistaticDriver:
     def __init__(self, mesh: TetMesh, params: MaterialParams, density: float = 1000.0):
         self.pre, K, M, self.masses = _free_matrices(mesh, params.as_linear(), density)
         self.mesh = mesh
-        self.free = self.pre.free
         self.static = prefactorize(K)
         omega = smallest_mode_frequency(K, M, self.static)
         if omega <= 0.0:
@@ -615,7 +614,7 @@ class QuasistaticDriver:
         # alpha*dt = 30 keeps per-step acceleration near 1/30 of the load while
         # the slow-mode relaxation still converges in a few dozen steps
         self.dt = 30.0 / max(damping.alpha, 1e-30)
-        self.system = _linear_system(K, M, self.free, self.dt,
+        self.system = _linear_system(K, M, self.pre.free, self.dt,
                                      IntegrationScheme.BACKWARD_EULER, damping)
 
     def run(self, f_ext: np.ndarray, n_steps: int,
@@ -624,8 +623,9 @@ class QuasistaticDriver:
         most ``n_steps`` snapshots (always keeping the final, converged one)."""
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        f = self.free.gather(f_ext)
-        target = self.free.scatter(self.static.solve(f))
+        free = self.pre.free
+        f = free.gather(f_ext)
+        target = free.scatter(self.static.solve(f))
         target_norm = np.linalg.norm(target)
         if target_norm == 0.0:
             return QuasistaticSequence(displacements=[np.zeros_like(target)],
@@ -685,11 +685,6 @@ def build_nonlinear_system(mesh: TetMesh, params: MaterialParams,
     return NonlinearSystem(mesh=mesh, params=params, pre=pre, M=M, C=C)
 
 
-def internal_force(system: NonlinearSystem, u: np.ndarray) -> np.ndarray:
-    """Nonlinear internal force f_int(u) = dE/du, (3n,)."""
-    return -assemble_force(system.mesh, system.params, u, system.pre)
-
-
 def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
                            f_ext: np.ndarray, dt: float) -> SimState:
     """One Newmark (gamma=1/2, beta=1/4) step; ``newton_solve`` converges the
@@ -705,7 +700,7 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
     ConvergenceError when Newton does not converge.
     """
     g, b = NEWMARK_GAMMA, NEWMARK_BETA
-    free = system.pre.free
+    pre, free = system.pre, system.pre.free
     f, u0, v0, a0 = (free.gather(x) for x in (f_ext, state.u, state.v, state.a))
     u_pred = u0 + dt * v0 + dt * dt * (0.5 - b) * a0
     v_pred = v0 + dt * (1.0 - g) * a0
@@ -718,12 +713,10 @@ def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,
 
     def residual(u):
         v, a = kinematics(u)
-        f_int = free.gather(internal_force(system, free.scatter(u)))
-        return system.M @ a + system.C @ v + f_int - f
+        return system.M @ a + system.C @ v - pre.free_force(system.params, u) - f
 
     def tangent(u):
-        return inertia + system.pre.free_block(
-            assemble_stiffness(system.mesh, system.params, free.scatter(u), system.pre))
+        return inertia + pre.free_stiffness(system.params, u)
 
     tol = max(NEWTON_RTOL * np.linalg.norm(f), NEWTON_ATOL)
     try:

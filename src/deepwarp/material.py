@@ -19,10 +19,10 @@ Sign conventions, used consistently across the package:
 * ``element_tangent_stiffness`` returns K = -d(force)/d(u), the energy
   Hessian. ``assemble_force`` returns all 3n entries of the global force.
   ``assemble_stiffness`` returns the Hessian with the anchored rows and
-  columns replaced by the identity; its free block K_ff
-  (``MeshPrecomp.free_block``) is what every solver factorizes. For the
-  linear model K_ff is positive definite and the equation of motion on the
-  free DOFs reads M_ff a + C_ff v + K_ff u = f_ext.
+  columns replaced by the identity. Solvers read their free parts
+  (``MeshPrecomp.free_force``, ``free_stiffness``); K_ff is what every solver
+  factorizes. For the linear model K_ff is positive definite and the equation
+  of motion on the free DOFs reads M_ff a + C_ff v + K_ff u = f_ext.
 
 All element-level calls are pure functions; batched internals back both the
 single-element API and the global assembly. The 3x3 determinant and inverse
@@ -148,12 +148,13 @@ class MeshPrecomp:
     force is f = -D^T vec(V P). The stiffness pattern is the CSR node graph
     ``mesh.tet_node_graph`` in 3x3 blocks, converted to CSR by scipy, each
     element entry found in the block of its node pair (``_csr_pattern``).
-    ``free`` holds the mesh's free DOFs, and ``free_block`` restricts an
-    assembled stiffness to them through the free rows and columns of the
-    pattern's slot numbers (``_free_pattern``).
+    ``free`` holds the mesh's free DOFs; ``free_force`` and ``free_stiffness``
+    assemble at a free-DOF displacement and gather the free part (K_ff by the
+    free rows and columns of the slot numbers, ``_free_pattern``).
     """
 
     def __init__(self, mesh: TetMesh):
+        self._mesh = mesh
         self._tets = mesh.tets
         self._n_nodes = mesh.n_nodes
         m, n = len(mesh.tets), mesh.n_nodes
@@ -240,10 +241,14 @@ class MeshPrecomp:
         return (slots.data, slots.indices.astype(np.int64), slots.indptr.astype(np.int64),
                 fixed, (row[fixed] == indices[fixed]).astype(np.float64))
 
-    def free_block(self, K: sp.csr_matrix) -> sp.csr_matrix:
-        """K_ff: the free rows and columns of a stiffness that
-        ``assemble_stiffness`` built with this precomputation, by one gather
-        of its data."""
+    def free_force(self, params: MaterialParams, u: np.ndarray) -> np.ndarray:
+        """The free part of ``assemble_force`` at the free-DOF displacement u."""
+        return self.free.gather(assemble_force(self._mesh, params, self.free.scatter(u), self))
+
+    def free_stiffness(self, params: MaterialParams, u: np.ndarray) -> sp.csr_matrix:
+        """K_ff at the free-DOF displacement u: the free rows and columns of
+        ``assemble_stiffness``, by one gather of its data."""
+        K = assemble_stiffness(self._mesh, params, self.free.scatter(u), self)
         keep, indices, indptr, _, _ = self._free_pattern
         nf = len(self.free.index)
         return sp.csr_matrix((K.data[keep], indices, indptr), shape=(nf, nf))
@@ -615,7 +620,7 @@ def assemble_stiffness(mesh: TetMesh, params: MaterialParams, u: np.ndarray,
                        pre: MeshPrecomp | None = None) -> sp.csr_matrix:
     """Global sparse stiffness of the anchored problem, (3n, 3n).
 
-    The free rows and columns hold K = -d(force)/d(u) (``free_block``
+    The free rows and columns hold K = -d(force)/d(u) (``free_stiffness``
     gathers them as K_ff); the rows and columns of anchored DOFs are those
     of the identity, so the matrix is nonsingular once the mesh is anchored
     and a solve with it leaves anchored DOFs at their right-hand side. On a

@@ -88,9 +88,10 @@ class TetMesh:
 
     def free_dofs(self) -> "FreeDofs":
         """The DOFs of the unanchored nodes in a flat (3n,) vector."""
+        anchored = self.anchor_array()
         free = np.ones((self.n_nodes, 3), dtype=bool)
-        free[self.anchor_array()] = False
-        return FreeDofs(index=np.flatnonzero(free), n_dof=free.size)
+        free[anchored] = False
+        return FreeDofs(index=np.flatnonzero(free), n_dof=free.size, anchored=anchored)
 
     def with_anchors(self, anchors) -> "TetMesh":
         return replace(self, anchors=frozenset(int(a) for a in anchors))
@@ -98,7 +99,7 @@ class TetMesh:
 
 @dataclass(frozen=True)
 class FreeDofs:
-    """Sorted free-DOF indices of a flat (3n,) vector.
+    """Sorted free-DOF indices of a flat (3n,) vector and anchored nodes.
 
     Solvers work on the free DOFs only: ``gather`` restricts a (3n,) vector
     to them, ``scatter`` writes a free-DOF vector into zeros, so anchored
@@ -107,6 +108,7 @@ class FreeDofs:
 
     index: np.ndarray
     n_dof: int
+    anchored: np.ndarray
 
     def gather(self, v: np.ndarray) -> np.ndarray:
         return v[self.index]

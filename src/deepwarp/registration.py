@@ -13,10 +13,10 @@ the per-node-rotated linear internal force, chaining warm starts along a
 quasi-static loading path, through ``dynamics.newton_solve``, the Newton
 loop of the Newmark ground truth too. The linear model is the one of the
 ``QuasistaticDriver`` that produced the path: its rest stiffness K_ff gives
-the linear force, and its mesh and ``MeshPrecomp`` serve the nonlinear force
-and tangent. A whole path shares one ``TangentSolver``, so the factor of one
-pose's tangent preconditions the next poses' solves instead of each
-iteration refactorizing.
+the linear force, and its ``MeshPrecomp`` the nonlinear force and tangent on
+the free DOFs (``free_force``, ``free_stiffness``). A whole path shares one
+``TangentSolver``, so the factor of one pose's tangent preconditions the next
+poses' solves instead of each iteration refactorizing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .dynamics import (NEWTON_ATOL, NEWTON_RTOL, REGISTRATION_MAX_NEWTON, NewtonResult,
                        QuasistaticDriver, TangentSolver, newton_solve)
-from .material import MaterialParams, assemble_force, assemble_stiffness, skew_quadratic
+from .material import MaterialParams, skew_quadratic
 from .mesh import MeshError, TetMesh, node_adjacency
 
 # axial((G - G^T)/2) from vec(G) (row-major)
@@ -172,22 +172,22 @@ def register_nonlinear(driver: QuasistaticDriver, params: MaterialParams,
 
     K is the rest stiffness K_ff of ``driver``'s linear model and R the
     per-node rotations of u_lin. ``newton_solve`` iterates on the free DOFs
-    of ``driver.free`` (anchored DOFs stay at zero) from ``u_init`` to
+    of ``driver.pre`` (anchored DOFs stay at zero) from ``u_init`` to
     NEWTON_RTOL |R K u_lin|, at most REGISTRATION_MAX_NEWTON steps.
     ``solver`` carries a lagged factor between calls; a fresh one factorizes
     at the first iteration. The result's u holds all 3n DOFs; a
     non-converged result holds the best iterate.
     """
-    mesh, pre, free = driver.mesh, driver.pre, driver.free
-    rotations = build_rotation_blockdiag(mesh, u_lin, grad_op)
+    pre, free = driver.pre, driver.pre.free
+    rotations = build_rotation_blockdiag(driver.mesh, u_lin, grad_op)
     target = free.gather(rotations.apply(free.scatter(driver.system.K @ free.gather(u_lin))))
     tol = max(NEWTON_RTOL * np.linalg.norm(target), NEWTON_ATOL)
 
     def residual(u):
-        return -free.gather(assemble_force(mesh, params, free.scatter(u), pre)) - target
+        return -pre.free_force(params, u) - target
 
     def tangent(u):
-        return pre.free_block(assemble_stiffness(mesh, params, free.scatter(u), pre))
+        return pre.free_stiffness(params, u)
 
     res = newton_solve(residual, tangent, free.gather(u_init), tol,
                        REGISTRATION_MAX_NEWTON, solver)

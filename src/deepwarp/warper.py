@@ -10,8 +10,10 @@ network, and the output (minus the rest-state calibration offset) is rotated
 back and added to the linear displacement. No factorization happens during
 stepping. Around the back-substitution everything is O(n): w comes from one
 sparse product with the precomputed rotation operator, the canonical frames
-and the next step's rotations are written entry by entry in closed form.
-Modal warping uses the closed-form averaged rotation.
+and the next step's rotations are written entry by entry in closed form, and
+only the three kinematic feature columns are standardized (the rest come from
+``WarpContext.update_field``). Modal warping uses the closed-form averaged
+rotation.
 """
 
 from __future__ import annotations
@@ -46,19 +48,20 @@ class ExtrapolationWarning(UserWarning):
 
 @dataclass
 class WarpContext:
-    """Per-simulation runtime bundle for learned warping."""
+    """Per-simulation runtime bundle for learned warping; ``update_field``
+    derives its field-dependent state and ``reset`` its rotation cache."""
 
     mesh: TetMesh
     system: LinearSystem
     net: MlpNetwork
-    static: StaticFeatureSet
     grad_op: sp.csr_matrix             # (9n, 3n) displacement -> node gradients
     rot_op: sp.csr_matrix              # (3n, 3n) displacement -> rotation vectors
     poisson: float
-    rest_offset: np.ndarray            # (n, 3) network output at rest features
-    rotation_cache: np.ndarray         # (n, 3, 3)
-    free_mask: np.ndarray              # (n,) bool, False at anchors
     geo: GeodesicField                 # direction-free; ``update_field`` reuses it
+    static: StaticFeatureSet = field(init=False)
+    rest_inputs: np.ndarray = field(init=False)     # (n, 7) standardized rest features
+    rest_offset: np.ndarray = field(init=False)     # (n, 3) network output at rest_inputs
+    rotation_cache: np.ndarray = field(init=False)  # (n, 3, 3)
     extrapolation_events: int = 0
     warn_on_extrapolation: bool = True
 
@@ -68,10 +71,15 @@ class WarpContext:
         return SimState.rest(self.mesh.n_nodes)
 
     def update_field(self, field_descr: ForceField) -> None:
-        """Re-derive direction-dependent features (and the rest calibration)
-        for a new field orientation; the geodesic part is direction-free."""
+        """Derive the static features of a field orientation, the standardized
+        features at rest and the network output there, the rest calibration;
+        the geodesic part is direction-free."""
         self.static = static_features(self.mesh, field_descr, self.geo)
-        self.rest_offset = _rest_outputs(self.net, self.static, self.poisson)
+        zeros = np.zeros(self.mesh.n_nodes)
+        self.rest_inputs = self.net.scaler.transform(
+            assemble_features_batch(zeros, zeros, zeros, self.static, self.poisson))
+        self.rest_offset = forward_batch(self.net.weights, self.rest_inputs,
+                                         self.net.spec.activation)
 
     def correct(self, u_lin: np.ndarray):
         """O(n) learned correction of a linear displacement.
@@ -83,8 +91,9 @@ class WarpContext:
         w = rotation_vectors_from_displacement(self.rot_op, u_lin)
         U = u_lin.reshape(-1, 3)
         u_mag, w_mag, angle, Q = align_batch(U, w)
-        Z = self.net.scaler.transform(
-            assemble_features_batch(u_mag, w_mag, angle, self.static, self.poisson))
+        scaler, Z = self.net.scaler, self.rest_inputs.copy()
+        for j, x in enumerate((u_mag, w_mag, angle)):     # the kinematic columns
+            Z[:, j] = (x - scaler.mean[j]) / scaler.std[j]
         far = np.abs(Z) > EXTRAPOLATION_ZMAX
         if far.any():
             over = int(np.count_nonzero(far.any(axis=1)))
@@ -99,15 +108,8 @@ class WarpContext:
         y0, y1, y2 = (Y - self.rest_offset).T
         Qt = Q.transpose(1, 2, 0)              # Qt[p, q] = Q[:, p, q]
         u = U + (Qt[0] * y0 + Qt[1] * y1 + Qt[2] * y2).T     # U + Q^T y per node
-        u[~self.free_mask] = 0.0
+        u[self.system.free.anchored] = 0.0
         return u.ravel(), w
-
-
-def _rest_outputs(net: MlpNetwork, static: StaticFeatureSet, poisson: float) -> np.ndarray:
-    n = len(static.g)
-    zeros = np.zeros(n)
-    X = assemble_features_batch(zeros, zeros, zeros, static, poisson)
-    return forward_batch(net.weights, net.scaler.transform(X), net.spec.activation)
 
 
 def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
@@ -121,17 +123,11 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
     adjacency = node_adjacency(mesh)
     system = build_linear_system(mesh, params.as_linear(), dt, scheme, damping, density)
     grad_op = gradient_operator(mesh, adjacency)
-    geo = geodesic_all(mesh, adjacency)
-    static = static_features(mesh, field_descr, geo)
-    rest_offset = _rest_outputs(net, static, params.poisson)
-    free = np.ones(mesh.n_nodes, dtype=bool)
-    free[mesh.anchor_array()] = False
-    ctx = WarpContext(mesh=mesh, system=system, net=net, static=static, grad_op=grad_op,
-                      rot_op=rotation_operator(grad_op),
-                      poisson=params.poisson, rest_offset=rest_offset,
-                      rotation_cache=np.broadcast_to(np.eye(3),
-                                                     (mesh.n_nodes, 3, 3)).copy(),
-                      free_mask=free, geo=geo)
+    ctx = WarpContext(mesh=mesh, system=system, net=net, grad_op=grad_op,
+                      rot_op=rotation_operator(grad_op), poisson=params.poisson,
+                      geo=geodesic_all(mesh, adjacency))
+    ctx.update_field(field_descr)
+    ctx.reset()
     return ctx
 
 
@@ -145,7 +141,7 @@ def deepwarp_step(ctx: WarpContext, state: SimState, f_ext: np.ndarray):
     f = (Rt[0] * fx + Rt[1] * fy + Rt[2] * fz).T.ravel()   # R^T f per node
     new_state = step_linear_implicit(ctx.system, state, f)
     u, w = ctx.correct(new_state.u)
-    w[~ctx.free_mask] = 0.0                    # anchors keep the identity
+    w[ctx.system.free.anchored] = 0.0          # anchors keep the identity
     ctx.rotation_cache = rotations_from_vectors(w)
     return new_state, u
 

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from deepwarp import dynamics, material, mesh, registration
+from deepwarp import material, mesh, registration
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh
 from deepwarp.meshgen import beam
@@ -96,8 +96,9 @@ def build_counts(monkeypatch):
 
     ``node_adjacency``, ``lumped_mass`` and ``gradient_operator`` are wrapped
     in every ``deepwarp`` namespace that imported them, ``MeshPrecomp`` at its
-    constructor, and ``assemble_stiffness`` in ``deepwarp.dynamics`` only, so
-    that the registration Newton loop's own assemblies are not counted.
+    constructor, and ``assemble_stiffness`` in ``deepwarp.material``, where
+    every assembly calls it. Only its linear-model calls, the set-up
+    assemblies, are counted, so that the Newton loops' tangents are not.
     """
     counts = collections.Counter()
 
@@ -117,6 +118,11 @@ def build_counts(monkeypatch):
                     monkeypatch.setattr(module, key, wrapped)
     monkeypatch.setattr(material.MeshPrecomp, "__init__",
                         counted("MeshPrecomp", material.MeshPrecomp.__init__))
-    monkeypatch.setattr(dynamics, "assemble_stiffness",
-                        counted("dynamics.assemble_stiffness", dynamics.assemble_stiffness))
+    assemble = material.assemble_stiffness
+
+    def assemble_counted(mesh, params, *args, **kwargs):
+        if params.model is MaterialModel.LINEAR:
+            counts["linear assemble_stiffness"] += 1
+        return assemble(mesh, params, *args, **kwargs)
+    monkeypatch.setattr(material, "assemble_stiffness", assemble_counted)
     return counts

@@ -42,7 +42,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_MAX_NEWTON, NEWTON_ATOL,
                                NEWTON_RTOL, ConvergenceError, IntegrationScheme,
-                               RayleighDamping, SimState, TangentSolver, internal_force,
+                               RayleighDamping, SimState, TangentSolver,
                                newton_solve, prefactorize, step_linear_implicit)
 from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_features_batch
 from deepwarp.material import (_CORNER_PAIRS, _ENTRY_P, _ENTRY_PAIR, _ENTRY_R,
@@ -262,9 +262,11 @@ class ReferenceStepper:
         self.rotation_vectors_of = rotation_vectors_of
         self.rotations = np.broadcast_to(np.eye(3), (ctx.mesh.n_nodes, 3, 3)).copy()
         self.extrapolation_events = 0
+        self.free = np.ones(ctx.mesh.n_nodes, dtype=bool)
+        self.free[ctx.mesh.anchor_array()] = False
 
     def step(self, state, f_ext):
-        ctx, free = self.ctx, self.ctx.free_mask
+        ctx, free = self.ctx, self.free
         f = np.einsum("nqp,nq->np", self.rotations, f_ext.reshape(-1, 3)).ravel()
         new_state = step_linear_implicit(ctx.system, state, f)
         w = self.rotation_vectors_of(new_state.u)
@@ -462,7 +464,7 @@ def previous_state_newmark_step(system, state, f_ext, dt):
     the constant-acceleration predictor: one ``newton_solve`` from the
     previous displacement, no retry."""
     g, b = NEWMARK_GAMMA, NEWMARK_BETA
-    free = system.pre.free
+    pre, free = system.pre, system.pre.free
     f, u0, v0, a0 = (free.gather(x) for x in (f_ext, state.u, state.v, state.a))
     u_pred = u0 + dt * v0 + dt * dt * (0.5 - b) * a0
     v_pred = v0 + dt * (1.0 - g) * a0
@@ -474,12 +476,10 @@ def previous_state_newmark_step(system, state, f_ext, dt):
 
     def residual(u):
         v, a = kinematics(u)
-        f_int = free.gather(internal_force(system, free.scatter(u)))
-        return system.M @ a + system.C @ v + f_int - f
+        return system.M @ a + system.C @ v - pre.free_force(system.params, u) - f
 
     def tangent(u):
-        return inertia + system.pre.free_block(
-            assemble_stiffness(system.mesh, system.params, free.scatter(u), system.pre))
+        return inertia + pre.free_stiffness(system.params, u)
 
     tol = max(NEWTON_RTOL * np.linalg.norm(f), NEWTON_ATOL)
     res = newton_solve(residual, tangent, u0, tol, NEWMARK_MAX_NEWTON, system.solver)

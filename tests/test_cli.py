@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deepwarp import cli, dataset
 from deepwarp.cli import main, parse_config_file
@@ -13,7 +17,7 @@ from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh, load_mesh_files, write_mesh_files
 from deepwarp.meshgen import beam, partition_by_axis, t_shape
 from deepwarp.net import load_network_file
-from deepwarp.warper import compare_methods
+from deepwarp.warper import METHODS, compare_methods
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +294,19 @@ class TestTrainSimulateCompare:
         assert lines[0] == "t,node,ux,uy,uz"
         assert len(lines) == 1 + 7 * 3
 
+    def test_simulate_tracks_the_first_unanchored_node_by_default(self, mesh_files,
+                                                                  tmp_path):
+        out = tmp_path / "default.csv"
+        code = main(["simulate"] + mesh_flags(mesh_files) + [
+            "--method", "linear", "--steps", "3", "--dt", "0.02", "--out", str(out),
+            "--field-direction", "0,-1,0", "--field-magnitude", "0.3", "--quiet"])
+        assert code == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        # nodes 0 to 8 are the anchored x = 0 face
+        assert [r[1] for r in rows] == ["9"] * 3
+        assert all(float(r[3]) < 0.0 for r in rows)     # uy follows the -y load
+
     @pytest.mark.parametrize("method", ["linear", "mw", "rsw", "deepwarp", "groundtruth"])
     def test_simulate_rows_match_compare_methods(self, mesh_files, tmp_path, net_file,
                                                  method):
@@ -514,3 +531,54 @@ class TestPartitionGraph:
             "--partition2", str(tmp_path / "t.part")])
         assert code == 0
         assert "isomorphic false" in capsys.readouterr().out
+
+
+# extreme values of the physical and time-stepping flags; --steps stays at 3
+# or below (a huge count would allocate a huge trajectory)
+EXTREMES = ["0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf", "nan"]
+PHYSICAL_FLAGS = ["youngs", "poisson", "density", "dt", "field-magnitude", "damping-alpha",
+                  "damping-beta"]
+STEPS = ["-1e300", "-1", "0", "2.5", "1e-300", "inf", "-inf", "nan"]
+TRACKS = ["0", "9", "35", "36", "-1", "1e300", "1e-300", "inf", "-inf", "nan", "0,35"]
+
+
+@pytest.fixture(scope="module")
+def property_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "s.csv"
+
+
+class TestSimulateProperty:
+    # numpy warns of overflows and the NaNs after them, and deepwarp of its
+    # features outside the trained range: only this test expects that
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::deepwarp.warper.ExtrapolationWarning")
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(method=st.sampled_from(METHODS),
+           flags=st.dictionaries(st.sampled_from(PHYSICAL_FLAGS), st.sampled_from(EXTREMES),
+                                 max_size=2),
+           steps=st.sampled_from(["1", "3"]) | st.sampled_from(STEPS),
+           track=st.none() | st.sampled_from(TRACKS))
+    @example(method="groundtruth", flags={"dt": "1e-300"}, steps="3", track="35")
+    @example(method="rsw", flags={"field-magnitude": "1e300"}, steps="3", track="35")
+    @example(method="mw", flags={"field-magnitude": "1e300"}, steps="3", track="35")
+    @example(method="deepwarp", flags={"field-magnitude": "1e300"}, steps="3", track="35")
+    @example(method="groundtruth", flags={"field-magnitude": "1e300"}, steps="3", track="35")
+    def test_exit_code_and_output_contract(self, mesh_files, net_file, property_out,
+                                           method, flags, steps, track):
+        """Every run exits 0, 1, 2 or 3 without a traceback, and an exit 0
+        writes finite rows."""
+        property_out.unlink(missing_ok=True)
+        argv = ["simulate"] + mesh_flags(mesh_files) + [
+            "--method", method, "--net", str(net_file), "--steps", steps,
+            "--out", str(property_out), "--quiet"]
+        argv += [f"--{k}={v}" for k, v in flags.items()]
+        argv += [] if track is None else [f"--track={track}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            rows = [l.split(",") for l in property_out.read_text().splitlines()
+                    if not l.startswith("#")][1:]
+            assert rows and np.isfinite(np.array(rows, dtype=float)).all()

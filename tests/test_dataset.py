@@ -1,4 +1,3 @@
-import collections
 import ctypes
 import io
 import multiprocessing
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deepwarp import dataset, dynamics, registration
+from deepwarp import dataset, dynamics
 from deepwarp.dataset import (DatasetFormatError, Pose, RampConfig, RecordSet,
                               build_dataset, extract_records, generate_poses,
                               read_dataset, sample_directions, split,
@@ -162,27 +161,14 @@ class TestExtractRecords:
         for name in ("features", "targets", "pose_ids", "node_ids"):
             assert np.array_equal(getattr(records, name), getattr(want, name)), name
 
-    def test_each_operator_built_once(self, tiny_setup, build_counts, monkeypatch):
+    def test_each_operator_built_once(self, tiny_setup, build_counts):
         mesh, params, fields, ramp, _ = tiny_setup
-        linear = collections.Counter()
-
-        def count_linear(module):
-            original = module.assemble_stiffness
-
-            def wrapper(mesh, params, *args, **kwargs):
-                linear[module.__name__] += params.model is MaterialModel.LINEAR
-                return original(mesh, params, *args, **kwargs)
-            monkeypatch.setattr(module, "assemble_stiffness", wrapper)
-
-        count_linear(dynamics)
-        count_linear(registration)
         build_dataset(mesh, params, fields, ramp)
-        assert dict(build_counts) == {"node_adjacency": 1, "gradient_operator": 1,
-                                      "MeshPrecomp": 1, "lumped_mass": 1,
-                                      "dynamics.assemble_stiffness": 1}
         # the linear rest stiffness is the driver's one assembly; registration
         # reads it from the driver instead of assembling it per loading path
-        assert sum(linear.values()) == 1
+        assert dict(build_counts) == {"node_adjacency": 1, "gradient_operator": 1,
+                                      "MeshPrecomp": 1, "lumped_mass": 1,
+                                      "linear assemble_stiffness": 1}
 
     def test_regeneration_deterministic(self, tiny_setup):
         mesh, params, fields, ramp, _ = tiny_setup

@@ -4,17 +4,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded
 
-from deepwarp import dynamics, warper
+from deepwarp import dynamics, material, warper
 from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme,
                                NotPositiveDefiniteError, QuasistaticDriver,
                                RayleighDamping, SimState, TangentSolver,
                                build_linear_system, build_nonlinear_system,
-                               factorization_event_count, factorize_spd, internal_force,
+                               factorization_event_count, factorize_spd,
                                prefactorize, newton_solve, reset_factorization_event_count,
                                step_linear_implicit, step_newmark_nonlinear)
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
-                               MeshPrecomp, assemble_force, assemble_stiffness,
-                               total_elastic_energy)
+                               MeshPrecomp, assemble_stiffness, total_elastic_energy)
 from deepwarp.mesh import TetMesh, lumped_mass, normalize_to_unit_sphere
 from deepwarp.features import ForceField, force_vector
 from deepwarp.meshgen import beam
@@ -45,7 +44,7 @@ class TestFreeDofs:
         pre = MeshPrecomp(mesh)
         assert np.array_equal(pre.free.index, [9, 10, 11])
         K = assemble_stiffness(mesh, LINEAR, np.zeros(12), pre)
-        K_ff = pre.free_block(K)
+        K_ff = pre.free_stiffness(LINEAR, np.zeros(3))
         assert np.array_equal(K_ff.toarray(), K.toarray()[9:, 9:])
         f = np.arange(1.0, 13.0)
         u = pre.free.scatter(prefactorize(K_ff).solve(pre.free.gather(f)))
@@ -87,8 +86,7 @@ class TestPrefactorize:
 
     def test_returns_the_checked_factor(self, small_beam):
         pre = MeshPrecomp(small_beam)
-        K_ff = pre.free_block(
-            assemble_stiffness(small_beam, LINEAR, np.zeros(3 * small_beam.n_nodes), pre))
+        K_ff = pre.free_stiffness(LINEAR, np.zeros(len(pre.free.index)))
         reset_factorization_event_count()
         factor = prefactorize(K_ff)
         assert isinstance(factor, BandedCholesky)
@@ -188,8 +186,7 @@ class TestQuasistatic:
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
         seq = QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=6)
         pre = MeshPrecomp(bending_beam)
-        K = pre.free_block(assemble_stiffness(bending_beam, LINEAR,
-                                              np.zeros(3 * bending_beam.n_nodes), pre))
+        K = pre.free_stiffness(LINEAR, np.zeros(len(pre.free.index)))
         forces = [K @ pre.free.gather(u) for u in seq.displacements]
         # internal force lags the applied load until equilibrium
         f0 = pre.free.gather(f)
@@ -269,12 +266,10 @@ class TestNewmarkNonlinear:
         # f_int is the energy gradient: equilibrium reads f_int(u) = f_ext
         system = build_nonlinear_system(bending_beam, neo_hookean)
         rng = np.random.default_rng(1)
-        u = 0.005 * rng.standard_normal(3 * bending_beam.n_nodes)
-        free = system.pre.free
-        u = free.scatter(free.gather(u))
-        f = free.gather(internal_force(system, u))
-        Ku = free.gather(assemble_stiffness(bending_beam, neo_hookean.as_linear(),
-                                            np.zeros_like(u)) @ u)
+        pre = system.pre
+        u = pre.free.gather(0.005 * rng.standard_normal(3 * bending_beam.n_nodes))
+        f = -pre.free_force(neo_hookean, u)
+        Ku = pre.free_stiffness(neo_hookean.as_linear(), np.zeros_like(u)) @ u
         assert np.linalg.norm(f - Ku) < 0.05 * np.linalg.norm(Ku)
 
 
@@ -292,13 +287,13 @@ class TestNewtonSolve:
 
         def residual(u):
             try:
-                return -free.gather(assemble_force(mesh, params, free.scatter(u), pre)) - f
+                return -pre.free_force(params, u) - f
             except InvertedElementError:
                 inverted.append(u)
                 raise
 
         def tangent(u):
-            return pre.free_block(assemble_stiffness(mesh, params, free.scatter(u), pre))
+            return pre.free_stiffness(params, u)
 
         u0 = np.zeros(len(free.index))
         return residual, tangent, u0, 1e-6 * np.linalg.norm(f), inverted
@@ -337,13 +332,13 @@ class TestNewtonSolve:
         # dt = 1/30: at 1/60 the predictor start takes one iteration per step
         mesh, params, f = off_axis_readme_beam
         assemblies = []
-        original = dynamics.assemble_stiffness
+        original = material.assemble_stiffness
 
         def counting(*args, **kwargs):
             assemblies.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "assemble_stiffness", counting)
+        monkeypatch.setattr(material, "assemble_stiffness", counting)
         system = build_nonlinear_system(mesh, params)
         state = SimState.rest(mesh.n_nodes)
         newton = []
@@ -363,8 +358,7 @@ def off_axis_readme_beam():
     params = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, 0.45)
     direction = np.array([0.18, 0.71, 0.68])
     pre = MeshPrecomp(mesh)
-    K = pre.free_block(assemble_stiffness(mesh, params.as_linear(),
-                                          np.zeros(3 * mesh.n_nodes), pre))
+    K = pre.free_stiffness(params.as_linear(), np.zeros(len(pre.free.index)))
     unit = force_vector(mesh, ForceField.directional(direction, 1.0))
     peak = np.linalg.norm(pre.free.scatter(factorize_spd(K).solve(
         pre.free.gather(unit))).reshape(-1, 3), axis=1).max()
@@ -482,10 +476,9 @@ def bent_tangents(mesh, params):
     """The free-DOF rest tangent K0, the tangent J of a visibly bent beam
     and a random right-hand side."""
     pre = MeshPrecomp(mesh)
-    K0 = pre.free_block(assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes), pre))
+    K0 = pre.free_stiffness(params, np.zeros(len(pre.free.index)))
     f = pre.free.gather(force_vector(mesh, ForceField.directional([0, -1, 0.3], 0.1)))
-    u = pre.free.scatter(factorize_spd(K0).solve(f))
-    J = pre.free_block(assemble_stiffness(mesh, params, u, pre))
+    J = pre.free_stiffness(params, factorize_spd(K0).solve(f))
     return K0, J, np.random.default_rng(3).standard_normal(len(f))
 
 

@@ -4,13 +4,14 @@ lumped masses and the stiffness pattern, each bitwise equal, dtypes
 included, to the earlier construction kept in ``reference_paths``. So do
 the stiffness pattern and K_ff's pattern built from 3x3 node blocks by
 scipy, against the earlier slot arithmetic, and the K_ff that all four
-material models assemble on them."""
+material models assemble on them through ``MeshPrecomp.free_stiffness``.
+``MeshPrecomp.free_force`` is the free part of ``assemble_force``, bitwise."""
 
 import numpy as np
 import pytest
 
 from deepwarp.features import geodesic_all
-from deepwarp.material import MaterialModel, MaterialParams, MeshPrecomp, assemble_stiffness
+from deepwarp.material import MaterialModel, MaterialParams, MeshPrecomp, assemble_force
 from deepwarp.mesh import TetMesh, lumped_mass, node_adjacency
 from deepwarp.meshgen import beam, t_shape
 from deepwarp.registration import gradient_operator
@@ -120,17 +121,31 @@ def strained_state(mesh):
     return (affine + 0.1 * size * bend).ravel()
 
 
+def free_strained_state(pre, mesh):
+    """A tenth of ``strained_state`` on the free DOFs; with the anchors at
+    rest, min det F stays above 0.6 on every pattern mesh."""
+    return 0.1 * pre.free.gather(strained_state(mesh))
+
+
 @pytest.mark.parametrize("model", list(MaterialModel))
-def test_free_block(pattern_mesh, model):
+def test_free_stiffness(pattern_mesh, model):
     params = MaterialParams(model, 1e4, 0.45)
-    u = strained_state(pattern_mesh)
     pre, ref = MeshPrecomp(pattern_mesh), slot_arithmetic_precomp(pattern_mesh)
-    assert np.linalg.det(pre._gradients(u).transpose(2, 0, 1)).min() > 0.5
-    got = pre.free_block(assemble_stiffness(pattern_mesh, params, u, pre))
-    want = ref.free_block(assemble_stiffness(pattern_mesh, params, u, ref))
+    u = free_strained_state(pre, pattern_mesh)
+    assert np.linalg.det(pre._gradients(pre.free.scatter(u)).transpose(2, 0, 1)).min() > 0.5
+    got, want = pre.free_stiffness(params, u), ref.free_stiffness(params, u)
     assert got.shape == want.shape == (len(pre.free.index),) * 2
     for name in ("indptr", "indices", "data"):
         assert_same(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("model", list(MaterialModel))
+def test_free_force(pattern_mesh, model):
+    params = MaterialParams(model, 1e4, 0.45)
+    pre = MeshPrecomp(pattern_mesh)
+    u = free_strained_state(pre, pattern_mesh)
+    assert_same(pre.free_force(params, u),
+                pre.free.gather(assemble_force(pattern_mesh, params, pre.free.scatter(u), pre)))
 
 
 def test_mesh_without_tets_has_no_precomputation():

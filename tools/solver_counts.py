@@ -2,10 +2,11 @@
 
 Usage (from the repository root)::
 
-    python tools/solver_counts.py TREE WORKLOAD SEED
+    python tools/solver_counts.py TREE WORKLOAD SEED [--smoke]
 
 TREE is a checkout with ``bench/run.py`` and ``src/``; the workload runs
-once, in this process, from that tree's benchmark with ``--seconds 0``. Every
+once, in this process, from that tree's benchmark with ``--seconds 0``, on
+the benchmark's small smoke inputs with ``--smoke``. Every
 ``dynamics.TangentSolver`` it creates is recorded, and the output is one JSON
 object with the sums of their counters: ``solves``, ``factorizations``,
 ``pcg_iterations`` and ``fallbacks``, plus ``newton_calls``, the calls of
@@ -33,7 +34,7 @@ import sys
 COUNTERS = ("solves", "factorizations", "pcg_iterations", "fallbacks")
 
 
-def count(tree: str, workload: str, seed: int) -> dict:
+def count(tree: str, workload: str, seed: int, smoke: bool) -> dict:
     spec = importlib.util.spec_from_file_location(
         "bench_run", os.path.join(os.path.abspath(tree), "bench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
@@ -62,7 +63,7 @@ def count(tree: str, workload: str, seed: int) -> dict:
     try:
         os.makedirs(bench.OUT_DIR, exist_ok=True)
         with contextlib.redirect_stdout(sys.stderr):
-            bench.run_workload(workload, seed, 0.0, traced=False)
+            bench.run_workload(workload, seed, 0.0, traced=False, smoke=smoke)
     finally:
         solver_class.__init__ = init
         for module in callers:
@@ -72,11 +73,13 @@ def count(tree: str, workload: str, seed: int) -> dict:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    smoke = "--smoke" in args
+    args = [a for a in args if a != "--smoke"]
     if len(args) != 3:
         sys.exit(__doc__.split("\n\n")[1])
     tree, workload, seed = args
-    print(json.dumps(count(tree, workload, int(seed))))
+    print(json.dumps(count(tree, workload, int(seed), smoke)))
     return 0
 
 
