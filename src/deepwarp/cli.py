@@ -194,13 +194,18 @@ def _scheme(cfg: RunConfig) -> IntegrationScheme:
 def _scenario(cfg: RunConfig, command: str, steps: int, dt: float) -> dict:
     """The anchored mesh, material, load and time stepping of ``simulate`` and
     ``compare``, keyed by ``simulate_methods`` parameter names; ``steps`` and
-    ``dt`` are the command's defaults."""
+    ``dt`` are the command's defaults. A trajectory of 3n doubles per step
+    must fit in physical memory."""
     mesh = _load_mesh(cfg)
     if not mesh.anchors:
         raise ConfigError(f"{command} requires anchors")
     steps, dt = cfg.getint("steps", steps), cfg.getfloat("dt", dt)
     if steps < 1:
         raise ConfigError(f"steps must be at least 1; got {steps}")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if steps * 3 * mesh.n_nodes * 8 > memory:
+        raise ConfigError(f"{float(steps):.4g} steps of {3 * mesh.n_nodes} doubles exceed "
+                          f"the {memory} bytes of physical memory")
     if not (np.isfinite(dt) and dt > 0.0 and NEWMARK_BETA * dt * dt > 0.0
             and np.isfinite(1.0 / (NEWMARK_BETA * dt * dt))):
         raise ConfigError(f"dt must be finite and positive, with 1/(beta dt^2) finite; "

@@ -47,6 +47,7 @@ FORMAT_VERSION = 1
 RECORD_DOUBLES = N_FEATURES + 3
 DISPLACEMENT_CAP = 2.0
 MAX_MAGNITUDES = 50          # ramp steps per field before it gives up
+READ_BATCH_RECORDS = 65536   # records per batch of ``iter_dataset``
 
 
 class DatasetFormatError(Exception):
@@ -208,7 +209,7 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
                 if i in ended:
                     break
                 current = f.with_magnitude(magnitude)
-                f_ext = force_vector(mesh, current, masses=driver.masses)
+                f_ext = force_vector(mesh, current, masses=driver.system.masses)
                 result = (functools.partial(_pool_result, workers,
                                             pool.apply_async(_run_in_worker, (f_ext,)))
                           if pool else functools.partial(register, f_ext))
@@ -370,7 +371,7 @@ def write_dataset(stream, records: RecordSet) -> None:
     stream.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
 
 
-def iter_dataset(stream, batch_size: int = 65536):
+def iter_dataset(stream):
     """Stream (features, targets) batches without loading the whole file.
 
     The stream must end after the declared records; bytes after them raise
@@ -388,7 +389,7 @@ def iter_dataset(stream, batch_size: int = 65536):
     remaining = count
     row_bytes = 8 * RECORD_DOUBLES
     while remaining > 0:
-        take = min(batch_size, remaining)
+        take = min(READ_BATCH_RECORDS, remaining)
         data = stream.read(take * row_bytes)
         if len(data) != take * row_bytes:
             raise DatasetFormatError(

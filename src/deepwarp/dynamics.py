@@ -7,7 +7,9 @@ and factorizes its matrices restricted to the free DOFs (K_ff, M_ff, C_ff;
 ``MeshPrecomp.free_stiffness`` and ``free_force`` assemble K_ff and the force
 at a free-DOF displacement). Loads and states are gathered to the free DOFs
 before a solve and the results are scattered into zeros, so public (3n,)
-states hold exact zeros at anchors.
+states hold exact zeros at anchors. The systems of one scenario share one
+``RestModel`` (its ``MeshPrecomp``, lumped masses and M_ff); each assembles
+its own rest K_ff from it once.
 
 Every sparse factorization in the package is a ``BandedCholesky``: a banded
 Cholesky factor on a node-level reverse Cuthill-McKee ordering (LAPACK
@@ -20,9 +22,8 @@ and runs ``pbtrf``.
 matrix of a ``LinearSystem``): it checks the matrix, returns the Cholesky,
 which proves it positive definite, and counts it through a module-level event
 counter so tests (and the runtime contract) can assert that a whole
-simulation run performs exactly one factorization. ``factorize_spd`` serves
-only Newton tangents: it falls back to a symmetric-mode SuperLU LU for a
-tangent whose Cholesky breaks down, an indefinite one.
+simulation run performs exactly one factorization. A Newton tangent whose
+Cholesky breaks down, an indefinite one, goes to a symmetric-mode SuperLU LU.
 
 Registration and the Newmark ground truth share one Newton loop,
 ``newton_solve``, and pass it only their residual and tangent. The Newmark
@@ -40,7 +41,7 @@ iteration counts are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,7 +51,7 @@ from scipy.linalg import cholesky_banded, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .material import InvertedElementError, MaterialParams, MeshPrecomp
-from .mesh import FreeDofs, TetMesh, lumped_mass
+from .mesh import TetMesh, lumped_mass
 
 
 class NotPositiveDefiniteError(Exception):
@@ -84,9 +85,11 @@ RESIDUAL_PROBES = 3
 # inverse power iterations of the slowest-mode estimate
 POWER_ITERATIONS = 60
 # quasi-static loading stops within this relative distance of K^-1 f and
-# fails once the inertial force exceeds this fraction of the load
+# fails once the inertial force exceeds this fraction of the load or after
+# this many steps
 QUASISTATIC_REL_TOL = 1e-6
 QUASISTATIC_ACCEL_BOUND = 0.05
+QUASISTATIC_MAX_STEPS = 2000
 
 _factorization_events = 0
 
@@ -247,20 +250,6 @@ def _superlu_factor(A) -> spla.SuperLU:
                      options=dict(SymmetricMode=True))
 
 
-def factorize_spd(A) -> BandedCholesky | spla.SuperLU:
-    """Factor of a symmetric Newton tangent; ``.solve(b)``.
-
-    A positive definite tangent (in practice, every one) gets a
-    ``BandedCholesky``. Only when its Cholesky breaks down does A go to a
-    symmetric-mode SuperLU LU, which also handles indefinite tangents and
-    raises RuntimeError on an exactly singular A.
-    """
-    try:
-        return BandedCholesky(A, 3)
-    except np.linalg.LinAlgError:
-        return _superlu_factor(A)
-
-
 # Lagged-factor CG: relative residual target and iteration cap before the
 # solver gives up and refactorizes; a solve that takes more than
 # PCG_REFRESH_ITER iterations makes the next solve factorize its own tangent.
@@ -313,13 +302,11 @@ class TangentSolver:
         return self._factor.solve(b)
 
     def _factorize(self, J) -> BandedCholesky | spla.SuperLU:
-        if self._banded is None:
-            factor = factorize_spd(J)
-            if isinstance(factor, BandedCholesky):
-                self._banded = factor
-            return factor
         try:
-            self._banded.refactor(J)
+            if self._banded is None:
+                self._banded = BandedCholesky(J, 3)
+            else:
+                self._banded.refactor(J)
         except np.linalg.LinAlgError:
             return _superlu_factor(J)
         return self._banded
@@ -485,47 +472,43 @@ def prefactorize(A) -> BandedCholesky:
     return factor
 
 
-@dataclass
-class LinearSystem:
-    """Constant-coefficient implicit system for the linear material, on the
-    free DOFs: ``K``, ``M`` and ``C`` are K_ff, M_ff and C_ff."""
+class RestModel:
+    """What every system of one scenario shares, built once: the anchored
+    mesh, its ``MeshPrecomp``, its (n,) lumped node masses and M_ff, their
+    diagonal on the free DOFs ``pre.free``."""
 
-    K: sp.csr_matrix
-    M: sp.csr_matrix
-    C: sp.csr_matrix
-    dt: float
-    scheme: IntegrationScheme
-    prefact: BandedCholesky
-    free: FreeDofs = field(repr=False)
+    def __init__(self, mesh: TetMesh, density: float):
+        if not mesh.anchors:
+            raise NotPositiveDefiniteError(
+                "mesh has no anchors; the stiffness has a floating null space")
+        self.mesh, self.pre = mesh, MeshPrecomp(mesh)
+        self.masses = lumped_mass(mesh, density)
+        self.M = sp.diags(self.pre.free.gather(np.repeat(self.masses, 3))).tocsr()
+
+    def stiffness(self, params: MaterialParams) -> sp.csr_matrix:
+        """The rest K_ff of ``params``."""
+        return self.pre.free_stiffness(params, np.zeros(len(self.pre.free.index)))
+
+
+class LinearSystem:
+    """Constant-coefficient implicit system for the linear material on the
+    free DOFs of a rest model: ``K``, ``M`` and ``C`` are K_ff, M_ff and the
+    Rayleigh C_ff, ``masses`` the (n,) lumped node masses of M, and
+    ``prefact`` the factor of the scheme matrix M + g dt C + b dt^2 K: g = b
+    = 1 for backward Euler, NEWMARK_GAMMA and NEWMARK_BETA for Newmark."""
+
+    def __init__(self, rest: RestModel, K: sp.csr_matrix, dt: float,
+                 scheme: IntegrationScheme, damping: RayleighDamping):
+        self.K, self.M, self.dt, self.scheme = K, rest.M, dt, scheme
+        self.free, self.masses = rest.pre.free, rest.masses
+        self.C = (damping.alpha * self.M + damping.beta * K).tocsr()
+        g, b = (1.0, 1.0) if scheme is IntegrationScheme.BACKWARD_EULER \
+            else (NEWMARK_GAMMA, NEWMARK_BETA)
+        self.prefact = prefactorize(self.M + g * dt * self.C + b * dt * dt * K)
 
     @property
     def n_dof(self) -> int:
         return self.free.n_dof
-
-
-def _free_matrices(mesh: TetMesh, params: MaterialParams, density: float):
-    """(pre, K_ff, M_ff, masses): the rest stiffness and the lumped mass on
-    the free DOFs of ``pre.free``, and the (n,) lumped node masses."""
-    if not mesh.anchors:
-        raise NotPositiveDefiniteError(
-            "mesh has no anchors; the stiffness has a floating null space")
-    pre = MeshPrecomp(mesh)
-    K = pre.free_stiffness(params, np.zeros(len(pre.free.index)))
-    masses = lumped_mass(mesh, density)
-    M = sp.diags(pre.free.gather(np.repeat(masses, 3))).tocsr()
-    return pre, K, M, masses
-
-
-def _linear_system(K, M, free: FreeDofs, dt: float, scheme: IntegrationScheme,
-                   damping: RayleighDamping) -> LinearSystem:
-    """Rayleigh-damped system on K_ff and M_ff with its prefactorized scheme
-    matrix M + g dt C + b dt^2 K: g = b = 1 for backward Euler, NEWMARK_GAMMA
-    and NEWMARK_BETA for Newmark."""
-    C = (damping.alpha * M + damping.beta * K).tocsr()
-    g, b = (1.0, 1.0) if scheme is IntegrationScheme.BACKWARD_EULER \
-        else (NEWMARK_GAMMA, NEWMARK_BETA)
-    return LinearSystem(K=K, M=M, C=C, dt=dt, scheme=scheme,
-                        prefact=prefactorize(M + g * dt * C + b * dt * dt * K), free=free)
 
 
 def build_linear_system(mesh: TetMesh, params: MaterialParams, dt: float,
@@ -533,8 +516,8 @@ def build_linear_system(mesh: TetMesh, params: MaterialParams, dt: float,
                         damping: RayleighDamping = RayleighDamping(),
                         density: float = 1000.0) -> LinearSystem:
     """Assemble and prefactorize the linear-elasticity system on the free DOFs."""
-    pre, K, M, _ = _free_matrices(mesh, params.as_linear(), density)
-    return _linear_system(K, M, pre.free, dt, scheme, damping)
+    rest = RestModel(mesh, density)
+    return LinearSystem(rest, rest.stiffness(params.as_linear()), dt, scheme, damping)
 
 
 def step_linear_implicit(system: LinearSystem, state: SimState,
@@ -595,30 +578,31 @@ class QuasistaticSequence:
 class QuasistaticDriver:
     """Reusable overdamped-loading context for one (mesh, density).
 
-    Assembles K_ff and M_ff once and factorizes K_ff and the backward-Euler
-    matrix built from them once each (the K_ff factor also serves the
-    slowest-mode estimate); ``run`` then produces a quasi-static sequence per
-    force vector, which is what the training ramp exercises many times. The
-    damping is mass-proportional, alpha = 10 omega for the slowest mode's
-    frequency omega: a damping ratio of 5 on that mode.
+    Builds its rest model, assembles K_ff once and factorizes K_ff and the
+    backward-Euler matrix built from it and M_ff once each (the K_ff factor
+    also serves the slowest-mode estimate); ``system.masses`` are the lumped
+    masses that loads on the driver read. ``run`` then produces a
+    quasi-static sequence per force vector, which is what the training ramp
+    exercises many times. The damping is mass-proportional, alpha = 10 omega
+    for the slowest mode's frequency omega: a damping ratio of 5 on that mode.
     """
 
     def __init__(self, mesh: TetMesh, params: MaterialParams, density: float = 1000.0):
-        self.pre, K, M, self.masses = _free_matrices(mesh, params.as_linear(), density)
-        self.mesh = mesh
+        rest = RestModel(mesh, density)
+        self.mesh, self.pre = mesh, rest.pre
+        K = rest.stiffness(params.as_linear())
         self.static = prefactorize(K)
-        omega = smallest_mode_frequency(K, M, self.static)
+        omega = smallest_mode_frequency(K, rest.M, self.static)
         if omega <= 0.0:
             raise NotPositiveDefiniteError("anchored system has a zero-frequency mode")
         damping = RayleighDamping(alpha=10.0 * omega, beta=0.0)
         # alpha*dt = 30 keeps per-step acceleration near 1/30 of the load while
         # the slow-mode relaxation still converges in a few dozen steps
         self.dt = 30.0 / max(damping.alpha, 1e-30)
-        self.system = _linear_system(K, M, self.pre.free, self.dt,
-                                     IntegrationScheme.BACKWARD_EULER, damping)
+        self.system = LinearSystem(rest, K, self.dt, IntegrationScheme.BACKWARD_EULER,
+                                   damping)
 
-    def run(self, f_ext: np.ndarray, n_steps: int,
-            max_steps: int = 2000) -> QuasistaticSequence:
+    def run(self, f_ext: np.ndarray, n_steps: int) -> QuasistaticSequence:
         """Overdamped loading from rest toward K^-1 f_ext, subsampled to at
         most ``n_steps`` snapshots (always keeping the final, converged one)."""
         if n_steps < 1:
@@ -633,9 +617,9 @@ class QuasistaticDriver:
         state = SimState.rest(self.mesh.n_nodes)
         path: list[np.ndarray] = []
         f_norm = np.linalg.norm(f)
-        dof_masses = np.repeat(self.masses, 3)
+        dof_masses = np.repeat(self.system.masses, 3)
         converged = False
-        for _ in range(max_steps):
+        for _ in range(QUASISTATIC_MAX_STEPS):
             prev_v = state.v
             state = step_linear_implicit(self.system, state, f_ext)
             accel = dof_masses * (state.v - prev_v) / self.dt
@@ -649,9 +633,8 @@ class QuasistaticDriver:
                 break
         if not converged:
             res = float(np.linalg.norm(path[-1] - target) / target_norm)
-            raise ConvergenceError(
-                f"quasi-static sequence did not reach equilibrium in {max_steps} steps",
-                residual=res)
+            raise ConvergenceError("quasi-static sequence did not reach equilibrium in "
+                                   f"{QUASISTATIC_MAX_STEPS} steps", residual=res)
         keep = np.unique(np.round(np.linspace(0, len(path) - 1,
                                               min(n_steps, len(path)))).astype(int))
         displacements = [path[i] for i in keep]
@@ -661,28 +644,24 @@ class QuasistaticDriver:
                                    monotone=monotone, steps_run=len(path))
 
 
-@dataclass
 class NonlinearSystem:
-    """Assembled context for the nonlinear reference integrator; ``M`` and
-    ``C`` are M_ff and C_ff on the free DOFs ``pre.free``."""
+    """Context of the nonlinear reference integrator on a rest model: ``M``
+    and ``C`` are M_ff and C_ff on the free DOFs ``pre.free``, and Rayleigh
+    damping uses the rest K_ff of ``params``."""
 
-    mesh: TetMesh
-    params: MaterialParams
-    pre: MeshPrecomp
-    M: sp.csr_matrix
-    C: sp.csr_matrix
-    # one lagged factor across all steps: the mass term dominates the Newmark
-    # matrix, so the last factor preconditions the next tangents well
-    solver: TangentSolver = field(default_factory=TangentSolver, repr=False)
+    def __init__(self, rest: RestModel, params: MaterialParams, damping: RayleighDamping):
+        self.params, self.pre, self.M = params, rest.pre, rest.M
+        self.C = (damping.alpha * rest.M + damping.beta * rest.stiffness(params)).tocsr()
+        # one lagged factor across all steps: the mass term dominates the
+        # Newmark matrix, so the last factor preconditions the next tangents
+        self.solver = TangentSolver()
 
 
 def build_nonlinear_system(mesh: TetMesh, params: MaterialParams,
                            damping: RayleighDamping = RayleighDamping(),
                            density: float = 1000.0) -> NonlinearSystem:
-    """Ground-truth Newmark context; Rayleigh damping uses the rest-state K."""
-    pre, K0, M, _ = _free_matrices(mesh, params, density)
-    C = (damping.alpha * M + damping.beta * K0).tocsr()
-    return NonlinearSystem(mesh=mesh, params=params, pre=pre, M=M, C=C)
+    """Ground-truth Newmark context on a fresh rest model."""
+    return NonlinearSystem(RestModel(mesh, density), params, damping)
 
 
 def step_newmark_nonlinear(system: NonlinearSystem, state: SimState,

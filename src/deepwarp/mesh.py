@@ -320,8 +320,8 @@ def lumped_mass(mesh: TetMesh, density: float) -> np.ndarray:
                        minlength=mesh.n_nodes)
 
 
-def mass_center(mesh: TetMesh, density: float = 1.0) -> np.ndarray:
-    m = lumped_mass(mesh, density)
+def mass_center(mesh: TetMesh) -> np.ndarray:
+    m = lumped_mass(mesh, 1.0)    # any density cancels
     return (m[:, None] * mesh.nodes).sum(axis=0) / m.sum()
 
 

@@ -218,8 +218,8 @@ class FeatureScaler:
         return cls(mean=mean, std=std)
 
     @classmethod
-    def identity(cls, n: int = N_FEATURES) -> "FeatureScaler":
-        return cls(mean=np.zeros(n), std=np.ones(n))
+    def identity(cls) -> "FeatureScaler":
+        return cls(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std

@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from .dynamics import IntegrationScheme, RayleighDamping, SimState
 from .features import ForceField, force_vector
 from .material import MaterialParams, polar_decompose
-from .mesh import DomainPartition, MeshError, TetMesh, lumped_mass, tet_pairs_sharing
+from .mesh import DomainPartition, MeshError, TetMesh, tet_pairs_sharing
 from .registration import rotation_log
 from .warper import WarpContext, build_warp_context, deepwarp_step
 
@@ -193,12 +193,10 @@ def interface_kinematics(R_history: Sequence[np.ndarray], t_history: Sequence[np
 @dataclass
 class _DomainSim:
     parent: int | None
-    submesh: TetMesh
     global_nodes: np.ndarray            # local -> global node index
     local_of: np.ndarray                # global -> local node index (-1 elsewhere)
-    ctx: WarpContext
+    ctx: WarpContext                    # on the subdomain's mesh and masses
     state: SimState
-    masses: np.ndarray                  # (n_local,)
     world_positions: np.ndarray
     patch_parent_local: np.ndarray | None = None
     patch_child_local: np.ndarray | None = None
@@ -284,10 +282,8 @@ def simulate_substructured(mesh: TetMesh, partition: DomainPartition, root: int,
                       anchors=anchors[anchors >= 0])
         ctx = build_warp_context(sub, params, nets[d] if isinstance(nets, dict) else nets,
                                  field_descr, dt, scheme, damping, density)
-        sim = _DomainSim(parent=p, submesh=sub, global_nodes=global_nodes,
-                         local_of=local_of, ctx=ctx, state=SimState.rest(sub.n_nodes),
-                         masses=lumped_mass(sub, density),
-                         world_positions=sub.nodes.copy())
+        sim = _DomainSim(parent=p, global_nodes=global_nodes, local_of=local_of, ctx=ctx,
+                         state=SimState.rest(sub.n_nodes), world_positions=sub.nodes.copy())
         if p is not None:
             sim.patch_parent_local = sims[p].local_of[patch]
             sim.patch_child_local = local_of[patch]
@@ -303,13 +299,14 @@ def simulate_substructured(mesh: TetMesh, partition: DomainPartition, root: int,
     for step in range(steps):
         for d in order:
             sim = sims[d]
+            sub, masses = sim.ctx.mesh, sim.ctx.system.masses
             if sim.parent is None:
-                f_ext = force_vector(sim.submesh, field_descr, masses=sim.masses)
+                f_ext = force_vector(sub, field_descr, masses=masses)
                 sim.state, u = deepwarp_step(sim.ctx, sim.state, f_ext)
-                sim.world_positions = sim.submesh.nodes + u.reshape(-1, 3)
+                sim.world_positions = sub.nodes + u.reshape(-1, 3)
                 continue
             parent_sim = sims[sim.parent]
-            rest_patch = sim.submesh.nodes[sim.patch_child_local]
+            rest_patch = sub.nodes[sim.patch_child_local]
             deformed_patch = parent_sim.world_positions[sim.patch_parent_local]
             A, _ = interface_transform(rest_patch, deformed_patch)
             R = polar_decompose(A)[0]
@@ -323,15 +320,15 @@ def simulate_substructured(mesh: TetMesh, partition: DomainPartition, root: int,
 
             local_field = _field_in_frame(field_descr, R, c_now, sim.rest_centroid)
             sim.ctx.update_field(local_field)
-            f_ext = force_vector(sim.submesh, local_field, masses=sim.masses)
+            f_ext = force_vector(sub, local_field, masses=masses)
             r = sim.rest_offsets
             v = sim.state.v.reshape(-1, 3)
             fict = -(accel_l[None, :] + np.cross(omega_dot_l, r)
                      + np.cross(omega_l, np.cross(omega_l, r))
                      + 2.0 * np.cross(omega_l, v))
-            f_ext = f_ext + (sim.masses[:, None] * fict).ravel()
+            f_ext = f_ext + (masses[:, None] * fict).ravel()
             sim.state, u = deepwarp_step(sim.ctx, sim.state, f_ext)
-            local_pos = sim.submesh.nodes + u.reshape(-1, 3)
+            local_pos = sub.nodes + u.reshape(-1, 3)
             sim.world_positions = (local_pos - sim.rest_centroid) @ R.T + c_now
 
         u_world = np.zeros((mesh.n_nodes, 3))

@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import (BandedCholesky, ConvergenceError, IntegrationScheme, LinearSystem,
-                       RayleighDamping, SimState, build_linear_system,
-                       build_nonlinear_system, step_linear_implicit, step_newmark_nonlinear)
+                       NonlinearSystem, RayleighDamping, RestModel, SimState,
+                       step_linear_implicit, step_newmark_nonlinear)
 from .features import (ForceField, GeodesicField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
@@ -61,6 +61,7 @@ class WarpContext:
     static: StaticFeatureSet = field(init=False)
     rest_inputs: np.ndarray = field(init=False)     # (n, 7) standardized rest features
     rest_offset: np.ndarray = field(init=False)     # (n, 3) network output at rest_inputs
+    static_far: np.ndarray = field(init=False)      # (n,) static columns out of range
     rotation_cache: np.ndarray = field(init=False)  # (n, 3, 3)
     extrapolation_events: int = 0
     warn_on_extrapolation: bool = True
@@ -72,31 +73,35 @@ class WarpContext:
 
     def update_field(self, field_descr: ForceField) -> None:
         """Derive the static features of a field orientation, the standardized
-        features at rest and the network output there, the rest calibration;
+        features at rest, the rows whose static columns fall outside the
+        trained range, and the network output at rest, the rest calibration;
         the geodesic part is direction-free."""
         self.static = static_features(self.mesh, field_descr, self.geo)
         zeros = np.zeros(self.mesh.n_nodes)
         self.rest_inputs = self.net.scaler.transform(
             assemble_features_batch(zeros, zeros, zeros, self.static, self.poisson))
+        self.static_far = (np.abs(self.rest_inputs[:, 3:]) > EXTRAPOLATION_ZMAX).any(axis=1)
         self.rest_offset = forward_batch(self.net.weights, self.rest_inputs,
                                          self.net.spec.activation)
 
     def correct(self, u_lin: np.ndarray):
         """O(n) learned correction of a linear displacement.
 
-        Nodes whose features fall outside the trained range are counted in
+        Nodes whose features fall outside the trained range (a kinematic
+        column, or a static one flagged by ``update_field``) are counted in
         ``extrapolation_events``; the first such step of a context raises one
         ``ExtrapolationWarning``. Returns (u_corrected flat (3n,), w (n,3)).
         """
         w = rotation_vectors_from_displacement(self.rot_op, u_lin)
         U = u_lin.reshape(-1, 3)
         u_mag, w_mag, angle, Q = align_batch(U, w)
-        scaler, Z = self.net.scaler, self.rest_inputs.copy()
+        scaler, Z, far = self.net.scaler, self.rest_inputs.copy(), self.static_far.copy()
         for j, x in enumerate((u_mag, w_mag, angle)):     # the kinematic columns
-            Z[:, j] = (x - scaler.mean[j]) / scaler.std[j]
-        far = np.abs(Z) > EXTRAPOLATION_ZMAX
+            z = (x - scaler.mean[j]) / scaler.std[j]
+            Z[:, j] = z
+            far |= np.abs(z) > EXTRAPOLATION_ZMAX
         if far.any():
-            over = int(np.count_nonzero(far.any(axis=1)))
+            over = int(np.count_nonzero(far))
             # warn once per context; extrapolation_events keeps the full count
             if self.warn_on_extrapolation and self.extrapolation_events == 0:
                 warnings.warn(
@@ -117,11 +122,20 @@ def build_warp_context(mesh: TetMesh, params: MaterialParams, net: MlpNetwork,
                        scheme: IntegrationScheme = IntegrationScheme.NEWMARK,
                        damping: RayleighDamping = RayleighDamping(),
                        density: float = 1000.0) -> WarpContext:
-    """Assemble the linear system once and precompute all per-node statics,
-    including the gradient operator and the rotation operator built from it,
-    which reads w from a displacement."""
+    """``_warp_context`` on a fresh rest model."""
+    return _warp_context(RestModel(mesh, density), params, net, field_descr, dt, scheme,
+                         damping)
+
+
+def _warp_context(rest: RestModel, params: MaterialParams, net: MlpNetwork,
+                  field_descr: ForceField, dt: float, scheme: IntegrationScheme,
+                  damping: RayleighDamping) -> WarpContext:
+    """Assemble the linear system on the rest model once and precompute all
+    per-node statics, including the gradient operator and the rotation
+    operator built from it, which reads w from a displacement."""
+    mesh = rest.mesh
     adjacency = node_adjacency(mesh)
-    system = build_linear_system(mesh, params.as_linear(), dt, scheme, damping, density)
+    system = LinearSystem(rest, rest.stiffness(params.as_linear()), dt, scheme, damping)
     grad_op = gradient_operator(mesh, adjacency)
     ctx = WarpContext(mesh=mesh, system=system, net=net, grad_op=grad_op,
                       rot_op=rotation_operator(grad_op), poisson=params.poisson,
@@ -266,18 +280,20 @@ def simulate_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFi
     Returns the (k, 3n) displacement trajectories keyed in ``METHODS`` order,
     and a note that is None unless the ground truth, which runs first,
     diverged or inverted an element after k < ``steps`` steps; the other
-    methods then run those k steps only. linear, MW, RSW and deepwarp step on
-    one factorization, and MW and RSW read one gradient operator: deepwarp's
-    own when it is requested. A displacement that is not finite raises
-    ConvergenceError naming the method and the step.
+    methods then run those k steps only. The load and every system read one
+    rest model; linear, MW, RSW and deepwarp step on one factorization, and
+    MW and RSW read one gradient operator: deepwarp's own when it is
+    requested. A non-finite displacement raises ConvergenceError naming the
+    method and the step.
     """
     if "deepwarp" in methods and net is None:
         raise ValueError("deepwarp method requires a trained network")
-    f_ext = force_vector(mesh, field_descr, density)
+    rest = RestModel(mesh, density)
+    f_ext = force_vector(mesh, field_descr, masses=rest.masses)
     out: dict[str, list[np.ndarray]] = {m: [] for m in METHODS if m in methods}
     note = None
     if "groundtruth" in out:
-        nsys = build_nonlinear_system(mesh, params, damping, density)
+        nsys = NonlinearSystem(rest, params, damping)
         state = SimState.rest(mesh.n_nodes)
         try:
             for _ in range(steps):
@@ -289,13 +305,12 @@ def simulate_methods(mesh: TetMesh, params: MaterialParams, field_descr: ForceFi
 
     ctx = None
     if "deepwarp" in out:
-        ctx = build_warp_context(mesh, params, net, field_descr, dt, scheme, damping,
-                                 density)
+        ctx = _warp_context(rest, params, net, field_descr, dt, scheme, damping)
         out["deepwarp"] = run_deepwarp(ctx, steps, f_ext)
     baselines = [m for m in ("linear", "mw", "rsw") if m in out]
     if baselines:
-        system = ctx.system if ctx is not None else build_linear_system(
-            mesh, params.as_linear(), dt, scheme, damping, density)
+        system = ctx.system if ctx is not None else LinearSystem(
+            rest, rest.stiffness(params.as_linear()), dt, scheme, damping)
         grad_op = ctx.grad_op if ctx is not None else (
             gradient_operator(mesh) if baselines != ["linear"] else None)
         warps = {"linear": lambda u: u,

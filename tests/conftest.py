@@ -79,13 +79,14 @@ def quick_net(normalized_beam, neo_hookean):
 def factorize_every_solve():
     """Reference path for the lagged-factor Newton solves: a fresh direct
     factorization for every solve."""
-    from deepwarp.dynamics import TangentSolver, factorize_spd
+    from deepwarp.dynamics import TangentSolver
 
     class FactorizeEverySolve(TangentSolver):
         def solve(self, J, b):
             self.solves += 1
             self.factorizations += 1
-            return factorize_spd(J).solve(b)
+            self._banded = None       # a fresh analysis and factor every time
+            return self._factorize(J).solve(b)
 
     return FactorizeEverySolve
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,29 @@ class TestTrainSimulateCompare:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("steps", ["1e300", "1e15"])
+    def test_steps_beyond_memory_rejected(self, mesh_files, tmp_path, command, steps,
+                                          capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("stepping started")
+
+        monkeypatch.setattr(cli, "simulate_methods", no_solve)
+        monkeypatch.setattr(cli, "compare_methods", no_solve)
+        out = tmp_path / "s.csv"
+        method = "--methods" if command == "compare" else "--method"
+        tracemalloc.start()
+        try:
+            code = main([command] + mesh_flags(mesh_files) + [
+                method, "linear", "--steps", steps, "--out", str(out), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "bytes of physical memory" in capsys.readouterr().err
+        assert peak < 2**20
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--field-magnitude", "nan"], ["--field-magnitude", "inf"],
         ["--field-direction", "nan,0,0"],
@@ -533,12 +557,12 @@ class TestPartitionGraph:
         assert "isomorphic false" in capsys.readouterr().out
 
 
-# extreme values of the physical and time-stepping flags; --steps stays at 3
-# or below (a huge count would allocate a huge trajectory)
+# extreme values of the physical and time-stepping flags; a --steps count
+# whose trajectory would not fit in memory exits 1 before any stepping
 EXTREMES = ["0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf", "nan"]
 PHYSICAL_FLAGS = ["youngs", "poisson", "density", "dt", "field-magnitude", "damping-alpha",
                   "damping-beta"]
-STEPS = ["-1e300", "-1", "0", "2.5", "1e-300", "inf", "-inf", "nan"]
+STEPS = ["-1e300", "-1", "0", "2.5", "1e-300", "1e15", "1e300", "inf", "-inf", "nan"]
 TRACKS = ["0", "9", "35", "36", "-1", "1e300", "1e-300", "inf", "-inf", "nan", "0,35"]
 
 

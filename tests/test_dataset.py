@@ -405,14 +405,15 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="non-finite"):
             read_dataset(io.BytesIO(bytes(raw)))
 
-    def test_streaming_batches(self):
+    def test_streaming_batches(self, monkeypatch):
         records = self.make_records(1000)
         buf = io.BytesIO()
         write_dataset(buf, records)
         buf.seek(0)
-        from deepwarp.dataset import iter_dataset
+        from deepwarp import dataset
+        monkeypatch.setattr(dataset, "READ_BATCH_RECORDS", 64)
         seen = 0
-        for X, Y in iter_dataset(buf, batch_size=64):
-            assert X.shape[1] == 7 and Y.shape[1] == 3
+        for X, Y in dataset.iter_dataset(buf):
+            assert X.shape[1] == 7 and Y.shape[1] == 3 and len(X) <= 64
             seen += len(X)
         assert seen == 1000

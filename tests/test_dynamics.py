@@ -9,7 +9,7 @@ from deepwarp.dynamics import (BandedCholesky, ConvergenceError, IntegrationSche
                                NotPositiveDefiniteError, QuasistaticDriver,
                                RayleighDamping, SimState, TangentSolver,
                                build_linear_system, build_nonlinear_system,
-                               factorization_event_count, factorize_spd,
+                               factorization_event_count,
                                prefactorize, newton_solve, reset_factorization_event_count,
                                step_linear_implicit, step_newmark_nonlinear)
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
@@ -209,14 +209,20 @@ class TestQuasistatic:
         assert len(built) == 2
         assert factorization_event_count() == 2
 
-    def test_nonconvergence_reports_residual(self, bending_beam):
+    def test_nonconvergence_reports_residual(self, bending_beam, monkeypatch):
         f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.4))
+        monkeypatch.setattr(dynamics, "QUASISTATIC_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError) as err:
-            QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=5, max_steps=3)
+            QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=5)
         assert err.value.residual is not None
 
 
 class TestNewmarkNonlinear:
+    def test_builds_one_rest_model(self, bending_beam, neo_hookean, build_counts):
+        # its rest K0 is a neo-Hookean assembly, which build_counts skips
+        build_nonlinear_system(bending_beam, neo_hookean)
+        assert dict(build_counts) == {"MeshPrecomp": 1, "lumped_mass": 1}
+
     def test_zero_force_stays_at_rest(self, bending_beam, neo_hookean):
         system = build_nonlinear_system(bending_beam, neo_hookean)
         state = SimState.rest(bending_beam.n_nodes)
@@ -360,7 +366,7 @@ def off_axis_readme_beam():
     pre = MeshPrecomp(mesh)
     K = pre.free_stiffness(params.as_linear(), np.zeros(len(pre.free.index)))
     unit = force_vector(mesh, ForceField.directional(direction, 1.0))
-    peak = np.linalg.norm(pre.free.scatter(factorize_spd(K).solve(
+    peak = np.linalg.norm(pre.free.scatter(BandedCholesky(K, 3).solve(
         pre.free.gather(unit))).reshape(-1, 3), axis=1).max()
     return mesh, params, 0.7 / peak * unit
 
@@ -478,7 +484,7 @@ def bent_tangents(mesh, params):
     pre = MeshPrecomp(mesh)
     K0 = pre.free_stiffness(params, np.zeros(len(pre.free.index)))
     f = pre.free.gather(force_vector(mesh, ForceField.directional([0, -1, 0.3], 0.1)))
-    J = pre.free_stiffness(params, factorize_spd(K0).solve(f))
+    J = pre.free_stiffness(params, BandedCholesky(K0, 3).solve(f))
     return K0, J, np.random.default_rng(3).standard_normal(len(f))
 
 
@@ -496,7 +502,7 @@ class TestTangentSolver:
         solver = TangentSolver()
         x = solver.solve(K0, b)
         assert (solver.factorizations, solver.pcg_iterations, solver.fallbacks) == (1, 0, 0)
-        assert np.array_equal(x, factorize_spd(K0).solve(b))
+        assert np.array_equal(x, BandedCholesky(K0, 3).solve(b))
 
     def test_lagged_factor_matches_direct_solve(self, tangents):
         K0, J, b = tangents
@@ -506,7 +512,7 @@ class TestTangentSolver:
         assert solver.factorizations == 1 and solver.fallbacks == 0
         assert solver.pcg_iterations > 1
         assert np.linalg.norm(J @ x - b) <= dynamics.PCG_RTOL * np.linalg.norm(b)
-        direct = factorize_spd(J).solve(b)
+        direct = BandedCholesky(J, 3).solve(b)
         assert np.allclose(x, direct, rtol=1e-9, atol=1e-9 * np.abs(direct).max())
 
     def test_indefinite_tangent_falls_back(self, tangents):
@@ -515,7 +521,7 @@ class TestTangentSolver:
         solver.solve(K0, b)
         x = solver.solve(-K0, b)
         assert (solver.factorizations, solver.fallbacks) == (2, 1)
-        assert np.array_equal(x, factorize_spd(-K0).solve(b))
+        assert np.array_equal(x, dynamics._superlu_factor(-K0).solve(b))
 
     def test_iteration_cap_falls_back(self, tangents, monkeypatch):
         K0, J, b = tangents
@@ -524,7 +530,7 @@ class TestTangentSolver:
         solver.solve(K0, b)
         x = solver.solve(J, b)
         assert (solver.factorizations, solver.pcg_iterations, solver.fallbacks) == (2, 1, 1)
-        assert np.array_equal(x, factorize_spd(J).solve(b))
+        assert np.array_equal(x, BandedCholesky(J, 3).solve(b))
         # the fallback keeps the new factor: the same tangent now solves by CG
         solver.solve(J, 2.0 * b)
         assert solver.factorizations == 2
@@ -608,7 +614,7 @@ def shuffled_readme_beam(seed: int):
 
 
 class TestBandedCholesky:
-    """factorize_spd's banded Cholesky against a default SuperLU solve."""
+    """The banded Cholesky against a default SuperLU solve."""
 
     @staticmethod
     def assert_matches_splu(A, factor, seed):
@@ -639,8 +645,7 @@ class TestBandedCholesky:
                      306, id="large_beam")])
     def test_newmark_matrix(self, make_mesh, max_band):
         system, A = self.newmark_matrix(make_mesh())
-        factor = factorize_spd(A)
-        assert isinstance(factor, BandedCholesky)
+        factor = BandedCholesky(A, 3)
         self.assert_matches_splu(A, factor, seed=1)
         self.assert_matches_splu(A, system.prefact, seed=2)
         self.node_order(factor)
@@ -744,11 +749,10 @@ class TestBandedCholesky:
 
     def test_bent_neo_hookean_tangent(self, bending_beam, neo_hookean):
         K0, J, _ = bent_tangents(bending_beam, neo_hookean)
-        factor = factorize_spd(J)
-        assert isinstance(factor, BandedCholesky)
-        self.assert_matches_splu(J, factor, seed=3)
-        # a matrix whose Cholesky breaks down goes to SuperLU
-        assert isinstance(factorize_spd(-K0), spla.SuperLU)
+        self.assert_matches_splu(J, BandedCholesky(J, 3), seed=3)
+        # the Cholesky of an indefinite matrix breaks down
+        with pytest.raises(np.linalg.LinAlgError):
+            BandedCholesky(-K0, 3)
 
 
 class TestFreeDofsMatchUnitDiagonal:

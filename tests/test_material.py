@@ -8,7 +8,7 @@ from reference_paths import (element_gradients, fd_element_stiffness, fd_stress,
                              material_state, min_det)
 from test_dynamics import bent_tangents
 
-from deepwarp.dynamics import (RayleighDamping, build_nonlinear_system, factorize_spd,
+from deepwarp.dynamics import (BandedCholesky, RayleighDamping, build_nonlinear_system,
                                prefactorize)
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
                                MeshPrecomp, assemble_force, assemble_stiffness,
@@ -395,7 +395,7 @@ class TestClosedForm3x3:
         assert np.all(J == 1.0) and np.all(B == np.eye(3))
 
 
-class TestFactorizeSpd:
+class TestBandedTangentFactor:
     def test_matches_default_splu(self, bending_beam, neo_hookean):
         nsys = build_nonlinear_system(bending_beam, neo_hookean, RayleighDamping(0.5, 0.01))
         _, tangent, _ = bent_tangents(bending_beam, neo_hookean)
@@ -404,7 +404,7 @@ class TestFactorizeSpd:
         rng = np.random.default_rng(23)
         for A in (tangent, newmark):
             b = rng.standard_normal(A.shape[0])
-            x = factorize_spd(A).solve(b)
+            x = BandedCholesky(A, 3).solve(b)
             ref = spla.splu(A.tocsc()).solve(b)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 

@@ -312,6 +312,16 @@ class TestSubstructuredSimulation:
         for a, b in zip(bounded, run()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.filterwarnings("ignore::deepwarp.warper.ExtrapolationWarning")
+    def test_each_domain_builds_one_rest_model(self, normalized_beam, neo_hookean,
+                                               quick_net, build_counts):
+        # a domain's loads read the masses of its warp context's rest model
+        part = partition_by_axis(normalized_beam, 0, [0.0])
+        simulate_substructured(normalized_beam, part, 0, neo_hookean, quick_net,
+                               ForceField.directional([0.1, -1, 0.2], 0.3), steps=3,
+                               dt=1 / 60)
+        assert build_counts["MeshPrecomp"] == build_counts["lumped_mass"] == 2
+
     def test_cycle_rejected(self):
         # no partition of t_shape() has a cyclic domain graph, so check the
         # BFS guard directly

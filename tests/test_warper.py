@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from deepwarp.features import ForceField, force_vector
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh
 from deepwarp.meshgen import beam
+from deepwarp.net import FeatureScaler
 from deepwarp.registration import gradient_operator, rotation_from_vector, \
     rotation_vectors_from_displacement
 from deepwarp.warper import (METHODS, build_warp_context, compare_methods, deepwarp_step,
@@ -290,6 +293,33 @@ class TestDeepwarpStep:
         assert ctx.extrapolation_events == same_w.extrapolation_events \
             == old_w.extrapolation_events > 0
 
+    # a training set whose Poisson ratios span 0.39 to 0.41 (std 0.01), with
+    # a context at 0.3: every node's Poisson column lies 10 deviations out;
+    # a narrow geodesic spread puts only the nodes near the anchor and the
+    # tip out. Both are static columns, flagged once per field; a narrow
+    # |u| spread sends the moving nodes out too, many of them flagged twice.
+    @pytest.mark.parametrize("column, spread, poisson", [(6, 0.01, 0.3), (3, 0.05, 0.4)],
+                             ids=["poisson", "geodesic"])
+    def test_static_extrapolation_counted_like_reference_step(
+            self, normalized_beam, quick_net, column, spread, poisson):
+        std = quick_net.scaler.std.copy()
+        std[0], std[column] = 0.02, spread
+        net = replace(quick_net, scaler=FeatureScaler(mean=quick_net.scaler.mean, std=std))
+        params = MaterialParams(MaterialModel.NEO_HOOKEAN, 1e4, poisson)
+        field = ForceField.directional([0.3, -1, 0.1], 1.5)
+        ctx = build_warp_context(normalized_beam, params, net, field, dt=1 / 60)
+        ctx.warn_on_extrapolation = False
+        assert 0 < np.count_nonzero(ctx.static_far) <= normalized_beam.n_nodes
+        ref = reference_paths.ReferenceStepper(
+            ctx, lambda u: rotation_vectors_from_displacement(ctx.rot_op, u))
+        f = force_vector(normalized_beam, field)
+        state = ref_state = ctx.reset()
+        for _ in range(40):
+            state, _ = deepwarp_step(ctx, state, f)
+            ref_state, _ = ref.step(ref_state, f)
+            assert ctx.extrapolation_events == ref.extrapolation_events
+        assert ctx.extrapolation_events >= 40 * np.count_nonzero(ctx.static_far)
+
     def test_matches_unit_diagonal_solve(self, normalized_beam, neo_hookean, quick_net,
                                          monkeypatch):
         # the same context stepped with the unit-diagonal linear solve it
@@ -424,8 +454,19 @@ class TestCompareMethods:
                                  steps=2, dt=1 / 50,
                                  methods=("linear", "mw", "rsw", "deepwarp"))
         assert report.completed
-        assert build_counts["gradient_operator"] == 1
-        assert build_counts["node_adjacency"] == 1
+        # one rest model and one warp context: the ground truth, the load and
+        # the baselines read them instead of building their own
+        assert dict(build_counts) == {"MeshPrecomp": 1, "lumped_mass": 1,
+                                      "node_adjacency": 1, "gradient_operator": 1,
+                                      "linear assemble_stiffness": 1}
+
+    def test_warp_context_builds_each_operator_once(self, normalized_beam, neo_hookean,
+                                                    quick_net, build_counts):
+        build_warp_context(normalized_beam, neo_hookean, quick_net,
+                           ForceField.directional([0, -1, 0], 0.2), dt=1 / 50)
+        assert dict(build_counts) == {"MeshPrecomp": 1, "lumped_mass": 1,
+                                      "node_adjacency": 1, "gradient_operator": 1,
+                                      "linear assemble_stiffness": 1}
 
     def test_deepwarp_requires_net(self, bending_beam, neo_hookean):
         field = ForceField.directional([0, -1, 0], 0.2)
@@ -492,6 +533,12 @@ class TestSimulateMethods:
         want = self.direct_loop(method, normalized_beam, neo_hookean, quick_net)
         assert want.shape == (self.STEPS, 3 * normalized_beam.n_nodes)
         assert np.array_equal(traj[method], want)
+
+    def test_ground_truth_alone_builds_one_rest_model(self, normalized_beam, neo_hookean,
+                                                      build_counts):
+        # the load reads the rest model's masses
+        self.simulate(normalized_beam, neo_hookean, None, ("groundtruth",))
+        assert dict(build_counts) == {"MeshPrecomp": 1, "lumped_mass": 1}
 
     def test_linear_system_methods_share_one_factorization(self, normalized_beam,
                                                            neo_hookean, quick_net):

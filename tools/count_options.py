@@ -4,6 +4,7 @@ Usage (from the repository root)::
 
     python tools/count_options.py            # the total, then the src/ line count
     python tools/count_options.py --list     # also every optional value, one a line
+    python tools/count_options.py --modules  # also the src/ lines of every module
 
 An optional value is a value a caller may leave out:
 
@@ -69,14 +70,15 @@ def optional_values(tree: ast.AST) -> list[str]:
     return found
 
 
-def count(src: Path = SRC) -> tuple[list[str], int]:
-    """(every optional value as ``module:owner.name``, physical src lines)."""
+def count(src: Path = SRC) -> tuple[list[str], dict[str, int]]:
+    """(every optional value as ``module:owner.name``, the physical lines of
+    every module)."""
     values: list[str] = []
-    lines = 0
+    lines: dict[str, int] = {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
-        lines += len(text.splitlines())
         module = path.relative_to(src).with_suffix("").as_posix().replace("/", ".")
+        lines[module] = len(text.splitlines())
         values.extend(f"{module}:{name}" for name in optional_values(ast.parse(text)))
     return values, lines
 
@@ -86,8 +88,11 @@ def main(argv: list[str]) -> int:
     if "--list" in argv:
         for name in values:
             print(name)
+    if "--modules" in argv:
+        for module, n in lines.items():
+            print(f"{module} {n}")
     print(f"optional values {len(values)}")
-    print(f"src lines {lines}")
+    print(f"src lines {sum(lines.values())}")
     return 0
 
 
