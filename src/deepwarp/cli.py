@@ -191,11 +191,12 @@ def _scheme(cfg: RunConfig) -> IntegrationScheme:
         raise ConfigError(f"unknown integration scheme {name!r}")
 
 
-def _scenario(cfg: RunConfig, command: str, steps: int, dt: float) -> dict:
+def _scenario(cfg: RunConfig, command: str, steps: int, dt: float, kept: int) -> dict:
     """The anchored mesh, material, load and time stepping of ``simulate`` and
     ``compare``, keyed by ``simulate_methods`` parameter names; ``steps`` and
-    ``dt`` are the command's defaults. A trajectory of 3n doubles per step
-    must fit in physical memory."""
+    ``dt`` are the command's defaults. ``simulate_methods`` keeps ``kept``
+    trajectories of 3n doubles per step and copies each into an array, so
+    twice that must fit in physical memory."""
     mesh = _load_mesh(cfg)
     if not mesh.anchors:
         raise ConfigError(f"{command} requires anchors")
@@ -203,9 +204,10 @@ def _scenario(cfg: RunConfig, command: str, steps: int, dt: float) -> dict:
     if steps < 1:
         raise ConfigError(f"steps must be at least 1; got {steps}")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if steps * 3 * mesh.n_nodes * 8 > memory:
-        raise ConfigError(f"{float(steps):.4g} steps of {3 * mesh.n_nodes} doubles exceed "
-                          f"the {memory} bytes of physical memory")
+    if 2 * kept * steps * 3 * mesh.n_nodes * 8 > memory:
+        raise ConfigError(f"{kept} x 2 copies of {float(steps):.4g} steps of "
+                          f"{3 * mesh.n_nodes} doubles exceed the {memory} bytes of "
+                          f"physical memory")
     if not (np.isfinite(dt) and dt > 0.0 and NEWMARK_BETA * dt * dt > 0.0
             and np.isfinite(1.0 / (NEWMARK_BETA * dt * dt))):
         raise ConfigError(f"dt must be finite and positive, with 1/(beta dt^2) finite; "
@@ -376,7 +378,7 @@ def cmd_simulate(args) -> int:
         net = load_network_file(cfg.require("net"))
     elif cfg.get("net"):
         _print(args, f"note: --net is ignored for method '{method}'")
-    run = _scenario(cfg, "simulation", steps=100, dt=1.0 / 60.0)
+    run = _scenario(cfg, "simulation", steps=100, dt=1.0 / 60.0, kept=1)
     mesh = run["mesh"]
     # by default the lowest-index unanchored node (node 0 if all are anchored)
     first_free = next((i for i in range(mesh.n_nodes) if i not in mesh.anchors), 0)
@@ -403,7 +405,7 @@ def cmd_compare(args) -> int:
         if m not in METHODS or m == "groundtruth":
             raise ConfigError(f"unknown comparison method {m!r}")
     net = load_network_file(cfg.require("net")) if "deepwarp" in methods else None
-    run = _scenario(cfg, "comparison", steps=50, dt=1.0 / 50.0)
+    run = _scenario(cfg, "comparison", steps=50, dt=1.0 / 50.0, kept=len(methods) + 1)
     track = _tracked_nodes(cfg, run["mesh"], "") or [None]
     if len(track) > 1:
         raise ConfigError(f"compare tracks one node; got {len(track)}")

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import QuasistaticDriver
+from .dynamics import NewtonResult, QuasistaticDriver
 from .features import (N_FEATURES, ForceField, StaticFeatureSet, align_batch,
                        assemble_features_batch, force_vector, geodesic_all,
                        static_features)
 from .material import MaterialModel, MaterialParams
 from .mesh import TetMesh, node_adjacency
-from .registration import (SequenceRegistration, gradient_operator, register_sequence,
+from .registration import (gradient_operator, register_sequence,
                            rotation_vectors_from_displacement)
 
 MAGIC = b"DWTP"
@@ -186,11 +186,11 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
     zero = np.zeros(3 * mesh.n_nodes)
     ended: set[int] = set()       # fields whose ramp has stopped
 
-    def register(f_ext: np.ndarray) -> tuple[int, SequenceRegistration]:
-        """One loading path from rest: its snapshot count and registration."""
+    def register(f_ext: np.ndarray) -> tuple[list[np.ndarray], list[NewtonResult]]:
+        """One loading path from rest: its linear snapshots and registrations."""
         seq = driver.run(f_ext, n_steps=ramp.poses_per_magnitude)
-        return len(seq.displacements), register_sequence(driver, params,
-                                                         seq.displacements, grad_op)
+        return seq.displacements, register_sequence(driver, params, seq.displacements,
+                                                    grad_op)
 
     def emit(pose: Pose, static: StaticFeatureSet) -> None:
         rs = extract_records(pose, static, params.poisson, mesh, grad_op)
@@ -231,25 +231,27 @@ def generate_poses(mesh: TetMesh, params: MaterialParams, fields: list[ForceFiel
             i, rest, static, current, magnitude, result = window.popleft()
             if i in ended:
                 continue
-            n_snapshots, reg = result()
+            snapshots, results = result()
             # every registered sequence starts from the rest shape, so each
             # magnitude contributes the rest pair first; this also keeps the
             # network's rest-feature region represented in the training set
             emit(Pose(field=rest, magnitude=0.0, u_lin=zero.copy(), u=zero.copy(),
                       residual=0.0), static)
-            report.attempted += 1 + n_snapshots
-            report.dropped_nonconverged += n_snapshots - len(reg.pairs)
-            max_lin = [float(np.linalg.norm(p.u_lin.reshape(-1, 3), axis=1).max())
-                       for p in reg.pairs]
-            cap_hit = bool(max_lin and max_lin[-1] >= ramp.cap and reg.completed)
-            for k, pair in enumerate(reg.pairs):
-                is_final = cap_hit and (k == len(reg.pairs) - 1)
+            pairs = [(u_lin, res) for u_lin, res in zip(snapshots, results) if res.converged]
+            completed = len(pairs) == len(snapshots)
+            report.attempted += 1 + len(snapshots)
+            report.dropped_nonconverged += len(snapshots) - len(pairs)
+            max_lin = [float(np.linalg.norm(u_lin.reshape(-1, 3), axis=1).max())
+                       for u_lin, _ in pairs]
+            cap_hit = bool(max_lin and max_lin[-1] >= ramp.cap and completed)
+            for k, (u_lin, res) in enumerate(pairs):
+                is_final = cap_hit and (k == len(pairs) - 1)
                 if max_lin[k] >= ramp.cap and not is_final:
                     report.dropped_capped += 1
                     continue
-                emit(Pose(field=current, magnitude=magnitude, u_lin=pair.u_lin,
-                          u=pair.u, residual=pair.residual), static)
-            if cap_hit or not reg.completed:
+                emit(Pose(field=current, magnitude=magnitude, u_lin=u_lin, u=res.u,
+                          residual=res.residual), static)
+            if cap_hit or not completed:
                 ended.add(i)
     finally:
         if pool is not None:
@@ -298,7 +300,7 @@ def _one_blas_thread() -> None:
                 set_threads(1)
 
 
-def _run_in_worker(f_ext: np.ndarray) -> tuple[int, SequenceRegistration]:
+def _run_in_worker(f_ext: np.ndarray) -> tuple[list[np.ndarray], list[NewtonResult]]:
     return _worker_register(f_ext)
 
 

@@ -571,7 +571,6 @@ class QuasistaticSequence:
 
     displacements: list[np.ndarray]
     target: np.ndarray
-    monotone: bool
     steps_run: int
 
 
@@ -613,7 +612,7 @@ class QuasistaticDriver:
         target_norm = np.linalg.norm(target)
         if target_norm == 0.0:
             return QuasistaticSequence(displacements=[np.zeros_like(target)],
-                                       target=target, monotone=True, steps_run=1)
+                                       target=target, steps_run=1)
         state = SimState.rest(self.mesh.n_nodes)
         path: list[np.ndarray] = []
         f_norm = np.linalg.norm(f)
@@ -637,11 +636,8 @@ class QuasistaticDriver:
                                    f"{QUASISTATIC_MAX_STEPS} steps", residual=res)
         keep = np.unique(np.round(np.linspace(0, len(path) - 1,
                                               min(n_steps, len(path)))).astype(int))
-        displacements = [path[i] for i in keep]
-        norms = [np.linalg.norm(u) for u in displacements]
-        monotone = all(norms[i + 1] >= norms[i] - 1e-10 for i in range(len(norms) - 1))
-        return QuasistaticSequence(displacements=displacements, target=target,
-                                   monotone=monotone, steps_run=len(path))
+        return QuasistaticSequence(displacements=[path[i] for i in keep], target=target,
+                                   steps_run=len(path))
 
 
 class NonlinearSystem:

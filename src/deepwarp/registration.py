@@ -16,12 +16,12 @@ loop of the Newmark ground truth too. The linear model is the one of the
 the linear force, and its ``MeshPrecomp`` the nonlinear force and tangent on
 the free DOFs (``free_force``, ``free_stiffness``). A whole path shares one
 ``TangentSolver``, so the factor of one pose's tangent preconditions the next
-poses' solves instead of each iteration refactorizing.
+poses' solves instead of each iteration refactorizing. ``register_sequence``
+returns the path's ``NewtonResult``s, one per pose, up to and including the
+first pose that does not converge.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -195,39 +195,22 @@ def register_nonlinear(driver: QuasistaticDriver, params: MaterialParams,
     return res
 
 
-@dataclass
-class RegisteredPair:
-    u_lin: np.ndarray
-    u: np.ndarray
-    residual: float
-
-
-@dataclass
-class SequenceRegistration:
-    pairs: list[RegisteredPair]
-    completed: bool
-    diagnostic: str | None = None
-
-
 def register_sequence(driver: QuasistaticDriver, params: MaterialParams,
-                      u_lin_sequence, grad_op: sp.csr_matrix) -> SequenceRegistration:
+                      u_lin_sequence, grad_op: sp.csr_matrix) -> list[NewtonResult]:
     """Register a loading path of ``driver``, warm-starting each pose from the
-    previous one and the first from rest.
+    previous one and the first from rest: one ``NewtonResult`` per pose.
 
-    One ``TangentSolver`` serves the whole path. Aborts on the first
-    non-converged pose, returning the prior pairs plus a diagnostic instead
-    of emitting unconverged data.
+    One ``TangentSolver`` serves the whole path. The list ends at the first
+    non-converged pose, whose result is its last entry, so no pose is
+    registered from an unconverged start.
     """
-    pairs: list[RegisteredPair] = []
+    results: list[NewtonResult] = []
     u_prev = np.zeros(3 * driver.mesh.n_nodes)
     solver = TangentSolver()
-    for k, u_lin in enumerate(u_lin_sequence):
+    for u_lin in u_lin_sequence:
         res = register_nonlinear(driver, params, u_lin, u_prev, grad_op, solver=solver)
+        results.append(res)
         if not res.converged:
-            return SequenceRegistration(
-                pairs=pairs, completed=False,
-                diagnostic=f"pose {k} failed to converge (residual {res.residual:.3e})")
-        pairs.append(RegisteredPair(u_lin=np.array(u_lin, copy=True), u=res.u,
-                                    residual=res.residual))
+            break
         u_prev = res.u
-    return SequenceRegistration(pairs=pairs, completed=True)
+    return results

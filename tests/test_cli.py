@@ -419,6 +419,31 @@ class TestTrainSimulateCompare:
         assert peak < 2**20
         assert not out.exists()
 
+    def test_memory_bound_counts_every_kept_trajectory(self, mesh_files, net_file, tmp_path,
+                                                       capsys, monkeypatch):
+        # physical memory for 5 trajectories of 100 steps of the 36-node beam:
+        # one trajectory fits, compare's 5 kept ones and their array copies do not
+        memory = 5 * 100 * 3 * 36 * 8
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get(name) or sysconf(name))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("stepping started")
+
+        monkeypatch.setattr(cli, "compare_methods", no_solve)
+        out = tmp_path / "c.csv"
+        code = main(["compare"] + mesh_flags(mesh_files) + [
+            "--methods", "linear,mw,rsw,deepwarp", "--net", str(net_file), "--steps", "100",
+            "--out", str(out), "--quiet"])
+        assert code == 1
+        assert (f"5 x 2 copies of 100 steps of 108 doubles exceed the {memory} bytes of "
+                "physical memory") in capsys.readouterr().err
+        assert not out.exists()
+        # simulate keeps one trajectory, so the same memory runs it
+        assert main(["simulate"] + mesh_flags(mesh_files) + [
+            "--method", "linear", "--steps", "100", "--out", str(out), "--quiet"]) == 0
+
     @pytest.mark.parametrize("flags", [
         ["--field-magnitude", "nan"], ["--field-magnitude", "inf"],
         ["--field-direction", "nan,0,0"],
@@ -558,12 +583,17 @@ class TestPartitionGraph:
 
 
 # extreme values of the physical and time-stepping flags; a --steps count
-# whose trajectory would not fit in memory exits 1 before any stepping
+# whose trajectories would not fit in memory exits 1 before any stepping
 EXTREMES = ["0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf", "nan"]
 PHYSICAL_FLAGS = ["youngs", "poisson", "density", "dt", "field-magnitude", "damping-alpha",
                   "damping-beta"]
 STEPS = ["-1e300", "-1", "0", "2.5", "1e-300", "1e15", "1e300", "inf", "-inf", "nan"]
 TRACKS = ["0", "9", "35", "36", "-1", "1e300", "1e-300", "inf", "-inf", "nan", "0,35"]
+COMPARED = [m for m in METHODS if m != "groundtruth"]
+# steps whose one trajectory of the 36-node beam fills two thirds of physical
+# memory: every command keeps it and a copy of it, which does not fit
+COPIED_STEPS = str(2 * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                   // (3 * 3 * 36 * 8))
 
 
 @pytest.fixture(scope="module")
@@ -576,25 +606,35 @@ class TestSimulateProperty:
     # features outside the trained range: only this test expects that
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore::deepwarp.warper.ExtrapolationWarning")
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(method=st.sampled_from(METHODS),
+           compared=st.lists(st.sampled_from(COMPARED), min_size=1, unique=True),
            flags=st.dictionaries(st.sampled_from(PHYSICAL_FLAGS), st.sampled_from(EXTREMES),
                                  max_size=2),
            steps=st.sampled_from(["1", "3"]) | st.sampled_from(STEPS),
            track=st.none() | st.sampled_from(TRACKS))
-    @example(method="groundtruth", flags={"dt": "1e-300"}, steps="3", track="35")
-    @example(method="rsw", flags={"field-magnitude": "1e300"}, steps="3", track="35")
-    @example(method="mw", flags={"field-magnitude": "1e300"}, steps="3", track="35")
-    @example(method="deepwarp", flags={"field-magnitude": "1e300"}, steps="3", track="35")
-    @example(method="groundtruth", flags={"field-magnitude": "1e300"}, steps="3", track="35")
+    @example(method="groundtruth", compared=COMPARED, flags={"dt": "1e-300"}, steps="3",
+             track="35")
+    @example(method="rsw", compared=["rsw"], flags={"field-magnitude": "1e300"}, steps="3",
+             track="35")
+    @example(method="mw", compared=["mw"], flags={"field-magnitude": "1e300"}, steps="3",
+             track="35")
+    @example(method="deepwarp", compared=["deepwarp"], flags={"field-magnitude": "1e300"},
+             steps="3", track="35")
+    @example(method="groundtruth", compared=COMPARED, flags={"field-magnitude": "1e300"},
+             steps="3", track="35")
+    @example(method="linear", compared=COMPARED, flags={}, steps=COPIED_STEPS, track="35")
     def test_exit_code_and_output_contract(self, mesh_files, net_file, property_out,
-                                           method, flags, steps, track):
+                                           command, method, compared, flags, steps, track):
         """Every run exits 0, 1, 2 or 3 without a traceback, and an exit 0
-        writes finite rows."""
+        writes finite rows. ``simulate`` runs ``method``, ``compare`` the
+        ``compared`` methods."""
         property_out.unlink(missing_ok=True)
-        argv = ["simulate"] + mesh_flags(mesh_files) + [
-            "--method", method, "--net", str(net_file), "--steps", steps,
-            "--out", str(property_out), "--quiet"]
+        argv = [command] + mesh_flags(mesh_files) + (
+            ["--method", method] if command == "simulate" else
+            ["--methods", ",".join(compared)]) + [
+            "--net", str(net_file), "--steps", steps, "--out", str(property_out), "--quiet"]
         argv += [f"--{k}={v}" for k, v in flags.items()]
         argv += [] if track is None else [f"--track={track}"]
         stderr = io.StringIO()
@@ -605,4 +645,6 @@ class TestSimulateProperty:
         if code == 0:
             rows = [l.split(",") for l in property_out.read_text().splitlines()
                     if not l.startswith("#")][1:]
+            if command == "compare":      # method,step,rel_l2_error
+                rows = [row[1:] for row in rows]
             assert rows and np.isfinite(np.array(rows, dtype=float)).all()

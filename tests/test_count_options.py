@@ -11,9 +11,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # the count after the build-on-None defaults, prefactorize's scheme
 # parameters, the networks' default activation, write_trajectory_csv's
 # header lines, mass_center's density, FeatureScaler.identity's width, the
-# step and batch limits of QuasistaticDriver.run and iter_dataset and the
-# default solver field of NonlinearSystem were removed
-MAX_OPTIONAL_VALUES = 89
+# step and batch limits of QuasistaticDriver.run and iter_dataset, the
+# default solver field of NonlinearSystem, the registration diagnostic and
+# the completed field of ComparisonReport were removed
+MAX_OPTIONAL_VALUES = 87
 
 
 def load_tool():

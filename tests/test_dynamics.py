@@ -178,7 +178,7 @@ class TestQuasistatic:
     def test_monotone_loading(self, bending_beam):
         f = force_vector(bending_beam, ForceField.directional([0.3, -1, 0.2], 0.4))
         seq = QuasistaticDriver(bending_beam, LINEAR).run(f, n_steps=12)
-        assert seq.monotone
+        assert len(seq.displacements) > 2
         norms = [np.linalg.norm(u) for u in seq.displacements]
         assert all(b >= a - 1e-10 for a, b in zip(norms, norms[1:]))
 

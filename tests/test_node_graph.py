@@ -5,7 +5,9 @@ included, to the earlier construction kept in ``reference_paths``. So do
 the stiffness pattern and K_ff's pattern built from 3x3 node blocks by
 scipy, against the earlier slot arithmetic, and the K_ff that all four
 material models assemble on them through ``MeshPrecomp.free_stiffness``.
-``MeshPrecomp.free_force`` is the free part of ``assemble_force``, bitwise."""
+``MeshPrecomp.free_force`` is the free part of ``assemble_force``, bitwise.
+The meshes include two unstructured Delaunay tessellations of the README
+beam (``conftest.delaunay_beam``)."""
 
 import numpy as np
 import pytest
@@ -17,12 +19,15 @@ from deepwarp.meshgen import beam, t_shape
 from deepwarp.registration import gradient_operator
 
 import reference_paths
+from conftest import delaunay_beam
 from test_dynamics import shuffled_readme_beam
 
 MESHES = {
     "readme": lambda: beam(16, 5, 5, lengths=(2.0, 0.8, 0.8)),
     "shuffled_0": lambda: shuffled_readme_beam(0),
     "shuffled_3": lambda: shuffled_readme_beam(3),
+    "delaunay_0": lambda: delaunay_beam(0),
+    "delaunay_1": lambda: delaunay_beam(1),
     "t_shape": lambda: t_shape()[0],
     "beam_3_1_1": lambda: beam(3, 1, 1),
 }

@@ -231,10 +231,10 @@ class TestRegister:
         for scale in (1.0, 0.5, 0.25, 0.125):
             driver = QuasistaticDriver(bending_beam, params.as_linear())
             seq = driver.run(scale * f1, n_steps=10)
-            reg = register_sequence(driver, params, seq.displacements,
-                                    gradient_operator(bending_beam))
-            assert reg.completed
-            u_lin, u = reg.pairs[-1].u_lin, reg.pairs[-1].u
+            results = register_sequence(driver, params, seq.displacements,
+                                        gradient_operator(bending_beam))
+            assert all(res.converged for res in results)
+            u_lin, u = seq.displacements[-1], results[-1].u
             gaps.append(np.linalg.norm(u - u_lin) / np.linalg.norm(u_lin))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -260,10 +260,10 @@ class TestRegister:
         driver = QuasistaticDriver(bending_beam, neo_hookean.as_linear())
         seq = driver.run(f, n_steps=8)
         grad_op = gradient_operator(bending_beam)
-        reg = register_sequence(driver, neo_hookean, seq.displacements, grad_op)
-        assert reg.completed
-        assert len(reg.pairs) == len(seq.displacements)
-        norms = [np.linalg.norm(p.u) for p in reg.pairs]
+        results = register_sequence(driver, neo_hookean, seq.displacements, grad_op)
+        assert len(results) == len(seq.displacements)
+        assert all(res.converged for res in results)
+        norms = [np.linalg.norm(res.u) for res in results]
         assert all(b >= a - 1e-8 for a, b in zip(norms, norms[1:]))
         # post-hoc audit: every stored pair satisfies the residual bound when
         # the rotated-force target and the internal force are recomputed
@@ -271,13 +271,37 @@ class TestRegister:
                                np.zeros(3 * bending_beam.n_nodes))
         dofs = (bending_beam.anchor_array()[:, None] * 3 + np.arange(3)).ravel()
         pre = MeshPrecomp(bending_beam)
-        for pair in reg.pairs:
-            rot = build_rotation_blockdiag(bending_beam, pair.u_lin, grad_op)
-            target = rot.apply(K @ pair.u_lin)
+        for u_lin, res in zip(seq.displacements, results):
+            rot = build_rotation_blockdiag(bending_beam, u_lin, grad_op)
+            target = rot.apply(K @ u_lin)
             target[dofs] = 0.0
-            r = -assemble_force(bending_beam, neo_hookean, pair.u, pre) - target
+            r = -assemble_force(bending_beam, neo_hookean, res.u, pre) - target
             r[dofs] = 0.0
             assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(target) + 1e-10
+
+    def test_sequence_ends_at_first_nonconverged_pose(self, bending_beam, neo_hookean,
+                                                      monkeypatch):
+        from deepwarp import registration
+        f = force_vector(bending_beam, ForceField.directional([0, -1, 0], 0.35))
+        driver = QuasistaticDriver(bending_beam, neo_hookean.as_linear())
+        seq = driver.run(f, n_steps=6)
+        original = registration.register_nonlinear
+        starts = []
+
+        def third_fails(*args, **kwargs):
+            starts.append(args[3])
+            res = original(*args, **kwargs)
+            res.converged = len(starts) != 3
+            return res
+
+        monkeypatch.setattr(registration, "register_nonlinear", third_fails)
+        results = register_sequence(driver, neo_hookean, seq.displacements,
+                                    gradient_operator(bending_beam))
+        assert len(seq.displacements) > 3
+        assert [res.converged for res in results] == [True, True, False]
+        # each pose starts from the previous pose's result, the first from rest
+        assert not starts[0].any()
+        assert all(start is res.u for start, res in zip(starts[1:], results))
 
     def test_sequence_matches_factorize_every_solve(self, bending_beam, neo_hookean,
                                                     factorize_every_solve, monkeypatch):
@@ -298,20 +322,22 @@ class TestRegister:
 
             monkeypatch.setattr(registration, "TangentSolver", solver_class)
             monkeypatch.setattr(registration, "register_nonlinear", recording)
-            reg = register_sequence(driver, neo_hookean, seq.displacements,
-                                    gradient_operator(bending_beam))
+            results = register_sequence(driver, neo_hookean, seq.displacements,
+                                        gradient_operator(bending_beam))
             monkeypatch.undo()
-            assert reg.completed
+            assert all(res.converged for res in results)
+            # the results are the Newton results of register_nonlinear
+            assert [res.iterations for res in results] == iterations
             assert all(s is solvers[0] for s in solvers)   # one solver per chain
-            return reg, iterations, solvers[0]
+            return results, iterations, solvers[0]
 
         ref, ref_iters, ref_solver = run(factorize_every_solve)
-        reg, iters, solver = run(registration.TangentSolver)
+        results, iters, solver = run(registration.TangentSolver)
         assert iters == ref_iters
         assert ref_solver.factorizations == sum(ref_iters)
         assert solver.factorizations < ref_solver.factorizations
         assert solver.solves == ref_solver.solves
-        for a, b in zip(reg.pairs, ref.pairs):
+        for a, b in zip(results, ref):
             assert np.linalg.norm(a.u - b.u) <= 1e-8 * np.linalg.norm(b.u)
 
     def test_sequence_matches_unit_diagonal(self, bending_beam, neo_hookean, monkeypatch):
@@ -329,15 +355,15 @@ class TestRegister:
             return res
 
         monkeypatch.setattr(registration, "register_nonlinear", recording)
-        reg = register_sequence(driver, neo_hookean, seq.displacements,
-                                gradient_operator(bending_beam))
+        results = register_sequence(driver, neo_hookean, seq.displacements,
+                                    gradient_operator(bending_beam))
         ref = reference_paths.unit_diagonal_register_sequence(
             bending_beam, neo_hookean, seq.displacements, gradient_operator(bending_beam))
-        assert reg.completed
-        assert iterations == [it for _, it in ref]
+        assert all(res.converged for res in results)
+        assert iterations == [it for _, it in ref] == [res.iterations for res in results]
         assert sum(iterations) > len(iterations)
-        for pair, (u, _) in zip(reg.pairs, ref):
-            assert np.linalg.norm(pair.u - u) <= 1e-8 * np.linalg.norm(u)
+        for res, (u, _) in zip(results, ref):
+            assert np.linalg.norm(res.u - u) <= 1e-8 * np.linalg.norm(u)
 
     def test_rank_deficient_neighborhood_error(self):
         # all nodes coplanar around node 0 is impossible in a valid tet mesh,
