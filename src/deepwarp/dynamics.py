@@ -18,12 +18,14 @@ faster than a sparse LU on these symmetric stiffness-like matrices. Its
 analysis of a CSR pattern (ordering, band width, the map into the band) is
 kept, so ``refactor`` of a matrix with the same pattern only packs the values
 and runs ``pbtrf``.
-``prefactorize`` factors every constant system matrix (K_ff, and the scheme
-matrix of a ``LinearSystem``): it checks the matrix, returns the Cholesky,
-which proves it positive definite, and counts it through a module-level event
-counter so tests (and the runtime contract) can assert that a whole
-simulation run performs exactly one factorization. A Newton tangent whose
-Cholesky breaks down, an indefinite one, goes to a symmetric-mode SuperLU LU.
+``prefactorize`` factors every constant system matrix (K_ff, and the
+effective stiffness K_ff + c0 M_ff + c1 C_ff of a ``LinearSystem``, whose
+implicit steps solve for the new displacement): it checks the matrix,
+returns the Cholesky, which proves it positive definite, and counts it
+through a module-level event counter so tests (and the runtime contract) can
+assert that a whole simulation run performs exactly one factorization. A
+Newton tangent whose Cholesky breaks down, an indefinite one, goes to a
+symmetric-mode SuperLU LU.
 
 Registration and the Newmark ground truth share one Newton loop,
 ``newton_solve``, and pass it only their residual and tangent. The Newmark
@@ -492,19 +494,42 @@ class RestModel:
 
 class LinearSystem:
     """Constant-coefficient implicit system for the linear material on the
-    free DOFs of a rest model: ``K``, ``M`` and ``C`` are K_ff, M_ff and the
-    Rayleigh C_ff, ``masses`` the (n,) lumped node masses of M, and
-    ``prefact`` the factor of the scheme matrix M + g dt C + b dt^2 K: g = b
-    = 1 for backward Euler, NEWMARK_GAMMA and NEWMARK_BETA for Newmark."""
+    free DOFs of a rest model, stepped in displacement form: ``K``, ``M`` and
+    ``C`` are K_ff, M_ff and the Rayleigh C_ff = alpha M_ff + beta K_ff,
+    ``masses`` the (n,) lumped node masses of M, and ``prefact`` the factor
+    of the effective stiffness K + c0 M + c1 C.
+
+    A step predicts u_pred = u + dt v + ``predict_u`` a and v_pred = v +
+    ``predict_v`` a, solves for the new displacement, and reads the new
+    acceleration c0 (u_new - u_pred) and velocity v_pred + g dt a_new off
+    it. Newmark has g = NEWMARK_GAMMA, c0 = 1/(NEWMARK_BETA dt^2),
+    predict_u = dt^2 (1/2 - NEWMARK_BETA) and predict_v = dt (1 - g);
+    backward Euler has g = 1, c0 = 1/dt^2 and no acceleration terms in its
+    predictors. Either way c1 = g dt c0.
+    """
 
     def __init__(self, rest: RestModel, K: sp.csr_matrix, dt: float,
                  scheme: IntegrationScheme, damping: RayleighDamping):
-        self.K, self.M, self.dt, self.scheme = K, rest.M, dt, scheme
+        self.K, self.M, self.dt, self.damping = K, rest.M, dt, damping
         self.free, self.masses = rest.pre.free, rest.masses
         self.C = (damping.alpha * self.M + damping.beta * K).tocsr()
-        g, b = (1.0, 1.0) if scheme is IntegrationScheme.BACKWARD_EULER \
-            else (NEWMARK_GAMMA, NEWMARK_BETA)
-        self.prefact = prefactorize(self.M + g * dt * self.C + b * dt * dt * K)
+        if scheme is IntegrationScheme.BACKWARD_EULER:
+            g, b, self.predict_u, self.predict_v = 1.0, 1.0, 0.0, 0.0
+        else:
+            g, b = NEWMARK_GAMMA, NEWMARK_BETA
+            self.predict_u, self.predict_v = dt * dt * (0.5 - b), dt * (1.0 - g)
+        self.c0 = 1.0 / (b * dt * dt)
+        self.g_dt, self.c1 = g * dt, g * dt * self.c0
+        # the right-hand side's diagonal part, on every DOF:
+        # m (c0 + alpha c1) u_pred - m alpha v_pred
+        dof_masses = np.repeat(self.masses, 3)
+        self.mass_u = (self.c0 + damping.alpha * self.c1) * dof_masses
+        self.mass_v = damping.alpha * dof_masses
+        self.prefact = prefactorize(self.effective_stiffness())
+
+    def effective_stiffness(self) -> sp.csr_matrix:
+        """K + c0 M + c1 C, the matrix ``prefact`` factors."""
+        return (self.K + self.c0 * self.M + self.c1 * self.C).tocsr()
 
     @property
     def n_dof(self) -> int:
@@ -522,29 +547,29 @@ def build_linear_system(mesh: TetMesh, params: MaterialParams, dt: float,
 
 def step_linear_implicit(system: LinearSystem, state: SimState,
                          f_ext: np.ndarray) -> SimState:
-    """One implicit step with a single back-substitution (no factorization).
+    """One implicit step in displacement form (Newmark's effective-stiffness
+    form; Hughes, *The Finite Element Method*, 1987, ch. 9): a single
+    back-substitution, no factorization.
 
-    The state and the load are gathered to the free DOFs; the new state is
-    scattered back, so anchored DOFs stay exactly zero.
+    With C = alpha M + beta K, (K + c0 M + c1 C) u_new = f + M ((c0 + alpha
+    c1) u_pred - alpha v_pred) + beta K (c1 u_pred - v_pred). The predictors
+    and the diagonal part of the right-hand side are formed on the (3n,)
+    state, whose anchored entries are exact zeros; the right-hand side is
+    gathered to the free DOFs once and u_new scattered back once, and a and
+    v follow from it entry by entry, so anchored DOFs stay exactly zero.
+    Only stiffness-proportional damping (beta > 0) costs a product with K.
     """
     if len(f_ext) != system.n_dof:
         raise ValueError(f"force vector has {len(f_ext)} entries, expected {system.n_dof}")
-    free = system.free
-    f, u, v, a = (free.gather(x) for x in (f_ext, state.u, state.v, state.a))
-    dt = system.dt
-    if system.scheme is IntegrationScheme.BACKWARD_EULER:
-        v_new = system.prefact.solve(system.M @ v + dt * (f - system.K @ u))
-        u_new = u + dt * v_new
-        a_new = (v_new - v) / dt
-    else:
-        g, b = NEWMARK_GAMMA, NEWMARK_BETA
-        u_pred = u + dt * v + dt * dt * (0.5 - b) * a
-        v_pred = v + dt * (1.0 - g) * a
-        a_new = system.prefact.solve(f - system.C @ v_pred - system.K @ u_pred)
-        u_new = u_pred + b * dt * dt * a_new
-        v_new = v_pred + g * dt * a_new
-    return SimState(u=free.scatter(u_new), v=free.scatter(v_new), a=free.scatter(a_new),
-                    t=state.t + dt)
+    free, dt = system.free, system.dt
+    u_pred = state.u + dt * state.v + system.predict_u * state.a
+    v_pred = state.v + system.predict_v * state.a
+    rhs = free.gather(f_ext + system.mass_u * u_pred - system.mass_v * v_pred)
+    if system.damping.beta:
+        rhs += system.damping.beta * (system.K @ free.gather(system.c1 * u_pred - v_pred))
+    u = free.scatter(system.prefact.solve(rhs))
+    a = system.c0 * (u - u_pred)
+    return SimState(u=u, v=v_pred + system.g_dt * a, a=a, t=state.t + dt)
 
 
 def smallest_mode_frequency(K, M, factor) -> float:
@@ -619,9 +644,8 @@ class QuasistaticDriver:
         dof_masses = np.repeat(self.system.masses, 3)
         converged = False
         for _ in range(QUASISTATIC_MAX_STEPS):
-            prev_v = state.v
             state = step_linear_implicit(self.system, state, f_ext)
-            accel = dof_masses * (state.v - prev_v) / self.dt
+            accel = dof_masses * state.a
             if np.linalg.norm(accel) > QUASISTATIC_ACCEL_BOUND * f_norm:
                 raise ConvergenceError(
                     "quasi-static assumption violated: acceleration exceeds bound",

@@ -130,6 +130,8 @@ def element_precomp(rest_positions: np.ndarray) -> ElementPrecomp:
 _CORNER_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                           (0, 0), (1, 1), (2, 2), (3, 3)])
 _UPPER3_P, _UPPER3_R = np.triu_indices(3)
+# the entries (p, p) to (p, 2) of row p among the six upper ones of a 3x3 block
+_UPPER3_ROWS = (slice(0, 3), slice(3, 5), slice(5, 6))
 _ENTRY_PAIR = np.concatenate([np.repeat(np.arange(6), 9), np.repeat(np.arange(6, 10), 6)])
 _ENTRY_P = np.concatenate([np.tile(np.repeat(np.arange(3), 3), 6), np.tile(_UPPER3_P, 4)])
 _ENTRY_R = np.concatenate([np.tile(np.tile(np.arange(3), 3), 6), np.tile(_UPPER3_R, 4)])
@@ -581,21 +583,32 @@ def _stiffness_upper(params: MaterialParams, F: np.ndarray, g: np.ndarray,
         h, c = _times(B, g), mu - lam * np.log(J)
     else:
         raise ValueError(f"unknown material model {model}")
-    a, b = _CORNER_PAIRS[:6].T
     sv = mu * (_gram(h, volumes) if model is MaterialModel.STVK else gram)
     lh, ch = (lam * volumes) * h, (c * volumes) * h
+    # every row is written in place into its view of K, through one (3, m)
+    # scratch: no (6, 3, m) copies of the corner rows, no product temporaries
     K = np.empty((78, m))
+    scratch = np.empty((3, m))
     off = K[:54].reshape(6, 3, 3, m)                      # corner pairs a < b
-    np.multiply(lh[a, :, None], h[b, None], out=off)
-    off += ch[b, :, None] * h[a, None]
+    for k, (a, b) in enumerate(_CORNER_PAIRS[:6]):
+        for p in range(3):
+            np.multiply(lh[a, p], h[b], out=off[k, p])
+            np.multiply(ch[b, p], h[a], out=scratch)
+            off[k, p] += scratch
+            off[k, p, p] += sv[k]
+            if T is not None:
+                np.multiply(gram[k], T[p], out=scratch)
+                off[k, p] += scratch
     diag = K[54:].reshape(4, 6, m)                        # diagonal blocks, p <= r
-    np.multiply((lh + ch)[:, _UPPER3_P], h[:, _UPPER3_R], out=diag)
-    for p in range(3):
-        off[:, p, p] += sv[:6]
-    diag[:, _UPPER3_P == _UPPER3_R] += sv[6:, None]
-    if T is not None:
-        off += gram[:6, None, None] * T
-        diag += gram[6:, None] * T[_UPPER3_P, _UPPER3_R]
+    for a in range(4):
+        np.add(lh[a], ch[a], out=scratch)
+        for p, e in enumerate(_UPPER3_ROWS):
+            np.multiply(scratch[p], h[a, p:], out=diag[a, e])
+        for e in _UPPER3_ROWS:
+            diag[a, e.start] += sv[6 + a]
+        if T is not None:
+            for p, e in enumerate(_UPPER3_ROWS):
+                diag[a, e] += gram[6 + a] * T[p, p:]
     return K
 
 

@@ -168,8 +168,12 @@ class AdamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
+        if self.batch < 1:
+            raise ValueError(f"batch size must be at least 1, got {self.batch}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
 
 @dataclass

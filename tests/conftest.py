@@ -146,3 +146,39 @@ def build_counts(monkeypatch):
         return assemble(mesh, params, *args, **kwargs)
     monkeypatch.setattr(material, "assemble_stiffness", assemble_counted)
     return counts
+
+
+class MatrixProducts:
+    """Stands in for a sparse matrix of a system under test: ``@`` raises
+    unless ``allowed``; an allowed product is counted and computed."""
+
+    def __init__(self, matrix, allowed: bool):
+        self.matrix, self.allowed, self.count = matrix, allowed, 0
+
+    def __matmul__(self, x):
+        if not self.allowed:
+            raise AssertionError("product with a system matrix")
+        self.count += 1
+        return self.matrix @ x
+
+
+@pytest.fixture
+def watch_linear_step(monkeypatch):
+    """``watch(system, k_products=False)`` swaps ``system.K`` and ``system.C``
+    of a ``LinearSystem`` for ``MatrixProducts`` (C's forbidden, K's allowed
+    with ``k_products``) and records every call of ``system.prefact.solve``.
+    Returns (K's stand-in, the list of solve calls)."""
+
+    def watch(system, k_products: bool = False):
+        K = MatrixProducts(system.K, k_products)
+        monkeypatch.setattr(system, "K", K)
+        monkeypatch.setattr(system, "C", MatrixProducts(system.C, False))
+        solve, calls = system.prefact.solve, []
+
+        def counted(b):
+            calls.append(1)
+            return solve(b)
+        monkeypatch.setattr(system.prefact, "solve", counted)
+        return K, calls
+
+    return watch

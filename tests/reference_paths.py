@@ -6,8 +6,11 @@ can compare the fast kernels against them: the two-stage canonicalization
 map through a ``K @ K`` stack product, the per-node gradient-operator loop,
 a whole ``deepwarp_step`` built from them, the heapq multi-source Dijkstra,
 the unit-diagonal elimination of the anchors in the linear, Newmark and
-registration solvers with registration's weak Wolfe search, and the
-stiffness assembly from whole 12x12 element blocks. The per-node gradient
+registration solvers with registration's weak Wolfe search (the linear
+steps in the acceleration and velocity forms they had, and in the
+displacement form that replaced both), and the
+stiffness assembly from whole 12x12 element blocks, and the element
+stiffness kernel built from fancy-indexed copies of its corner rows. The per-node gradient
 fit ``local_displacement_gradient`` is here too; the package uses only the
 batched ``gradient_operator``. So is the rotation-strain warp solved by
 SuperLU on all 3 n_free DOFs of its normal equations, which the package
@@ -45,8 +48,11 @@ from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_MAX_NEWTON, 
                                RayleighDamping, SimState, TangentSolver,
                                newton_solve, prefactorize, step_linear_implicit)
 from deepwarp.features import _EPS, FeatureError, GeodesicField, assemble_features_batch
-from deepwarp.material import (_CORNER_PAIRS, _ENTRY_P, _ENTRY_PAIR, _ENTRY_R,
-                               InvertedElementError, MaterialModel, MeshPrecomp,
+from deepwarp.material import (_CORNER_PAIRS, _ENTRY_P, _ENTRY_PAIR, _ENTRY_R, _UPPER_COL,
+                               _UPPER_ROW, _UPPER3_P, _UPPER3_R, InvertedElementError,
+                               MaterialModel, MeshPrecomp, _check_uninverted,
+                               _det_and_inverse_transpose_cm, _gram, _green_strain, _hooke,
+                               _times,
                                assemble_force, assemble_stiffness, deformation_gradient,
                                det_and_inverse_transpose, element_internal_force,
                                element_precomp, energy_density,
@@ -354,7 +360,9 @@ def anchored_force(mesh, params, u, pre):
 def unit_diagonal_linear_system(mesh, params, dt, scheme=IntegrationScheme.NEWMARK,
                         damping=RayleighDamping(), density=1000.0):
     """3n x 3n K, M and C with unit diagonals on anchored DOFs (they stack up
-    in the system matrix, which only rescales the decoupled anchor rows)."""
+    in the system matrix, which only rescales the decoupled anchor rows),
+    factored in the acceleration form (Newmark) or velocity form (backward
+    Euler): M + g dt C + b dt^2 K."""
     params = params.as_linear()
     K = assemble_stiffness(mesh, params, np.zeros(3 * mesh.n_nodes))
     M = sp.diags(np.repeat(lumped_mass(mesh, density), 3)).tocsr()
@@ -363,8 +371,21 @@ def unit_diagonal_linear_system(mesh, params, dt, scheme=IntegrationScheme.NEWMA
     M, C = apply_anchors(M, dofs), apply_anchors(C, dofs)
     g, b = (1.0, 1.0) if scheme is IntegrationScheme.BACKWARD_EULER \
         else (NEWMARK_GAMMA, NEWMARK_BETA)
-    return SimpleNamespace(K=K, M=M, C=C, dt=dt, scheme=scheme, dofs=dofs,
+    return SimpleNamespace(K=K, M=M, C=C, dt=dt, scheme=scheme, dofs=dofs, g=g, b=b,
                            prefact=prefactorize(M + g * dt * C + b * dt * dt * K))
+
+
+def unit_diagonal_displacement_system(mesh, params, dt, scheme=IntegrationScheme.NEWMARK,
+                                      damping=RayleighDamping(), density=1000.0):
+    """The matrices of ``unit_diagonal_linear_system`` with the factor of the
+    effective stiffness K + c0 M + c1 C, c0 = 1/(b dt^2) and c1 = g/(b dt),
+    which ``unit_diagonal_displacement_step`` solves for the new
+    displacement."""
+    system = unit_diagonal_linear_system(mesh, params, dt, scheme, damping, density)
+    system.c0 = 1.0 / (system.b * dt * dt)
+    system.c1 = system.g / (system.b * dt)
+    system.prefact = prefactorize(system.K + system.c0 * system.M + system.c1 * system.C)
+    return system
 
 
 def unit_diagonal_linear_step(system, state, f_ext):
@@ -388,6 +409,29 @@ def unit_diagonal_linear_step(system, state, f_ext):
         u_new = u_pred + b * dt * dt * a_new
         v_new = v_pred + g * dt * a_new
     for vec in (u_new, v_new, a_new):
+        vec[system.dofs] = 0.0
+    return SimState(u=u_new, v=v_new, a=a_new, t=state.t + dt)
+
+
+def unit_diagonal_displacement_step(system, state, f_ext):
+    """One displacement-form step on the 3n DOFs with whole M and C products:
+    (K + c0 M + c1 C) u_new = f + (c0 M + c1 C) u_pred - C v_pred."""
+    f = np.array(f_ext, dtype=np.float64, copy=True)
+    f[system.dofs] = 0.0
+    dt = system.dt
+    u, v, a = state.u, state.v, state.a
+    if system.scheme is IntegrationScheme.BACKWARD_EULER:
+        u_pred, v_pred = u + dt * v, v
+    else:
+        u_pred = u + dt * v + dt * dt * (0.5 - system.b) * a
+        v_pred = v + dt * (1.0 - system.g) * a
+    rhs = f + (system.c0 * system.M + system.c1 * system.C) @ u_pred - system.C @ v_pred
+    rhs[system.dofs] = 0.0
+    u_new = system.prefact.solve(rhs)
+    u_new[system.dofs] = 0.0
+    a_new = system.c0 * (u_new - u_pred)
+    v_new = v_pred + system.g * dt * a_new
+    for vec in (a_new, v_new):
         vec[system.dofs] = 0.0
     return SimState(u=u_new, v=v_new, a=a_new, t=state.t + dt)
 
@@ -1107,3 +1151,51 @@ def row_major_forward_batch(weights, X, activation):
             z = np.tanh(z) if activation is Activation.TANH else np.maximum(z, 0.0)
         a = z
     return a
+
+
+# ---------------------------------------------------------------------------
+# the element stiffness kernel from fancy-indexed copies
+# ---------------------------------------------------------------------------
+
+def fancy_index_stiffness_upper(params, F, g, volumes, gram):
+    """``material._stiffness_upper`` as whole-array products of fancy-indexed
+    copies of the corner rows (``lh[a]``, ``h[b]``, ...) and a (6, 3, 3, m)
+    product temporary, which the kernel now writes row by row into its
+    output."""
+    m = F.shape[-1]
+    mu, lam = params.lame()
+    model = params.model
+    if model is MaterialModel.COROTATIONAL:
+        basis = np.zeros((m, 12, 3, 3))
+        for a in range(4):
+            for r in range(3):
+                basis[:, 3 * a + r, r, :] = g[a].T
+        dP = piola_stress_differential_batch(params, F.transpose(2, 0, 1), basis)
+        K = np.einsum("nkpq,aqn->apkn", dP, g).reshape(12, 12, m)
+        return K[_UPPER_ROW, _UPPER_COL] * volumes
+    T = None
+    if model is MaterialModel.LINEAR:
+        h, c = g, mu
+    elif model is MaterialModel.STVK:
+        h, c = _times(F, g), mu
+        T = _hooke(_green_strain(F.transpose(2, 0, 1)), mu, lam).transpose(1, 2, 0)
+    else:
+        J, B = _det_and_inverse_transpose_cm(F)
+        _check_uninverted(J)
+        h, c = _times(B, g), mu - lam * np.log(J)
+    a, b = _CORNER_PAIRS[:6].T
+    sv = mu * (_gram(h, volumes) if model is MaterialModel.STVK else gram)
+    lh, ch = (lam * volumes) * h, (c * volumes) * h
+    K = np.empty((78, m))
+    off = K[:54].reshape(6, 3, 3, m)
+    np.multiply(lh[a, :, None], h[b, None], out=off)
+    off += ch[b, :, None] * h[a, None]
+    diag = K[54:].reshape(4, 6, m)
+    np.multiply((lh + ch)[:, _UPPER3_P], h[:, _UPPER3_R], out=diag)
+    for p in range(3):
+        off[:, p, p] += sv[:6]
+    diag[:, _UPPER3_P == _UPPER3_R] += sv[6:, None]
+    if T is not None:
+        off += gram[:6, None, None] * T
+        diag += gram[6:, None] * T[_UPPER3_P, _UPPER3_R]
+    return K

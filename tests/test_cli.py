@@ -648,3 +648,53 @@ class TestSimulateProperty:
             if command == "compare":      # method,step,rel_l2_error
                 rows = [row[1:] for row in rows]
             assert rows and np.isfinite(np.array(rows, dtype=float)).all()
+
+
+# train's flags: batch sizes and epoch counts below 1, not integers or not
+# numbers, and learning rates that are not finite and positive; drawn epoch
+# counts stay small, so a run that trains is quick
+BATCHES = ["-5", "0", "1", "7", "2.5", "1e300", "-1e300", "inf", "nan"]
+EPOCHS = ["-3", "0", "1", "2", "2.5", "-1e300", "inf", "nan"]
+RATES = ["0", "-1e-3", "1e-300", "1e-3", "1e300", "inf", "-inf", "nan"]
+FRACTIONS = ["0", "0.05", "0.5", "1", "-0.1", "2", "nan"]
+
+
+class TestTrainProperty:
+    # a huge learning rate overflows the weights: only this test expects that
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(batch=st.none() | st.sampled_from(BATCHES),
+           epochs=st.sampled_from(EPOCHS),
+           lr=st.none() | st.sampled_from(RATES),
+           val_fraction=st.none() | st.sampled_from(FRACTIONS))
+    @example(batch="-5", epochs="1", lr=None, val_fraction=None)
+    @example(batch=None, epochs="-3", lr=None, val_fraction=None)
+    @example(batch="0", epochs="1", lr=None, val_fraction=None)
+    @example(batch=None, epochs="2", lr="nan", val_fraction=None)
+    def test_exit_code_and_network_contract(self, dataset_file, property_out, batch, epochs,
+                                            lr, val_fraction):
+        """Every run exits 0, 1, 2 or 3 without a traceback; a batch size or
+        epoch count below 1 or not an integer, or a learning rate that is not
+        finite and positive, exits 1; an exit 0 writes a loadable network
+        with finite weights and a loss row for every epoch."""
+        out = property_out.with_suffix(".dwnn")
+        out.unlink(missing_ok=True)
+        argv = ["train", "--dataset", str(dataset_file), "--out", str(out),
+                f"--epochs={epochs}", "--quiet"]
+        for flag, value in (("batch", batch), ("lr", lr), ("val-fraction", val_fraction)):
+            argv += [] if value is None else [f"--{flag}={value}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        count = [float(v) for v in (batch or "1", epochs)]
+        rate = float(lr or "1e-3")
+        if not (all(v.is_integer() and v >= 1 for v in count)
+                and np.isfinite(rate) and rate > 0):
+            assert code == 1 and "error:" in stderr.getvalue()
+        if code == 0:
+            weights = load_network_file(str(out)).weights
+            assert all(np.isfinite(a).all() for a in weights.weights + weights.biases)
+            rows = [l for l in open(str(out) + ".loss.csv") if l[0].isdigit()]
+            assert len(rows) == int(epochs) + 1

@@ -71,13 +71,14 @@ class TestPrefactorize:
         assert factorization_event_count() == 1
 
     def test_solve_matches_dense(self, unit_tet):
-        # each scheme's matrix M + g dt C + b dt^2 K
+        # each scheme's effective stiffness K + c0 M + c1 C: c0 = 1/(b dt^2)
+        # and c1 = g/(b dt)
         for scheme, g, b in ((IntegrationScheme.BACKWARD_EULER, 1.0, 1.0),
                              (IntegrationScheme.NEWMARK, 0.5, 0.25)):
             system = build_linear_system(unit_tet, LINEAR, 1 / 60, scheme,
                                          RayleighDamping(0.1, 0.001))
             dt = system.dt
-            A = (system.M + g * dt * system.C + b * dt * dt * system.K).toarray()
+            A = (system.K + system.M / (b * dt * dt) + g / (b * dt) * system.C).toarray()
             rng = np.random.default_rng(0)
             rhs = rng.standard_normal(system.K.shape[0])
             x = system.prefact.solve(rhs)
@@ -155,6 +156,25 @@ class TestLinearStepping:
             anchored = bending_beam.anchor_array()
             assert np.abs(state.u.reshape(-1, 3)[anchored]).max() == 0.0
             assert np.abs(state.v.reshape(-1, 3)[anchored]).max() == 0.0
+
+    @pytest.mark.parametrize("scheme", list(IntegrationScheme))
+    def test_one_back_substitution_and_diagonal_work(self, bending_beam, scheme,
+                                                     watch_linear_step):
+        # undamped and mass-damped steps read no K or C product, and a
+        # stiffness-damped one K once; each back-substitutes once and
+        # returns what the unwatched step does
+        f = force_vector(bending_beam, ForceField.directional([0.3, -1, 0.2], 0.5))
+        for damping in (RayleighDamping(), RayleighDamping(0.5), RayleighDamping(0.5, 0.01)):
+            system = build_linear_system(bending_beam, LINEAR, 1 / 60, scheme, damping)
+            want = state = SimState.rest(bending_beam.n_nodes)
+            for _ in range(5):
+                want = step_linear_implicit(system, want, f)
+            K, calls = watch_linear_step(system, k_products=damping.beta > 0.0)
+            for k in range(5):
+                state = step_linear_implicit(system, state, f)
+                assert len(calls) == k + 1 and K.count == (k + 1 if damping.beta else 0)
+            for got, expected in ((state.u, want.u), (state.v, want.v), (state.a, want.a)):
+                assert np.array_equal(got, expected)
 
     def test_dimension_mismatch(self, bending_beam):
         system = build_linear_system(bending_beam, LINEAR, 1 / 60)
@@ -624,10 +644,13 @@ class TestBandedCholesky:
 
     @staticmethod
     def newmark_matrix(mesh):
+        """A damped Newmark system and its effective stiffness
+        K + M/(b dt^2) + g/(b dt) C."""
         dt = 1 / 60
         system = build_linear_system(mesh, LINEAR, dt, IntegrationScheme.NEWMARK,
                                      RayleighDamping(0.5, 0.01))
-        return system, (system.M + 0.5 * dt * system.C + 0.25 * dt * dt * system.K).tocsr()
+        return system, (system.K + system.M / (0.25 * dt * dt)
+                        + 0.5 / (0.25 * dt) * system.C).tocsr()
 
     @staticmethod
     def node_order(factor):

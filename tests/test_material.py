@@ -6,8 +6,11 @@ import scipy.sparse.linalg as spla
 import reference_paths
 from reference_paths import (element_gradients, fd_element_stiffness, fd_stress,
                              material_state, min_det)
+from conftest import delaunay_beam
 from test_dynamics import bent_tangents
+from test_node_graph import strained_state
 
+from deepwarp import material
 from deepwarp.dynamics import (BandedCholesky, RayleighDamping, build_nonlinear_system,
                                prefactorize)
 from deepwarp.material import (InvertedElementError, MaterialModel, MaterialParams,
@@ -18,6 +21,7 @@ from deepwarp.material import (InvertedElementError, MaterialModel, MaterialPara
                                piola_stress, piola_stress_differential_batch,
                                polar_decompose, total_elastic_energy)
 from deepwarp.mesh import TetMesh
+from deepwarp.meshgen import beam
 from deepwarp.registration import rotation_from_vector
 
 STATES = ["rest", "deformed", "near_inverted"]
@@ -357,6 +361,22 @@ class TestAssemblyKernels:
                          - total_elastic_energy(mesh, params, u - h * e, pre)
                          for e in np.eye(len(u))]) / (2 * h)
         assert np.abs(f + grad).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("model", list(MaterialModel))
+    @pytest.mark.parametrize("make_mesh", [lambda: beam(16, 5, 5, lengths=(2.0, 0.8, 0.8)),
+                                           lambda: delaunay_beam(0)],
+                             ids=["readme_beam", "delaunay_beam"])
+    def test_stiffness_kernel_bitwise_equals_fancy_index_path(self, make_mesh, model):
+        # the row-by-row writes into the output against the whole-array
+        # products of fancy-indexed copies they replaced
+        mesh = make_mesh()
+        params = MaterialParams(model, 1e4, 0.45)
+        pre = MeshPrecomp(mesh)
+        F = pre._gradients(0.1 * strained_state(mesh))
+        assert np.linalg.det(F.transpose(2, 0, 1)).min() > 0.5
+        args = (params, F, pre.corner_grads, pre.volumes, pre._gram)
+        assert np.array_equal(material._stiffness_upper(*args),
+                              reference_paths.fancy_index_stiffness_upper(*args))
 
     @pytest.mark.parametrize("state", STATES)
     @pytest.mark.parametrize("model", list(MaterialModel))

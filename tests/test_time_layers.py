@@ -1,6 +1,7 @@
 """tools/time_layers.py on a tiny beam: every timed call runs and reports
-its median and quartiles, the band factors report their sizes and the
-Newmark trajectory reports its Newton solves per step. One training epoch
+its median and quartiles, the band factors report their sizes, the linear
+and Newmark trajectories time each of their steps and the Newmark one
+reports its Newton solves per step. One training epoch
 is timed once per run."""
 
 import importlib.util
@@ -48,10 +49,12 @@ def test_times_every_layer_on_a_tiny_beam(monkeypatch):
         stats = tiny[layer]
         assert stats["calls"] == 3
         assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]
-    # the Newmark step: one call per step of the fixed 30-step trajectory
-    stats = tiny["newmark_step"]
-    assert stats["calls"] == tool.NEWMARK_STEPS == 30
-    assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]
+    # the linear and Newmark steps: one call per step of the fixed 30-step
+    # trajectories
+    for layer in ("linear_step", "newmark_step"):
+        stats = tiny[layer]
+        assert stats["calls"] == tool.NEWMARK_STEPS == 30
+        assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]
     assert tiny["newmark_solves_per_step"] >= 1.0
 
 

@@ -249,6 +249,19 @@ class TestDeepwarpStep:
             assert len(calls) == k + 1
         assert factorization_event_count() == 0
 
+    def test_one_back_substitution_and_no_matrix_product(self, normalized_beam, neo_hookean,
+                                                         quick_net, watch_linear_step):
+        field = ForceField.directional([0.3, -1, 0.1], 0.4)
+        ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
+                                 dt=1 / 60)
+        f = force_vector(normalized_beam, field)
+        _, calls = watch_linear_step(ctx.system)
+        state = ctx.reset()
+        for k in range(10):
+            state, u = deepwarp_step(ctx, state, f)
+            assert len(calls) == k + 1
+        assert np.abs(u).max() > 0.0
+
     def test_anchored_nodes_zero(self, normalized_beam, neo_hookean, quick_net):
         field = ForceField.directional([0.3, -1, 0.1], 0.4)
         ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
@@ -323,7 +336,11 @@ class TestDeepwarpStep:
     def test_matches_unit_diagonal_solve(self, normalized_beam, neo_hookean, quick_net,
                                          monkeypatch):
         # the same context stepped with the unit-diagonal linear solve it
-        # replaced: the corrected output agrees from the first step on
+        # replaced, in the same displacement form: the corrected output
+        # agrees from the first step on. (Against the acceleration form it
+        # reads up to 7.5e-8 relative: round-off of two forms amplified near
+        # degenerate canonical frames; the linear states agree in
+        # TestFreeDofsMatchUnitDiagonal.)
         from deepwarp import warper
         field = ForceField.directional([0.3, -1, 0.1], 1.5)
         ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
@@ -331,13 +348,13 @@ class TestDeepwarpStep:
         ref_ctx = build_warp_context(normalized_beam, neo_hookean, quick_net, field,
                                      dt=1 / 60)
         ctx.warn_on_extrapolation = ref_ctx.warn_on_extrapolation = False
-        ref_system = reference_paths.unit_diagonal_linear_system(
+        ref_system = reference_paths.unit_diagonal_displacement_system(
             normalized_beam, neo_hookean, 1 / 60)
         free_step = warper.step_linear_implicit
 
         def step(system, state, f):
             if system is ref_ctx.system:
-                return reference_paths.unit_diagonal_linear_step(ref_system, state, f)
+                return reference_paths.unit_diagonal_displacement_step(ref_system, state, f)
             return free_step(system, state, f)
 
         monkeypatch.setattr(warper, "step_linear_implicit", step)

@@ -28,11 +28,12 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   nu = 0.45 (the benchmark's material), at the deformed state below;
 * ``total_elastic_energy`` at the same state;
 * ``factorize`` and ``backsolve``: ``BandedCholesky(A, 3)`` and its
-  ``solve(b)`` for a fixed random b, where A is the CSR Newmark matrix
-  M + dt/2 C + dt^2/4 K that ``build_linear_system`` prefactorizes (the
-  material's linear part, dt = 1/60, no damping, as ``build_warp_context``
-  builds it in the benchmark's runtime workload). ``band_rows`` and
-  ``band_mb`` give the size of its band factor;
+  ``solve(b)`` for a fixed random b, where A is the effective stiffness
+  K + c0 M + c1 C that ``build_linear_system`` prefactorizes
+  (``LinearSystem.effective_stiffness``: the material's linear part, dt =
+  1/60, Newmark, no damping, as ``build_warp_context`` builds it in the
+  benchmark's runtime workload). ``band_rows`` and ``band_mb`` give the size
+  of its band factor;
 * ``refactorize``: ``factor.refactor(A)`` on the same A, the numeric half
   alone (pack and ``pbtrf``) that a Newton loop pays while its tangents keep
   their pattern;
@@ -42,12 +43,15 @@ nodes, 15552 tets), both with lengths (2.0, 0.8, 0.8). The timed calls are
   give the size of its band, and ``rsw_backsolve`` times its ``solve`` of a
   fixed random right-hand side of 3 n_free entries, one column per
   component: the solve of one ``rsw_warp`` step;
-* ``newmark_step``: ``step_newmark_nonlinear`` along a fixed trajectory of
-  ``NEWMARK_STEPS`` = 30 steps from rest, dt = 1/60, under the benchmark's
+* ``linear_step``: ``step_linear_implicit`` on that system along a fixed
+  trajectory of ``NEWMARK_STEPS`` = 30 steps from rest under the benchmark's
   nominal off-axis load (direction (sin 45 cos 75, cos 45, sin 45 sin 75),
   scaled so that the static linear solution has max |u| = 0.7), one call per
-  step; ``newmark_solves_per_step`` is the mean number of Newton solves of
-  its steps.
+  step: the linear half of one ``deepwarp_step``;
+* ``newmark_step``: ``step_newmark_nonlinear`` along a fixed trajectory of
+  ``NEWMARK_STEPS`` steps from rest, dt = 1/60, under the same load, one
+  call per step; ``newmark_solves_per_step`` is the mean number of Newton
+  solves of its steps.
 
 ``train_epoch`` (one per run, not per beam) times one epoch of ``train``'s
 minibatch loop, ``net._train_epoch``: the (7, 16, 16, 3) tanh network with
@@ -83,8 +87,8 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from deepwarp import warper  # noqa: E402
-from deepwarp.dynamics import (NEWMARK_BETA, NEWMARK_GAMMA, BandedCholesky,  # noqa: E402
-                               SimState, build_linear_system, build_nonlinear_system,
+from deepwarp.dynamics import (BandedCholesky, SimState, build_linear_system,  # noqa: E402
+                               build_nonlinear_system, step_linear_implicit,
                                step_newmark_nonlinear)
 from deepwarp.features import ForceField, force_vector, geodesic_all  # noqa: E402
 from deepwarp.material import (MaterialModel, MaterialParams, MeshPrecomp,  # noqa: E402
@@ -139,13 +143,29 @@ def _stats(fn, calls: int, warmup: int) -> dict:
     return _quartiles(times)
 
 
-def newmark_trajectory(mesh, K) -> tuple[list, list]:
-    """Wall time (s) and Newton solves of each step of the fixed Newmark
-    trajectory; K is the free-DOF linear rest stiffness."""
+def benchmark_load(mesh, K) -> np.ndarray:
+    """The nominal load, scaled so that the static solution of the free-DOF
+    linear rest stiffness K has max |u| = STATIC_MAX_U."""
     free = mesh.free_dofs()
     unit = force_vector(mesh, ForceField.directional(LOAD_DIRECTION, 1.0))
     static = free.scatter(BandedCholesky(K, 3).solve(free.gather(unit)))
-    f = STATIC_MAX_U / np.linalg.norm(static.reshape(-1, 3), axis=1).max() * unit
+    return STATIC_MAX_U / np.linalg.norm(static.reshape(-1, 3), axis=1).max() * unit
+
+
+def linear_trajectory(system, f) -> list:
+    """Wall time (s) of each step of the fixed linear trajectory."""
+    state = SimState.rest(system.n_dof // 3)
+    times = []
+    for _ in range(NEWMARK_STEPS):
+        t0 = time.perf_counter()
+        state = step_linear_implicit(system, state, f)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def newmark_trajectory(mesh, f) -> tuple[list, list]:
+    """Wall time (s) and Newton solves of each step of the fixed Newmark
+    trajectory under the load f."""
     system = build_nonlinear_system(mesh, PARAMS)
     state = SimState.rest(mesh.n_nodes)
     times, solves = [], []
@@ -185,7 +205,7 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     pre = MeshPrecomp(mesh)
     pre._csr_pattern                  # cached: ``free_pattern`` times K_ff's pattern alone
     system = build_linear_system(mesh, linear, DT)
-    A = (system.M + NEWMARK_GAMMA * DT * system.C + NEWMARK_BETA * DT * DT * system.K).tocsr()
+    A = system.effective_stiffness()
     factor = BandedCholesky(A, 3)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
     adjacency = node_adjacency(mesh)
@@ -199,7 +219,8 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
     # the 3 n_free right-hand side of one step, in the factor's columns
     rhs = np.random.default_rng(1).standard_normal(mesh.free_dofs().index.size)
     rhs = rhs.reshape(rsw.band.shape[1], -1)
-    newmark_times, newmark_solves = newmark_trajectory(mesh, system.K)
+    f = benchmark_load(mesh, system.K)
+    newmark_times, newmark_solves = newmark_trajectory(mesh, f)
     return {
         "nodes": mesh.n_nodes, "tets": len(mesh.tets),
         "setup": _stats(lambda: assemble_stiffness(mesh, linear, np.zeros(n), MeshPrecomp(mesh)),
@@ -221,6 +242,7 @@ def time_mesh(mesh, calls: int = 30, warmup: int = 3) -> dict:
         "rsw_band_rows": rsw.band.shape[0], "rsw_band_mb": rsw.band.nbytes / 1e6,
         "rsw_fit": _stats(rsw_fit, calls, warmup),
         "rsw_backsolve": _stats(lambda: rsw.solve(rhs), calls, warmup),
+        "linear_step": _quartiles(linear_trajectory(system, f)),
         "newmark_step": _quartiles(newmark_times),
         "newmark_solves_per_step": sum(newmark_solves) / NEWMARK_STEPS,
     }
