@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .mesh import (DomainPartition, TetMesh, load_mesh, load_mesh_files,
                    load_partition, lumped_mass, node_adjacency,
-                   normalize_to_unit_sphere, select_pseudo_anchor, tet_volumes)
+                   normalize_to_unit_sphere, tet_volumes)
 from .material import (InvertedElementError, MaterialModel, MaterialParams,
                        element_internal_force, element_precomp,
                        element_tangent_stiffness, energy_density, piola_stress,
@@ -22,7 +22,7 @@ from .features import (FEATURE_ORDER, FieldKind, ForceField, align_kinematics,
                        assemble_feature, digression, geodesic_all, potential_all,
                        static_features, unalign)
 from .net import (Activation, AdamConfig, MlpNetwork, MlpSpec, adam_step, backward,
-                  forward, init_weights, load_network_file, train)
+                  init_weights, load_network_file, train)
 from .dataset import (RampConfig, RecordSet, build_dataset, extract_records,
                       generate_poses, read_dataset_file, sample_directions, split,
                       write_dataset_file)

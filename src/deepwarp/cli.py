@@ -160,6 +160,16 @@ def _load_mesh(cfg: RunConfig, normalize: bool = False):
     return mesh
 
 
+def _check_anchors(mesh, command: str) -> None:
+    """Reject a mesh without anchors, which the solvers cannot pin, and one
+    whose nodes are all anchored, which leaves no free DOF to solve for."""
+    if not mesh.anchors:
+        raise ConfigError(f"{command} requires anchors")
+    if len(mesh.anchors) == mesh.n_nodes:
+        raise ConfigError(f"{command} requires a free node; all {mesh.n_nodes} nodes "
+                          f"are anchors")
+
+
 def _material(cfg: RunConfig) -> MaterialParams:
     name = cfg.get("material", "neohookean").strip().lower()
     try:
@@ -198,8 +208,7 @@ def _scenario(cfg: RunConfig, command: str, steps: int, dt: float, kept: int) ->
     trajectories of 3n doubles per step and copies each into an array, so
     twice that must fit in physical memory."""
     mesh = _load_mesh(cfg)
-    if not mesh.anchors:
-        raise ConfigError(f"{command} requires anchors")
+    _check_anchors(mesh, command)
     steps, dt = cfg.getint("steps", steps), cfg.getfloat("dt", dt)
     if steps < 1:
         raise ConfigError(f"steps must be at least 1; got {steps}")
@@ -271,8 +280,7 @@ def cmd_info(args) -> int:
 def cmd_features(args) -> int:
     cfg = RunConfig.from_args(args)
     mesh = _load_mesh(cfg)
-    if not mesh.anchors:
-        raise ConfigError("features require at least one anchor")
+    _check_anchors(mesh, "features")
     field = _field(cfg)
     sf = static_features(mesh, field, geodesic_all(mesh))
     out = cfg.require("out")
@@ -289,8 +297,7 @@ def cmd_gen_data(args) -> int:
     cfg = RunConfig.from_args(args)
     t0 = time.time()
     mesh = _load_mesh(cfg, normalize=True)
-    if not mesh.anchors:
-        raise ConfigError("training mesh needs anchors")
+    _check_anchors(mesh, "gen-data")
     params = _material(cfg)
     if params.model is MaterialModel.LINEAR:
         raise ConfigError("training data requires a nonlinear material model")
@@ -378,10 +385,10 @@ def cmd_simulate(args) -> int:
         net = load_network_file(cfg.require("net"))
     elif cfg.get("net"):
         _print(args, f"note: --net is ignored for method '{method}'")
-    run = _scenario(cfg, "simulation", steps=100, dt=1.0 / 60.0, kept=1)
+    run = _scenario(cfg, "simulate", steps=100, dt=1.0 / 60.0, kept=1)
     mesh = run["mesh"]
-    # by default the lowest-index unanchored node (node 0 if all are anchored)
-    first_free = next((i for i in range(mesh.n_nodes) if i not in mesh.anchors), 0)
+    # by default the lowest-index unanchored node
+    first_free = next(i for i in range(mesh.n_nodes) if i not in mesh.anchors)
     track = _tracked_nodes(cfg, mesh, str(first_free))
     trajectories, note = simulate_methods(net=net, methods=(method,), **run)
     if note is not None:
@@ -405,7 +412,7 @@ def cmd_compare(args) -> int:
         if m not in METHODS or m == "groundtruth":
             raise ConfigError(f"unknown comparison method {m!r}")
     net = load_network_file(cfg.require("net")) if "deepwarp" in methods else None
-    run = _scenario(cfg, "comparison", steps=50, dt=1.0 / 50.0, kept=len(methods) + 1)
+    run = _scenario(cfg, "compare", steps=50, dt=1.0 / 50.0, kept=len(methods) + 1)
     track = _tracked_nodes(cfg, run["mesh"], "") or [None]
     if len(track) > 1:
         raise ConfigError(f"compare tracks one node; got {len(track)}")

@@ -320,23 +320,6 @@ def lumped_mass(mesh: TetMesh, density: float) -> np.ndarray:
                        minlength=mesh.n_nodes)
 
 
-def mass_center(mesh: TetMesh) -> np.ndarray:
-    m = lumped_mass(mesh, 1.0)    # any density cancels
-    return (m[:, None] * mesh.nodes).sum(axis=0) / m.sum()
-
-
-def select_pseudo_anchor(mesh: TetMesh) -> int:
-    """Tet whose centroid is closest to the mass center; ties pick the lowest index.
-
-    Used to fabricate a boundary condition for free-floating bodies: constrain
-    all four corners of the returned tet.
-    """
-    center = mass_center(mesh)
-    centroids = mesh.nodes[mesh.tets].mean(axis=1)
-    dist = np.linalg.norm(centroids - center, axis=1)
-    return int(np.argmin(dist))
-
-
 def tet_pairs_sharing(mesh: TetMesh, n_corners: int,
                       labels: np.ndarray | None = None) -> np.ndarray:
     """(p, 2) pairs of tets that share an edge (``n_corners`` 2) or a face (3).

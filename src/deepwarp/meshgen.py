@@ -1,7 +1,7 @@
 """Structured tetrahedral mesh generation for tests, demos and CLI setup.
 
-Boxes (and box complexes such as T-shapes) are built on a regular grid with
-six tets per cell (Kuhn decomposition), which is conforming across cells.
+Boxes and box complexes are built on a regular grid with six tets per cell
+(Kuhn decomposition), which is conforming across cells.
 The grid is built by array operations: the used grid points are an OR of
 shifted cell masks, their ids a cumulative sum in C order, and the tets one
 fancy index of the Kuhn paths' corner offsets.
@@ -66,25 +66,3 @@ def partition_by_axis(mesh: TetMesh, axis: int, cuts: list[float]) -> DomainPart
     part.validate(mesh)
     return part
 
-
-def t_shape(arm: int = 2, thickness: int = 1, lengths=None) -> tuple[TetMesh, DomainPartition]:
-    """T-shaped beam: a horizontal bar with a stem, three box domains.
-
-    Domain 0 is the stem, domains 1 and 2 the two bar arms; its domain graph
-    is the 3-vertex star/path.
-    """
-    nx = 2 * arm + thickness
-    ny = arm + thickness
-    nz = thickness
-    mask = np.zeros((nx, ny, nz), dtype=bool)
-    mask[:, :thickness, :] = True                                  # horizontal bar
-    mask[arm:arm + thickness, thickness:, :] = True                # stem going up
-    mesh = box_complex(mask, spacing=(1.0, 1.0, 1.0))
-    centroids = mesh.nodes[mesh.tets].mean(axis=1)
-    labels = np.zeros(mesh.n_tets, dtype=np.int64)
-    in_bar = centroids[:, 1] < thickness
-    labels[in_bar & (centroids[:, 0] < arm)] = 1
-    labels[in_bar & (centroids[:, 0] > arm + thickness)] = 2
-    part = DomainPartition(labels)
-    part.validate(mesh)
-    return mesh, part

@@ -73,10 +73,6 @@ class MlpSpec:
             raise ValueError(f"network must map {N_FEATURES} features to 3 outputs")
         object.__setattr__(self, "layer_sizes", sizes)
 
-    @property
-    def n_params(self) -> int:
-        return sum((a + 1) * b for a, b in zip(self.layer_sizes, self.layer_sizes[1:]))
-
 
 @dataclass
 class MlpWeights:
@@ -131,10 +127,6 @@ def forward_batch(weights: MlpWeights, X: np.ndarray, activation: Activation) ->
     """Network outputs for a batch of (standardized) feature rows: the
     transposed view of the last (outputs, rows) activation."""
     return _layers(weights, np.asarray(X, dtype=np.float64).T, activation)[-1].T
-
-
-def forward(weights: MlpWeights, x: np.ndarray, activation: Activation) -> np.ndarray:
-    return forward_batch(weights, np.asarray(x, dtype=np.float64)[None], activation)[0]
 
 
 def backward(weights: MlpWeights, X: np.ndarray, Y: np.ndarray, activation: Activation):
@@ -221,10 +213,6 @@ class FeatureScaler:
         std = np.where(std > 1e-12, std, 1.0)
         return cls(mean=mean, std=std)
 
-    @classmethod
-    def identity(cls) -> "FeatureScaler":
-        return cls(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
@@ -236,11 +224,6 @@ class MlpNetwork:
     spec: MlpSpec
     weights: MlpWeights
     scaler: FeatureScaler
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Outputs for raw (unstandardized) feature rows."""
-        return forward_batch(self.weights, self.scaler.transform(np.atleast_2d(X)),
-                             self.spec.activation)
 
 
 @dataclass
@@ -389,6 +372,10 @@ def load_network(stream) -> MlpNetwork:
         spec = MlpSpec(layer_sizes=tuple(sizes), activation=activation)
     except ValueError as exc:
         raise NetworkFormatError(f"layer shape mismatch: {exc}") from None
+    if not all(np.all(np.isfinite(a)) for a in weights + biases + [mean]):
+        raise NetworkFormatError("network weights, biases or scaler means are not finite")
+    if not np.all(np.isfinite(std) & (std > 0.0)):
+        raise NetworkFormatError("scaler standard deviations must be finite and positive")
     return MlpNetwork(spec=spec, weights=MlpWeights(weights, biases),
                       scaler=FeatureScaler(mean=mean, std=std))
 

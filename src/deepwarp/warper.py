@@ -198,11 +198,6 @@ def mw_average_rotations(W: np.ndarray) -> np.ndarray:
     return skew_quadratic(W, a1, a2)
 
 
-def mw_average_rotation(w: np.ndarray) -> np.ndarray:
-    """Averaged rotation int_0^1 exp(s [w]x) ds of one rotation vector."""
-    return mw_average_rotations(np.asarray(w, dtype=np.float64)[None])[0]
-
-
 def mw_warp(mesh: TetMesh, u_lin: np.ndarray, grad_op: sp.csr_matrix) -> np.ndarray:
     """Modal warping: per node, apply the averaged-rotation transform to u_lin."""
     w = rotation_vectors_from_displacement(grad_op, u_lin)

@@ -7,9 +7,8 @@ from scipy.spatial import Delaunay
 
 from deepwarp import material, mesh, registration
 from deepwarp.material import MaterialModel, MaterialParams
-from deepwarp.mesh import TetMesh, orient_positive
-from deepwarp.meshgen import beam
-from deepwarp.mesh import normalize_to_unit_sphere
+from deepwarp.mesh import DomainPartition, TetMesh, normalize_to_unit_sphere, orient_positive
+from deepwarp.meshgen import beam, box_complex
 
 
 UNIT_TET_NODES = np.array([[0.0, 0.0, 0.0],
@@ -34,6 +33,30 @@ def delaunay_beam(seed: int) -> TetMesh:
     nodes = grid + inside * np.random.default_rng(seed).uniform(-0.3, 0.3, grid.shape) * cell
     tets = orient_positive(nodes, Delaunay(nodes).simplices)
     return TetMesh(nodes=nodes, tets=tets).with_anchors(np.flatnonzero(nodes[:, 0] == lo[0]))
+
+
+def t_shape(arm: int = 2, thickness: int = 1) -> tuple[TetMesh, DomainPartition]:
+    """T-shaped beam of unit cells: a horizontal bar with a stem, three box
+    domains.
+
+    Domain 0 is the stem, domains 1 and 2 the two bar arms; its domain graph
+    is the 3-vertex star/path.
+    """
+    nx = 2 * arm + thickness
+    ny = arm + thickness
+    nz = thickness
+    mask = np.zeros((nx, ny, nz), dtype=bool)
+    mask[:, :thickness, :] = True                                  # horizontal bar
+    mask[arm:arm + thickness, thickness:, :] = True                # stem going up
+    mesh = box_complex(mask, spacing=(1.0, 1.0, 1.0))
+    centroids = mesh.nodes[mesh.tets].mean(axis=1)
+    labels = np.zeros(mesh.n_tets, dtype=np.int64)
+    in_bar = centroids[:, 1] < thickness
+    labels[in_bar & (centroids[:, 0] < arm)] = 1
+    labels[in_bar & (centroids[:, 0] > arm + thickness)] = 2
+    part = DomainPartition(labels)
+    part.validate(mesh)
+    return mesh, part
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from deepwarp.material import (MaterialModel, MaterialParams, element_precomp,
 from deepwarp.mesh import DomainPartition, TetMesh, normalize_to_unit_sphere
 from deepwarp.meshgen import beam, partition_by_axis
 from deepwarp.net import (AdamConfig, AdamState, MlpSpec, MlpWeights, adam_step,
-                          backward, init_weights, train)
+                          backward, forward_batch, init_weights, train)
 from deepwarp.registration import (gradient_operator, register_sequence,
                                    rotation_from_vector,
                                    rotation_vectors_from_displacement)
@@ -98,7 +98,9 @@ def pipeline():
         X = assemble_features_batch(mu, mw, th, sf, params.poisson)
         zeros = np.zeros(mesh.n_nodes)
         X0 = assemble_features_batch(zeros, zeros, zeros, sf, params.poisson)
-        delta = np.einsum("npq,np->nq", Q, net.predict(X) - net.predict(X0))
+        out_X, out_X0 = (forward_batch(net.weights, net.scaler.transform(Z), net.spec.activation)
+                         for Z in (X, X0))
+        delta = np.einsum("npq,np->nq", Q, out_X - out_X0)
         out = u_lin.reshape(-1, 3) + np.where(free[:, None], delta, 0.0)
         return out.ravel()
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,13 @@ from deepwarp.dynamics import ConvergenceError
 from deepwarp.features import ForceField
 from deepwarp.material import MaterialModel, MaterialParams
 from deepwarp.mesh import TetMesh, load_mesh_files, write_mesh_files
-from deepwarp.meshgen import beam, partition_by_axis, t_shape
-from deepwarp.net import load_network_file
+from deepwarp.meshgen import beam, partition_by_axis
+from deepwarp.net import load_network_file, save_network
 from deepwarp.warper import METHODS, compare_methods
+
+from conftest import t_shape
+
+REFERENCE_NET = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "reference.dwnn"
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +45,15 @@ def mesh_files(tmp_path_factory):
 def mesh_flags(mesh_files):
     return ["--nodes", mesh_files["node"], "--elements", mesh_files["ele"],
             "--anchors", mesh_files["anchor"]]
+
+
+# the commands that read anchors reject a mesh without one and a mesh with
+# every node anchored before any work; on the latter, RSW's solve called
+# LAPACK on an empty band
+ANCHOR_CHECKED = [("simulate", ["--method", "rsw", "--steps", "2"]),
+                  ("compare", ["--methods", "linear,rsw", "--steps", "2"]),
+                  ("gen-data", []),
+                  ("features", [])]
 
 
 class TestConfig:
@@ -497,6 +511,29 @@ class TestTrainSimulateCompare:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("array,value,message", [
+        ("std", 0.0, "standard deviations must be finite and positive"),
+        ("std", -1.0, "standard deviations must be finite and positive"),
+        ("mean", np.inf, "not finite"),
+        ("weight", np.nan, "not finite"),
+    ], ids=["std_zero", "std_negative", "mean_inf", "weight_nan"])
+    def test_simulate_rejects_bad_network_values(self, mesh_files, tmp_path, capsys,
+                                                 array, value, message):
+        net = load_network_file(REFERENCE_NET)
+        {"std": net.scaler.std, "mean": net.scaler.mean,
+         "weight": net.weights.weights[0]}[array].flat[0] = value
+        bad = tmp_path / "bad.dwnn"
+        with open(bad, "wb") as f:
+            save_network(f, net)
+        out = tmp_path / "x.csv"
+        code = main(["simulate"] + mesh_flags(mesh_files) + [
+            "--method", "deepwarp", "--net", str(bad), "--steps", "2",
+            "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_compare_summary(self, mesh_files, tmp_path, net_file, capsys):
         out = tmp_path / "cmp.csv"
         code = main(["compare"] + mesh_flags(mesh_files) + [
@@ -534,12 +571,29 @@ class TestTrainSimulateCompare:
     def test_anchorless_mesh_is_validation_error(self, mesh_files, tmp_path,
                                                  capsys):
         unanchored = ["--nodes", mesh_files["node"], "--elements", mesh_files["ele"]]
-        for command, method in (("simulate", "--method"), ("compare", "--methods")):
-            code = main([command] + unanchored + [
-                method, "linear", "--steps", "2", "--out", str(tmp_path / "z.csv"),
-                "--quiet"])
+        for command, flags in ANCHOR_CHECKED:
+            code = main([command] + unanchored + flags + [
+                "--out", str(tmp_path / "z.out"), "--quiet"])
             assert code == 1, command
             assert "requires anchors" in capsys.readouterr().err
+            assert not (tmp_path / "z.out").exists()
+
+    @pytest.mark.parametrize("command,flags", ANCHOR_CHECKED,
+                             ids=[c for c, _ in ANCHOR_CHECKED])
+    def test_all_anchored_mesh_is_validation_error(self, mesh_files, tmp_path, capfd,
+                                                   command, flags):
+        n_nodes = len(load_mesh_files(mesh_files["node"], mesh_files["ele"]).nodes)
+        anchors = tmp_path / "all.anchor"
+        anchors.write_text("".join(f"{i}\n" for i in range(n_nodes)))
+        out = tmp_path / "all.out"
+        code = main([command, "--nodes", mesh_files["node"], "--elements", mesh_files["ele"],
+                     "--anchors", str(anchors)] + flags + ["--out", str(out), "--quiet"])
+        captured = capfd.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: {command} requires a free node; all {n_nodes} "
+                                f"nodes are anchors\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unknown_method_rejected(self, mesh_files, tmp_path):
         code = main(["compare"] + mesh_flags(mesh_files) + [

@@ -8,10 +8,11 @@ from deepwarp.features import (FEATURE_ORDER, FeatureError, ForceField,
                                geodesic_all, potential_all, static_features,
                                unalign)
 from deepwarp.mesh import TetMesh, node_adjacency
-from deepwarp.meshgen import beam, t_shape
+from deepwarp.meshgen import beam
 from deepwarp.registration import rotation_from_vector
 
 import reference_paths
+from conftest import delaunay_beam, t_shape
 from test_dynamics import shuffled_readme_beam
 
 
@@ -150,12 +151,13 @@ class TestGeodesic:
         lambda: beam(6, 3, 3, lengths=(2.0, 1.0, 1.0)),
         lambda: t_shape_anchored_on_top(),
         lambda: shuffled_readme_beam(seed=5),
+        lambda: delaunay_beam(0),
         # scattered anchors: many nodes lie equally far from two of them
         lambda: beam(6, 3, 3).with_anchors(range(0, 112, 7)),
         # nodes 0 and 3 are equally far from anchors 1 and 2 along one edge
         lambda: TetMesh(nodes=np.vstack([np.zeros(3), np.eye(3)]),
                         tets=np.array([[0, 1, 2, 3]]), anchors=frozenset({1, 2})),
-    ], ids=["beam", "t_shape", "shuffled", "ties", "tet_ties"])
+    ], ids=["beam", "t_shape", "shuffled", "delaunay", "ties", "tet_ties"])
     def test_matches_heap_loop(self, make):
         mesh = make()
         got = geodesic_all(mesh, node_adjacency(mesh))

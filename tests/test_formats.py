@@ -22,6 +22,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 any_double = st.floats(width=64, allow_nan=True, allow_infinity=True)
 finite_double = st.floats(width=64, allow_nan=False, allow_infinity=False)
+positive_double = st.floats(width=64, min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def same_bits(a, b) -> bool:
@@ -36,15 +37,17 @@ def record_sets(draw):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, values=finite_double, stds=positive_double):
+    """Networks whose weights, biases and scaler means are drawn from
+    ``values`` and whose scaler standard deviations from ``stds``."""
     hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     spec = MlpSpec((7, *hidden, 3), activation=draw(st.sampled_from(list(Activation))))
     sizes = spec.layer_sizes
-    weights = [draw(arrays(np.float64, (b, a), elements=any_double))
+    weights = [draw(arrays(np.float64, (b, a), elements=values))
                for a, b in zip(sizes, sizes[1:])]
-    biases = [draw(arrays(np.float64, (b,), elements=any_double)) for b in sizes[1:]]
-    scaler = FeatureScaler(mean=draw(arrays(np.float64, (7,), elements=any_double)),
-                           std=draw(arrays(np.float64, (7,), elements=any_double)))
+    biases = [draw(arrays(np.float64, (b,), elements=values)) for b in sizes[1:]]
+    scaler = FeatureScaler(mean=draw(arrays(np.float64, (7,), elements=values)),
+                           std=draw(arrays(np.float64, (7,), elements=stds)))
     return MlpNetwork(spec=spec, weights=MlpWeights(weights, biases), scaler=scaler)
 
 
@@ -131,6 +134,22 @@ class TestDwnn:
         assert all(same_bits(a, b) for a, b in pairs)
 
     @PROPERTY
+    @given(networks(values=any_double, stds=any_double))
+    def test_bad_values_rejected(self, network):
+        """A weight, bias or scaler mean that is not finite, or a scaler
+        standard deviation that is not finite and positive, is rejected."""
+        values = np.concatenate([a.ravel() for a in network.weights.weights
+                                 + network.weights.biases + [network.scaler.mean]])
+        std = network.scaler.std
+        bad = not (np.all(np.isfinite(values)) and np.all(np.isfinite(std) & (std > 0.0)))
+        raw = network_bytes(network)
+        if bad:
+            with pytest.raises(NetworkFormatError):
+                load_network(io.BytesIO(raw))
+        else:
+            load_network(io.BytesIO(raw))
+
+    @PROPERTY
     @given(networks(), st.data())
     def test_truncation_rejected(self, network, data):
         raw = network_bytes(network)
@@ -160,7 +179,7 @@ class TestDwnn:
         raw = network_bytes(MlpNetwork(spec=MlpSpec((7, 2, 3)),
                                        weights=MlpWeights([np.zeros((2, 7)), np.zeros((3, 2))],
                                                           [np.zeros(2), np.zeros(3)]),
-                                       scaler=FeatureScaler.identity()))
+                                       scaler=FeatureScaler(np.zeros(7), np.ones(7))))
         head = struct.calcsize("<II")
         layers = sum(head + 8 * (b * a + b) for a, b in ((7, 2), (2, 3)))
         raw = raw[:4] + struct.pack("<II", 1, 0) + raw[4 + head + layers:]

@@ -9,12 +9,12 @@ from scipy.sparse import csgraph
 
 from deepwarp.mesh import (DomainPartition, MeshError, MeshFormatError, TetMesh,
                            load_mesh, load_mesh_files, load_partition,
-                           lumped_mass, mass_center, node_adjacency,
-                           normalize_to_unit_sphere, orient_positive, select_pseudo_anchor,
-                           signed_volumes, tet_volumes, write_mesh_files)
-from deepwarp.meshgen import beam, partition_by_axis, t_shape
+                           lumped_mass, node_adjacency, normalize_to_unit_sphere,
+                           orient_positive, signed_volumes, tet_volumes, write_mesh_files)
+from deepwarp.meshgen import beam, partition_by_axis
 
 import reference_paths
+from conftest import t_shape
 
 
 def make_streams(nodes, tets, anchors=()):
@@ -471,29 +471,6 @@ class TestLumpedMass:
     def test_beam_total_mass(self, small_beam):
         masses = lumped_mass(small_beam, 37.5)
         assert masses.sum() == pytest.approx(37.5 * 2.0, abs=1e-10)
-
-
-class TestPseudoAnchor:
-    def test_single_tet(self, unit_tet):
-        assert select_pseudo_anchor(unit_tet) == 0
-
-    def test_symmetric_beam_near_center(self, bending_beam):
-        idx = select_pseudo_anchor(bending_beam)
-        center = mass_center(bending_beam)
-        centroids = bending_beam.nodes[bending_beam.tets].mean(axis=1)
-        dists = np.linalg.norm(centroids - center, axis=1)
-        # brute-force oracle: returned tet minimizes the distance
-        assert dists[idx] == dists.min()
-        edge = np.linalg.norm(bending_beam.nodes[bending_beam.tets[idx][0]]
-                              - bending_beam.nodes[bending_beam.tets[idx][1]])
-        assert dists[idx] <= 2.0 * edge
-
-    def test_tie_breaks_low_index(self):
-        # two mirror-image tets equidistant from the mass center
-        nodes = [(-2, 0, 0), (-1, 0, 0), (-1.5, 1, 0), (-1.5, 0, 1),
-                 (2, 0, 0), (1, 0, 0), (1.5, 1, 0), (1.5, 0, 1)]
-        mesh = load_mesh(*make_streams(nodes, [(0, 1, 2, 3), (4, 5, 6, 7)]))
-        assert select_pseudo_anchor(mesh) == 0
 
 
 def loop_edge_connected(mesh, labels):

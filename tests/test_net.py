@@ -7,10 +7,15 @@ from deepwarp.features import FEATURE_ORDER
 from deepwarp.net import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Activation, AdamConfig,
                           AdamState, FeatureScaler, MlpNetwork, MlpSpec, MlpWeights,
                           NetworkFormatError, TrainingDivergedError, adam_step,
-                          backward, forward, forward_batch, init_weights, load_network,
+                          backward, forward_batch, init_weights, load_network,
                           save_network, train)
 
 import reference_paths
+
+
+def n_params(spec: MlpSpec) -> int:
+    w = init_weights(spec, seed=0)
+    return sum(a.size for a in w.weights + w.biases)
 
 
 class TestSpec:
@@ -23,10 +28,10 @@ class TestSpec:
             MlpSpec((7, 16, 4))           # wrong output width
 
     def test_parameter_count_two_by_sixteen(self):
-        assert MlpSpec((7, 16, 16, 3)).n_params == 451
+        assert n_params(MlpSpec((7, 16, 16, 3))) == 451
 
     def test_stvk_depth_variant(self):
-        assert MlpSpec((7, 16, 16, 16, 3)).n_params == 451 + 16 * 16 + 16
+        assert n_params(MlpSpec((7, 16, 16, 16, 3))) == 451 + 16 * 16 + 16
 
 
 class TestInit:
@@ -55,7 +60,7 @@ class TestForward:
         w = init_weights(spec, 0)
         for arr in w.weights:
             arr[:] = 0.0
-        assert np.abs(forward(w, np.ones(7), spec.activation)).max() == 0.0
+        assert np.abs(forward_batch(w, np.ones((1, 7)), spec.activation)).max() == 0.0
 
     def test_single_neuron_hand_example(self):
         # one hidden unit reading feature 0, unit output weight on x
@@ -65,11 +70,11 @@ class TestForward:
         w.weights[1][0, 0] = 1.0
         x = np.zeros(7)
         x[0] = 0.73
-        out = forward(w, x, Activation.TANH)
+        out = forward_batch(w, x[None], Activation.TANH)[0]
         assert out[0] == pytest.approx(np.tanh(0.73), abs=1e-14)
         assert out[1] == out[2] == 0.0
         x[0] = 0.0
-        assert np.abs(forward(w, x, Activation.TANH)).max() == 0.0
+        assert np.abs(forward_batch(w, x[None], Activation.TANH)).max() == 0.0
 
     def test_output_bound(self):
         spec = MlpSpec((7, 16, 16, 3))
@@ -84,7 +89,7 @@ class TestForward:
         w = MlpWeights(weights=[np.eye(4, 7), np.ones((3, 4))],
                        biases=[np.zeros(4), np.zeros(3)])
         x = np.array([-1.0, 2.0, -3.0, 4.0, 0, 0, 0])
-        out = forward(w, x, Activation.RELU)
+        out = forward_batch(w, x[None], Activation.RELU)[0]
         assert out[0] == pytest.approx(6.0)     # relu sum = 2 + 4
 
 
@@ -148,7 +153,7 @@ class TestBackward:
         x = np.ones((1, 7))
         y = np.zeros((1, 3))
         _, loss = backward(w, x, y, spec.activation)
-        out = forward(w, x[0], spec.activation)
+        out = forward_batch(w, x, spec.activation)[0]
         assert loss == pytest.approx(0.5 * float(out @ out))
 
 
@@ -339,8 +344,9 @@ class TestSerialization:
         with pytest.raises(NetworkFormatError, match="feature order"):
             load_network(io.BytesIO(raw))
 
-    def test_predict_applies_standardization(self):
+    def test_scaler_applies_standardization(self):
         net = self.trained_net()
         x = np.arange(7.0)      # equals the scaler mean -> standardized zeros
         direct = forward_batch(net.weights, np.zeros((1, 7)), net.spec.activation)
-        assert np.allclose(net.predict(x), direct)
+        got = forward_batch(net.weights, net.scaler.transform(x[None]), net.spec.activation)
+        assert np.allclose(got, direct)

@@ -15,11 +15,11 @@ import pytest
 from deepwarp.features import geodesic_all
 from deepwarp.material import MaterialModel, MaterialParams, MeshPrecomp, assemble_force
 from deepwarp.mesh import TetMesh, lumped_mass, node_adjacency
-from deepwarp.meshgen import beam, t_shape
+from deepwarp.meshgen import beam
 from deepwarp.registration import gradient_operator
 
 import reference_paths
-from conftest import delaunay_beam
+from conftest import delaunay_beam, t_shape
 from test_dynamics import shuffled_readme_beam
 
 MESHES = {

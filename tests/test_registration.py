@@ -6,7 +6,7 @@ from deepwarp.features import ForceField, force_vector
 from deepwarp.material import MaterialModel, MaterialParams, MeshPrecomp, assemble_force, \
     assemble_stiffness, skew
 from deepwarp.mesh import node_adjacency
-from deepwarp.meshgen import beam, t_shape
+from deepwarp.meshgen import beam
 from deepwarp.registration import (BlockRotations, RankDeficientNeighborhoodError,
                                    build_rotation_blockdiag, gradient_operator,
                                    register_nonlinear, register_sequence,
@@ -16,6 +16,7 @@ from deepwarp.registration import (BlockRotations, RankDeficientNeighborhoodErro
 from scipy.linalg import expm
 
 import reference_paths
+from conftest import delaunay_beam, t_shape
 from reference_paths import _neighbor_weights, local_displacement_gradient
 from test_mesh import shuffled_nodes
 
@@ -60,7 +61,8 @@ class TestGradientOperatorMatchesLoop:
         lambda: beam(6, 3, 3, lengths=(2.0, 1.0, 1.0)),
         lambda: t_shape(arm=2, thickness=1)[0],
         lambda: shuffled_nodes(beam(5, 3, 2), seed=3),
-    ], ids=["beam", "t_shape", "shuffled"])
+        lambda: delaunay_beam(0),
+    ], ids=["beam", "t_shape", "shuffled", "delaunay"])
     def test_same_operator(self, make):
         mesh = make()
         op = gradient_operator(mesh, node_adjacency(mesh))

@@ -5,7 +5,7 @@ import pytest
 
 from deepwarp.features import ForceField, force_vector
 from deepwarp.mesh import DomainPartition, MeshError, TetMesh
-from deepwarp.meshgen import beam, partition_by_axis, t_shape
+from deepwarp.meshgen import beam, partition_by_axis
 from deepwarp.registration import rotation_from_vector, rotation_log
 from deepwarp.substructure import (DomainGraph, _bfs_tree, build_domain_graph,
                                    graphs_isomorphic, interface_kinematics,
@@ -13,6 +13,7 @@ from deepwarp.substructure import (DomainGraph, _bfs_tree, build_domain_graph,
 from deepwarp.warper import build_warp_context, run_deepwarp
 
 import reference_paths
+from conftest import t_shape
 
 
 def brute_force_isomorphic(g1: DomainGraph, g2: DomainGraph) -> bool:

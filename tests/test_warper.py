@@ -15,7 +15,7 @@ from deepwarp.net import FeatureScaler
 from deepwarp.registration import gradient_operator, rotation_from_vector, \
     rotation_vectors_from_displacement
 from deepwarp.warper import (METHODS, build_warp_context, compare_methods, deepwarp_step,
-                             dominant_frequency, mw_average_rotation, mw_warp,
+                             dominant_frequency, mw_average_rotations, mw_warp,
                              rsw_warp, run_deepwarp, simulate_methods)
 
 import reference_paths
@@ -33,13 +33,13 @@ def simpson_average_rotation(w, n_intervals=2000):
 
 class TestModalWarp:
     def test_zero_rotation_identity(self):
-        W = mw_average_rotation(np.zeros(3))
+        W = mw_average_rotations(np.zeros((1, 3)))[0]
         assert np.abs(W - np.eye(3)).max() < 1e-14
 
     def test_quadrature_matches_fine_reference(self):
         # 10^6-interval reference of the averaged-rotation integral
         w = np.array([0.0, 0.0, np.pi])
-        W = mw_average_rotation(w)
+        W = mw_average_rotations(w[None])[0]
         t = np.linalg.norm(w)
         s = np.linspace(0.0, 1.0, 1_000_001)
         wt = np.ones_like(s)
@@ -56,7 +56,7 @@ class TestModalWarp:
         # both sides of the series threshold (1e-3) and large angles
         axis = np.array([0.48, -0.6, 0.64])
         w = t * axis
-        assert np.abs(mw_average_rotation(w) - simpson_average_rotation(w)).max() < 1e-12
+        assert np.abs(mw_average_rotations(w[None])[0] - simpson_average_rotation(w)).max() < 1e-12
 
     def test_warp_matches_per_node_average_rotation(self, bending_beam):
         grad_op = gradient_operator(bending_beam)
@@ -64,7 +64,8 @@ class TestModalWarp:
             (bending_beam.n_nodes, 3))).ravel()
         u.reshape(-1, 3)[bending_beam.anchor_array()] = 0.0
         w = rotation_vectors_from_displacement(grad_op, u)
-        want = np.array([mw_average_rotation(wi) @ ui for wi, ui in zip(w, u.reshape(-1, 3))])
+        want = np.array([mw_average_rotations(wi[None])[0] @ ui
+                         for wi, ui in zip(w, u.reshape(-1, 3))])
         want[bending_beam.anchor_array()] = 0.0
         assert np.abs(mw_warp(bending_beam, u, grad_op) - want.ravel()).max() < 1e-14
 
@@ -73,7 +74,7 @@ class TestModalWarp:
         for _ in range(50):
             w = rng.standard_normal(3) * rng.uniform(0, 4)
             u = rng.standard_normal(3)
-            assert np.linalg.norm(mw_average_rotation(w) @ u) \
+            assert np.linalg.norm(mw_average_rotations(w[None])[0] @ u) \
                 <= np.linalg.norm(u) + 1e-12
 
     def test_warp_small_rotation_near_identity(self, bending_beam):
